@@ -136,10 +136,11 @@ cargo run -q --release -p bench --bin bench_diff -- \
 
 # Self-test against the baseline *itself* so the verdicts are
 # deterministic: identical reports must pass, and the same pair with a
-# seeded +25% pipeline.train slowdown must fail naming the span —
+# seeded +25% dpo.forward slowdown must fail naming the span —
 # machine noise in the fresh candidate above cannot mask the seed here.
-# (The seed moved off dpo.backward when the §13 kernels shrank that
-# span below the gate's min-share floor in the fast baseline.)
+# dpo.forward is the largest training span; it clears the gate's
+# min-share floor now that the semantic pre-flight no longer dominates
+# the fast baseline's wall (DESIGN.md §10), so the gate sees training.
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
 seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
 trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
@@ -149,11 +150,11 @@ cargo run -q --release -p bench --bin bench_diff -- \
 if cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json \
-    --seed-regression pipeline.train=1.25 > "$seeded_out"; then
+    --seed-regression dpo.forward=1.25 > "$seeded_out"; then
     echo "perf gate self-test FAILED: seeded regression was not detected"
     cat "$seeded_out"
     exit 1
 fi
-grep -q "pipeline.train" "$seeded_out"
+grep -q "dpo.forward" "$seeded_out"
 
 echo "ci: all gates passed"

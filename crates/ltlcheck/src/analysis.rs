@@ -10,7 +10,7 @@
 //!   passes **vacuously** — the rule never actually constrains anything.
 
 use crate::buchi::Buchi;
-use crate::mc::{eval_bool, find_fair_lasso, is_propositional};
+use crate::mc::{eval_bool, fair_cycle_exists, is_propositional};
 use crate::{check_graph, Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
 use std::collections::HashMap;
@@ -168,9 +168,11 @@ pub fn equivalent(a: &Ltl, b: &Ltl) -> bool {
 /// existential query each.
 ///
 /// Automata come from [`spec_automaton`], so sweeping the same rule book
-/// over several worlds builds each automaton once.
+/// over several worlds builds each automaton once. Only the yes/no answer
+/// is needed, so the product is searched on the fly and the search stops
+/// at the first fair accepting cycle; no lasso is built.
 pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    find_fair_lasso(graph, &spec_automaton(phi), justice).is_some()
+    fair_cycle_exists(graph, &spec_automaton(phi), justice)
 }
 
 /// **Universal** model checking through the automaton cache: `true` iff
@@ -178,9 +180,10 @@ pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> b
 ///
 /// Verdict-identical to `check_graph_fair(graph, phi, justice).holds()`,
 /// but the negation automaton is memoized by [`spec_automaton`], which
-/// matters when the same rules are checked across many worlds.
+/// matters when the same rules are checked across many worlds, and the
+/// search is the on-the-fly one of [`exists_fair_path`].
 pub fn holds_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    find_fair_lasso(graph, &spec_automaton(&Ltl::not(phi.clone())), justice).is_none()
+    !fair_cycle_exists(graph, &spec_automaton(&Ltl::not(phi.clone())), justice)
 }
 
 /// Product-reachability query: the step labels `(σ, a)` of every node

@@ -473,17 +473,101 @@ pub fn verify_all_fair_pooled<'a>(
 /// Product state for emptiness checking: (graph node, Büchi state).
 type PState = (u32, u32);
 
+/// Dense view of the product `graph ⊗ buchi`, shared by the BFS
+/// exploration and the on-the-fly emptiness search.
+///
+/// A pair `(g, b)` has the dense key `g·|B| + b`, so per-pair tables are
+/// flat vectors of `graph.num_nodes()·|B|` slots instead of hash maps.
+/// Label consistency is a lookup in a distinct-label × Büchi-state match
+/// table built once per check: the graphs repeat a few hundred distinct
+/// labels over thousands of nodes.
+struct ProductIndex<'a> {
+    graph: &'a LabelGraph,
+    buchi: &'a Buchi,
+    nb: usize,
+    /// Distinct labels of `graph`, in first-occurrence order.
+    labels: Vec<(PropSet, ActSet)>,
+    /// Index into `labels` per graph node.
+    label_of: Vec<u32>,
+    /// `matches[l·|B| + b]`: label `l` satisfies Büchi state `b`.
+    matches: Vec<bool>,
+}
+
+impl<'a> ProductIndex<'a> {
+    fn new(graph: &'a LabelGraph, buchi: &'a Buchi) -> ProductIndex<'a> {
+        let mut ids: std::collections::HashMap<(PropSet, ActSet), u32> =
+            std::collections::HashMap::new();
+        let mut labels = Vec::new();
+        let label_of = graph
+            .labels
+            .iter()
+            .map(|&l| {
+                *ids.entry(l).or_insert_with(|| {
+                    labels.push(l);
+                    labels.len() as u32 - 1
+                })
+            })
+            .collect();
+        let matches = labels
+            .iter()
+            .flat_map(|&(props, acts)| buchi.states().iter().map(move |s| s.matches(props, acts)))
+            .collect();
+        ProductIndex {
+            graph,
+            buchi,
+            nb: buchi.num_states(),
+            labels,
+            label_of,
+            matches,
+        }
+    }
+
+    /// Number of dense keys: `graph.num_nodes()·|B|`.
+    fn num_keys(&self) -> usize {
+        self.graph.num_nodes() * self.nb
+    }
+
+    fn key(&self, g: u32, b: u32) -> usize {
+        g as usize * self.nb + b as usize
+    }
+
+    /// `true` iff graph node `g`'s label satisfies Büchi state `b`.
+    fn matches(&self, g: u32, b: u32) -> bool {
+        self.matches[self.label_of[g as usize] as usize * self.nb + b as usize]
+    }
+
+    /// The label-consistent initial pairs, graph-major.
+    fn initial(&self) -> impl Iterator<Item = PState> + '_ {
+        self.graph.initial.iter().flat_map(move |&g| {
+            self.buchi
+                .initial()
+                .iter()
+                .map(move |&b| (g as u32, b as u32))
+                .filter(move |&(g, b)| self.matches(g, b))
+        })
+    }
+}
+
 /// The explored product `graph ⊗ buchi`: reachable label-consistent
 /// pairs, BFS parents (for stems), successor lists, and the Tarjan SCC
 /// decomposition.
 struct Exploration {
     states: Vec<PState>,
     parents: Vec<Option<u32>>,
-    succs: Vec<Vec<u32>>,
+    /// Successors of state `v` are `succ_arena[succ_off[v]..succ_off[v+1]]`,
+    /// sorted and deduplicated.
+    succ_off: Vec<u32>,
+    succ_arena: Vec<u32>,
     /// Component id per state, in Tarjan completion order: cross-component
     /// edges strictly decrease the id.
     comp: Vec<u32>,
     num_comps: usize,
+}
+
+impl Exploration {
+    fn succs(&self, v: u32) -> &[u32] {
+        &self.succ_arena[self.succ_off[v as usize] as usize..self.succ_off[v as usize + 1] as usize]
+    }
 }
 
 /// Searches `graph ⊗ buchi` for a reachable SCC that contains a
@@ -509,59 +593,54 @@ pub(crate) fn find_fair_lasso(
 // condition.
 #[allow(clippy::expect_used)] // ALLOW: failure here is a bug in this function, never an input condition.
 fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
-    let matches = |g: u32, b: u32| -> bool {
-        let (props, acts) = graph.labels[g as usize];
-        buchi.states()[b as usize].matches(props, acts)
-    };
+    let idx = ProductIndex::new(graph, buchi);
 
     // --- reachable product exploration (BFS, with parents for stems) ----
-    let mut index: std::collections::HashMap<PState, u32> = std::collections::HashMap::new();
+    // `index[key] = id + 1` for discovered pairs, 0 otherwise (a zeroed
+    // allocation, so untouched pages of a sparse product cost nothing).
+    // The BFS queue is implicit: states are appended in discovery order
+    // and expanded in id order.
+    let mut index = vec![0u32; idx.num_keys()];
     let mut states: Vec<PState> = Vec::new();
     let mut parents: Vec<Option<u32>> = Vec::new();
-    let mut succs: Vec<Vec<u32>> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-
-    for &g in &graph.initial {
-        for &b in buchi.initial() {
-            let s = (g as u32, b as u32);
-            if matches(s.0, s.1) && !index.contains_key(&s) {
-                let id = states.len() as u32;
-                index.insert(s, id);
-                states.push(s);
-                parents.push(None);
-                succs.push(Vec::new());
-                queue.push_back(id);
-            }
+    for (g, b) in idx.initial() {
+        let slot = &mut index[idx.key(g, b)];
+        if *slot == 0 {
+            states.push((g, b));
+            parents.push(None);
+            *slot = states.len() as u32;
         }
     }
-    while let Some(id) = queue.pop_front() {
-        let (g, b) = states[id as usize];
-        let mut out = Vec::new();
+    let mut succ_off: Vec<u32> = vec![0];
+    let mut succ_arena: Vec<u32> = Vec::new();
+    let mut out: Vec<u32> = Vec::new();
+    let mut id = 0;
+    while id < states.len() {
+        let (g, b) = states[id];
+        out.clear();
         for &g2 in &graph.succs[g as usize] {
             for &b2 in &buchi.states()[b as usize].succs {
-                let t = (g2 as u32, b2 as u32);
-                if !matches(t.0, t.1) {
+                let (g2, b2) = (g2 as u32, b2 as u32);
+                if !idx.matches(g2, b2) {
                     continue;
                 }
-                let tid = match index.get(&t) {
-                    Some(&tid) => tid,
-                    None => {
-                        let tid = states.len() as u32;
-                        index.insert(t, tid);
-                        states.push(t);
-                        parents.push(Some(id));
-                        succs.push(Vec::new());
-                        queue.push_back(tid);
-                        tid
-                    }
-                };
-                out.push(tid);
+                let slot = &mut index[idx.key(g2, b2)];
+                if *slot == 0 {
+                    states.push((g2, b2));
+                    parents.push(Some(id as u32));
+                    *slot = states.len() as u32;
+                }
+                out.push(*slot - 1);
             }
         }
         out.sort_unstable();
         out.dedup();
-        succs[id as usize] = out;
+        succ_arena.extend_from_slice(&out);
+        succ_off.push(succ_arena.len() as u32);
+        id += 1;
     }
+    let succs =
+        |v: u32| &succ_arena[succ_off[v as usize] as usize..succ_off[v as usize + 1] as usize];
 
     // --- iterative Tarjan SCC ------------------------------------------
     let n = states.len();
@@ -585,8 +664,8 @@ fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
         stack.push(root);
         on_stack[root as usize] = true;
         while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            if *cursor < succs[v as usize].len() {
-                let w = succs[v as usize][*cursor];
+            if *cursor < succs(v).len() {
+                let w = succs(v)[*cursor];
                 *cursor += 1;
                 if disc[w as usize] == u32::MAX {
                     disc[w as usize] = next_disc;
@@ -627,7 +706,8 @@ fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
     Exploration {
         states,
         parents,
-        succs,
+        succ_off,
+        succ_arena,
         comp,
         num_comps: next_comp as usize,
     }
@@ -648,8 +728,9 @@ fn find_fair_scc(
     let mut has_edge = vec![false; num_comps];
     // accept[c]: SCC contains a Büchi-accepting state.
     let mut accept = vec![false; num_comps];
-    // fair[c][j]: SCC contains a state whose label satisfies justice j.
-    let mut fair = vec![vec![false; nf]; num_comps];
+    // fair[c·nf + j]: SCC c contains a state whose label satisfies
+    // justice j.
+    let mut fair = vec![false; num_comps * nf];
     for v in 0..ex.states.len() {
         let c = ex.comp[v] as usize;
         let (g, b) = ex.states[v];
@@ -659,17 +740,149 @@ fn find_fair_scc(
         let (props, acts) = graph.labels[g as usize];
         for (j, cond) in justice.iter().enumerate() {
             if cond.holds(props, acts) {
-                fair[c][j] = true;
+                fair[c * nf + j] = true;
             }
         }
-        for &w in &ex.succs[v] {
-            if ex.comp[w as usize] as usize == c {
-                has_edge[c] = true;
+        if ex
+            .succs(v as u32)
+            .iter()
+            .any(|&w| ex.comp[w as usize] as usize == c)
+        {
+            has_edge[c] = true;
+        }
+    }
+
+    (0..num_comps)
+        .find(|&c| has_edge[c] && accept[c] && fair[c * nf..(c + 1) * nf].iter().all(|&f| f))
+}
+
+/// Generalized Büchi emptiness **on the fly**: `true` iff `graph ⊗ buchi`
+/// has a reachable cycle through a Büchi-accepting state and a witness of
+/// every justice condition — the same question as
+/// `find_fair_lasso(..).is_some()`, answered without building the product
+/// first or producing a lasso.
+///
+/// This is the path-based SCC search with a roots stack (Couvreur, FM'99;
+/// Gabow): a DFS generates successors lazily through the dense
+/// [`ProductIndex`], and each open SCC root carries an acceptance mask —
+/// bit 0 for a Büchi-accepting state, bit `1 + j` for a witness of
+/// justice `j`. A back edge into an open component merges every root
+/// above its target into one; a merge closes a cycle, so the search
+/// stops as soon as a merged mask is full. Trivial components (no merge)
+/// can never answer `true`, matching the internal-edge requirement of
+/// [`find_fair_scc`].
+///
+/// The states visited are added to the `ltlcheck.product_states` and
+/// `ltlcheck.search_visits` counters.
+pub(crate) fn fair_cycle_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Justice]) -> bool {
+    if buchi.num_states() == 0 {
+        return false;
+    }
+    // The acceptance mask is one u64: beyond 63 justice conditions, fall
+    // back to the full decomposition.
+    if justice.len() > 63 {
+        return find_fair_lasso(graph, buchi, justice).is_some();
+    }
+    let idx = ProductIndex::new(graph, buchi);
+    let label_marks: Vec<u64> = idx
+        .labels
+        .iter()
+        .map(|&(props, acts)| {
+            justice
+                .iter()
+                .enumerate()
+                .filter(|(_, cond)| cond.holds(props, acts))
+                .fold(0, |m, (j, _)| m | 2 << j)
+        })
+        .collect();
+    let full = u64::MAX >> (63 - justice.len());
+    let mark = |g: u32, b: u32| {
+        label_marks[idx.label_of[g as usize] as usize]
+            | u64::from(buchi.states()[b as usize].accepting)
+    };
+
+    // DFS number per dense key: 0 = unvisited, DONE = its SCC is closed.
+    const DONE: u32 = u32::MAX;
+    let mut num = vec![0u32; idx.num_keys()];
+    // Visited keys whose SCC is still open, in DFS order.
+    let mut open: Vec<usize> = Vec::new();
+    // (DFS number of the root, acceptance mask of its partial SCC).
+    let mut roots: Vec<(u32, u64)> = Vec::new();
+    // DFS frames: (g, b, graph-successor cursor, Büchi-successor cursor).
+    let mut call: Vec<(u32, u32, usize, usize)> = Vec::new();
+    let mut visits = 0u32;
+    let mut found = false;
+
+    'search: for (g0, b0) in idx.initial() {
+        let k0 = idx.key(g0, b0);
+        if num[k0] != 0 {
+            continue;
+        }
+        visits += 1;
+        num[k0] = visits;
+        open.push(k0);
+        roots.push((visits, mark(g0, b0)));
+        call.push((g0, b0, 0, 0));
+        while let Some(&mut (g, b, ref mut gi, ref mut bi)) = call.last_mut() {
+            let gs = &graph.succs[g as usize];
+            let bs = &buchi.states()[b as usize].succs;
+            if *gi < gs.len() && !bs.is_empty() {
+                let (g2, b2) = (gs[*gi] as u32, bs[*bi] as u32);
+                *bi += 1;
+                if *bi == bs.len() {
+                    *bi = 0;
+                    *gi += 1;
+                }
+                if !idx.matches(g2, b2) {
+                    continue;
+                }
+                let k2 = idx.key(g2, b2);
+                match num[k2] {
+                    0 => {
+                        visits += 1;
+                        num[k2] = visits;
+                        open.push(k2);
+                        roots.push((visits, mark(g2, b2)));
+                        call.push((g2, b2, 0, 0));
+                    }
+                    DONE => {}
+                    target => {
+                        // Back edge into an open SCC: everything from the
+                        // target's root up to here is one component.
+                        let mut merged = 0;
+                        while roots.last().is_some_and(|&(r, _)| r > target) {
+                            merged |= roots.pop().map_or(0, |(_, m)| m);
+                        }
+                        if let Some(top) = roots.last_mut() {
+                            top.1 |= merged;
+                            if top.1 == full {
+                                found = true;
+                                break 'search;
+                            }
+                        }
+                    }
+                }
+                continue;
+            }
+            call.pop();
+            let k = idx.key(g, b);
+            if roots.last().is_some_and(|&(r, _)| r == num[k]) {
+                roots.pop();
+                while let Some(w) = open.pop() {
+                    num[w] = DONE;
+                    if w == k {
+                        break;
+                    }
+                }
             }
         }
     }
 
-    (0..num_comps).find(|&c| has_edge[c] && accept[c] && (0..nf).all(|j| fair[c][j]))
+    if obskit::enabled() {
+        obskit::counter_add("ltlcheck.product_states", u64::from(visits));
+        obskit::counter_add("ltlcheck.search_visits", u64::from(visits));
+    }
+    found
 }
 
 /// Extracts a lasso counterexample through the fair accepting SCC
@@ -689,7 +902,6 @@ fn extract_lasso(
     let Exploration {
         states,
         parents,
-        succs,
         comp,
         ..
     } = ex;
@@ -721,7 +933,7 @@ fn extract_lasso(
         let mut par: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
         let mut q = std::collections::VecDeque::new();
         // Seed with successors of `from` so a self-loop is found.
-        for &w in &succs[from as usize] {
+        for &w in ex.succs(from) {
             if in_comp(w) && !par.contains_key(&w) {
                 par.insert(w, from);
                 q.push_back(w);
@@ -731,7 +943,7 @@ fn extract_lasso(
             if v == to {
                 break;
             }
-            for &w in &succs[v as usize] {
+            for &w in ex.succs(v) {
                 if in_comp(w) && !par.contains_key(&w) {
                     par.insert(w, v);
                     q.push_back(w);
@@ -1285,6 +1497,70 @@ mod tests {
         assert!(!holds_on_lasso(&phi, &[], &[g]));
     }
 
+    /// A label graph over the `setup()` vocabulary: node `i` carries
+    /// `labels[i]` (bit 0 green, bit 1 ped, bit 2 go) and the listed
+    /// successors; node 0 is initial.
+    fn tiny_graph(labels: &[u8], succs: Vec<Vec<usize>>) -> LabelGraph {
+        let (v, _) = setup();
+        let n = labels.len();
+        LabelGraph {
+            labels: decode(labels, &v),
+            origin: vec![ProductState { model: 0, ctrl: 0 }; n],
+            succs,
+            initial: vec![0],
+        }
+    }
+
+    /// `fair_cycle_exists` and the lasso search agree on one query, and
+    /// the common answer is `expected`.
+    fn assert_emptiness(graph: &LabelGraph, justice: &[Justice], expected: bool) {
+        let buchi = Buchi::from_ltl(&Ltl::True);
+        assert_eq!(fair_cycle_exists(graph, &buchi, justice), expected);
+        assert_eq!(find_fair_lasso(graph, &buchi, justice).is_some(), expected);
+    }
+
+    fn green_and_ped_io() -> Vec<Justice> {
+        let (v, _) = setup();
+        vec![
+            Justice::new("green io", parse("green", &v).unwrap()).unwrap(),
+            Justice::new("ped io", parse("ped", &v).unwrap()).unwrap(),
+        ]
+    }
+
+    /// A trivial SCC (no self-loop) carrying every mark is not a cycle:
+    /// node 0 is green and ped but is left forever for node 1, which
+    /// carries neither.
+    #[test]
+    fn on_the_fly_trivial_scc_with_every_mark_is_empty() {
+        let graph = tiny_graph(&[0b011, 0b000], vec![vec![1], vec![1]]);
+        assert_emptiness(&graph, &green_and_ped_io(), false);
+    }
+
+    /// A self-loop carrying every mark is a fair accepting cycle — also
+    /// with more justice conditions than the one-word acceptance mask
+    /// holds.
+    #[test]
+    fn on_the_fly_self_loop_with_every_mark_is_nonempty() {
+        let graph = tiny_graph(&[0b000, 0b011], vec![vec![1], vec![1]]);
+        assert_emptiness(&graph, &green_and_ped_io(), true);
+        let many: Vec<Justice> = green_and_ped_io().into_iter().cycle().take(70).collect();
+        assert_emptiness(&graph, &many, true);
+    }
+
+    /// Marks split across two SCCs joined one way: {0, 1} sees green,
+    /// {2, 3} sees ped, and no cycle sees both. Adding the back edge
+    /// 3 → 0 merges the two into one fair SCC.
+    #[test]
+    fn on_the_fly_marks_split_across_sccs_is_empty() {
+        let succs = vec![vec![1], vec![0, 2], vec![3], vec![2]];
+        let graph = tiny_graph(&[0b001, 0b000, 0b010, 0b000], succs.clone());
+        assert_emptiness(&graph, &green_and_ped_io(), false);
+        let mut joined = succs;
+        joined[3].push(0);
+        let graph = tiny_graph(&[0b001, 0b000, 0b010, 0b000], joined);
+        assert_emptiness(&graph, &green_and_ped_io(), true);
+    }
+
     /// Generator for random LTL formulas over two props and one action of
     /// the `setup()` vocabulary (ids are stable by insertion order).
     fn arb_ltl() -> impl Strategy<Value = Ltl> {
@@ -1307,6 +1583,27 @@ mod tests {
                 (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::or(l, r)),
                 (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::until(l, r)),
                 (inner.clone(), inner).prop_map(|(l, r)| Ltl::release(l, r)),
+            ]
+        })
+    }
+
+    /// Generator for random propositional conditions (justice shapes).
+    fn arb_condition() -> impl Strategy<Value = Ltl> {
+        let (v, _) = setup();
+        let a = v.prop("green").unwrap();
+        let b = v.prop("ped").unwrap();
+        let s = v.act("go").unwrap();
+        let leaf = prop_oneof![
+            Just(Ltl::True),
+            Just(Ltl::prop(a)),
+            Just(Ltl::prop(b)),
+            Just(Ltl::act(s)),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(Ltl::not),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::and(l, r)),
+                (inner.clone(), inner).prop_map(|(l, r)| Ltl::or(l, r)),
             ]
         })
     }
@@ -1413,6 +1710,54 @@ mod tests {
                 let neg = Ltl::not(phi);
                 prop_assert!(holds_on_lasso(&neg, &cex.stem_labels(), &cex.cycle_labels()));
             }
+        }
+    }
+
+    proptest! {
+        // Each case is a handful of tiny products, so many cases are
+        // cheap, and an off-by-one in root merging can need hundreds of
+        // cases to surface.
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The on-the-fly emptiness search answers exactly what the
+        /// lasso-producing search answers, on random label graphs
+        /// (including dead ends and unreachable nodes), random formulas
+        /// and zero to three random justice conditions.
+        #[test]
+        fn on_the_fly_agrees_with_lasso_search(
+            labels in proptest::collection::vec(0u8..8, 1..7),
+            raw_succs in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..4), 7),
+            raw_initial in proptest::collection::vec(0usize..7, 1..3),
+            phi in arb_ltl(),
+            conditions in proptest::collection::vec(arb_condition(), 0..4),
+        ) {
+            let (v, _) = setup();
+            let n = labels.len();
+            let succs: Vec<Vec<usize>> = raw_succs[..n]
+                .iter()
+                .map(|row| row.iter().map(|&t| t % n).collect())
+                .collect();
+            let mut initial: Vec<usize> = raw_initial.iter().map(|&i| i % n).collect();
+            initial.sort_unstable();
+            initial.dedup();
+            let graph = LabelGraph {
+                labels: decode(&labels, &v),
+                origin: vec![ProductState { model: 0, ctrl: 0 }; n],
+                succs,
+                initial,
+            };
+            let justice: Vec<Justice> = conditions
+                .into_iter()
+                .enumerate()
+                .map(|(j, c)| Justice::new(format!("j{j}"), c).unwrap())
+                .collect();
+            let buchi = Buchi::from_ltl(&phi);
+            prop_assert_eq!(
+                fair_cycle_exists(&graph, &buchi, &justice),
+                find_fair_lasso(&graph, &buchi, &justice).is_some(),
+                "phi = {:?}",
+                phi
+            );
         }
     }
 }

@@ -106,3 +106,21 @@ fn semantic_gate_rejects_conflicting_book() {
     let out = speclint(&["--book", "conflict-demo", "--deny-warnings"]);
     assert_eq!(out.status.code(), Some(0), "syntactic pass should accept");
 }
+
+/// The full semantic pass over the shipped driving and warehouse books
+/// (every SL3xx finding, including the pairwise conflict and
+/// containment queries) is pinned byte for byte.
+/// To update: `cargo run -p speclint -- --semantic --book all --format
+/// json > crates/speclint/tests/golden/semantic_shipped.json`
+#[test]
+fn semantic_shipped_books_match_golden() {
+    let out = speclint(&["--semantic", "--book", "all", "--format", "json"]);
+    assert_eq!(out.status.code(), Some(0), "shipped books grew an error");
+    let got = String::from_utf8(out.stdout).expect("utf-8 output");
+    let golden = include_str!("golden/semantic_shipped.json");
+    assert_eq!(
+        got.trim_end(),
+        golden.trim_end(),
+        "semantic report drifted from tests/golden/semantic_shipped.json"
+    );
+}
