@@ -1,27 +1,25 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, tests, the speclint static-analysis
-# pass over the shipped rule books, controllers and step lists, the
-# specsem semantic analysis of the rule books under their world models,
-# the unsafe-code audit, the conckit concurrency model-checking gate
-# (exhaustive interleaving exploration of the parkit pool/deque and the
-# sharded verdict cache, plus a miri pass when the interpreter is
-# installed), the certkit certification + explicit-vs-symbolic
-# differential suite (including the scaled drivesim/warehouse models
-# under a time budget), the symbolic backend gate (a fast
-# backend_compare --sweep whose symbolic.* counters are validated by
-# metrics_check and diffed exactly against the committed
-# results/BENCH_backend.json baseline), an instrumented bench smoke
-# run (allocation
-# tracking on) validated against the obskit.bench.v2 report schema
-# (metrics_check), byte-equality gates proving the performance and
-# gating knobs (--threads, DPO ref cache, verdict-cache capacity,
-# semantic pre-flight, allocation tracking, pooled backward) never
-# change artifacts, the kernel gate (fast-math tolerance envelope and
-# pooled-backward bit-equality over real sequence graphs), and
-# a noise-aware perf-regression gate (bench_diff) that diffs a fresh
-# fast headline run against the committed baseline under
-# results/PERF_BUDGETS.json — including a seeded-regression self-test
-# proving the gate really fails when one span slows down.
+# CI gate: formatting, lints, docs, a warning-free test build, tests,
+# the speclint static-analysis pass over the shipped rule books,
+# controllers and step lists, the specsem semantic analysis of the rule
+# books under their world models, the unsafe-code audit, the conckit
+# concurrency model-checking gate (exhaustive interleaving exploration
+# of the parkit pool/deque and the sharded verdict cache, plus a miri
+# pass when the interpreter is installed), the certkit certification +
+# explicit-vs-symbolic differential suite (including the scaled
+# drivesim/warehouse models under a time budget), the symbolic backend
+# gate (a fast backend_compare --sweep whose symbolic.* counters are
+# validated by metrics_check and diffed exactly against the committed
+# results/BENCH_backend.json baseline), an instrumented bench smoke run
+# (allocation tracking on) validated against the obskit.bench.v2 report
+# schema (metrics_check), byte-equality gates proving the performance
+# and gating knobs (--threads, semantic pre-flight, allocation tracking)
+# never change artifacts, the kernel gate (fast-math tolerance envelope
+# over real sequence graphs), and a noise-aware perf-regression gate
+# (bench_diff) that diffs a fresh fast headline run against the
+# committed baseline under results/PERF_BUDGETS.json — including a
+# seeded-regression self-test proving the gate really fails when one
+# span slows down.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,6 +31,17 @@ cargo clippy --workspace -- -D warnings
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
+# clippy above skips test targets, so a warning that only the test
+# build sees (e.g. a duplicated #[test]) must fail here instead.
+echo "==> cargo test --workspace --no-run (deny warnings)"
+test_build_log="$(mktemp -t test_build.XXXXXX.log)"
+trap 'rm -f "$test_build_log"' EXIT
+cargo test --workspace --no-run 2>&1 | tee "$test_build_log"
+if grep -q "^warning:" "$test_build_log"; then
+    echo "test build printed warnings"
+    exit 1
+fi
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -60,7 +69,7 @@ cargo run -q --release -p bench --bin unsafe_audit -- --no-obs
 
 echo "==> conckit exploration gate (model-checked pool/deque/cache interleavings)"
 conc_report="$(mktemp -t BENCH_conc.XXXXXX.json)"
-trap 'rm -f "$conc_report"' EXIT
+trap 'rm -f "$test_build_log" "$conc_report"' EXIT
 cargo run -q --release -p bench --features model --bin conc_check -- \
     --metrics-out "$conc_report"
 cargo run -q --release -p bench --bin metrics_check -- "$conc_report" \
@@ -71,7 +80,7 @@ cargo run -q -p certkit --release
 
 echo "==> symbolic backend gate (fast sweep, symbolic.* metrics, counter diff vs baseline)"
 sweep_report="$(mktemp -t BENCH_backend.XXXXXX.json)"
-trap 'rm -f "$conc_report" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$conc_report" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin backend_compare -- \
     --sweep --fast --quiet --metrics-out "$sweep_report" > /dev/null
 cargo run -q --release -p bench --bin metrics_check -- "$sweep_report" \
@@ -84,8 +93,7 @@ echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
 smoke_art1="$(mktemp -t headline_t1.XXXXXX.json)"
 smoke_art2="$(mktemp -t headline_t2.XXXXXX.json)"
-smoke_art3="$(mktemp -t headline_norefcache.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$conc_report" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$conc_report" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
     --artifacts-out "$smoke_art2" > /dev/null
@@ -101,33 +109,20 @@ cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --artifacts-out "$smoke_art1" > /dev/null
 cmp "$smoke_art1" "$smoke_art2"
 
-echo "==> ref-cache exactness gate (headline artifacts, cache on vs off)"
-cargo run -q --release -p bench --bin headline -- \
-    --fast --quiet --no-obs --threads 1 --no-ref-cache \
-    --artifacts-out "$smoke_art3" > /dev/null
-cmp "$smoke_art1" "$smoke_art3"
-
 echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
 smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
     --artifacts-out "$smoke_art4" > /dev/null
 cmp "$smoke_art1" "$smoke_art4"
 
-echo "==> pooled-backward determinism gate (headline artifacts, serial vs pooled backward)"
-smoke_art5="$(mktemp -t headline_poolbw.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report"' EXIT
-cargo run -q --release -p bench --bin headline -- \
-    --fast --quiet --no-obs --threads 2 --pool-backward \
-    --artifacts-out "$smoke_art5" > /dev/null
-cmp "$smoke_art1" "$smoke_art5"
-
-echo "==> kernel gate (fast-math tolerance + pooled backward bit-equality, DESIGN.md §13)"
+echo "==> kernel gate (fast-math tolerance, DESIGN.md §13)"
 cargo run -q --release -p bench --bin kernel_gate -- --no-obs
 
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
 perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report" "$perf_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report" "$perf_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 1 --alloc --metrics-out "$perf_report" > /dev/null
 cargo run -q --release -p bench --bin bench_diff -- \
@@ -143,7 +138,7 @@ cargo run -q --release -p bench --bin bench_diff -- \
 # the fast baseline's wall (DESIGN.md §10), so the gate sees training.
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
 seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json > /dev/null

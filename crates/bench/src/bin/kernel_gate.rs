@@ -1,6 +1,6 @@
 //! CI gate for the kernel modes (DESIGN.md §13).
 //!
-//! Three checks, each over the real sequence graphs rather than kernel
+//! Two checks, each over the real sequence graphs rather than kernel
 //! micro-inputs, so the whole fused forward/backward composition is
 //! under test:
 //!
@@ -15,13 +15,8 @@
 //!    a fixed synthetic preference set under each mode; final weights
 //!    must agree within a generous envelope (per-step deviations
 //!    compound through the optimizer, so this bound is looser).
-//! 3. **Pooled-backward byte-equality**: `seq_grad_pooled_in` at 2 and
-//!    4 threads must be *bit-identical* to the serial gradient — the
-//!    pooled pass partitions complete per-element folds and is covered
-//!    by the strict rule, no tolerance.
 //!
-//! Exit codes: 0 = all gates hold, 1 = tolerance exceeded, 2 = pooled
-//! byte-equality violated.
+//! Exit codes: 0 = both gates hold, 1 = tolerance exceeded.
 
 #![allow(clippy::expect_used)] // ALLOW: gate binary — panicking on a broken setup is the gate.
 
@@ -137,28 +132,6 @@ fn main() -> ExitCode {
     let p_fast = train_under(KernelMode::Fast, &model, &ds);
     let train_dev = max_rel_dev(&p_ref, &p_fast);
 
-    // Gate 3: pooled backward is bit-identical at any thread count.
-    let mut pooled_ok = true;
-    for threads in [1usize, 2, 4] {
-        let pool = parkit::ThreadPool::new(threads);
-        for (task, toks) in &seqs {
-            ws_ref.reset();
-            let g = model
-                .seq_forward_in(*task, toks, &mut ws_ref)
-                .expect("valid sequence");
-            let serial = model.seq_grad_in(&g, &mut ws_ref);
-            let pooled = model.seq_grad_pooled_in(&g, &mut ws_ref, &pool);
-            if serial
-                .0
-                .iter()
-                .zip(&pooled.0)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                pooled_ok = false;
-            }
-        }
-    }
-
     let verdict = |dev: f64, tol: f64| {
         if dev <= tol {
             "ok"
@@ -185,30 +158,17 @@ fn main() -> ExitCode {
             format!("<= {TRAIN_TOL:.0e}"),
             verdict(train_dev, TRAIN_TOL).into(),
         ],
-        vec![
-            "pooled backward (1/2/4 threads)".into(),
-            if pooled_ok {
-                "bit-identical".into()
-            } else {
-                "DIVERGED".into()
-            },
-            "bit-identical".into(),
-            if pooled_ok { "ok" } else { "FAIL" }.into(),
-        ],
     ];
     println!(
         "{}",
         table(
-            "kernel_gate — reference vs fast vs pooled",
+            "kernel_gate — reference vs fast",
             &["check", "observed", "bound", "verdict"],
             &rows,
         )
     );
     let _ = cli.finish();
 
-    if !pooled_ok {
-        return ExitCode::from(2);
-    }
     if value_dev > VALUE_TOL || grad_dev > GRAD_TOL || train_dev > TRAIN_TOL {
         return ExitCode::from(1);
     }

@@ -1,9 +1,9 @@
 //! Profiles the DPO training fast path in isolation: pretrain once,
 //! collect one preference dataset, then time the DPO phase alone under
-//! the chosen performance knobs (`--threads`, `--no-ref-cache`). The
+//! the chosen performance knobs (`--threads`, `--kernel-mode`). The
 //! headline bench times the whole pipeline; this binary isolates
-//! `pipeline.train` so the reference-cache, batched-tape and pooled
-//! gradient optimizations can be measured without the (dominant at low
+//! `pipeline.train` so the reference-cache, batched-tape and per-pair
+//! fan-out optimizations can be measured without the (dominant at low
 //! thread counts, amortized) verification fan-out in the way.
 //!
 //! Prints the `dpo.*` child-span breakdown (`dpo.ref`, `dpo.forward`,
@@ -47,18 +47,14 @@ fn main() {
     let dataset = pipeline.collect_dataset(&reference, &mut rng);
     assert!(!dataset.is_empty(), "no strict preferences collected");
 
-    let trainer = DpoTrainer::new(cfg.train)
-        .with_ref_cache(cfg.ref_cache)
-        .with_pool_backward(cfg.pool_backward);
+    let trainer = DpoTrainer::new(cfg.train);
     let mut policy = reference.clone();
     progress!(
-        "training: {} epochs over {} pairs (threads {}, ref cache {}, kernels {}, pooled backward {}) …",
+        "training: {} epochs over {} pairs (threads {}, kernels {}) …",
         cfg.train.epochs,
         dataset.len(),
         pipeline.pool().threads(),
-        if cfg.ref_cache { "on" } else { "off" },
         cfg.kernel_mode,
-        if cfg.pool_backward { "on" } else { "off" }
     );
     let started = Instant::now();
     let stats = {

@@ -55,19 +55,17 @@ static ALLOC: obskit::alloc::TrackingAlloc = obskit::alloc::TrackingAlloc::new()
 /// | `--alloc`            | turn on allocation accounting (per-span counts/bytes in the report) |
 /// | `--no-obs`           | keep the no-op recorder (overhead baseline; also silences progress) |
 /// | `--quiet`            | drop the stderr progress sink, keep recording |
-/// | `--threads <n>`      | scoring fan-out width (0/omitted = `PARKIT_THREADS` or the machine) |
-/// | `--no-cache`         | disable the verification memo-cache |
-/// | `--no-ref-cache`     | disable the DPO reference-logprob cache |
+/// | `--threads <n>`      | worker-pool width for scoring, pretraining and DPO (0/omitted = `PARKIT_THREADS` or the machine) |
 /// | `--no-semantic-preflight` | skip the semantic rule-book gate |
 /// | `--kernel-mode <m>`  | tape kernel arithmetic: `reference` (default) or `fast` |
-/// | `--pool-backward`    | fan the DPO backward's matmul gradients over the pool |
 ///
-/// `--threads`, `--no-cache`, `--no-ref-cache`, `--pool-backward` and
-/// `--no-semantic-preflight` are pure performance/gating knobs — results
-/// are byte-identical whatever you pass (see DESIGN.md §8–§10, §13).
-/// `--kernel-mode fast` is the exception: it reassociates kernel
-/// accumulation, so artifacts deviate within the `kernel_gate` tolerance
-/// instead of matching byte-for-byte (DESIGN.md §13).
+/// `--threads` and `--no-semantic-preflight` are pure performance/gating
+/// knobs — results are byte-identical whatever you pass (see DESIGN.md
+/// §8, §10). `--kernel-mode fast` is the exception: it reassociates
+/// kernel accumulation, so artifacts deviate within the `kernel_gate`
+/// tolerance instead of matching byte-for-byte (DESIGN.md §13). A
+/// `--threads` value that is not a number, or a `--kernel-mode` value
+/// other than `reference`/`fast`, is an error.
 ///
 /// [`BenchCli::parse`] enables the global `obskit` recorder (unless
 /// `--no-obs`), and [`BenchCli::finish`] snapshots it and writes the
@@ -90,19 +88,11 @@ pub struct BenchCli {
     pub no_obs: bool,
     /// `--threads` value (0 = auto-resolve, the default).
     pub threads: usize,
-    /// `--no-cache` was passed: disable verification memoization.
-    pub no_cache: bool,
-    /// `--no-ref-cache` was passed: disable the DPO reference-logprob
-    /// cache (recompute reference forwards per pair visit).
-    pub no_ref_cache: bool,
     /// `--no-semantic-preflight` was passed: skip the semantic rule-book
     /// gate (used by CI to prove the gate never changes artifacts).
     pub no_semantic_preflight: bool,
     /// `--kernel-mode` value (`reference` unless `fast` was requested).
     pub kernel_mode: tinylm::KernelMode,
-    /// `--pool-backward` was passed: fan the DPO backward pass's matmul
-    /// gradient work over the worker pool.
-    pub pool_backward: bool,
     /// The raw argument list (recorded in the report for provenance).
     pub args: Vec<String>,
     started: Instant,
@@ -111,12 +101,22 @@ pub struct BenchCli {
 impl BenchCli {
     /// Parses `std::env::args`, then turns the recorder on (unless
     /// `--no-obs`). Unknown flags are kept for the binary's own parsing.
+    /// A malformed flag value prints the error and exits with code 2.
     pub fn parse(bench: &str) -> BenchCli {
-        Self::from_args(bench, std::env::args().skip(1).collect())
+        Self::from_args(bench, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+            eprintln!("{bench}: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// [`BenchCli::parse`] over an explicit argument list (for tests).
-    pub fn from_args(bench: &str, args: Vec<String>) -> BenchCli {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when `--threads` is not given a
+    /// non-negative integer or `--kernel-mode` is not given `reference`
+    /// or `fast`.
+    pub fn from_args(bench: &str, args: Vec<String>) -> Result<BenchCli, String> {
         let mut cli = BenchCli {
             bench: bench.to_owned(),
             fast: false,
@@ -126,11 +126,8 @@ impl BenchCli {
             alloc: false,
             no_obs: false,
             threads: 0,
-            no_cache: false,
-            no_ref_cache: false,
             no_semantic_preflight: false,
             kernel_mode: tinylm::KernelMode::Reference,
-            pool_backward: false,
             args: args.clone(),
             started: Instant::now(),
         };
@@ -142,22 +139,21 @@ impl BenchCli {
                 "--alloc" => cli.alloc = true,
                 "--no-obs" => cli.no_obs = true,
                 "--quiet" => quiet = true,
-                "--no-cache" => cli.no_cache = true,
-                "--no-ref-cache" => cli.no_ref_cache = true,
                 "--no-semantic-preflight" => cli.no_semantic_preflight = true,
-                "--pool-backward" => cli.pool_backward = true,
                 "--kernel-mode" => {
-                    cli.kernel_mode = it
-                        .next()
-                        .as_deref()
-                        .and_then(tinylm::KernelMode::parse)
-                        .unwrap_or_default();
+                    let value = it.next().unwrap_or_default();
+                    cli.kernel_mode = tinylm::KernelMode::parse(&value).ok_or_else(|| {
+                        format!("--kernel-mode expects `reference` or `fast`, got `{value}`")
+                    })?;
                 }
                 "--metrics-out" => cli.metrics_out = it.next().map(PathBuf::from),
                 "--trace-out" => cli.trace_out = it.next().map(PathBuf::from),
                 "--flame-out" => cli.flame_out = it.next().map(PathBuf::from),
                 "--threads" => {
-                    cli.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                    let value = it.next().unwrap_or_default();
+                    cli.threads = value.parse().map_err(|_| {
+                        format!("--threads expects a non-negative integer, got `{value}`")
+                    })?;
                 }
                 _ => {}
             }
@@ -170,7 +166,7 @@ impl BenchCli {
                 obskit::alloc::set_tracking(true);
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// Snapshots the recorder and writes the artifacts requested on the
@@ -219,15 +215,13 @@ impl BenchCli {
 
     /// The pipeline configuration implied by this command line: the
     /// shared [`pipeline_config`] reduction for `--fast`, with the
-    /// `--threads` / `--no-cache` performance knobs applied.
+    /// `--threads`, `--no-semantic-preflight` and `--kernel-mode` knobs
+    /// applied.
     pub fn pipeline_config(&self) -> dpo_af::pipeline::PipelineConfig {
         let mut cfg = pipeline_config(self.fast);
         cfg.threads = self.threads;
-        cfg.verify_cache = !self.no_cache;
-        cfg.ref_cache = !self.no_ref_cache;
         cfg.semantic_preflight = !self.no_semantic_preflight;
         cfg.kernel_mode = self.kernel_mode;
-        cfg.pool_backward = self.pool_backward;
         cfg
     }
 }
@@ -287,8 +281,14 @@ pub fn pipeline_config(fast: bool) -> dpo_af::pipeline::PipelineConfig {
 }
 
 #[cfg(test)]
+// ALLOW: test-only panics are the assertion mechanism.
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
+    }
 
     /// All flag parsing, with `--no-obs` so the test does not touch the
     /// process-global recorder (parallel tests must not toggle it).
@@ -296,7 +296,7 @@ mod tests {
     fn cli_parses_observability_flags() {
         let cli = BenchCli::from_args(
             "headline",
-            [
+            args(&[
                 "--fast",
                 "--no-obs",
                 "--metrics-out",
@@ -308,16 +308,13 @@ mod tests {
                 "--alloc",
                 "--threads",
                 "4",
-                "--no-cache",
-                "--no-ref-cache",
+                "--no-semantic-preflight",
                 "--kernel-mode",
                 "fast",
-                "--pool-backward",
                 "--seeds=3", // unknown flags are left for the binary
-            ]
-            .map(str::to_owned)
-            .to_vec(),
-        );
+            ]),
+        )
+        .expect("well-formed flags");
         assert_eq!(cli.bench, "headline");
         assert!(cli.fast);
         assert!(cli.no_obs);
@@ -335,27 +332,59 @@ mod tests {
         );
         assert!(cli.alloc);
         assert_eq!(cli.threads, 4);
-        assert!(cli.no_cache);
-        assert!(cli.no_ref_cache);
+        assert!(cli.no_semantic_preflight);
         assert_eq!(cli.kernel_mode, tinylm::KernelMode::Fast);
-        assert!(cli.pool_backward);
-        assert_eq!(cli.args.len(), 17);
+        assert_eq!(cli.args.len(), 15);
 
         // The performance knobs land in the pipeline configuration.
         let cfg = cli.pipeline_config();
         assert_eq!(cfg.threads, 4);
-        assert!(!cfg.verify_cache);
-        assert!(!cfg.ref_cache);
+        assert!(!cfg.semantic_preflight);
         assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Fast);
-        assert!(cfg.pool_backward);
-        let defaults = BenchCli::from_args("headline", vec!["--no-obs".to_owned()]);
+        let defaults = BenchCli::from_args("headline", args(&["--no-obs"])).expect("no values");
         assert_eq!(defaults.threads, 0);
         let cfg = defaults.pipeline_config();
         assert_eq!(cfg.threads, 0);
-        assert!(cfg.verify_cache);
-        assert!(cfg.ref_cache);
+        assert!(cfg.semantic_preflight);
         assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Reference);
-        assert!(!cfg.pool_backward);
+    }
+
+    /// Every accepted spelling of the valued knobs.
+    #[test]
+    fn cli_accepts_well_formed_values() {
+        for (flags, threads, mode) in [
+            (&["--threads", "0"][..], 0, tinylm::KernelMode::Reference),
+            (&["--threads", "16"][..], 16, tinylm::KernelMode::Reference),
+            (
+                &["--kernel-mode", "reference"][..],
+                0,
+                tinylm::KernelMode::Reference,
+            ),
+            (&["--kernel-mode", "fast"][..], 0, tinylm::KernelMode::Fast),
+        ] {
+            let mut list = vec!["--no-obs"];
+            list.extend_from_slice(flags);
+            let cli = BenchCli::from_args("headline", args(&list)).expect("well-formed");
+            assert_eq!((cli.threads, cli.kernel_mode), (threads, mode), "{flags:?}");
+        }
+    }
+
+    /// A malformed `--threads` or `--kernel-mode` value is an error that
+    /// names the flag, not a silent fall-back to the default.
+    #[test]
+    fn cli_rejects_malformed_values() {
+        for (flags, flag) in [
+            (&["--threads", "four"][..], "--threads"),
+            (&["--threads", "-1"][..], "--threads"),
+            (&["--threads"][..], "--threads"),
+            (&["--kernel-mode", "fsat"][..], "--kernel-mode"),
+            (&["--kernel-mode"][..], "--kernel-mode"),
+        ] {
+            let mut list = vec!["--no-obs"];
+            list.extend_from_slice(flags);
+            let err = BenchCli::from_args("headline", args(&list)).expect_err("malformed");
+            assert!(err.contains(flag), "{flags:?}: {err}");
+        }
     }
 
     #[test]

@@ -40,7 +40,8 @@ fn alloc_tracking_attributes_to_spans_and_lands_in_artifacts() {
             "--flame-out".into(),
             flame.to_string_lossy().into_owned(),
         ],
-    );
+    )
+    .expect("well-formed flags");
     assert!(cli.alloc);
     assert!(obskit::alloc::tracking());
 

@@ -201,48 +201,6 @@ pub fn verify_all_fair_certified<'a>(
     (VerificationReport { results }, counters)
 }
 
-/// [`verify_all_fair_certified`] with the per-specification checks fanned
-/// out across `pool`: the product graph is built once, then each
-/// specification is checked *and* certificate-validated on whichever
-/// worker picks it up. Results join in specification order, so the report
-/// and counters are identical to the sequential path at any thread count.
-///
-/// # Panics
-///
-/// Panics when a certificate or counterexample is rejected (see
-/// [`verify_all_fair_certified`]); a panic on a worker propagates to the
-/// caller once the sweep finishes.
-pub fn verify_all_fair_certified_pooled<'a>(
-    model: &WorldModel,
-    ctrl: &Controller,
-    specs: impl IntoIterator<Item = (&'a str, &'a ltlcheck::Ltl)>,
-    justice: &[Justice],
-    pool: &parkit::ThreadPool,
-) -> (VerificationReport, CertCounters) {
-    let graph = Product::build(model, ctrl).label_graph(DeadlockPolicy::Stutter);
-    let specs: Vec<(&str, &ltlcheck::Ltl)> = specs.into_iter().collect();
-    let results: Vec<SpecResult> = pool.map(&specs, |_, &(name, phi)| {
-        let certified = ltlcheck::check_graph_fair_certified(&graph, phi, justice);
-        if let Err(e) = certkit::check_certified(&graph, phi, justice, &certified) {
-            panic!("model-checker evidence for `{name}` rejected: {e}");
-        }
-        SpecResult {
-            name: name.to_owned(),
-            verdict: certified.verdict(),
-        }
-    });
-    let mut counters = CertCounters::default();
-    for result in &results {
-        counters.checks += 1;
-        if result.verdict.holds() {
-            counters.holds += 1;
-        } else {
-            counters.fails += 1;
-        }
-    }
-    (VerificationReport { results }, counters)
-}
-
 /// A response with its verification outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoredResponse {
@@ -469,48 +427,6 @@ mod tests {
                 counters.checks,
                 "{style:?}"
             );
-        }
-    }
-
-    /// The pooled certified sweep is a pure scheduling change: report and
-    /// counters match the sequential path at every thread count.
-    #[test]
-    fn pooled_certified_sweep_matches_sequential() {
-        let bundle = DomainBundle::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let task = &bundle.tasks[0];
-        for style in [Style::Careful, Style::Reckless] {
-            let text = render_response(&bundle.driving, task, style, &mut rng);
-            let steps = DomainBundle::split_steps(&text);
-            let ctrl = synthesize(
-                &task.prompt,
-                &steps,
-                &bundle.lexicon,
-                fsa_options(&bundle.driving),
-            )
-            .expect("template responses synthesize");
-            let ctrl = with_default_action(&ctrl, bundle.driving.stop);
-            let model = scenario_model(&bundle.driving, task.scenario);
-            let justice = justice_for(&bundle.driving, task.scenario);
-            let specs = driving_specs(&bundle.driving);
-            let named: Vec<(&str, &ltlcheck::Ltl)> = specs
-                .iter()
-                .map(|s| (s.name.as_str(), &s.formula))
-                .collect();
-            let (seq_report, seq_counters) =
-                verify_all_fair_certified(&model, &ctrl, named.iter().copied(), &justice);
-            for threads in [1, 2, 4] {
-                let pool = parkit::ThreadPool::new(threads);
-                let (report, counters) = verify_all_fair_certified_pooled(
-                    &model,
-                    &ctrl,
-                    named.iter().copied(),
-                    &justice,
-                    &pool,
-                );
-                assert_eq!(report, seq_report, "{style:?} at {threads} threads");
-                assert_eq!(counters, seq_counters, "{style:?} at {threads} threads");
-            }
         }
     }
 

@@ -26,7 +26,7 @@
 //!   with periodic checkpoints. Formal scoring fans out across a `parkit`
 //!   work-stealing pool and memoizes verdicts in a [`cache::VerifyCache`];
 //!   both are pure performance features — artifacts are byte-identical at
-//!   any thread count, cache on or off.
+//!   any thread count and any cache capacity.
 //! * [`experiments`] — one module per paper artifact (Figures 7, 8, 9,
 //!   11, 12 and the Section 5.1 demonstrations), each returning a
 //!   serializable result consumed by the `bench` crate's binaries.

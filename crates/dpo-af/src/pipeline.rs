@@ -84,11 +84,9 @@ pub struct PipelineConfig {
     /// parallelism). Purely a scheduling knob: artifacts are
     /// byte-identical at any thread count.
     pub threads: usize,
-    /// Memoize formal verdicts by `(scenario, response text)` so repeated
-    /// responses skip synthesis and model checking. Never changes scores
-    /// or certified counters; on by default.
-    pub verify_cache: bool,
-    /// Maximum resident verdicts in the memo-cache (`None` = unbounded).
+    /// Maximum resident verdicts in the memo-cache that keys formal
+    /// verdicts by `(scenario, response text)`, so repeated responses
+    /// skip synthesis and model checking (`None` = unbounded).
     /// Past the bound the least-recently-used entry in the affected shard
     /// is evicted (LRU — both hits and overwrites refresh recency) and
     /// `verify.cache_evictions` counts it. Purely a memory knob: an
@@ -96,12 +94,6 @@ pub struct PipelineConfig {
     /// byte-identical at any capacity. The default bound keeps a
     /// long-running service's cache a working set, not a leak.
     pub verify_cache_capacity: Option<usize>,
-    /// Precompute the frozen reference model's sequence log-probs once
-    /// per DPO phase instead of re-running the reference forward for
-    /// every pair visit. Exact memoization of a pure function — training
-    /// trajectories and artifacts are byte-identical either way (see
-    /// DESIGN.md §9); on by default.
-    pub ref_cache: bool,
     /// Semantic pre-flight of the rule book
     /// ([`crate::feedback::preflight_rule_book_semantic`]): abort on
     /// `Error`-class `SL3xx` findings (empty-language or
@@ -117,11 +109,6 @@ pub struct PipelineConfig {
     /// tolerance bounded by the `kernel_gate` CI gate. Set process-wide
     /// when the pipeline is constructed.
     pub kernel_mode: KernelMode,
-    /// Run the DPO backward pass with its matmul gradient work fanned
-    /// over the worker pool (intra-pair parallelism) instead of fanning
-    /// whole pairs out. Byte-identical at any thread count either way;
-    /// off by default.
-    pub pool_backward: bool,
 }
 
 /// The source of the automated ranking signal.
@@ -175,12 +162,9 @@ impl Default for PipelineConfig {
             feedback: FeedbackSource::Formal,
             certified: false,
             threads: 0,
-            verify_cache: true,
             verify_cache_capacity: Some(1 << 16),
-            ref_cache: true,
             semantic_preflight: true,
             kernel_mode: KernelMode::Reference,
-            pool_backward: false,
         }
     }
 }
@@ -390,18 +374,16 @@ impl DpoAf {
     /// On a cache hit the stored verdict is returned without re-running
     /// synthesis or model checking; in certified mode the hit also
     /// re-accounts the stored certificate counters, so a run's totals are
-    /// identical with the cache on or off — every verdict that ranks a
+    /// identical at any cache capacity — every verdict that ranks a
     /// response is counted once per use, and was independently validated
     /// when first produced.
     pub fn score_formal(&self, task: &TaskSpec, text: &str) -> usize {
         obskit::counter_add("pipeline.responses_scored", 1);
-        if self.config.verify_cache {
-            if let Some(hit) = self.cache.lookup(task.scenario, text) {
-                if self.config.certified {
-                    self.lock_cert().add(hit.cert);
-                }
-                return hit.num_satisfied;
+        if let Some(hit) = self.cache.lookup(task.scenario, text) {
+            if self.config.certified {
+                self.lock_cert().add(hit.cert);
             }
+            return hit.num_satisfied;
         }
         let (num_satisfied, cert) = if self.config.certified {
             let (scored, counters) = score_response_certified(&self.bundle, task, text);
@@ -414,16 +396,14 @@ impl DpoAf {
                 CertCounters::default(),
             )
         };
-        if self.config.verify_cache {
-            self.cache.insert(
-                task.scenario,
-                text,
-                CachedScore {
-                    num_satisfied,
-                    cert,
-                },
-            );
-        }
+        self.cache.insert(
+            task.scenario,
+            text,
+            CachedScore {
+                num_satisfied,
+                cert,
+            },
+        );
         num_satisfied
     }
 
@@ -651,9 +631,7 @@ impl DpoAf {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let pretrained = self.pretrained_lm(&mut rng);
 
-        let trainer = DpoTrainer::new(self.config.train)
-            .with_ref_cache(self.config.ref_cache)
-            .with_pool_backward(self.config.pool_backward);
+        let trainer = DpoTrainer::new(self.config.train);
         let train_tasks = self.training_tasks();
         let val_tasks = self.config.validation_tasks.clone();
         let mut evals = Vec::new();
@@ -748,7 +726,6 @@ impl DpoAf {
 mod tests {
     use super::*;
 
-    #[test]
     /// The semantic gate is on for real runs; the smoke configuration
     /// opts out so the (release-grade) semantic sweep stays out of the
     /// debug-mode test suite. Its correctness is covered by speclint's
@@ -808,27 +785,18 @@ mod tests {
 
     /// The scoring fan-out and the memo-cache are pure performance
     /// features: a smoke run serializes to the same bytes at 1 or 4
-    /// threads, cache on or off — and at a pathologically tiny cache
-    /// capacity, where almost every verdict is evicted and recomputed.
+    /// threads, and at a pathologically tiny cache capacity, where
+    /// almost every verdict is evicted and recomputed.
     #[test]
     fn artifacts_identical_across_threads_and_cache() {
         let mut cfg = PipelineConfig::smoke();
         cfg.threads = 1;
-        cfg.verify_cache = true;
         let baseline = serde_json::to_string(&DpoAf::new(cfg.clone()).run()).expect("serializes");
-        for (threads, cache, capacity) in [
-            (4, true, Some(1 << 16)),
-            (1, false, Some(1 << 16)),
-            (1, true, Some(4)),
-        ] {
+        for (threads, capacity) in [(4, Some(1 << 16)), (1, Some(1))] {
             cfg.threads = threads;
-            cfg.verify_cache = cache;
             cfg.verify_cache_capacity = capacity;
             let run = serde_json::to_string(&DpoAf::new(cfg.clone()).run()).expect("serializes");
-            assert_eq!(
-                baseline, run,
-                "threads={threads} cache={cache} capacity={capacity:?}"
-            );
+            assert_eq!(baseline, run, "threads={threads} capacity={capacity:?}");
         }
     }
 
@@ -853,13 +821,9 @@ mod tests {
         assert_eq!(first, again);
         assert_eq!(pipeline.cache_stats(), (1, 1));
 
-        // An uncached pipeline agrees and never touches its cache.
-        let mut cfg = PipelineConfig::smoke();
-        cfg.verify_cache = false;
-        let uncached = DpoAf::new(cfg);
-        assert_eq!(uncached.score(task, &tokens, &mut rng), first);
-        assert_eq!(uncached.score(task, &tokens, &mut rng), first);
-        assert_eq!(uncached.cache_stats(), (0, 0));
+        // Uncached scoring of the decoded text agrees.
+        let fresh = score_response(&pipeline.bundle, task, &pipeline.bundle.decode(&tokens));
+        assert_eq!(fresh.num_satisfied, first);
     }
 
     /// In certified mode a cache hit re-accounts the stored certificate
@@ -892,8 +856,9 @@ mod tests {
     }
 
     /// Certified artifacts — including the accumulated certificate
-    /// counters — are identical with the cache on (and a pooled fan-out)
-    /// and fully off.
+    /// counters — are identical with the default cache (and a pooled
+    /// fan-out) and with a one-entry cache that recomputes almost every
+    /// verdict.
     #[test]
     fn certified_artifacts_identical_with_and_without_cache() {
         let mut cfg = PipelineConfig::smoke();
@@ -903,9 +868,9 @@ mod tests {
         cfg.train.pairs_per_epoch = Some(4);
         cfg.checkpoint_every = 100;
         cfg.threads = 1;
-        cfg.verify_cache = false;
+        cfg.verify_cache_capacity = Some(1);
         let fresh = DpoAf::new(cfg.clone()).run();
-        cfg.verify_cache = true;
+        cfg.verify_cache_capacity = PipelineConfig::smoke().verify_cache_capacity;
         cfg.threads = 2;
         let cached = DpoAf::new(cfg).run();
         assert_eq!(fresh.cert, cached.cert);

@@ -79,7 +79,7 @@ pub fn dpo_loss_grad_with_ref(
     ref_l: f32,
     beta: f32,
 ) -> Result<(PairEval, GradBuffer), LmError> {
-    pair_grad_under(policy, pair, ref_w, ref_l, beta, None, None)
+    pair_grad_under(policy, pair, ref_w, ref_l, beta, None)
 }
 
 /// Opens a span under an explicit cross-thread parent when one is given,
@@ -94,9 +94,7 @@ fn maybe_span_under(name: &str, under: Option<obskit::Handoff>) -> obskit::Span 
 /// The shared pair-gradient body: batched winner/loser graphs on one
 /// recycled workspace tape, with `dpo.forward` / `dpo.backward` child
 /// spans (parented under `under` so pooled workers attach to the epoch
-/// span). When `pool` is given the backward passes fan their matmul
-/// gradient work over it via [`CondLm::seq_grad_pooled_in`] —
-/// byte-identical at any thread count.
+/// span).
 pub(crate) fn pair_grad_under(
     policy: &CondLm,
     pair: &PreferencePair,
@@ -104,7 +102,6 @@ pub(crate) fn pair_grad_under(
     ref_l: f32,
     beta: f32,
     under: Option<obskit::Handoff>,
-    pool: Option<&parkit::ThreadPool>,
 ) -> Result<(PairEval, GradBuffer), LmError> {
     SeqWorkspace::with_tls(|ws| {
         ws.reset();
@@ -118,16 +115,10 @@ pub(crate) fn pair_grad_under(
         let (lp_w, lp_l) = (graph_w.value(), graph_l.value());
         let (grad_w, grad_l) = {
             let _s = maybe_span_under("dpo.backward", under);
-            match pool {
-                Some(pool) => (
-                    policy.seq_grad_pooled_in(&graph_w, ws, pool),
-                    policy.seq_grad_pooled_in(&graph_l, ws, pool),
-                ),
-                None => (
-                    policy.seq_grad_in(&graph_w, ws),
-                    policy.seq_grad_in(&graph_l, ws),
-                ),
-            }
+            (
+                policy.seq_grad_in(&graph_w, ws),
+                policy.seq_grad_in(&graph_l, ws),
+            )
         };
 
         let margin = (lp_w - ref_w) - (lp_l - ref_l);

@@ -56,47 +56,12 @@ pub struct EpochStats {
 pub struct DpoTrainer {
     /// Hyperparameters.
     pub options: TrainOptions,
-    /// Precompute the frozen reference's per-pair sequence logprobs once
-    /// per [`DpoTrainer::train`] call instead of re-running the reference
-    /// forward for every pair in every epoch. The reference never changes
-    /// during training, so this is exact memoization — results are
-    /// bit-identical either way. Defaults to on; turning it off exists
-    /// for the equivalence tests and CI byte-equality gate.
-    pub ref_cache: bool,
-    /// Fan each pair's backward matmul gradient work over the pool
-    /// (intra-pair parallelism) instead of fanning whole pairs out
-    /// (inter-pair parallelism). When set, pairs run serially and
-    /// [`tinylm::CondLm::seq_grad_pooled_in`] splits the matmul gradients
-    /// into contiguous blocks — byte-identical at any thread count, like
-    /// the per-pair fan-out, but with parallelism available even at
-    /// `batch_size` 1. The two strategies are exclusive so they never
-    /// contend for the same workers. Defaults to off.
-    pub pool_backward: bool,
 }
 
 impl DpoTrainer {
-    /// Creates a trainer (reference-logprob cache enabled).
+    /// Creates a trainer.
     pub fn new(options: TrainOptions) -> Self {
-        DpoTrainer {
-            options,
-            ref_cache: true,
-            pool_backward: false,
-        }
-    }
-
-    /// Returns this trainer with the reference-logprob cache toggled.
-    #[must_use]
-    pub fn with_ref_cache(mut self, on: bool) -> Self {
-        self.ref_cache = on;
-        self
-    }
-
-    /// Returns this trainer with the pooled backward pass toggled (see
-    /// [`DpoTrainer::pool_backward`]).
-    #[must_use]
-    pub fn with_pool_backward(mut self, on: bool) -> Self {
-        self.pool_backward = on;
-        self
+        DpoTrainer { options }
     }
 
     /// Fine-tunes `policy` in place against the frozen `reference`.
@@ -166,22 +131,18 @@ impl DpoTrainer {
         // per epoch. Register the hit counter up front so metrics
         // reports always carry it.
         obskit::counter_add("dpo.ref_cache_hits", 0);
-        let ref_lps: Option<Vec<(f32, f32)>> = if self.ref_cache {
+        let ref_lps = {
             let _s = obskit::span("dpo.ref");
-            Some(
-                dataset
-                    .pairs
-                    .iter()
-                    .map(|p| {
-                        Ok((
-                            reference.log_prob(p.task, &p.winner)?,
-                            reference.log_prob(p.task, &p.loser)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, LmError>>()?,
-            )
-        } else {
-            None
+            dataset
+                .pairs
+                .iter()
+                .map(|p| {
+                    Ok((
+                        reference.log_prob(p.task, &p.winner)?,
+                        reference.log_prob(p.task, &p.loser)?,
+                    ))
+                })
+                .collect::<Result<Vec<_>, LmError>>()?
         };
 
         let mut tokens_seen = 0u64;
@@ -203,39 +164,23 @@ impl DpoTrainer {
             {
                 let epoch_span = obskit::span("dpo.epoch");
                 let under = Some(epoch_span.handoff());
-                let pair_grad =
-                    |i: usize, policy: &CondLm, bw_pool: Option<&parkit::ThreadPool>| {
-                        let pair = &dataset.pairs[i];
-                        let (ref_w, ref_l) = match &ref_lps {
-                            Some(cache) => {
-                                obskit::counter_add("dpo.ref_cache_hits", 2);
-                                cache[i]
-                            }
-                            None => (
-                                reference.log_prob(pair.task, &pair.winner)?,
-                                reference.log_prob(pair.task, &pair.loser)?,
-                            ),
-                        };
-                        pair_grad_under(policy, pair, ref_w, ref_l, opts.beta, under, bw_pool)
-                    };
+                let pair_grad = |i: usize, policy: &CondLm| {
+                    let (ref_w, ref_l) = ref_lps[i];
+                    obskit::counter_add("dpo.ref_cache_hits", 2);
+                    pair_grad_under(policy, &dataset.pairs[i], ref_w, ref_l, opts.beta, under)
+                };
                 for batch in epoch_pairs.chunks(opts.batch_size) {
                     let mut grad = GradBuffer::zeros(policy);
                     let per_pair: Vec<(PairEval, GradBuffer)> = match pool {
-                        // Intra-pair parallelism: pairs stay serial, each
-                        // backward fans its matmul gradients over the pool.
-                        Some(pool) if self.pool_backward && pool.threads() > 1 => batch
-                            .iter()
-                            .map(|&i| pair_grad(i, policy, Some(pool)))
-                            .collect::<Result<Vec<_>, LmError>>()?,
                         Some(pool) if pool.threads() > 1 => {
                             let frozen: &CondLm = policy;
-                            pool.map(batch, |_, &i| pair_grad(i, frozen, None))
+                            pool.map(batch, |_, &i| pair_grad(i, frozen))
                                 .into_iter()
                                 .collect::<Result<Vec<_>, LmError>>()?
                         }
                         _ => batch
                             .iter()
-                            .map(|&i| pair_grad(i, policy, None))
+                            .map(|&i| pair_grad(i, policy))
                             .collect::<Result<Vec<_>, LmError>>()?,
                     };
                     for (&i, (eval, g)) in batch.iter().zip(&per_pair) {
@@ -411,8 +356,10 @@ mod tests {
         (policy, reference, ds)
     }
 
-    /// The reference-logprob cache is exact memoization: per-epoch stats
-    /// and final weights are bit-identical with it on or off.
+    /// The reference-logprob cache is exact memoization: training matches,
+    /// bit for bit, a hand-written loop that recomputes the reference
+    /// forward for every pair visit (`dpo_loss_grad`), takes the batch
+    /// mean in batch order and steps Adam.
     #[test]
     fn ref_cache_is_bit_exact() {
         let (policy0, reference, ds) = varied_dataset();
@@ -422,21 +369,53 @@ mod tests {
             batch_size: 4,
             ..TrainOptions::default()
         };
-        let run = |cache: bool| {
-            let trainer = DpoTrainer::new(opts).with_ref_cache(cache);
-            let mut p = policy0.clone();
-            let mut rng = StdRng::seed_from_u64(13);
-            let stats = trainer
-                .train(&mut p, &reference, &ds, &mut rng, |_, _| {})
-                .unwrap();
-            (p, stats)
-        };
-        let (p_on, s_on) = run(true);
-        let (p_off, s_off) = run(false);
-        assert_eq!(s_on, s_off, "EpochStats must not change with the cache");
+        let mut p_trained = policy0.clone();
+        let s_trained = DpoTrainer::new(opts)
+            .train(
+                &mut p_trained,
+                &reference,
+                &ds,
+                &mut StdRng::seed_from_u64(13),
+                |_, _| {},
+            )
+            .unwrap();
+
+        let mut p = policy0.clone();
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut adam = Adam::new(opts.lr, p.params().len());
+        let mut indices: Vec<usize> = (0..ds.len()).collect();
+        let mut s_loop = Vec::new();
+        for epoch in 0..opts.epochs {
+            indices.shuffle(&mut rng);
+            let take = opts.pairs_per_epoch.unwrap_or(ds.len()).min(ds.len());
+            let (mut loss, mut correct, mut margin) = (0.0f32, 0.0f32, 0.0f32);
+            for batch in indices[..take].chunks(opts.batch_size) {
+                let per_pair: Vec<_> = batch
+                    .iter()
+                    .map(|&i| crate::dpo_loss_grad(&p, &reference, &ds.pairs[i], opts.beta))
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+                let mut grad = GradBuffer::zeros(&p);
+                for (eval, g) in &per_pair {
+                    loss += eval.loss;
+                    correct += eval.correct;
+                    margin += eval.margin;
+                    grad.add_scaled(g, 1.0 / batch.len() as f32);
+                }
+                adam.step(p.params_mut(), &grad.0);
+            }
+            let n = take as f32;
+            s_loop.push(EpochStats {
+                epoch,
+                loss: loss / n,
+                accuracy: correct / n,
+                margin: margin / n,
+            });
+        }
+        assert_eq!(s_trained, s_loop, "EpochStats must match the plain loop");
         assert_eq!(
-            p_on.params(),
-            p_off.params(),
+            p_trained.params(),
+            p.params(),
             "weights must be bit-identical"
         );
     }
@@ -469,40 +448,6 @@ mod tests {
                 p_serial.params(),
                 p_pooled.params(),
                 "weights diverged at {threads} threads"
-            );
-            assert_eq!(s_serial, s_pooled);
-        }
-    }
-
-    /// The pooled backward pass splits matmul gradients into disjoint
-    /// contiguous blocks whose folds are complete per element, so
-    /// training with it is byte-identical to serial at any thread count.
-    #[test]
-    fn pooled_backward_is_bit_identical() {
-        let (policy0, reference, ds) = varied_dataset();
-        let opts = TrainOptions {
-            epochs: 3,
-            pairs_per_epoch: Some(8),
-            batch_size: 4,
-            ..TrainOptions::default()
-        };
-        let run = |pool: Option<&parkit::ThreadPool>, pool_backward: bool| {
-            let trainer = DpoTrainer::new(opts).with_pool_backward(pool_backward);
-            let mut p = policy0.clone();
-            let mut rng = StdRng::seed_from_u64(29);
-            let stats = trainer
-                .train_in(&mut p, &reference, &ds, &mut rng, |_, _| {}, pool)
-                .unwrap();
-            (p, stats)
-        };
-        let (p_serial, s_serial) = run(None, false);
-        for threads in [2, 4] {
-            let pool = parkit::ThreadPool::new(threads);
-            let (p_pooled, s_pooled) = run(Some(&pool), true);
-            assert_eq!(
-                p_serial.params(),
-                p_pooled.params(),
-                "weights diverged with the pooled backward at {threads} threads"
             );
             assert_eq!(s_serial, s_pooled);
         }

@@ -72,8 +72,7 @@ pub use ast::{Atom, Ltl};
 pub use buchi::{Buchi, BuchiState, MAX_CLOSURE};
 pub use mc::{
     check_graph, check_graph_fair, check_graph_fair_certified, holds_on_lasso, verify, verify_all,
-    verify_all_fair, verify_all_fair_pooled, verify_fair, CertifiedVerdict, CexStep,
-    Counterexample, HoldsCertificate, Justice, NonPropositionalError, SpecResult, Verdict,
-    VerificationReport,
+    verify_all_fair, verify_fair, CertifiedVerdict, CexStep, Counterexample, HoldsCertificate,
+    Justice, NonPropositionalError, SpecResult, Verdict, VerificationReport,
 };
 pub use parser::{parse, ParseLtlError};

@@ -445,31 +445,6 @@ pub fn verify_all_fair<'a>(
     VerificationReport { results }
 }
 
-/// [`verify_all_fair`] with the per-specification checks fanned out
-/// across `pool`. One product construction is shared (behind `&`) by
-/// every check; [`parkit::ThreadPool::map`]'s index-ordered join keeps
-/// the report's spec order — and therefore every downstream score —
-/// identical to the sequential path at any thread count. Each
-/// specification's check is independent and pure, so this is safe
-/// spec-level parallelism on top of (or instead of) response-level
-/// fan-out.
-pub fn verify_all_fair_pooled<'a>(
-    model: &WorldModel,
-    ctrl: &Controller,
-    specs: impl IntoIterator<Item = (&'a str, &'a Ltl)>,
-    justice: &[Justice],
-    pool: &parkit::ThreadPool,
-) -> VerificationReport {
-    let product = Product::build(model, ctrl);
-    let graph = product.label_graph(DeadlockPolicy::Stutter);
-    let specs: Vec<(&str, &Ltl)> = specs.into_iter().collect();
-    let results = pool.map(&specs, |_, &(name, phi)| SpecResult {
-        name: name.to_owned(),
-        verdict: check_graph_fair(&graph, phi, justice),
-    });
-    VerificationReport { results }
-}
-
 /// Product state for emptiness checking: (graph node, Büchi state).
 type PState = (u32, u32);
 
@@ -1177,47 +1152,6 @@ mod tests {
             .transition(0, Guard::always(), ActSet::singleton(go), 0)
             .build()
             .unwrap()
-    }
-
-    /// The pooled spec sweep returns the same report — same names, same
-    /// verdicts, same order — as the sequential one, at several thread
-    /// counts (the determinism contract of DESIGN.md §8).
-    #[test]
-    fn pooled_sweep_matches_sequential() {
-        let (v, model) = setup();
-        let specs: Vec<(String, Ltl)> = [
-            ("safety", "G(!green -> !go)"),
-            ("liveness", "G F go"),
-            ("response", "G(green -> F go)"),
-            ("absurd", "G(!go)"),
-        ]
-        .iter()
-        .map(|(n, s)| ((*n).to_owned(), parse(s, &v).unwrap()))
-        .collect();
-        let justice: Vec<Justice> = Vec::new();
-        for ctrl in [good_controller(&v), reckless_controller(&v)] {
-            let serial = verify_all_fair(
-                &model,
-                &ctrl,
-                specs.iter().map(|(n, p)| (n.as_str(), p)),
-                &justice,
-            );
-            for threads in [1, 2, 4] {
-                let pool = parkit::ThreadPool::new(threads);
-                let pooled = verify_all_fair_pooled(
-                    &model,
-                    &ctrl,
-                    specs.iter().map(|(n, p)| (n.as_str(), p)),
-                    &justice,
-                    &pool,
-                );
-                assert_eq!(serial.results.len(), pooled.results.len());
-                for (s, p) in serial.results.iter().zip(&pooled.results) {
-                    assert_eq!(s.name, p.name, "{threads} threads");
-                    assert_eq!(s.verdict.holds(), p.verdict.holds(), "{}", s.name);
-                }
-            }
-        }
     }
 
     #[test]

@@ -156,8 +156,8 @@ mod tests {
         assert!(result.is_err());
     }
 
-    /// A task may open a scope of its own on the same pool (the shape
-    /// nested spec-level parallelism produces). The inner scope's tasks
+    /// A task may open a scope of its own on the same pool (the shape a
+    /// nested fan-out produces). The inner scope's tasks
     /// run on the already-busy pool without deadlocking.
     #[test]
     fn nested_scopes_on_the_same_pool() {

@@ -308,64 +308,6 @@ pub(crate) fn matmul_backward(
     }
 }
 
-/// The `gm` half of [`matmul_backward`] for a contiguous row block
-/// `r0..r0+block_rows` (`gm_block` is exactly that slice of the full
-/// matrix gradient). Each row's fold over reversed positions is the
-/// complete, unsplit sequence, so fanning row blocks across threads
-/// stays bit-identical.
-// ALLOW: same problem statement as `matmul_backward`, minus one output.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_backward_gm_block(
-    gm_block: &mut [f32],
-    g: &[f32],
-    x: &[f32],
-    r0: usize,
-    rows: usize,
-    cols: usize,
-    n: usize,
-    mode: KernelMode,
-) {
-    let block_rows = gm_block.len() / cols.max(1);
-    for p in (0..n).rev() {
-        let gp = &g[p * rows..(p + 1) * rows];
-        let xp = &x[p * cols..(p + 1) * cols];
-        for r in 0..block_rows {
-            let gr = gp[r0 + r];
-            if gr == 0.0 {
-                continue;
-            }
-            axpy(&mut gm_block[r * cols..(r + 1) * cols], gr, xp, mode);
-        }
-    }
-}
-
-/// The `gx` half of [`matmul_backward`] for a contiguous position block
-/// `p0..p0+block_n` (`gx_block` is exactly that slice of the packed
-/// operand gradient). Positions are independent in `gx`, so any
-/// disjoint split is bit-identical; rows walk forward within a position
-/// exactly as the scalar loop did.
-pub(crate) fn matmul_backward_gx_block(
-    gx_block: &mut [f32],
-    g: &[f32],
-    m: &[f32],
-    p0: usize,
-    rows: usize,
-    cols: usize,
-    mode: KernelMode,
-) {
-    let block_n = gx_block.len() / cols.max(1);
-    for p in (0..block_n).rev() {
-        let gp = &g[(p0 + p) * rows..(p0 + p + 1) * rows];
-        let gxp = &mut gx_block[p * cols..(p + 1) * cols];
-        for (r, &gr) in gp.iter().enumerate() {
-            if gr == 0.0 {
-                continue;
-            }
-            axpy(gxp, gr, &m[r * cols..(r + 1) * cols], mode);
-        }
-    }
-}
-
 /// Forward fused bias + numerically stable log-softmax per chunk:
 /// `out_p = log_softmax(a_p + b)`. Identical arithmetic in both modes —
 /// the cost here is `exp`, which no reassociation removes — and exactly
@@ -547,9 +489,8 @@ mod tests {
             }
         }
 
-        /// Split-pass backward (and its pooled block halves, at every
-        /// block split) are bit-identical to the naive interleaved loop,
-        /// including the `g == 0.0` skip path.
+        /// Split-pass backward is bit-identical to the naive interleaved
+        /// loop, including the `g == 0.0` skip path.
         #[test]
         fn split_backward_is_bit_identical(
             rows in 1usize..13,
@@ -577,39 +518,6 @@ mod tests {
             }
             for (a, b) in gx.iter().zip(&gx_naive) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-
-            // Every contiguous block split reproduces the same bits —
-            // the property the pooled backward stakes byte-identity on.
-            for split in 1..=rows {
-                let mut gm = vec![0.0f32; rows * cols];
-                let mut r0 = 0;
-                while r0 < rows {
-                    let hi = (r0 + split).min(rows);
-                    matmul_backward_gm_block(
-                        &mut gm[r0 * cols..hi * cols],
-                        &g, &x, r0, rows, cols, n, KernelMode::Reference,
-                    );
-                    r0 = hi;
-                }
-                for (a, b) in gm.iter().zip(&gm_naive) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            for split in 1..=n {
-                let mut gx = vec![0.0f32; n * cols];
-                let mut p0 = 0;
-                while p0 < n {
-                    let hi = (p0 + split).min(n);
-                    matmul_backward_gx_block(
-                        &mut gx[p0 * cols..hi * cols],
-                        &g, &m, p0, rows, cols, KernelMode::Reference,
-                    );
-                    p0 = hi;
-                }
-                for (a, b) in gx.iter().zip(&gx_naive) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
             }
         }
 

@@ -720,38 +720,8 @@ impl CondLm {
     ///
     /// Panics if `graph` did not come from this workspace's tape.
     pub fn seq_grad_in(&self, graph: &SeqGraph, ws: &mut SeqWorkspace) -> GradBuffer {
-        self.seq_grad_opt_in(graph, ws, None)
-    }
-
-    /// [`CondLm::seq_grad_in`] with the matmul gradient work fanned over
-    /// a `parkit` pool via [`Tape::backward_into_pooled`] — byte-identical
-    /// to the serial pass at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` did not come from this workspace's tape.
-    pub fn seq_grad_pooled_in(
-        &self,
-        graph: &SeqGraph,
-        ws: &mut SeqWorkspace,
-        pool: &parkit::ThreadPool,
-    ) -> GradBuffer {
-        self.seq_grad_opt_in(graph, ws, Some(pool))
-    }
-
-    fn seq_grad_opt_in(
-        &self,
-        graph: &SeqGraph,
-        ws: &mut SeqWorkspace,
-        pool: Option<&parkit::ThreadPool>,
-    ) -> GradBuffer {
         let reuses_before = ws.arena.reuses();
-        match pool {
-            Some(pool) => ws
-                .tape
-                .backward_into_pooled(graph.root, &mut ws.arena, pool),
-            None => ws.tape.backward_into(graph.root, &mut ws.arena),
-        }
+        ws.tape.backward_into(graph.root, &mut ws.arena);
         if obskit::enabled() {
             obskit::counter_add("tape.grad_buffer_reuses", ws.arena.reuses() - reuses_before);
         }

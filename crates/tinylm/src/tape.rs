@@ -28,9 +28,7 @@
 //! `Reference` mode (the default) and an opt-in reassociating `Fast`
 //! mode. Each tape captures the process-global [`crate::kernels::mode`]
 //! when created or [`Tape::reset`] (unless pinned via
-//! [`Tape::with_mode`]), and [`Tape::backward_into_pooled`] fans the
-//! matmul gradient work over a `parkit` pool in byte-identical
-//! contiguous blocks.
+//! [`Tape::with_mode`]).
 //!
 //! # Example
 //!
@@ -62,7 +60,6 @@ impl VarId {
 
 use crate::kernels::{self, KernelMode};
 pub(crate) use kernels::dot;
-use parkit::ThreadPool;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -605,28 +602,6 @@ impl Tape {
     ///
     /// Panics if `root` is not scalar.
     pub fn backward_into(&self, root: VarId, arena: &mut GradArena) {
-        self.backward_into_in(root, arena, None);
-    }
-
-    /// [`Tape::backward_into`] with the matmul gradient work fanned over
-    /// a [`parkit::ThreadPool`].
-    ///
-    /// Byte-identical at any thread count: only the `MatMul` arm fans
-    /// out, splitting the matrix gradient into contiguous row blocks and
-    /// the packed operand gradient into contiguous position blocks.
-    /// Every task computes its elements' *complete* accumulation folds
-    /// (all positions in reverse for its rows; all rows forward for its
-    /// positions) over disjoint output slices — no partial folds are
-    /// combined, so no f32 addition is reassociated and the block split
-    /// never shows up in the bits. The fused bias+log-softmax backward
-    /// stays serial: its shared bias gradient crosses positions, and
-    /// splitting it would either reassociate that fold or duplicate the
-    /// `exp` work that dominates the op.
-    pub fn backward_into_pooled(&self, root: VarId, arena: &mut GradArena, pool: &ThreadPool) {
-        self.backward_into_in(root, arena, Some(pool));
-    }
-
-    fn backward_into_in(&self, root: VarId, arena: &mut GradArena, pool: Option<&ThreadPool>) {
         assert_eq!(self.vals[root.0].len(), 1, "backward root must be scalar");
         let n = self.vals.len();
         let prior = n.min(arena.bufs.len());
@@ -753,16 +728,9 @@ impl Tape {
                     } else {
                         let mut gm = std::mem::take(&mut grads[m.0]);
                         let mut gx = std::mem::take(&mut grads[x.0]);
-                        match pool {
-                            Some(pool) if pool.threads() > 1 && *n > 1 && *cols > 0 => {
-                                self.matmul_backward_pooled(
-                                    &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, pool,
-                                );
-                            }
-                            _ => kernels::matmul_backward(
-                                &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, self.mode,
-                            ),
-                        }
+                        kernels::matmul_backward(
+                            &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, self.mode,
+                        );
                         grads[m.0] = gm;
                         grads[x.0] = gx;
                     }
@@ -918,51 +886,6 @@ impl Tape {
             }
             grads[i] = g;
         }
-    }
-
-    /// Fans one MatMul node's backward over the pool: `gm` splits into
-    /// contiguous row blocks, `gx` into contiguous position blocks, one
-    /// task per block. Each task runs its elements' complete folds via
-    /// the block kernels, so the result is byte-identical to the serial
-    /// kernel at any thread count (property-tested across every block
-    /// split in `kernels`).
-    // ALLOW: the argument list is the matmul gradient problem statement
-    // (two outputs, three inputs, three dims, pool); bundling them in a
-    // struct for one private call site would just rename the problem.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_backward_pooled(
-        &self,
-        gm: &mut [f32],
-        gx: &mut [f32],
-        g: &[f32],
-        mv: &[f32],
-        xv: &[f32],
-        rows: usize,
-        cols: usize,
-        n: usize,
-        pool: &ThreadPool,
-    ) {
-        let mode = self.mode;
-        let t = pool.threads();
-        let row_block = rows.div_ceil(t).max(1);
-        let pos_block = n.div_ceil(t).max(1);
-        pool.scope(|scope| {
-            for (bi, chunk) in gm.chunks_mut(row_block * cols).enumerate() {
-                let r0 = bi * row_block;
-                scope.spawn(move || {
-                    kernels::matmul_backward_gm_block(chunk, g, xv, r0, rows, cols, n, mode);
-                });
-            }
-            for (bi, chunk) in gx.chunks_mut(pos_block * cols).enumerate() {
-                let p0 = bi * pos_block;
-                scope.spawn(move || {
-                    kernels::matmul_backward_gx_block(chunk, g, mv, p0, rows, cols, mode);
-                });
-            }
-        });
-        // A flight-recorder beat per pooled matmul keeps long training
-        // epochs visible in the black-box dump.
-        obskit::recorder::tick();
     }
 
     /// Number of nodes recorded.
