@@ -15,8 +15,9 @@ use crate::domain::{DomainBundle, TaskSpec};
 use autokit::{presets::DrivingDomain, Controller, DeadlockPolicy, Product, WorldModel};
 use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
-use ltlcheck::specs::driving_specs;
-use ltlcheck::{verify_all_fair, Justice, SpecResult, VerificationReport};
+use ltlcheck::analysis::holds_all_fair;
+use ltlcheck::specs::{driving_specs, Spec};
+use ltlcheck::{Justice, SpecResult, VerificationReport};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -162,7 +163,7 @@ impl CertCounters {
     }
 }
 
-/// [`verify_all_fair`] with certificates: every verdict's evidence is
+/// [`ltlcheck::verify_all_fair`] with certificates: every verdict's evidence is
 /// validated by `certkit`'s independent checker before it is allowed
 /// into the report.
 ///
@@ -202,17 +203,37 @@ pub fn verify_all_fair_certified<'a>(
 }
 
 /// A response with its verification outcome.
+///
+/// Scoring only decides which rules hold; it keeps no counterexamples.
+/// A caller that wants a violating lasso runs [`ltlcheck::verify_all_fair`]
+/// on `controller` in the task's scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoredResponse {
     /// The decoded response text.
     pub text: String,
     /// The synthesized controller (`None` when alignment/parsing failed).
     pub controller: Option<Controller>,
-    /// The per-specification report (`None` when synthesis failed).
-    pub report: Option<VerificationReport>,
+    /// Whether each specification holds, in rule-book order (`None` when
+    /// synthesis failed).
+    pub holds: Option<Vec<bool>>,
     /// Number of satisfied specifications (0 on synthesis failure) — the
     /// ranking key.
     pub num_satisfied: usize,
+}
+
+impl ScoredResponse {
+    /// Names of the specifications of `specs` — the rule book the
+    /// response was scored against — that the controller fails. Empty
+    /// when synthesis failed.
+    pub fn failed<'s>(&self, specs: &'s [Spec]) -> Vec<&'s str> {
+        let holds = self.holds.as_deref().unwrap_or_default();
+        specs
+            .iter()
+            .zip(holds)
+            .filter(|&(_, &h)| !h)
+            .map(|(s, _)| s.name.as_str())
+            .collect()
+    }
 }
 
 /// Scores a raw response text for a task: align → parse → FSA →
@@ -256,7 +277,7 @@ fn score_response_impl(
     let rejected = ScoredResponse {
         text: text.to_owned(),
         controller: None,
-        report: None,
+        holds: None,
         num_satisfied: 0,
     };
     if preflight_response(bundle, task, text).is_err() {
@@ -286,23 +307,26 @@ fn score_response_impl(
     let model = scenario_model(&bundle.driving, task.scenario);
     let justice = justice_for(&bundle.driving, task.scenario);
     let specs = driving_specs(&bundle.driving);
-    let named = specs.iter().map(|s| (s.name.as_str(), &s.formula));
-    let report = {
+    let holds: Vec<bool> = {
         let _stage = obskit::span("pipeline.verify");
         match counters {
             Some(counters) => {
+                let named = specs.iter().map(|s| (s.name.as_str(), &s.formula));
                 let (report, c) = verify_all_fair_certified(&model, &ctrl, named, &justice);
                 counters.add(c);
-                report
+                report.results.iter().map(|r| r.verdict.holds()).collect()
             }
-            None => verify_all_fair(&model, &ctrl, named, &justice),
+            None => {
+                let graph = Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter);
+                holds_all_fair(&graph, specs.iter().map(|s| &s.formula), &justice)
+            }
         }
     };
     ScoredResponse {
         text: text.to_owned(),
-        num_satisfied: report.num_satisfied(),
+        num_satisfied: holds.iter().filter(|&&h| h).count(),
         controller: Some(ctrl),
-        report: Some(report),
+        holds: Some(holds),
     }
 }
 
@@ -397,7 +421,7 @@ mod tests {
             "careful {} vs hasty {} (careful failed: {:?})",
             careful.num_satisfied,
             hasty.num_satisfied,
-            careful.report.as_ref().map(|r| r.failed())
+            careful.failed(&driving_specs(&bundle.driving))
         );
         assert!(
             hasty.num_satisfied > reckless.num_satisfied,
@@ -428,6 +452,39 @@ mod tests {
                 "{style:?}"
             );
         }
+    }
+
+    /// The decide-only verdicts of the plain path equal the verdicts of
+    /// the lasso-producing checker and of the certified path, spec by
+    /// spec, on every task × style rendered response.
+    #[test]
+    fn decide_only_verdicts_match_lasso_and_certified_verdicts() {
+        let bundle = DomainBundle::new();
+        let specs = driving_specs(&bundle.driving);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut verified = 0;
+        for task in &bundle.tasks {
+            for style in Style::all() {
+                let text = render_response(&bundle.driving, task, style, &mut rng);
+                let plain = score_response(&bundle, task, &text);
+                let (certified, _) = score_response_certified(&bundle, task, &text);
+                assert_eq!(plain.holds, certified.holds, "{style:?} `{text}`");
+                let (Some(ctrl), Some(holds)) = (&plain.controller, &plain.holds) else {
+                    continue;
+                };
+                let report = ltlcheck::verify_all_fair(
+                    &scenario_model(&bundle.driving, task.scenario),
+                    ctrl,
+                    specs.iter().map(|s| (s.name.as_str(), &s.formula)),
+                    &justice_for(&bundle.driving, task.scenario),
+                );
+                let lasso: Vec<bool> = report.results.iter().map(|r| r.verdict.holds()).collect();
+                assert_eq!(holds, &lasso, "{style:?} `{text}`");
+                assert_eq!(plain.num_satisfied, report.num_satisfied());
+                verified += 1;
+            }
+        }
+        assert!(verified >= 40, "only {verified} responses synthesized");
     }
 
     #[test]
@@ -487,7 +544,7 @@ mod tests {
         let scored = score_response(&bundle, task, "trust your instincts and merge .");
         assert_eq!(scored.num_satisfied, 0);
         assert!(scored.controller.is_none());
-        assert!(scored.report.is_none());
+        assert!(scored.holds.is_none());
     }
 
     #[test]
@@ -503,7 +560,7 @@ mod tests {
                 task.id,
                 task.prompt,
                 scored.num_satisfied,
-                scored.report.as_ref().map(|r| r.failed()),
+                scored.failed(&driving_specs(&bundle.driving)),
                 text
             );
         }

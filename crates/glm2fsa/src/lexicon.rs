@@ -45,6 +45,31 @@ fn normalize(text: &str) -> String {
     out.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
+/// The number of words of `phrase` when they are the leading words of
+/// `words`, compared word by word without joining anything.
+///
+/// `words` come from splitting on single spaces, so they contain none:
+/// this equals `words[..n].join(" ") == phrase` for the phrase's word
+/// count `n`.
+fn match_len(words: &[&str], phrase: &str) -> Option<usize> {
+    let mut n = 0;
+    for part in phrase.split(' ') {
+        if words.get(n) != Some(&part) {
+            return None;
+        }
+        n += 1;
+    }
+    Some(n)
+}
+
+/// The first of `phrases` (longest-first) that starts `words`, with its
+/// word count.
+fn longest_match<T: Copy>(words: &[&str], phrases: &[(String, T)]) -> Option<(usize, T)> {
+    phrases
+        .iter()
+        .find_map(|(phrase, id)| match_len(words, phrase).map(|n| (n, *id)))
+}
+
 impl Lexicon {
     /// Creates an empty lexicon over a vocabulary; every canonical name
     /// maps to itself.
@@ -113,19 +138,13 @@ impl Lexicon {
         let mut out = Vec::new();
         let mut i = 0;
         while i < words.len() {
-            let mut matched = None;
-            for (phrase, id) in phrases {
-                let plen = phrase.split(' ').count();
-                if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
-                    matched = Some((plen, *id));
-                    break; // longest-first ordering makes this greedy
+            // Longest-first ordering makes the first match the greedy one.
+            match longest_match(&words[i..], phrases) {
+                Some((plen, id)) => {
+                    out.push((i, id));
+                    i += plen;
                 }
-            }
-            if let Some((plen, id)) = matched {
-                out.push((i, id));
-                i += plen;
-            } else {
-                i += 1;
+                None => i += 1,
             }
         }
         out
@@ -152,38 +171,24 @@ impl Lexicon {
     pub fn align(&self, text: &str) -> String {
         let norm = normalize(text);
         let words: Vec<&str> = norm.split(' ').collect();
-        let mut out: Vec<String> = Vec::new();
+        let mut out = String::with_capacity(norm.len());
         let mut i = 0;
         while i < words.len() {
-            let mut matched = None;
-            for (phrase, id) in &self.prop_phrases {
-                let plen = phrase.split(' ').count();
-                if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
-                    matched = Some((plen, self.prop_name(*id).to_owned()));
-                    break;
-                }
+            let (plen, word) =
+                if let Some((plen, id)) = longest_match(&words[i..], &self.prop_phrases) {
+                    (plen, self.prop_name(id))
+                } else if let Some((plen, id)) = longest_match(&words[i..], &self.act_phrases) {
+                    (plen, self.act_name(id))
+                } else {
+                    (1, words[i])
+                };
+            if i > 0 {
+                out.push(' ');
             }
-            if matched.is_none() {
-                for (phrase, id) in &self.act_phrases {
-                    let plen = phrase.split(' ').count();
-                    if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
-                        matched = Some((plen, self.act_name(*id).to_owned()));
-                        break;
-                    }
-                }
-            }
-            match matched {
-                Some((plen, canonical)) => {
-                    out.push(canonical);
-                    i += plen;
-                }
-                None => {
-                    out.push(words[i].to_owned());
-                    i += 1;
-                }
-            }
+            out.push_str(word);
+            i += plen;
         }
-        out.join(" ")
+        out
     }
 
     /// The full paraphrase dictionary for the paper's autonomous-driving
@@ -404,5 +409,129 @@ mod tests {
     fn case_insensitive_hyphen_handling() {
         let (d, l) = lex();
         assert_eq!(l.find_props("Green Left-Turn Light"), vec![(0, d.green_ll)]);
+    }
+
+    /// The string-joining matcher that word-slice matching replaced, kept
+    /// as the oracle: `find` over one phrase list.
+    fn find_joined<T: Copy>(text: &str, phrases: &[(String, T)]) -> Vec<(usize, T)> {
+        let norm = normalize(text);
+        let words: Vec<&str> = norm.split(' ').collect();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < words.len() {
+            let mut matched = None;
+            for (phrase, id) in phrases {
+                let plen = phrase.split(' ').count();
+                if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
+                    matched = Some((plen, *id));
+                    break;
+                }
+            }
+            if let Some((plen, id)) = matched {
+                out.push((i, id));
+                i += plen;
+            } else {
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// The string-joining `align`, kept as the oracle.
+    fn align_joined(l: &Lexicon, text: &str) -> String {
+        let norm = normalize(text);
+        let words: Vec<&str> = norm.split(' ').collect();
+        let mut out: Vec<String> = Vec::new();
+        let mut i = 0;
+        while i < words.len() {
+            let mut matched = None;
+            for (phrase, id) in &l.prop_phrases {
+                let plen = phrase.split(' ').count();
+                if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
+                    matched = Some((plen, l.prop_name(*id).to_owned()));
+                    break;
+                }
+            }
+            if matched.is_none() {
+                for (phrase, id) in &l.act_phrases {
+                    let plen = phrase.split(' ').count();
+                    if i + plen <= words.len() && words[i..i + plen].join(" ") == *phrase {
+                        matched = Some((plen, l.act_name(*id).to_owned()));
+                        break;
+                    }
+                }
+            }
+            match matched {
+                Some((plen, canonical)) => {
+                    out.push(canonical);
+                    i += plen;
+                }
+                None => {
+                    out.push(words[i].to_owned());
+                    i += 1;
+                }
+            }
+        }
+        out.join(" ")
+    }
+
+    /// Words of the driving lexicon's phrases plus case, punctuation and
+    /// hyphen variants, so random texts hit, nearly hit and miss phrases.
+    const WORDS: [&str; 24] = [
+        "green",
+        "light",
+        "left",
+        "turn",
+        "left-turn",
+        "car",
+        "from",
+        "the",
+        "on",
+        "right",
+        "make",
+        "a",
+        "stop",
+        "traffic",
+        "oncoming",
+        "is",
+        "pedestrian",
+        ",",
+        "Green",
+        "LIGHT!",
+        "wait",
+        "signal",
+        "",
+        "opposite",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Word-slice matching answers exactly what joining the words and
+        /// comparing strings answered, for `find` and `align`, on random
+        /// texts and on a lexicon extended with random phrases — including
+        /// raw phrases with empty words that normalization never makes.
+        #[test]
+        fn word_slice_matching_equals_joined_matching(
+            text in proptest::collection::vec(0usize..WORDS.len(), 0..16),
+            extra in proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 0..4), 0..6),
+        ) {
+            let (d, mut l) = lex();
+            for (k, phrase) in extra.iter().enumerate() {
+                let phrase: Vec<&str> = phrase.iter().map(|&w| WORDS[w]).collect();
+                if k % 2 == 0 {
+                    l.add_prop_phrase(&phrase.join(" "), d.car_left);
+                } else {
+                    // Unnormalized, as canonical vocabulary names are.
+                    l.act_phrases.push((phrase.join(" "), d.stop));
+                    l.sort();
+                }
+            }
+            let text: Vec<&str> = text.iter().map(|&w| WORDS[w]).collect();
+            let text = text.join(" ");
+            proptest::prop_assert_eq!(l.align(&text), align_joined(&l, &text));
+            proptest::prop_assert_eq!(l.find_props(&text), find_joined(&text, &l.prop_phrases));
+            proptest::prop_assert_eq!(l.find_acts(&text), find_joined(&text, &l.act_phrases));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   passes **vacuously** — the rule never actually constrains anything.
 
 use crate::buchi::Buchi;
-use crate::mc::{eval_bool, fair_cycle_exists, is_propositional};
+use crate::mc::{eval_bool, fair_cycle_exists, fair_cycle_in, is_propositional, LabelIndex};
 use crate::{check_graph, Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
 use std::collections::HashMap;
@@ -39,7 +39,12 @@ fn lock_cache() -> std::sync::MutexGuard<'static, HashMap<Ltl, Arc<Buchi>>> {
 /// cost of each query on the small product graphs involved. The cache
 /// turns repeat constructions into a hash lookup; hits and misses are
 /// mirrored to the obskit counters `ltlcheck.automaton_cache_hits` /
-/// `ltlcheck.automaton_cache_misses`.
+/// `ltlcheck.automaton_cache_misses`. A miss is the only place the
+/// checker translates a formula, so it also adds the new automaton's
+/// size to `ltlcheck.buchi_states` / `ltlcheck.buchi_transitions`.
+///
+/// Universal model checking looks its negated formulas up in the same
+/// cache, so every check of a rule after the first is a lookup.
 ///
 /// The cache never invalidates: an automaton is a pure function of its
 /// formula, and formulas are compared structurally (two differently
@@ -53,11 +58,22 @@ pub fn spec_automaton(phi: &Ltl) -> Arc<Buchi> {
     // Build outside the lock: construction is the expensive part, and a
     // racing double-build of the same formula is idempotent.
     let built = Arc::new(Buchi::from_ltl(phi));
+    if obskit::enabled() {
+        let transitions: usize = built.states().iter().map(|s| s.succs.len()).sum();
+        obskit::counter_add("ltlcheck.buchi_states", built.num_states() as u64);
+        obskit::counter_add("ltlcheck.buchi_transitions", transitions as u64);
+    }
     Arc::clone(
         lock_cache()
             .entry(phi.clone())
             .or_insert_with(|| Arc::clone(&built)),
     )
+}
+
+/// The automaton of `¬phi` — what universal model checking searches — from
+/// the [`spec_automaton`] cache.
+pub(crate) fn negation_automaton(phi: &Ltl) -> Arc<Buchi> {
+    spec_automaton(&Ltl::not(phi.clone()))
 }
 
 /// Number of distinct formulas memoized by [`spec_automaton`] so far.
@@ -178,12 +194,39 @@ pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> b
 /// **Universal** model checking through the automaton cache: `true` iff
 /// every fair path of `graph` satisfies `phi`.
 ///
-/// Verdict-identical to `check_graph_fair(graph, phi, justice).holds()`,
-/// but the negation automaton is memoized by [`spec_automaton`], which
-/// matters when the same rules are checked across many worlds, and the
-/// search is the on-the-fly one of [`exists_fair_path`].
+/// The one-spec case of [`holds_all_fair`]; verdict-identical to
+/// `check_graph_fair(graph, phi, justice).holds()`.
 pub fn holds_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    !fair_cycle_exists(graph, &spec_automaton(&Ltl::not(phi.clone())), justice)
+    holds_all_fair(graph, [phi], justice)[0]
+}
+
+/// Decides a whole spec suite on one graph: entry `i` is `true` iff every
+/// fair path of `graph` satisfies `specs[i]`.
+///
+/// This is the yes/no half of [`crate::verify_all_fair`], for callers
+/// that need only which rules hold (ranking by the number satisfied, as
+/// DPO-AF does). Verdicts are identical to
+/// `check_graph_fair(graph, phi, justice).holds()`, at a fraction of the
+/// cost:
+///
+/// * the graph's distinct labels and their justice marks are indexed once
+///   for the suite, not once per spec;
+/// * each `¬φ` automaton comes from the [`spec_automaton`] cache, so a
+///   rule is translated once per process;
+/// * each spec runs the on-the-fly emptiness search, which stops at the
+///   first fair accepting cycle and builds no lasso.
+///
+/// Each spec counts one `ltlcheck.checks`.
+pub fn holds_all_fair<'a>(
+    graph: &LabelGraph,
+    specs: impl IntoIterator<Item = &'a Ltl>,
+    justice: &[Justice],
+) -> Vec<bool> {
+    let index = LabelIndex::new(graph, justice);
+    specs
+        .into_iter()
+        .map(|phi| !fair_cycle_in(&index, &negation_automaton(phi)))
+        .collect()
 }
 
 /// Product-reachability query: the step labels `(σ, a)` of every node

@@ -17,6 +17,7 @@
 //! adversarial environment that keeps a car parked in the intersection
 //! forever.
 
+use crate::analysis::negation_automaton;
 use crate::{Buchi, Ltl};
 use autokit::{
     ActSet, Controller, DeadlockPolicy, LabelGraph, Product, ProductState, PropSet, Vocab,
@@ -24,6 +25,7 @@ use autokit::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One step of a counterexample trace: the product state and the emitted
 /// label.
@@ -289,8 +291,9 @@ impl VerificationReport {
 #[derive(Debug, Clone)]
 pub struct HoldsCertificate {
     /// The Büchi automaton of the negated specification used in the
-    /// search. Trusted as a translation; everything else is re-derived.
-    pub buchi: Buchi,
+    /// search, shared with the process-wide automaton cache. Trusted as a
+    /// translation; everything else is re-derived.
+    pub buchi: Arc<Buchi>,
     /// Explored product pairs `(graph node, Büchi state)`.
     pub states: Vec<(u32, u32)>,
     /// Component id per entry of `states`, in Tarjan completion order:
@@ -339,25 +342,24 @@ pub fn check_graph(graph: &LabelGraph, phi: &Ltl) -> Verdict {
 /// Checks a state-labeled graph against an LTL formula under justice
 /// assumptions: only paths along which every justice condition holds
 /// infinitely often are considered.
+///
+/// The automaton of `¬phi` comes from the
+/// [`spec_automaton`](crate::analysis::spec_automaton) cache, so checking
+/// the same rule against many graphs translates it once.
 pub fn check_graph_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> Verdict {
-    let neg = Ltl::not(phi.clone());
-    let buchi = Buchi::from_ltl(&neg);
-    count_check(&buchi);
-    match find_fair_lasso(graph, &buchi, justice) {
+    count_check();
+    match find_fair_lasso(graph, &negation_automaton(phi), justice) {
         None => Verdict::Holds,
         Some(cex) => Verdict::Fails(cex),
     }
 }
 
-/// Per-check observability counters (no-ops unless `obskit` is enabled).
-fn count_check(buchi: &Buchi) {
-    if !obskit::enabled() {
-        return;
-    }
+/// Counts one specification check (a no-op unless `obskit` is enabled).
+/// Every check entry point calls this exactly once per spec; automaton
+/// translations are counted apart, by
+/// [`spec_automaton`](crate::analysis::spec_automaton) on a miss.
+fn count_check() {
     obskit::counter_add("ltlcheck.checks", 1);
-    obskit::counter_add("ltlcheck.buchi_states", buchi.num_states() as u64);
-    let transitions: usize = buchi.states().iter().map(|s| s.succs.len()).sum();
-    obskit::counter_add("ltlcheck.buchi_transitions", transitions as u64);
 }
 
 /// [`check_graph_fair`], but every verdict comes with machine-checkable
@@ -372,9 +374,8 @@ pub fn check_graph_fair_certified(
     phi: &Ltl,
     justice: &[Justice],
 ) -> CertifiedVerdict {
-    let neg = Ltl::not(phi.clone());
-    let buchi = Buchi::from_ltl(&neg);
-    count_check(&buchi);
+    count_check();
+    let buchi = negation_automaton(phi);
     if buchi.num_states() == 0 {
         return CertifiedVerdict::Holds(HoldsCertificate {
             buchi,
@@ -445,31 +446,28 @@ pub fn verify_all_fair<'a>(
     VerificationReport { results }
 }
 
-/// Product state for emptiness checking: (graph node, Büchi state).
-type PState = (u32, u32);
-
-/// Dense view of the product `graph ⊗ buchi`, shared by the BFS
-/// exploration and the on-the-fly emptiness search.
+/// The distinct step labels of a graph and the justice conditions each
+/// one satisfies: the per-graph half of a [`ProductIndex`], built once and
+/// shared by every product over the graph.
 ///
-/// A pair `(g, b)` has the dense key `g·|B| + b`, so per-pair tables are
-/// flat vectors of `graph.num_nodes()·|B|` slots instead of hash maps.
-/// Label consistency is a lookup in a distinct-label × Büchi-state match
-/// table built once per check: the graphs repeat a few hundred distinct
-/// labels over thousands of nodes.
-struct ProductIndex<'a> {
+/// The graphs repeat a few hundred distinct labels over thousands of
+/// nodes, so per-label tables are much smaller than per-node ones, and a
+/// spec suite checked against one graph indexes its labels once.
+pub(crate) struct LabelIndex<'a> {
     graph: &'a LabelGraph,
-    buchi: &'a Buchi,
-    nb: usize,
+    justice: &'a [Justice],
     /// Distinct labels of `graph`, in first-occurrence order.
     labels: Vec<(PropSet, ActSet)>,
     /// Index into `labels` per graph node.
     label_of: Vec<u32>,
-    /// `matches[l·|B| + b]`: label `l` satisfies Büchi state `b`.
-    matches: Vec<bool>,
+    /// Per distinct label, bit `1 + j` is set iff the label satisfies
+    /// justice `j` (bit 0 is left for Büchi acceptance). Empty when there
+    /// are more justice conditions than one `u64` mask holds.
+    marks: Vec<u64>,
 }
 
-impl<'a> ProductIndex<'a> {
-    fn new(graph: &'a LabelGraph, buchi: &'a Buchi) -> ProductIndex<'a> {
+impl<'a> LabelIndex<'a> {
+    pub(crate) fn new(graph: &'a LabelGraph, justice: &'a [Justice]) -> LabelIndex<'a> {
         let mut ids: std::collections::HashMap<(PropSet, ActSet), u32> =
             std::collections::HashMap::new();
         let mut labels = Vec::new();
@@ -483,16 +481,62 @@ impl<'a> ProductIndex<'a> {
                 })
             })
             .collect();
+        let marks = if justice.len() > 63 {
+            Vec::new()
+        } else {
+            labels
+                .iter()
+                .map(|&(props, acts)| {
+                    justice
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, cond)| cond.holds(props, acts))
+                        .fold(0, |m, (j, _)| m | 2 << j)
+                })
+                .collect()
+        };
+        LabelIndex {
+            graph,
+            justice,
+            labels,
+            label_of,
+            marks,
+        }
+    }
+}
+
+/// Product state for emptiness checking: (graph node, Büchi state).
+type PState = (u32, u32);
+
+/// Dense view of the product `graph ⊗ buchi`, shared by the BFS
+/// exploration and the on-the-fly emptiness search.
+///
+/// A pair `(g, b)` has the dense key `g·|B| + b`, so per-pair tables are
+/// flat vectors of `graph.num_nodes()·|B|` slots instead of hash maps.
+/// Label consistency is a lookup in a distinct-label × Büchi-state match
+/// table built once per automaton over the graph's [`LabelIndex`].
+struct ProductIndex<'a> {
+    graph: &'a LabelGraph,
+    /// The graph's [`LabelIndex::label_of`].
+    label_of: &'a [u32],
+    buchi: &'a Buchi,
+    nb: usize,
+    /// `matches[l·|B| + b]`: label `l` satisfies Büchi state `b`.
+    matches: Vec<bool>,
+}
+
+impl<'a> ProductIndex<'a> {
+    fn new(labels: &'a LabelIndex<'a>, buchi: &'a Buchi) -> ProductIndex<'a> {
         let matches = labels
+            .labels
             .iter()
             .flat_map(|&(props, acts)| buchi.states().iter().map(move |s| s.matches(props, acts)))
             .collect();
         ProductIndex {
-            graph,
+            graph: labels.graph,
+            label_of: &labels.label_of,
             buchi,
             nb: buchi.num_states(),
-            labels,
-            label_of,
             matches,
         }
     }
@@ -506,9 +550,14 @@ impl<'a> ProductIndex<'a> {
         g as usize * self.nb + b as usize
     }
 
+    /// The distinct-label index of graph node `g`.
+    fn label(&self, g: u32) -> usize {
+        self.label_of[g as usize] as usize
+    }
+
     /// `true` iff graph node `g`'s label satisfies Büchi state `b`.
     fn matches(&self, g: u32, b: u32) -> bool {
-        self.matches[self.label_of[g as usize] as usize * self.nb + b as usize]
+        self.matches[self.label(g) * self.nb + b as usize]
     }
 
     /// The label-consistent initial pairs, graph-major.
@@ -568,7 +617,8 @@ pub(crate) fn find_fair_lasso(
 // condition.
 #[allow(clippy::expect_used)] // ALLOW: failure here is a bug in this function, never an input condition.
 fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
-    let idx = ProductIndex::new(graph, buchi);
+    let labels = LabelIndex::new(graph, &[]);
+    let idx = ProductIndex::new(&labels, buchi);
 
     // --- reachable product exploration (BFS, with parents for stems) ----
     // `index[key] = id + 1` for discovered pairs, 0 otherwise (a zeroed
@@ -735,7 +785,14 @@ fn find_fair_scc(
 /// has a reachable cycle through a Büchi-accepting state and a witness of
 /// every justice condition — the same question as
 /// `find_fair_lasso(..).is_some()`, answered without building the product
-/// first or producing a lasso.
+/// first or producing a lasso. See [`fair_cycle_in`].
+pub(crate) fn fair_cycle_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Justice]) -> bool {
+    fair_cycle_in(&LabelIndex::new(graph, justice), buchi)
+}
+
+/// [`fair_cycle_exists`] over a graph whose labels are already indexed,
+/// so a spec suite checked against one graph shares the index; one
+/// counted check.
 ///
 /// This is the path-based SCC search with a roots stack (Couvreur, FM'99;
 /// Gabow): a DFS generates successors lazily through the dense
@@ -749,7 +806,9 @@ fn find_fair_scc(
 ///
 /// The states visited are added to the `ltlcheck.product_states` and
 /// `ltlcheck.search_visits` counters.
-pub(crate) fn fair_cycle_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Justice]) -> bool {
+pub(crate) fn fair_cycle_in(labels: &LabelIndex<'_>, buchi: &Buchi) -> bool {
+    count_check();
+    let (graph, justice) = (labels.graph, labels.justice);
     if buchi.num_states() == 0 {
         return false;
     }
@@ -758,23 +817,11 @@ pub(crate) fn fair_cycle_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Ju
     if justice.len() > 63 {
         return find_fair_lasso(graph, buchi, justice).is_some();
     }
-    let idx = ProductIndex::new(graph, buchi);
-    let label_marks: Vec<u64> = idx
-        .labels
-        .iter()
-        .map(|&(props, acts)| {
-            justice
-                .iter()
-                .enumerate()
-                .filter(|(_, cond)| cond.holds(props, acts))
-                .fold(0, |m, (j, _)| m | 2 << j)
-        })
-        .collect();
+    let idx = ProductIndex::new(labels, buchi);
     let full = u64::MAX >> (63 - justice.len());
-    let mark = |g: u32, b: u32| {
-        label_marks[idx.label_of[g as usize] as usize]
-            | u64::from(buchi.states()[b as usize].accepting)
-    };
+    let marks = &labels.marks[..];
+    let mark =
+        |g: u32, b: u32| marks[idx.label(g)] | u64::from(buchi.states()[b as usize].accepting);
 
     // DFS number per dense key: 0 = unvisited, DONE = its SCC is closed.
     const DONE: u32 = u32::MAX;
@@ -897,40 +944,46 @@ fn extract_lasso(
     stem_ids.reverse();
 
     // Cycle: inside the SCC, walk entry → accepting witness → each justice
-    // witness → back to entry, via BFS restricted to the SCC.
+    // witness → back to entry, via BFS restricted to the SCC. Every
+    // segment reuses one dense parent table (`NONE` = undiscovered) and
+    // one index queue; the queue lists exactly the states a segment
+    // discovered, so the reset after it touches nothing else.
+    const NONE: u32 = u32::MAX;
+    let mut par = vec![NONE; n];
+    let mut queue: Vec<u32> = Vec::new();
     let in_comp = |v: u32| comp[v as usize] as usize == target_comp;
-    let bfs_path = |from: u32, to: u32, require_step: bool| -> Vec<u32> {
+    let mut bfs_path = |from: u32, to: u32, require_step: bool| -> Vec<u32> {
         // Path of nodes after `from` ending at `to` (possibly empty if
         // from == to and !require_step).
         if from == to && !require_step {
             return Vec::new();
         }
-        let mut par: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        let mut q = std::collections::VecDeque::new();
-        // Seed with successors of `from` so a self-loop is found.
-        for &w in ex.succs(from) {
-            if in_comp(w) && !par.contains_key(&w) {
-                par.insert(w, from);
-                q.push_back(w);
-            }
-        }
-        while let Some(v) = q.pop_front() {
-            if v == to {
-                break;
-            }
+        // Expand `from` first without marking it, so a self-loop is found.
+        let mut v = from;
+        let mut head = 0;
+        loop {
             for &w in ex.succs(v) {
-                if in_comp(w) && !par.contains_key(&w) {
-                    par.insert(w, v);
-                    q.push_back(w);
+                if in_comp(w) && par[w as usize] == NONE {
+                    par[w as usize] = v;
+                    queue.push(w);
                 }
             }
+            let Some(&next) = queue.get(head) else {
+                break;
+            };
+            head += 1;
+            if next == to {
+                break;
+            }
+            v = next;
         }
         // Walk parent pointers until `from` is the *parent*, so a loop
         // that starts and ends at the same state keeps its interior.
         let mut path = vec![to];
         let mut cur = to;
         loop {
-            let p = *par.get(&cur).expect("target reachable within SCC");
+            let p = par[cur as usize];
+            assert_ne!(p, NONE, "target reachable within SCC");
             if p == from {
                 break;
             }
@@ -938,6 +991,10 @@ fn extract_lasso(
             cur = p;
         }
         path.reverse();
+        for &w in &queue {
+            par[w as usize] = NONE;
+        }
+        queue.clear();
         path
     };
 

@@ -1,10 +1,11 @@
 //! The warehouse rule book and automated feedback.
 
 use crate::domain::{WarehouseDomain, WarehouseTask};
-use autokit::ActSet;
+use autokit::{ActSet, DeadlockPolicy, Product};
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::Spec;
-use ltlcheck::{verify_all_fair, Justice, Ltl};
+use ltlcheck::{Justice, Ltl};
 
 /// The eight warehouse rules.
 pub fn warehouse_specs(d: &WarehouseDomain) -> Vec<Spec> {
@@ -108,14 +109,16 @@ pub fn score_warehouse_response(d: &WarehouseDomain, task: &WarehouseTask, text:
         return 0;
     };
     let ctrl = with_default_action(&ctrl, d.wait);
+    let graph = Product::build(&d.floor_model(), &ctrl).label_graph(DeadlockPolicy::Stutter);
     let specs = warehouse_specs(d);
-    let report = verify_all_fair(
-        &d.floor_model(),
-        &ctrl,
-        specs.iter().map(|s| (s.name.as_str(), &s.formula)),
+    holds_all_fair(
+        &graph,
+        specs.iter().map(|s| &s.formula),
         &warehouse_justice(d),
-    );
-    report.num_satisfied()
+    )
+    .into_iter()
+    .filter(|&h| h)
+    .count()
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 use autokit::ToDot;
 use dpo_af::domain::DomainBundle;
 use dpo_af::feedback::score_response;
+use ltlcheck::specs::driving_specs;
 
 fn main() {
     let bundle = DomainBundle::new();
@@ -25,16 +26,16 @@ fn main() {
     println!("aligned:  {}\n", bundle.lexicon.align(response));
 
     let scored = score_response(&bundle, task, response);
-    match (&scored.controller, &scored.report) {
-        (Some(ctrl), Some(report)) => {
+    match &scored.controller {
+        Some(ctrl) => {
             println!("synthesized controller ({} states):\n", ctrl.num_states());
             println!("{}", ctrl.to_dot(&bundle.driving.vocab));
             println!(
                 "verification: {}/15 specifications satisfied; failed: {:?}",
-                report.num_satisfied(),
-                report.failed()
+                scored.num_satisfied,
+                scored.failed(&driving_specs(&bundle.driving))
             );
         }
-        _ => println!("response failed to align — it would rank last as DPO feedback"),
+        None => println!("response failed to align — it would rank last as DPO feedback"),
     }
 }
