@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, a warning-free test build, tests,
+# CI gate: formatting, lints, a compile check of the stand-alone
+# perfbench benchmark, docs, a warning-free test build, tests,
 # the speclint static-analysis pass over the shipped rule books,
 # controllers and step lists, the specsem semantic analysis of the rule
 # books under their world models, the unsafe-code audit, the conckit
@@ -28,6 +29,22 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# perfbench is a stand-alone package that no workspace command builds,
+# so a deleted public API could break the benchmark silently. cargo
+# rewrites a stale edge in its lock file; the gate puts the lock back so
+# it leaves the benchmark's files as it found them.
+echo "==> cargo check perfbench (the benchmark still compiles)"
+perfbench_lock="$(mktemp -t perfbench_lock.XXXXXX)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+perfbench_status=0
+cargo check -q --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
+if [ "$perfbench_status" -ne 0 ]; then
+    echo "perfbench no longer compiles"
+    exit 1
+fi
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

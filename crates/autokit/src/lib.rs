@@ -69,7 +69,7 @@ mod world;
 pub use controller::{Controller, ControllerBuilder, CtrlState, CtrlTransition, Guard};
 pub use dot::ToDot;
 pub use error::AutokitError;
-pub use product::{DeadlockPolicy, LabelGraph, Product, ProductEdge, ProductState};
+pub use product::{LabelGraph, Product, ProductEdge, ProductState};
 pub use sets::{ActSet, PropSet};
 pub use trace::{Step, Trace};
 pub use vocab::{ActId, PropId, Vocab, MAX_ACTS, MAX_PROPS};

@@ -26,26 +26,6 @@ pub struct ProductEdge {
     pub acts: ActSet,
 }
 
-/// How to treat product states with no outgoing edges when generating
-/// infinite trajectories for LTL model checking.
-///
-/// A deadlock arises when the controller has no enabled transition under
-/// the current observation (e.g. a terminal "task done" state). LTL is
-/// interpreted over infinite traces, so a policy is needed:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DeadlockPolicy {
-    /// Add a self-loop that keeps re-emitting `λ_M(p)` with the empty
-    /// action `ε`. This mirrors NuSMV practice of totalizing the transition
-    /// relation and matches the intuition that a finished controller keeps
-    /// observing the world while doing nothing. The default.
-    #[default]
-    Stutter,
-    /// Iteratively remove deadlocked states; only maximal infinite
-    /// behaviours are checked. May remove every state, in which case every
-    /// specification holds vacuously.
-    Prune,
-}
-
 /// The product automaton `𝔓 = M ⊗ C` (paper, Appendix A).
 ///
 /// Only the part reachable from the initial set
@@ -218,10 +198,18 @@ impl Product {
     /// infinite paths emit exactly the product's labeled trajectories.
     ///
     /// Each graph node is a product *edge*; its label is the edge's
-    /// `ψ = λ_M(p) ∪ a`; node `e₁ → e₂` iff `e₁.to == e₂.from`. Deadlocks
-    /// are handled per `policy`. This is the standard edge-to-state label
-    /// transformation used to model-check edge-labeled automata.
-    pub fn label_graph(&self, policy: DeadlockPolicy) -> LabelGraph {
+    /// `ψ = λ_M(p) ∪ a`; node `e₁ → e₂` iff `e₁.to == e₂.from`. This is the
+    /// standard edge-to-state label transformation used to model-check
+    /// edge-labeled automata.
+    ///
+    /// LTL is interpreted over infinite traces, so deadlocks (a controller
+    /// with no enabled transition, e.g. a terminal "task done" state)
+    /// **stutter**: a node whose product target is deadlocked gets a
+    /// successor that re-emits the target's observation `λ_M(p)` with the
+    /// empty action `ε` forever. This mirrors the NuSMV practice of
+    /// totalizing the transition relation: a finished controller keeps
+    /// observing the world while doing nothing.
+    pub fn label_graph(&self) -> LabelGraph {
         let mut labels: Vec<(PropSet, ActSet)> = Vec::with_capacity(self.edges.len());
         let mut origin: Vec<ProductState> = Vec::with_capacity(self.edges.len());
         for e in &self.edges {
@@ -240,54 +228,22 @@ impl Product {
         initial.sort_unstable();
         initial.dedup();
 
-        match policy {
-            DeadlockPolicy::Stutter => {
-                // A node whose product target is deadlocked gets a stutter
-                // successor that re-emits the target's observation with ε
-                // forever.
-                let mut stutter_of: HashMap<usize, usize> = HashMap::new();
-                for (i, edge) in self.edges.iter().enumerate() {
-                    let target = edge.to;
-                    if self.out_edges[target].is_empty() {
-                        let node = *stutter_of.entry(target).or_insert_with(|| {
-                            let id = labels.len();
-                            let st = self.states[target];
-                            // The deadlocked state keeps observing λ_M(p)
-                            // while the controller stays silent (ε).
-                            labels.push((self.obs[target], ActSet::empty()));
-                            origin.push(st);
-                            succs.push(vec![id]);
-                            id
-                        });
-                        succs[i].push(node);
-                    }
-                }
-                // Initial deadlocked product states (no outgoing edge at
-                // all) contribute no behaviour; they are vacuous.
-            }
-            DeadlockPolicy::Prune => {
-                // Iteratively drop nodes with no successors.
-                let n = labels.len();
-                let mut alive = vec![true; n];
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for i in 0..n {
-                        if alive[i] && !succs[i].iter().any(|&j| alive[j]) {
-                            alive[i] = false;
-                            changed = true;
-                        }
-                    }
-                }
-                for s in succs.iter_mut() {
-                    s.retain(|&j| alive[j]);
-                }
-                initial.retain(|&i| alive[i]);
-                // Dead nodes stay as unreachable husks; they have no
-                // successors and are never initial, so the checker ignores
-                // them.
+        let mut stutter_of: HashMap<usize, usize> = HashMap::new();
+        for (i, edge) in self.edges.iter().enumerate() {
+            let target = edge.to;
+            if self.out_edges[target].is_empty() {
+                let node = *stutter_of.entry(target).or_insert_with(|| {
+                    let id = labels.len();
+                    labels.push((self.obs[target], ActSet::empty()));
+                    origin.push(self.states[target]);
+                    succs.push(vec![id]);
+                    id
+                });
+                succs[i].push(node);
             }
         }
+        // Initial deadlocked product states (no outgoing edge at all)
+        // contribute no behaviour; they are vacuous.
 
         LabelGraph {
             labels,
@@ -381,7 +337,7 @@ mod tests {
     fn label_graph_paths_mirror_product() {
         let (model, ctrl) = simple_setup();
         let product = Product::build(&model, &ctrl);
-        let graph = product.label_graph(DeadlockPolicy::Stutter);
+        let graph = product.label_graph();
         assert_eq!(graph.num_nodes(), product.num_edges());
         // Every node's successors' origin matches the node's target state.
         for (i, succs) in graph.succs.iter().enumerate() {
@@ -409,30 +365,12 @@ mod tests {
             .unwrap();
         let product = Product::build(&model, &ctrl);
         assert_eq!(product.deadlocks().len(), 1);
-        let graph = product.label_graph(DeadlockPolicy::Stutter);
+        let graph = product.label_graph();
         // One real edge plus one stutter node.
         assert_eq!(graph.num_nodes(), 2);
         let stutter = 1;
         assert_eq!(graph.succs[stutter], vec![stutter]);
         assert!(graph.labels[stutter].1.is_empty());
-    }
-
-    #[test]
-    fn deadlock_prune_removes_finite_behaviours() {
-        let mut v = Vocab::new();
-        let green = v.add_prop("green").unwrap();
-        let go = v.add_act("go").unwrap();
-        let mut model = WorldModel::new("light");
-        let g = model.add_state(PropSet::singleton(green));
-        model.add_transition(g, g);
-        let ctrl = ControllerBuilder::new("one shot", 2)
-            .initial(0)
-            .transition(0, Guard::always(), ActSet::singleton(go), 1)
-            .build()
-            .unwrap();
-        let product = Product::build(&model, &ctrl);
-        let graph = product.label_graph(DeadlockPolicy::Prune);
-        assert!(graph.initial.is_empty());
     }
 
     mod properties {
@@ -541,7 +479,7 @@ mod tests {
             #[test]
             fn label_graph_consistency(setup in arb_setup()) {
                 let product = Product::build(&setup.model, &setup.ctrl);
-                let graph = product.label_graph(DeadlockPolicy::Stutter);
+                let graph = product.label_graph();
                 for (i, e) in product.edges().iter().enumerate() {
                     prop_assert_eq!(graph.labels[i], (e.props, e.acts));
                     for &j in &graph.succs[i] {

@@ -13,7 +13,7 @@ use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::RIGHT_TURN_AFTER;
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
 use ltlcheck::specs::driving_specs;
-use ltlcheck::verify_all;
+use ltlcheck::verify_all_fair;
 use std::time::Instant;
 
 fn main() {
@@ -71,10 +71,11 @@ fn main() {
         let product = autokit::Product::build(model, &ctrl);
         let build_time = t0.elapsed();
         let t1 = Instant::now();
-        let report = verify_all(
+        let report = verify_all_fair(
             model,
             &ctrl,
             specs.iter().map(|s| (s.name.as_str(), &s.formula)),
+            &[],
         );
         let verify_time = t1.elapsed();
         rows.push(vec![

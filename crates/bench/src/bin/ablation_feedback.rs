@@ -15,7 +15,7 @@
 
 use bench::{table, BenchCli};
 use dpo_af::domain::DomainBundle;
-use dpo_af::feedback::{empirical_rates, score_tokens};
+use dpo_af::feedback::{empirical_rates, score_response};
 use dpo_af::pipeline::{DpoAf, PipelineConfig};
 use obskit::progress;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn main() {
         let mut scored: Vec<(usize, f64)> = Vec::new();
         for _ in 0..samples {
             let tokens = lm.sample(task.id, &mut rng, opts).expect("task in range");
-            let formal = score_tokens(bundle, task, &tokens);
+            let formal = score_response(bundle, task, &bundle.decode(&tokens));
             let empirical = match &formal.controller {
                 None => 0.0, // unalignable: nothing to run
                 Some(ctrl) => {

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bench::{table, BenchCli};
-use dpo_af::feedback::score_tokens;
+use dpo_af::feedback::score_response;
 use dpo_af::pipeline::{DpoAf, PipelineConfig};
 use obskit::progress;
 use rand::rngs::StdRng;
@@ -41,7 +41,8 @@ fn main() {
             let scores: Vec<usize> = (0..m)
                 .map(|_| {
                     let tokens = lm.sample(task.id, &mut rng, opts).expect("task in range");
-                    score_tokens(&pipeline.bundle, task, &tokens).num_satisfied
+                    score_response(&pipeline.bundle, task, &pipeline.bundle.decode(&tokens))
+                        .num_satisfied
                 })
                 .collect();
             for i in 0..m {

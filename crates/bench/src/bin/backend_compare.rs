@@ -20,7 +20,7 @@
 // (the workspace unwrap/expect lints target library code paths).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use autokit::{Controller, DeadlockPolicy, Product, PropSet, WorldModelBuilder};
+use autokit::{Controller, Product, PropSet, WorldModelBuilder};
 use bench::{table, BenchCli};
 use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::{RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE};
@@ -84,7 +84,7 @@ fn run_a6(_cli: &BenchCli) {
         for kind in [ScenarioKind::TrafficLight, ScenarioKind::TwoWayStop] {
             let model = scenario_model(d, kind);
             let justice = justice_for(d, kind);
-            let graph = Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter);
+            let graph = Product::build(&model, &ctrl).label_graph();
             for s in &specs {
                 let explicit = check_graph_fair(&graph, &s.formula, &justice).holds();
                 let symbolic = check_graph_fair_symbolic(&graph, &s.formula, &justice);
@@ -124,7 +124,7 @@ fn run_a6(_cli: &BenchCli) {
         .allow_transitions(|_, _| true)
         .conservative()
         .build();
-    let graph = Product::build(&dense, &ctrl).label_graph(DeadlockPolicy::Stutter);
+    let graph = Product::build(&dense, &ctrl).label_graph();
     println!(
         "dense model: {} graph nodes, {} specs\n",
         graph.num_nodes(),
@@ -193,7 +193,7 @@ fn run_sweep(cli: &BenchCli) {
     let mut explicit_over_budget = false;
     for &labels in scales {
         let model = scaled_conservative_model(d, labels);
-        let graph = Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter);
+        let graph = Product::build(&model, &ctrl).label_graph();
         let nodes = graph.num_nodes();
 
         let t0 = Instant::now();

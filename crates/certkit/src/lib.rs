@@ -31,7 +31,6 @@
 //!
 //! ```
 //! use autokit::{ActSet, ControllerBuilder, Guard, Product, PropSet, Vocab, WorldModel};
-//! use autokit::DeadlockPolicy;
 //! use ltlcheck::{check_graph_fair_certified, parse};
 //!
 //! let mut v = Vocab::new();
@@ -49,7 +48,7 @@
 //!     .transition(0, Guard::always().requires(green), ActSet::singleton(go), 0)
 //!     .transition(0, Guard::always().forbids(green), ActSet::empty(), 0)
 //!     .build()?;
-//! let graph = Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter);
+//! let graph = Product::build(&model, &ctrl).label_graph();
 //!
 //! let phi = parse("G(!green -> !go)", &v)?;
 //! let certified = check_graph_fair_certified(&graph, &phi, &[]);
@@ -374,10 +373,8 @@ mod tests {
             .transition(0, Guard::always(), ActSet::singleton(go), 0)
             .build()
             .unwrap();
-        let gg =
-            autokit::Product::build(&model, &good).label_graph(autokit::DeadlockPolicy::Stutter);
-        let gr = autokit::Product::build(&model, &reckless)
-            .label_graph(autokit::DeadlockPolicy::Stutter);
+        let gg = autokit::Product::build(&model, &good).label_graph();
+        let gr = autokit::Product::build(&model, &reckless).label_graph();
         (v, gg, gr)
     }
 

@@ -211,7 +211,7 @@ struct ScaledCase {
 /// world (twice the A6 benchmark's label space) and a 6-aisle warehouse
 /// corridor, each verified against its domain rule book.
 fn scaled_cases() -> Vec<ScaledCase> {
-    use autokit::{DeadlockPolicy, Product};
+    use autokit::Product;
     let mut cases = Vec::new();
 
     let d = autokit::presets::DrivingDomain::new();
@@ -227,7 +227,7 @@ fn scaled_cases() -> Vec<ScaledCase> {
     let model = drivesim::scaled::scaled_conservative_model(&d, 64);
     cases.push(ScaledCase {
         name: "driving/conservative-64".to_owned(),
-        graph: Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter),
+        graph: Product::build(&model, &ctrl).label_graph(),
         specs: ltlcheck::specs::driving_specs(&d),
         justice: Vec::new(),
     });
@@ -244,7 +244,7 @@ fn scaled_cases() -> Vec<ScaledCase> {
     let model = w.scaled_floor_model(6);
     cases.push(ScaledCase {
         name: "warehouse/corridor-6".to_owned(),
-        graph: Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter),
+        graph: Product::build(&model, &ctrl).label_graph(),
         specs: warehouse::warehouse_specs(&w),
         justice: warehouse::warehouse_justice(&w),
     });

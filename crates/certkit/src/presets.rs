@@ -13,7 +13,7 @@
 #![allow(clippy::expect_used)]
 
 use autokit::presets::DrivingDomain;
-use autokit::{ActSet, DeadlockPolicy, LabelGraph, Product};
+use autokit::{ActSet, LabelGraph, Product};
 use drivesim::formal::{scenario_justice, scenario_model};
 use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, with_default_action, FsaOptions, Lexicon};
@@ -93,7 +93,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
             domain: "driving",
             scenario: format!("{kind:?}"),
             controller: name.to_owned(),
-            graph: Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter),
+            graph: Product::build(&model, &ctrl).label_graph(),
             specs: specs.clone(),
             justice: scenario_justice(&d, kind),
         });
@@ -108,7 +108,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
             domain: "driving",
             scenario: format!("{kind:?}"),
             controller: "free (driving)".to_owned(),
-            graph: Product::build(&model, &free).label_graph(DeadlockPolicy::Stutter),
+            graph: Product::build(&model, &free).label_graph(),
             specs: specs.clone(),
             justice: scenario_justice(&d, kind),
         });
@@ -131,7 +131,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
             domain: "warehouse",
             scenario: "WarehouseFloor".to_owned(),
             controller: name.to_owned(),
-            graph: Product::build(&floor, &ctrl).label_graph(DeadlockPolicy::Stutter),
+            graph: Product::build(&floor, &ctrl).label_graph(),
             specs: wspecs.clone(),
             justice: wjustice.clone(),
         });
@@ -144,7 +144,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
         domain: "warehouse",
         scenario: "WarehouseFloor".to_owned(),
         controller: "free (warehouse)".to_owned(),
-        graph: Product::build(&floor, &wfree).label_graph(DeadlockPolicy::Stutter),
+        graph: Product::build(&floor, &wfree).label_graph(),
         specs: wspecs,
         justice: wjustice,
     });

@@ -10,7 +10,7 @@
 //! pooled per specification.
 
 use crate::domain::DomainBundle;
-use crate::feedback::score_tokens;
+use crate::feedback::score_response;
 use autokit::Trace;
 use drivesim::{ground_many, Scenario, ScenarioConfig};
 use ltlcheck::specs::headline_specs;
@@ -82,7 +82,7 @@ fn collect_traces(
         for _ in 0..cfg.samples_per_task {
             #[allow(clippy::expect_used)] // ALLOW: task ids come from the bundle
             let tokens = lm.sample(task.id, rng, opts).expect("task id in range");
-            let scored = score_tokens(bundle, task, &tokens);
+            let scored = score_response(bundle, task, &bundle.decode(&tokens));
             let Some(ctrl) = scored.controller else {
                 continue; // unalignable response: no controller to run
             };

@@ -12,12 +12,12 @@
 //! are unsatisfiable against a fully adversarial environment.
 
 use crate::domain::{DomainBundle, TaskSpec};
-use autokit::{presets::DrivingDomain, Controller, DeadlockPolicy, Product, WorldModel};
+use autokit::{presets::DrivingDomain, Controller, Product, WorldModel};
 use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
 use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::{driving_specs, Spec};
-use ltlcheck::{Justice, SpecResult, VerificationReport};
+use ltlcheck::{check_graph_fair_certified, Justice};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -163,45 +163,6 @@ impl CertCounters {
     }
 }
 
-/// [`ltlcheck::verify_all_fair`] with certificates: every verdict's evidence is
-/// validated by `certkit`'s independent checker before it is allowed
-/// into the report.
-///
-/// # Panics
-///
-/// Panics when a certificate or counterexample is rejected — that means
-/// the model checker produced an unsupported verdict, and training on it
-/// would poison the preference signal. Fail loudly, never rank.
-pub fn verify_all_fair_certified<'a>(
-    model: &WorldModel,
-    ctrl: &Controller,
-    specs: impl IntoIterator<Item = (&'a str, &'a ltlcheck::Ltl)>,
-    justice: &[Justice],
-) -> (VerificationReport, CertCounters) {
-    let graph = Product::build(model, ctrl).label_graph(DeadlockPolicy::Stutter);
-    let mut counters = CertCounters::default();
-    let results = specs
-        .into_iter()
-        .map(|(name, phi)| {
-            let certified = ltlcheck::check_graph_fair_certified(&graph, phi, justice);
-            if let Err(e) = certkit::check_certified(&graph, phi, justice, &certified) {
-                panic!("model-checker evidence for `{name}` rejected: {e}");
-            }
-            counters.checks += 1;
-            if certified.holds() {
-                counters.holds += 1;
-            } else {
-                counters.fails += 1;
-            }
-            SpecResult {
-                name: name.to_owned(),
-                verdict: certified.verdict(),
-            }
-        })
-        .collect();
-    (VerificationReport { results }, counters)
-}
-
 /// A response with its verification outcome.
 ///
 /// Scoring only decides which rules hold; it keeps no counterexamples.
@@ -256,8 +217,9 @@ pub fn score_response(bundle: &DomainBundle, task: &TaskSpec, text: &str) -> Sco
 ///
 /// # Panics
 ///
-/// Panics when any verdict's certificate or counterexample is rejected
-/// (see [`verify_all_fair_certified`]).
+/// Panics when any verdict's certificate or counterexample is rejected:
+/// the model checker produced an unsupported verdict, and training on it
+/// would poison the preference signal. Fail loudly, never rank.
 pub fn score_response_certified(
     bundle: &DomainBundle,
     task: &TaskSpec,
@@ -309,17 +271,27 @@ fn score_response_impl(
     let specs = driving_specs(&bundle.driving);
     let holds: Vec<bool> = {
         let _stage = obskit::span("pipeline.verify");
+        let graph = Product::build(&model, &ctrl).label_graph();
         match counters {
-            Some(counters) => {
-                let named = specs.iter().map(|s| (s.name.as_str(), &s.formula));
-                let (report, c) = verify_all_fair_certified(&model, &ctrl, named, &justice);
-                counters.add(c);
-                report.results.iter().map(|r| r.verdict.holds()).collect()
-            }
-            None => {
-                let graph = Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter);
-                holds_all_fair(&graph, specs.iter().map(|s| &s.formula), &justice)
-            }
+            Some(counters) => specs
+                .iter()
+                .map(|s| {
+                    let certified = check_graph_fair_certified(&graph, &s.formula, &justice);
+                    if let Err(e) =
+                        certkit::check_certified(&graph, &s.formula, &justice, &certified)
+                    {
+                        panic!("model-checker evidence for `{}` rejected: {e}", s.name);
+                    }
+                    counters.checks += 1;
+                    if certified.holds() {
+                        counters.holds += 1;
+                    } else {
+                        counters.fails += 1;
+                    }
+                    certified.holds()
+                })
+                .collect(),
+            None => holds_all_fair(&graph, specs.iter().map(|s| &s.formula), &justice),
         }
     };
     ScoredResponse {
@@ -328,24 +300,6 @@ fn score_response_impl(
         controller: Some(ctrl),
         holds: Some(holds),
     }
-}
-
-/// [`score_response`] on encoded tokens.
-pub fn score_tokens(
-    bundle: &DomainBundle,
-    task: &TaskSpec,
-    tokens: &[tinylm::Token],
-) -> ScoredResponse {
-    score_response(bundle, task, &bundle.decode(tokens))
-}
-
-/// [`score_response_certified`] on encoded tokens.
-pub fn score_tokens_certified(
-    bundle: &DomainBundle,
-    task: &TaskSpec,
-    tokens: &[tinylm::Token],
-) -> (ScoredResponse, CertCounters) {
-    score_response_certified(bundle, task, &bundle.decode(tokens))
 }
 
 /// Per-specification empirical satisfaction rates `P_Φ` from simulator

@@ -42,5 +42,5 @@ pub mod pipeline;
 
 pub use cache::{CachedScore, VerifyCache};
 pub use domain::{DomainBundle, Style, TaskSpec};
-pub use feedback::{score_response, score_tokens, ScoredResponse};
+pub use feedback::{score_response, ScoredResponse};
 pub use pipeline::{DpoAf, FeedbackSource, PipelineConfig, RunArtifacts};

@@ -15,10 +15,7 @@
 use crate::cache::{CachedScore, VerifyCache};
 use crate::domain::DomainBundle;
 use crate::domain::TaskSpec;
-use crate::feedback::{
-    empirical_rates, score_response, score_response_certified, score_tokens,
-    score_tokens_certified, CertCounters,
-};
+use crate::feedback::{empirical_rates, score_response, score_response_certified, CertCounters};
 use dpo::{DpoTrainer, EpochStats, PreferenceDataset, TrainOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -419,13 +416,14 @@ impl DpoAf {
         rng: &mut impl Rng,
     ) -> usize {
         obskit::counter_add("pipeline.responses_scored", 1);
+        let text = self.bundle.decode(tokens);
         let scored = if self.config.certified {
-            let (scored, counters) = score_tokens_certified(&self.bundle, task, tokens);
+            let (scored, counters) = score_response_certified(&self.bundle, task, &text);
             obskit::counter_add("pipeline.certificates_validated", counters.checks as u64);
             self.lock_cert().add(counters);
             scored
         } else {
-            score_tokens(&self.bundle, task, tokens)
+            score_response(&self.bundle, task, &text)
         };
         match &scored.controller {
             None => 0,

@@ -141,8 +141,7 @@ mod tests {
         .unwrap();
         let ctrl = glm2fsa::with_default_action(&ctrl, d.stop);
         let model = scaled_conservative_model(&d, 40);
-        let graph =
-            autokit::Product::build(&model, &ctrl).label_graph(autokit::DeadlockPolicy::Stutter);
+        let graph = autokit::Product::build(&model, &ctrl).label_graph();
         for spec in ltlcheck::specs::driving_specs(&d).iter().take(4) {
             let explicit = ltlcheck::check_graph_fair(&graph, &spec.formula, &[]).holds();
             let symbolic =

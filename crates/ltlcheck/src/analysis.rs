@@ -11,7 +11,7 @@
 
 use crate::buchi::Buchi;
 use crate::mc::{eval_bool, fair_cycle_exists, fair_cycle_in, is_propositional, LabelIndex};
-use crate::{check_graph, Justice, Ltl};
+use crate::{check_graph_fair, Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -191,15 +191,6 @@ pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> b
     fair_cycle_exists(graph, &spec_automaton(phi), justice)
 }
 
-/// **Universal** model checking through the automaton cache: `true` iff
-/// every fair path of `graph` satisfies `phi`.
-///
-/// The one-spec case of [`holds_all_fair`]; verdict-identical to
-/// `check_graph_fair(graph, phi, justice).holds()`.
-pub fn holds_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    holds_all_fair(graph, [phi], justice)[0]
-}
-
 /// Decides a whole spec suite on one graph: entry `i` is `true` iff every
 /// fair path of `graph` satisfies `specs[i]`.
 ///
@@ -297,7 +288,7 @@ pub enum Vacuity {
 /// `□(a → b)`-shaped specifications whose antecedent `a` is never true
 /// along any path of the graph.
 pub fn vacuous_pass(graph: &LabelGraph, phi: &Ltl) -> Option<Vacuity> {
-    if !check_graph(graph, phi).holds() {
+    if !check_graph_fair(graph, phi, &[]).holds() {
         return None;
     }
     if valid(phi) {
@@ -309,7 +300,7 @@ pub fn vacuous_pass(graph: &LabelGraph, phi: &Ltl) -> Option<Vacuity> {
             if let Ltl::Or(not_a, _) = &**r {
                 if let Ltl::Not(a) = &**not_a {
                     let never_a = Ltl::Release(Arc::new(Ltl::False), Arc::new(Ltl::Not(a.clone())));
-                    if check_graph(graph, &never_a).holds() {
+                    if check_graph_fair(graph, &never_a, &[]).holds() {
                         return Some(Vacuity::UnreachableAntecedent((**a).clone()));
                     }
                 }
@@ -506,16 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn holds_fair_matches_check_graph_fair() {
+    fn holds_all_fair_matches_check_graph_fair() {
         let v = vocab();
         let graph = two_phase_graph(&v);
-        for src in ["a", "G a", "F (G b)", "X b", "F (a & !a)"] {
-            let phi = parse(src, &v).unwrap();
-            assert_eq!(
-                holds_fair(&graph, &phi, &[]),
-                check_graph(&graph, &phi).holds(),
-                "{src}"
-            );
+        let specs: Vec<Ltl> = ["a", "G a", "F (G b)", "X b", "F (a & !a)"]
+            .iter()
+            .map(|src| parse(src, &v).unwrap())
+            .collect();
+        let holds = holds_all_fair(&graph, &specs, &[]);
+        for (phi, got) in specs.iter().zip(holds) {
+            assert_eq!(got, check_graph_fair(&graph, phi, &[]).holds(), "{phi:?}");
         }
     }
 

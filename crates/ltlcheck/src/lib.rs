@@ -11,11 +11,19 @@
 //! * [`Buchi`] — Büchi automata built from LTL formulas via the classic
 //!   GPVW tableau construction (`Gerth, Peled, Vardi, Wolper 1995`),
 //!   degeneralized with a counter construction.
-//! * [`check_graph`] / [`verify`] — automata-theoretic model checking:
-//!   the negated specification is translated to a Büchi automaton, composed
-//!   with the product automaton's label graph, and checked for emptiness
-//!   with a nested depth-first search. Violations come with a **lasso
-//!   counterexample** rendered in the paper's `(p, q, c ∪ a)` trace format.
+//! * [`check_graph_fair`] / [`verify_all_fair`] — automata-theoretic
+//!   model checking under justice assumptions: the negated specification
+//!   is translated to a Büchi automaton (once per process, see
+//!   [`analysis::spec_automaton`]), composed with the product automaton's
+//!   label graph, and checked for emptiness by a Tarjan SCC decomposition.
+//!   Violations come with a **lasso counterexample** rendered in the
+//!   paper's `(p, q, c ∪ a)` trace format; [`check_graph_fair_certified`]
+//!   adds an emptiness certificate to every `Holds`.
+//! * [`analysis::holds_all_fair`] / [`analysis::exists_fair_path`] —
+//!   yes/no universal and existential queries, answered by an on-the-fly
+//!   emptiness search (Couvreur's path-based SCC algorithm) that stops at
+//!   the first fair accepting cycle and builds no lasso.
+//! * [`symbolic`] — the same universal question decided with BDDs.
 //! * [`finite`] — LTL over *finite* traces (LTLf semantics), used for the
 //!   paper's empirical evaluation of simulator rollouts (its Eq. 2).
 //! * [`specs`] — the paper's 15 driving-rule specifications Φ₁..Φ₁₅
@@ -27,7 +35,7 @@
 //!
 //! ```
 //! use autokit::{ActSet, ControllerBuilder, Guard, Product, PropSet, Vocab, WorldModel};
-//! use ltlcheck::{parse, verify, Verdict};
+//! use ltlcheck::{parse, verify_all_fair, Verdict};
 //!
 //! let mut v = Vocab::new();
 //! let green = v.add_prop("green traffic light")?;
@@ -50,8 +58,8 @@
 //!
 //! // ...violates Φ₃ = □(¬green traffic light → ¬go straight).
 //! let phi3 = parse("G(!\"green traffic light\" -> !\"go straight\")", &v)?;
-//! let verdict = verify(&model, &reckless, &phi3);
-//! assert!(matches!(verdict, Verdict::Fails(_)));
+//! let report = verify_all_fair(&model, &reckless, [("phi_3", &phi3)], &[]);
+//! assert!(matches!(report.results[0].verdict, Verdict::Fails(_)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -71,8 +79,8 @@ pub mod symbolic;
 pub use ast::{Atom, Ltl};
 pub use buchi::{Buchi, BuchiState, MAX_CLOSURE};
 pub use mc::{
-    check_graph, check_graph_fair, check_graph_fair_certified, holds_on_lasso, verify, verify_all,
-    verify_all_fair, verify_fair, CertifiedVerdict, CexStep, Counterexample, HoldsCertificate,
-    Justice, NonPropositionalError, SpecResult, Verdict, VerificationReport,
+    check_graph_fair, check_graph_fair_certified, holds_on_lasso, verify_all_fair,
+    CertifiedVerdict, CexStep, Counterexample, HoldsCertificate, Justice, NonPropositionalError,
+    SpecResult, Verdict, VerificationReport,
 };
 pub use parser::{parse, ParseLtlError};

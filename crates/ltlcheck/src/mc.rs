@@ -19,10 +19,7 @@
 
 use crate::analysis::negation_automaton;
 use crate::{Buchi, Ltl};
-use autokit::{
-    ActSet, Controller, DeadlockPolicy, LabelGraph, Product, ProductState, PropSet, Vocab,
-    WorldModel,
-};
+use autokit::{ActSet, Controller, LabelGraph, Product, ProductState, PropSet, Vocab, WorldModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -331,26 +328,19 @@ impl CertifiedVerdict {
     }
 }
 
-/// Checks a state-labeled graph against an LTL formula (no fairness).
-///
-/// Returns [`Verdict::Holds`] iff **every** infinite path of `graph`
-/// starting from an initial node satisfies `phi`.
-pub fn check_graph(graph: &LabelGraph, phi: &Ltl) -> Verdict {
-    check_graph_fair(graph, phi, &[])
-}
-
 /// Checks a state-labeled graph against an LTL formula under justice
 /// assumptions: only paths along which every justice condition holds
-/// infinitely often are considered.
+/// infinitely often are considered. Pass no justice for plain LTL.
 ///
-/// The automaton of `¬phi` comes from the
+/// Returns [`Verdict::Holds`] iff **every** fair infinite path of `graph`
+/// starting from an initial node satisfies `phi`; otherwise the verdict
+/// carries a lasso counterexample. The automaton of `¬phi` comes from the
 /// [`spec_automaton`](crate::analysis::spec_automaton) cache, so checking
 /// the same rule against many graphs translates it once.
 pub fn check_graph_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> Verdict {
-    count_check();
-    match find_fair_lasso(graph, &negation_automaton(phi), justice) {
-        None => Verdict::Holds,
-        Some(cex) => Verdict::Fails(cex),
+    match check_graph_fair_certified(graph, phi, justice) {
+        CertifiedVerdict::Holds(_) => Verdict::Holds,
+        CertifiedVerdict::Fails(cex) => Verdict::Fails(cex),
     }
 }
 
@@ -375,67 +365,20 @@ pub fn check_graph_fair_certified(
     justice: &[Justice],
 ) -> CertifiedVerdict {
     count_check();
-    let buchi = negation_automaton(phi);
-    if buchi.num_states() == 0 {
-        return CertifiedVerdict::Holds(HoldsCertificate {
-            buchi,
-            states: Vec::new(),
-            comp: Vec::new(),
-        });
-    }
-    let ex = explore(graph, &buchi);
-    match find_fair_scc(&ex, graph, &buchi, justice) {
-        Some(target) => CertifiedVerdict::Fails(extract_lasso(&ex, graph, &buchi, justice, target)),
-        None => CertifiedVerdict::Holds(HoldsCertificate {
-            buchi,
-            states: ex.states,
-            comp: ex.comp,
-        }),
-    }
-}
-
-/// Verifies `model ⊗ ctrl ⊨ phi` for all possible initial states, with the
-/// default [`DeadlockPolicy::Stutter`] and no fairness.
-///
-/// This is the paper's Equation 1 — the core feedback primitive of DPO-AF.
-pub fn verify(model: &WorldModel, ctrl: &Controller, phi: &Ltl) -> Verdict {
-    let product = Product::build(model, ctrl);
-    let graph = product.label_graph(DeadlockPolicy::Stutter);
-    check_graph(&graph, phi)
-}
-
-/// Verifies `model ⊗ ctrl ⊨ phi` under justice assumptions.
-pub fn verify_fair(
-    model: &WorldModel,
-    ctrl: &Controller,
-    phi: &Ltl,
-    justice: &[Justice],
-) -> Verdict {
-    let product = Product::build(model, ctrl);
-    let graph = product.label_graph(DeadlockPolicy::Stutter);
-    check_graph_fair(&graph, phi, justice)
-}
-
-/// Verifies a controller against a suite of named specifications, reusing
-/// one product construction.
-pub fn verify_all<'a>(
-    model: &WorldModel,
-    ctrl: &Controller,
-    specs: impl IntoIterator<Item = (&'a str, &'a Ltl)>,
-) -> VerificationReport {
-    verify_all_fair(model, ctrl, specs, &[])
+    lasso_search(graph, negation_automaton(phi), justice)
 }
 
 /// Verifies a controller against a suite of named specifications under
-/// justice assumptions, reusing one product construction.
+/// justice assumptions, reusing one product construction: the paper's
+/// Equation 1, `M ⊗ C ⊨ Φᵢ` for every rule, with a lasso counterexample
+/// per failed rule.
 pub fn verify_all_fair<'a>(
     model: &WorldModel,
     ctrl: &Controller,
     specs: impl IntoIterator<Item = (&'a str, &'a Ltl)>,
     justice: &[Justice],
 ) -> VerificationReport {
-    let product = Product::build(model, ctrl);
-    let graph = product.label_graph(DeadlockPolicy::Stutter);
+    let graph = Product::build(model, ctrl).label_graph();
     let results = specs
         .into_iter()
         .map(|(name, phi)| SpecResult {
@@ -594,20 +537,28 @@ impl Exploration {
     }
 }
 
-/// Searches `graph ⊗ buchi` for a reachable SCC that contains a
-/// Büchi-accepting state and a witness of every justice condition —
-/// generalized Büchi emptiness via SCC decomposition.
-pub(crate) fn find_fair_lasso(
-    graph: &LabelGraph,
-    buchi: &Buchi,
-    justice: &[Justice],
-) -> Option<Counterexample> {
+/// The lasso search behind [`check_graph_fair_certified`]: explores
+/// `graph ⊗ buchi`, looks for a reachable SCC that contains a
+/// Büchi-accepting state and a witness of every justice condition
+/// (generalized Büchi emptiness via SCC decomposition), and returns a
+/// lasso through it, or the explored set as an emptiness certificate.
+fn lasso_search(graph: &LabelGraph, buchi: Arc<Buchi>, justice: &[Justice]) -> CertifiedVerdict {
     if buchi.num_states() == 0 {
-        return None;
+        return CertifiedVerdict::Holds(HoldsCertificate {
+            buchi,
+            states: Vec::new(),
+            comp: Vec::new(),
+        });
     }
-    let ex = explore(graph, buchi);
-    let target = find_fair_scc(&ex, graph, buchi, justice)?;
-    Some(extract_lasso(&ex, graph, buchi, justice, target))
+    let ex = explore(graph, &buchi);
+    match find_fair_scc(&ex, graph, &buchi, justice) {
+        Some(target) => CertifiedVerdict::Fails(extract_lasso(&ex, graph, &buchi, justice, target)),
+        None => CertifiedVerdict::Holds(HoldsCertificate {
+            buchi,
+            states: ex.states,
+            comp: ex.comp,
+        }),
+    }
 }
 
 /// BFS over the label-consistent product pairs, followed by an iterative
@@ -783,9 +734,9 @@ fn find_fair_scc(
 
 /// Generalized Büchi emptiness **on the fly**: `true` iff `graph ⊗ buchi`
 /// has a reachable cycle through a Büchi-accepting state and a witness of
-/// every justice condition — the same question as
-/// `find_fair_lasso(..).is_some()`, answered without building the product
-/// first or producing a lasso. See [`fair_cycle_in`].
+/// every justice condition — the question [`lasso_search`] answers with a
+/// lasso, answered without building the product first or producing a
+/// lasso. See [`fair_cycle_in`].
 pub(crate) fn fair_cycle_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Justice]) -> bool {
     fair_cycle_in(&LabelIndex::new(graph, justice), buchi)
 }
@@ -815,7 +766,7 @@ pub(crate) fn fair_cycle_in(labels: &LabelIndex<'_>, buchi: &Buchi) -> bool {
     // The acceptance mask is one u64: beyond 63 justice conditions, fall
     // back to the full decomposition.
     if justice.len() > 63 {
-        return find_fair_lasso(graph, buchi, justice).is_some();
+        return find_fair_scc(&explore(graph, buchi), graph, buchi, justice).is_some();
     }
     let idx = ProductIndex::new(labels, buchi);
     let full = u64::MAX >> (63 - justice.len());
@@ -1061,7 +1012,7 @@ fn extract_lasso(
 /// `prefix · cycleᵚ` with exact infinite-word semantics.
 ///
 /// Used to confirm counterexamples (every [`Counterexample`] returned by
-/// [`check_graph`] satisfies the *negation* of its specification) and as a
+/// [`check_graph_fair`] satisfies the *negation* of its specification) and as a
 /// ground-truth oracle in the crate's property tests.
 ///
 /// # Panics
@@ -1202,6 +1153,11 @@ mod tests {
             .unwrap()
     }
 
+    /// `model ⊗ ctrl ⊨ phi` under `justice`.
+    fn check(model: &WorldModel, ctrl: &Controller, phi: &Ltl, justice: &[Justice]) -> Verdict {
+        check_graph_fair(&Product::build(model, ctrl).label_graph(), phi, justice)
+    }
+
     fn reckless_controller(v: &Vocab) -> Controller {
         let go = v.act("go").unwrap();
         ControllerBuilder::new("reckless", 1)
@@ -1215,14 +1171,14 @@ mod tests {
     fn good_controller_satisfies_safety() {
         let (v, model) = setup();
         let phi = parse("G(!green -> !go)", &v).unwrap();
-        assert!(verify(&model, &good_controller(&v), &phi).holds());
+        assert!(check(&model, &good_controller(&v), &phi, &[]).holds());
     }
 
     #[test]
     fn reckless_controller_violates_safety_with_witness() {
         let (v, model) = setup();
         let phi = parse("G(!green -> !go)", &v).unwrap();
-        let verdict = verify(&model, &reckless_controller(&v), &phi);
+        let verdict = check(&model, &reckless_controller(&v), &phi, &[]);
         let Verdict::Fails(cex) = verdict else {
             panic!("expected violation");
         };
@@ -1250,7 +1206,7 @@ mod tests {
         let (v, model) = setup();
         // Whenever green occurs, the controller eventually goes.
         let phi = parse("G(green -> go)", &v).unwrap();
-        assert!(verify(&model, &good_controller(&v), &phi).holds());
+        assert!(check(&model, &good_controller(&v), &phi, &[]).holds());
     }
 
     #[test]
@@ -1263,7 +1219,7 @@ mod tests {
             .build()
             .unwrap();
         let phi = parse("F go", &v).unwrap();
-        assert!(!verify(&model, &idle, &phi).holds());
+        assert!(!check(&model, &idle, &phi, &[]).holds());
     }
 
     #[test]
@@ -1296,10 +1252,10 @@ mod tests {
         // Without fairness, the adversary keeps the light red forever and
         // `F go` fails.
         let phi = parse("F go", &v).unwrap();
-        assert!(!verify(&model, &waiter, &phi).holds());
+        assert!(!check(&model, &waiter, &phi, &[]).holds());
         // Under "the light is green infinitely often", it holds.
         let justice = [Justice::new("green io", parse("green", &v).unwrap()).unwrap()];
-        assert!(verify_fair(&model, &waiter, &phi, &justice).holds());
+        assert!(check(&model, &waiter, &phi, &justice).holds());
     }
 
     #[test]
@@ -1309,7 +1265,7 @@ mod tests {
         // Violated even under fairness (safety violation).
         let phi = parse("G(!green -> !go)", &v).unwrap();
         let justice = [Justice::new("green io", parse("green", &v).unwrap()).unwrap()];
-        let Verdict::Fails(cex) = verify_fair(&model, &ctrl, &phi, &justice) else {
+        let Verdict::Fails(cex) = check(&model, &ctrl, &phi, &justice) else {
             panic!("expected violation");
         };
         // The cycle must contain a step where the justice condition holds.
@@ -1330,7 +1286,7 @@ mod tests {
         let phi = parse("false", &v).unwrap();
         // `green & ped` never holds in this model.
         let justice = [Justice::new("impossible", parse("green & ped", &v).unwrap()).unwrap()];
-        assert!(verify_fair(&model, &ctrl, &phi, &justice).holds());
+        assert!(check(&model, &ctrl, &phi, &justice).holds());
     }
 
     #[test]
@@ -1339,10 +1295,11 @@ mod tests {
         let safe = parse("G(!green -> !go)", &v).unwrap();
         let live = parse("G F (go | stop)", &v).unwrap();
         let wrong = parse("G go", &v).unwrap();
-        let report = verify_all(
+        let report = verify_all_fair(
             &model,
             &good_controller(&v),
             [("safe", &safe), ("live", &live), ("wrong", &wrong)],
+            &[],
         );
         assert_eq!(report.num_satisfied(), 2);
         assert_eq!(report.failed(), vec!["wrong"]);
@@ -1368,7 +1325,7 @@ mod tests {
         let phi = parse("G(!green -> !go)", &v).unwrap();
         for ctrl in [good_controller(&v), reckless_controller(&v)] {
             let product = autokit::Product::build(&model, &ctrl);
-            let graph = product.label_graph(autokit::DeadlockPolicy::Stutter);
+            let graph = product.label_graph();
             let plain = check_graph_fair(&graph, &phi, &[]);
             let certified = check_graph_fair_certified(&graph, &phi, &[]);
             assert_eq!(plain.holds(), certified.holds());
@@ -1505,9 +1462,9 @@ mod tests {
     /// `fair_cycle_exists` and the lasso search agree on one query, and
     /// the common answer is `expected`.
     fn assert_emptiness(graph: &LabelGraph, justice: &[Justice], expected: bool) {
-        let buchi = Buchi::from_ltl(&Ltl::True);
+        let buchi = Arc::new(Buchi::from_ltl(&Ltl::True));
         assert_eq!(fair_cycle_exists(graph, &buchi, justice), expected);
-        assert_eq!(find_fair_lasso(graph, &buchi, justice).is_some(), expected);
+        assert_eq!(!lasso_search(graph, buchi, justice).holds(), expected);
     }
 
     fn green_and_ped_io() -> Vec<Justice> {
@@ -1662,7 +1619,7 @@ mod tests {
                 initial: vec![0],
             };
             let expected = holds_on_lasso(&phi, &prefix, &cycle);
-            let got = check_graph(&graph, &phi).holds();
+            let got = check_graph_fair(&graph, &phi, &[]).holds();
             prop_assert_eq!(got, expected, "phi = {:?}", phi);
         }
 
@@ -1672,7 +1629,7 @@ mod tests {
         fn counterexamples_are_sound(phi in arb_ltl()) {
             let (v, model) = setup();
             let ctrl = reckless_controller(&v);
-            if let Verdict::Fails(cex) = verify(&model, &ctrl, &phi) {
+            if let Verdict::Fails(cex) = check(&model, &ctrl, &phi, &[]) {
                 prop_assert!(!cex.cycle.is_empty());
                 let neg = Ltl::not(phi);
                 prop_assert!(holds_on_lasso(&neg, &cex.stem_labels(), &cex.cycle_labels()));
@@ -1689,7 +1646,7 @@ mod tests {
                 Justice::new("green io", parse("green", &v).unwrap()).unwrap(),
                 Justice::new("red io", parse("!green", &v).unwrap()).unwrap(),
             ];
-            if let Verdict::Fails(cex) = verify_fair(&model, &ctrl, &phi, &justice) {
+            if let Verdict::Fails(cex) = check(&model, &ctrl, &phi, &justice) {
                 prop_assert!(!cex.cycle.is_empty());
                 for j in &justice {
                     prop_assert!(
@@ -1742,10 +1699,10 @@ mod tests {
                 .enumerate()
                 .map(|(j, c)| Justice::new(format!("j{j}"), c).unwrap())
                 .collect();
-            let buchi = Buchi::from_ltl(&phi);
+            let buchi = Arc::new(Buchi::from_ltl(&phi));
             prop_assert_eq!(
                 fair_cycle_exists(&graph, &buchi, &justice),
-                find_fair_lasso(&graph, &buchi, &justice).is_some(),
+                !lasso_search(&graph, Arc::clone(&buchi), &justice).holds(),
                 "phi = {:?}",
                 phi
             );

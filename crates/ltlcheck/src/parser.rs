@@ -19,6 +19,12 @@ impl fmt::Display for ParseLtlError {
 
 impl std::error::Error for ParseLtlError {}
 
+/// Deepest operator/parenthesis nesting [`parse`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input (a million
+/// `!`s) an error instead of a stack overflow; real rules nest a few
+/// levels.
+const MAX_NESTING: usize = 256;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Atom(String),
@@ -185,6 +191,8 @@ struct Parser<'v> {
     pos: usize,
     vocab: &'v Vocab,
     input_len: usize,
+    /// Current nesting level, at most [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'v> Parser<'v> {
@@ -212,6 +220,20 @@ impl<'v> Parser<'v> {
             message: message.into(),
             position: self.here(),
         }
+    }
+
+    /// Runs `rule` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Ltl, ParseLtlError>,
+    ) -> Result<Ltl, ParseLtlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("formula nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = rule(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn expect(&mut self, tok: Tok, what: &str) -> Result<(), ParseLtlError> {
@@ -245,7 +267,7 @@ impl<'v> Parser<'v> {
         let lhs = self.parse_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Self::parse_implies)?;
             Ok(Ltl::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -277,12 +299,12 @@ impl<'v> Parser<'v> {
         match self.peek() {
             Some(Tok::Until) => {
                 self.pos += 1;
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(Ltl::until(lhs, rhs))
             }
             Some(Tok::Release) => {
                 self.pos += 1;
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(Ltl::release(lhs, rhs))
             }
             _ => Ok(lhs),
@@ -293,19 +315,19 @@ impl<'v> Parser<'v> {
         match self.peek() {
             Some(Tok::Not) => {
                 self.pos += 1;
-                Ok(Ltl::not(self.parse_unary()?))
+                Ok(Ltl::not(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Next) => {
                 self.pos += 1;
-                Ok(Ltl::next(self.parse_unary()?))
+                Ok(Ltl::next(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Finally) => {
                 self.pos += 1;
-                Ok(Ltl::eventually(self.parse_unary()?))
+                Ok(Ltl::eventually(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Globally) => {
                 self.pos += 1;
-                Ok(Ltl::always(self.parse_unary()?))
+                Ok(Ltl::always(self.nested(Self::parse_unary)?))
             }
             _ => self.parse_primary(),
         }
@@ -318,7 +340,7 @@ impl<'v> Parser<'v> {
             Some(Tok::False) => Ok(Ltl::False),
             Some(Tok::Atom(name)) => self.resolve_atom(&name, pos),
             Some(Tok::LParen) => {
-                let inner = self.parse_iff()?;
+                let inner = self.nested(Self::parse_iff)?;
                 self.expect(Tok::RParen, "closing `)`")?;
                 Ok(inner)
             }
@@ -360,8 +382,9 @@ impl<'v> Parser<'v> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseLtlError`] on malformed syntax or when an atom is not
-/// found in `vocab`.
+/// Returns [`ParseLtlError`] on malformed syntax, when an atom is not
+/// found in `vocab`, or when operators and parentheses nest deeper than
+/// 256 levels.
 ///
 /// # Example
 ///
@@ -384,6 +407,7 @@ pub fn parse(input: &str, vocab: &Vocab) -> Result<Ltl, ParseLtlError> {
         pos: 0,
         vocab,
         input_len: input.len(),
+        depth: 0,
     };
     let formula = parser.parse_iff()?;
     if parser.pos != parser.tokens.len() {
@@ -496,6 +520,27 @@ mod tests {
         assert!(err.message.contains("trailing"));
         let err = parse("\"oops", &v).unwrap_err();
         assert!(err.message.contains("unterminated"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let v = vocab();
+        let deep = 100_000;
+        for src in [
+            format!("{}a", "!".repeat(deep)),
+            format!("{}a{}", "(".repeat(deep), ")".repeat(deep)),
+            format!("{}a", "a U ".repeat(deep)),
+            format!("{}a", "a -> ".repeat(deep)),
+        ] {
+            let err = parse(&src, &v).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{}", err.message);
+        }
+        // The bound itself still parses, one level more does not.
+        let a = Ltl::prop(v.prop("a").unwrap());
+        let bound = format!("{}a{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert_eq!(parse(&bound, &v).unwrap(), a);
+        assert!(parse(&format!("{}a", "!".repeat(MAX_NESTING)), &v).is_ok());
+        assert!(parse(&format!("{}a", "!".repeat(MAX_NESTING + 1)), &v).is_err());
     }
 
     #[test]

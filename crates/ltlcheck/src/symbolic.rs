@@ -37,7 +37,8 @@
 //! backend returns a yes/no verdict; for counterexample lassos use the
 //! explicit checker.
 
-use crate::{Buchi, Justice, Ltl};
+use crate::analysis::negation_automaton;
+use crate::{Justice, Ltl};
 use autokit::LabelGraph;
 use bdd::{BddManager, Ref};
 use std::collections::HashMap;
@@ -103,17 +104,7 @@ pub struct SymbolicStats {
 /// Symbolic analogue of [`crate::check_graph_fair`]: returns `true` iff
 /// every justice-fair infinite path of `graph` satisfies `phi`.
 pub fn check_graph_fair_symbolic(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    check_with_stats(graph, phi, justice).0
-}
-
-/// [`check_graph_fair_symbolic`] with statistics, under the default
-/// configuration.
-pub fn check_with_stats(
-    graph: &LabelGraph,
-    phi: &Ltl,
-    justice: &[Justice],
-) -> (bool, SymbolicStats) {
-    check_with_config(graph, phi, justice, SymbolicConfig::default())
+    check_with_config(graph, phi, justice, SymbolicConfig::default()).0
 }
 
 /// Bit positions of one product component within the state word.
@@ -315,14 +306,17 @@ impl Relation {
 /// [`check_graph_fair_symbolic`] with statistics, under an explicit
 /// [`SymbolicConfig`]. Every configuration decides the same property;
 /// the proptests below pin the equivalences.
+///
+/// The automaton of `¬phi` comes from the same
+/// [`spec_automaton`](crate::analysis::spec_automaton) cache the explicit
+/// checker uses, so both backends search one translation.
 pub fn check_with_config(
     graph: &LabelGraph,
     phi: &Ltl,
     justice: &[Justice],
     config: SymbolicConfig,
 ) -> (bool, SymbolicStats) {
-    let neg = Ltl::not(phi.clone());
-    let buchi = Buchi::from_ltl(&neg);
+    let buchi = negation_automaton(phi);
     let ng = graph.num_nodes();
     let nb = buchi.num_states();
     if ng == 0 || nb == 0 || graph.initial.is_empty() {
@@ -708,7 +702,7 @@ mod tests {
         let a = v.prop("a").unwrap();
         let graph = lasso_graph(&[], &[(PropSet::singleton(a), ActSet::empty())]);
         let phi = parse("G a", &v).unwrap();
-        let (holds, stats) = check_with_stats(&graph, &phi, &[]);
+        let (holds, stats) = check_with_config(&graph, &phi, &[], SymbolicConfig::default());
         assert!(holds);
         assert!(stats.state_bits >= 2);
         assert!(stats.bdd_nodes > 2);

@@ -182,16 +182,23 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a bound keeps hostile input (a million `[`s) an
+/// error instead of a stack overflow; reports nest a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] with the offending byte offset on malformed
-/// input or trailing garbage.
+/// input, trailing garbage, or arrays/objects nested deeper than 128
+/// levels.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -205,6 +212,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Current array/object nesting, at most [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,12 +258,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `container` one nesting level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = container(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -425,6 +449,23 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        for doc in [
+            format!("{}{}", "[".repeat(deep), "]".repeat(deep)),
+            format!("{}1{}", "{\"a\":".repeat(deep), "}".repeat(deep)),
+        ] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.msg.contains("nested deeper"), "{}", err.msg);
+        }
+        // The bound itself still parses, one level more does not.
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past).is_err());
     }
 
     #[test]

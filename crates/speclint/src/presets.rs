@@ -11,8 +11,7 @@ use crate::semantic::{CorpusController, SemanticInput, SemanticWorld};
 use crate::{ControllerInput, LintInput, StepListInput};
 use autokit::presets::DrivingDomain;
 use autokit::{
-    ActSet, Controller, ControllerBuilder, DeadlockPolicy, Guard, LabelGraph, Product, PropSet,
-    Vocab, WorldModel,
+    ActSet, Controller, ControllerBuilder, Guard, LabelGraph, Product, PropSet, Vocab, WorldModel,
 };
 use drivesim::formal::scenario_justice;
 use drivesim::ScenarioKind;
@@ -91,7 +90,7 @@ pub fn free_controller(name: &str, acts: &[ActSet]) -> Controller {
 }
 
 fn graph_under(model: &WorldModel, free: &Controller) -> LabelGraph {
-    Product::build(model, free).label_graph(DeadlockPolicy::Stutter)
+    Product::build(model, free).label_graph()
 }
 
 fn labels_of(model: &WorldModel) -> Vec<PropSet> {

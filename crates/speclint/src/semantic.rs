@@ -35,7 +35,7 @@
 //! All checks reduce to existential or universal model checking through
 //! [`ltlcheck::analysis`]'s cached spec-automaton API
 //! ([`ltlcheck::analysis::exists_fair_path`] /
-//! [`ltlcheck::analysis::holds_fair`]), so sweeping one rule book over
+//! [`ltlcheck::analysis::holds_all_fair`]), so sweeping one rule book over
 //! five scenario worlds builds each automaton once. Per-rule wall time is
 //! tracked ([`RuleTiming`]) because semantic analysis is inherently more
 //! expensive than linting — the `specsem` bench reports the numbers.
@@ -47,11 +47,9 @@
 
 use crate::diagnostics::{Diagnostic, LintCode};
 use crate::spec::PAIRWISE_SIZE_BUDGET;
-use autokit::{
-    ActSet, Controller, DeadlockPolicy, LabelGraph, Product, PropSet, Vocab, WorldModel,
-};
+use autokit::{ActSet, Controller, LabelGraph, Product, PropSet, Vocab, WorldModel};
 use ltlcheck::analysis::{
-    eval_propositional, exists_fair_path, holds_fair, reachable_labels, satisfiable,
+    eval_propositional, exists_fair_path, holds_all_fair, reachable_labels, satisfiable,
 };
 use ltlcheck::specs::Spec;
 use ltlcheck::{Justice, Ltl};
@@ -81,7 +79,7 @@ impl SemanticWorld {
     ) -> SemanticWorld {
         SemanticWorld {
             name: name.into(),
-            graph: Product::build(model, free).label_graph(DeadlockPolicy::Stutter),
+            graph: Product::build(model, free).label_graph(),
             justice,
         }
     }
@@ -114,7 +112,7 @@ impl CorpusController {
         CorpusController {
             name: name.into(),
             world: world.into(),
-            graph: Product::build(model, ctrl).label_graph(DeadlockPolicy::Stutter),
+            graph: Product::build(model, ctrl).label_graph(),
             justice,
         }
     }
@@ -281,7 +279,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                     continue;
                 }
                 checks += 1;
-                if !holds_fair(&world.graph, &spec.formula, &world.justice) {
+                if !holds_all_fair(&world.graph, [&spec.formula], &world.justice)[0] {
                     discriminates_somewhere = true;
                     continue;
                 }
@@ -468,7 +466,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
             let mut satisfied = 0usize;
             for entry in &input.corpus {
                 checks += 1;
-                if holds_fair(&entry.graph, &spec.formula, &entry.justice) {
+                if holds_all_fair(&entry.graph, [&spec.formula], &entry.justice)[0] {
                     satisfied += 1;
                 }
             }

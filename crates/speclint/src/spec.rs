@@ -187,7 +187,7 @@ pub fn lint_specs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autokit::{ActSet, ControllerBuilder, DeadlockPolicy, Guard, Product, PropSet, WorldModel};
+    use autokit::{ActSet, ControllerBuilder, Guard, Product, PropSet, WorldModel};
     use ltlcheck::parse;
 
     fn vocab() -> Vocab {
@@ -256,7 +256,7 @@ mod tests {
             .transition(0, Guard::always(), ActSet::singleton(go), 0)
             .build()
             .expect("well-formed");
-        Product::build(&model, &ctrl).label_graph(DeadlockPolicy::Stutter)
+        Product::build(&model, &ctrl).label_graph()
     }
 
     #[test]

@@ -500,8 +500,7 @@ mod tests {
         )
         .unwrap();
         let ctrl = glm2fsa::with_default_action(&ctrl, d.wait);
-        let graph =
-            autokit::Product::build(&model, &ctrl).label_graph(autokit::DeadlockPolicy::Stutter);
+        let graph = autokit::Product::build(&model, &ctrl).label_graph();
         let justice = warehouse_justice(&d);
         for spec in warehouse_specs(&d) {
             let explicit = ltlcheck::check_graph_fair(&graph, &spec.formula, &justice).holds();

@@ -1,7 +1,7 @@
 //! The warehouse rule book and automated feedback.
 
 use crate::domain::{WarehouseDomain, WarehouseTask};
-use autokit::{ActSet, DeadlockPolicy, Product};
+use autokit::{ActSet, Product};
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
 use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::Spec;
@@ -109,7 +109,7 @@ pub fn score_warehouse_response(d: &WarehouseDomain, task: &WarehouseTask, text:
         return 0;
     };
     let ctrl = with_default_action(&ctrl, d.wait);
-    let graph = Product::build(&d.floor_model(), &ctrl).label_graph(DeadlockPolicy::Stutter);
+    let graph = Product::build(&d.floor_model(), &ctrl).label_graph();
     let specs = warehouse_specs(d);
     holds_all_fair(
         &graph,

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use autokit::{ActSet, ControllerBuilder, Guard, PropSet, Vocab, WorldModel};
-use ltlcheck::{parse, verify, Verdict};
+use autokit::{ActSet, ControllerBuilder, Guard, Product, PropSet, Vocab, WorldModel};
+use ltlcheck::{check_graph_fair, parse, Verdict};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A vocabulary: what the vehicle can observe and do.
@@ -65,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rule = parse("G(\"go straight\" -> !\"pedestrian in front\")", &vocab)?;
 
     for ctrl in [&careful, &hasty] {
-        match verify(&model, ctrl, &rule) {
+        let graph = Product::build(&model, ctrl).label_graph();
+        match check_graph_fair(&graph, &rule, &[]) {
             Verdict::Holds => println!("{}: rule holds", ctrl.name()),
             Verdict::Fails(cex) => {
                 println!("{}: rule VIOLATED. Counterexample:", ctrl.name());

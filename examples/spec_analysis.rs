@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example spec_analysis`
 
-use autokit::{presets::DrivingDomain, ActSet, ControllerBuilder, DeadlockPolicy, Guard, Product};
+use autokit::{presets::DrivingDomain, ActSet, ControllerBuilder, Guard, Product};
 use ltlcheck::analysis::{equivalent, satisfiable, vacuous_pass, Vacuity};
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{parse, Ltl};
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let free = builder.build()?;
     let model = d.wide_median_model();
-    let graph = Product::build(&model, &free).label_graph(DeadlockPolicy::Stutter);
+    let graph = Product::build(&model, &free).label_graph();
     for s in &specs {
         match vacuous_pass(&graph, &s.formula) {
             Some(Vacuity::UnreachableAntecedent(ant)) => println!(

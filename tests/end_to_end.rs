@@ -51,7 +51,7 @@ fn pipeline_is_deterministic_per_seed() {
 
 #[test]
 fn preference_collection_orders_by_verification_score() {
-    use dpo_af::feedback::score_tokens;
+    use dpo_af::feedback::score_response;
     let pipeline = DpoAf::new(PipelineConfig::smoke());
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
     let lm = pipeline.pretrained_lm(&mut rng);
@@ -59,8 +59,9 @@ fn preference_collection_orders_by_verification_score() {
     // Every pair's winner genuinely outscores its loser under re-scoring.
     for pair in &dataset.pairs {
         let task = &pipeline.bundle.tasks[pair.task];
-        let w = score_tokens(&pipeline.bundle, task, &pair.winner).num_satisfied;
-        let l = score_tokens(&pipeline.bundle, task, &pair.loser).num_satisfied;
+        let bundle = &pipeline.bundle;
+        let w = score_response(bundle, task, &bundle.decode(&pair.winner)).num_satisfied;
+        let l = score_response(bundle, task, &bundle.decode(&pair.loser)).num_satisfied;
         assert!(w > l, "task {}: winner {w} !> loser {l}", pair.task);
     }
 }
