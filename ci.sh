@@ -15,7 +15,8 @@
 # (allocation tracking on) validated against the obskit.bench.v2 report
 # schema (metrics_check), byte-equality gates proving the performance
 # and gating knobs (--threads, semantic pre-flight, allocation tracking)
-# never change artifacts, the kernel gate (fast-math tolerance envelope
+# never change artifacts, a digest gate pinning the fast headline
+# artifacts across commits, the kernel gate (fast-math tolerance envelope
 # over real sequence graphs), and a noise-aware perf-regression gate
 # (bench_diff) that diffs a fresh fast headline run against the
 # committed baseline under results/PERF_BUDGETS.json — including a
@@ -125,6 +126,13 @@ echo "==> parallel determinism gate (headline artifacts, --threads 1 vs 2, alloc
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --artifacts-out "$smoke_art1" > /dev/null
 cmp "$smoke_art1" "$smoke_art2"
+
+# The cmp above compares two runs of one build, so it cannot see the
+# artifact format or the science drift between commits. Pin the bytes to
+# a committed digest. A change that alters the artifacts on purpose
+# re-records results/headline_fast_artifacts.sha256 and says why.
+echo "==> artifact digest gate (fast headline artifacts match the committed sha256)"
+sha256sum -c results/headline_fast_artifacts.sha256 < "$smoke_art1"
 
 echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
 smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"

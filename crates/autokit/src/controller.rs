@@ -1,5 +1,4 @@
 use crate::{ActSet, AutokitError, PropSet, Result};
-use serde::{Deserialize, Serialize};
 
 /// Index of a state in a [`Controller`].
 pub type CtrlState = usize;
@@ -25,7 +24,7 @@ pub type CtrlState = usize;
 /// assert!(!guard.matches(PropSet::singleton(car).with(ped)));
 /// # Ok::<(), autokit::AutokitError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Guard {
     /// Propositions that must hold.
     pub pos: PropSet,
@@ -96,7 +95,7 @@ impl Guard {
 
 /// One controller transition `δ(q, σ, a, q') = 1`, with the symbol
 /// component factored as a [`Guard`] over `2^P`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlTransition {
     /// Source state.
     pub from: CtrlState,
@@ -118,7 +117,7 @@ pub struct CtrlTransition {
 ///
 /// Controllers are usually constructed from natural-language step lists by
 /// the `glm2fsa` crate, but can be built manually via [`ControllerBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Controller {
     name: String,
     num_states: usize,

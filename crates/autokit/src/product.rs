@@ -1,10 +1,9 @@
 use crate::{ActSet, Controller, CtrlState, ModelState, PropSet, WorldModel};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A product-automaton state `(p, q) ∈ Q_M × Q` — a world-model state
 /// paired with a controller state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProductState {
     /// The world-model component `p`.
     pub model: ModelState,
@@ -14,7 +13,7 @@ pub struct ProductState {
 
 /// A labeled product transition: `(p, q) → (p', q')` emitting
 /// `ψ = λ_M(p) ∪ a ∈ 2^{P ∪ P_A}` (paper, Appendix A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProductEdge {
     /// Index of the source state in [`Product::states`].
     pub from: usize,
@@ -58,7 +57,7 @@ pub struct ProductEdge {
 /// assert_eq!(product.num_edges(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Product {
     states: Vec<ProductState>,
     /// `obs[s] = λ_M(p)` for `states[s] = (p, q)`.
@@ -256,7 +255,7 @@ impl Product {
 
 /// A state-labeled graph over `2^{P ∪ P_A}`, the direct input to LTL model
 /// checking. Produced by [`Product::label_graph`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelGraph {
     /// Node labels `ψ_i = (σ_i, a_i)`.
     pub labels: Vec<(PropSet, ActSet)>,

@@ -1,14 +1,11 @@
 use crate::vocab::{ActId, PropId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Not, Sub};
 
 macro_rules! bitset_type {
     ($(#[$meta:meta])* $name:ident, $id:ty, $ctor:expr) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
         pub struct $name(u32);
 
         impl $name {

@@ -1,12 +1,11 @@
 use crate::{ActSet, PropSet, Vocab};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One step of an execution: the observed symbol and the emitted action.
 ///
 /// A step is an element of `2^P × 2^{P_A}` — the alphabet of the grounding
 /// function `G(C, S)` in the paper's Section 4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Step {
     /// Environment observation `σ ∈ 2^P`.
     pub props: PropSet,
@@ -26,7 +25,7 @@ impl Step {
 /// Traces are produced by the `drivesim` grounding function and consumed by
 /// the finite-trace (LTLf) monitor in `ltlcheck` to compute the empirical
 /// satisfaction rates `P_Φ` of the paper's Section 4.2.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     steps: Vec<Step>,
 }

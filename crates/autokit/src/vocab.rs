@@ -1,5 +1,4 @@
 use crate::{ActSet, AutokitError, PropSet, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -17,13 +16,13 @@ pub const MAX_ACTS: usize = 32;
 ///
 /// Propositions describe environment observations, e.g. `green traffic
 /// light` or `pedestrian at right` in the paper's driving domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PropId(pub(crate) u8);
 
 /// Identifier of an action proposition in a [`Vocab`].
 ///
 /// Actions are the controller's outputs, e.g. `stop` or `turn right`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActId(pub(crate) u8);
 
 impl PropId {
@@ -61,13 +60,11 @@ impl ActId {
 /// assert_eq!(vocab.act_name(stop), "stop");
 /// # Ok::<(), autokit::AutokitError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Vocab {
     props: Vec<String>,
     acts: Vec<String>,
-    #[serde(skip)]
     prop_index: HashMap<String, PropId>,
-    #[serde(skip)]
     act_index: HashMap<String, ActId>,
 }
 
@@ -218,25 +215,6 @@ impl Vocab {
             names.join(" ∧ ")
         }
     }
-
-    /// Rebuilds the name→id indices after deserialization.
-    ///
-    /// `serde` skips the lookup maps; call this after deserializing a
-    /// `Vocab` if you need name lookups again.
-    pub fn rebuild_index(&mut self) {
-        self.prop_index = self
-            .props
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), PropId(i as u8)))
-            .collect();
-        self.act_index = self
-            .acts
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), ActId(i as u8)))
-            .collect();
-    }
 }
 
 impl fmt::Display for Vocab {
@@ -324,17 +302,5 @@ mod tests {
         assert_eq!(v.display_props(PropSet::empty()), "∅");
         assert_eq!(v.display_acts(ActSet::empty().with(s)), "stop");
         assert_eq!(v.display_acts(ActSet::empty()), "ε");
-    }
-
-    #[test]
-    fn serde_roundtrip_with_index_rebuild() {
-        let mut v = Vocab::new();
-        v.add_prop("green").unwrap();
-        v.add_act("stop").unwrap();
-        let json = serde_json::to_string(&v).unwrap();
-        let mut back: Vocab = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(back.prop("green").unwrap(), v.prop("green").unwrap());
-        assert_eq!(back.act("stop").unwrap(), v.act("stop").unwrap());
     }
 }

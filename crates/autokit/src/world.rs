@@ -1,5 +1,4 @@
 use crate::{PropSet, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// Index of a state in a [`WorldModel`].
 pub type ModelState = usize;
@@ -14,7 +13,7 @@ pub type ModelState = usize;
 /// Construct models either state-by-state with [`WorldModel::new`] /
 /// [`WorldModel::add_state`] / [`WorldModel::add_transition`], or with the
 /// paper's Algorithm 1 via [`WorldModelBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldModel {
     /// Human-readable model name (used in DOT export and reports).
     name: String,

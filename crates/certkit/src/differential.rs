@@ -9,13 +9,13 @@
 //! minimal reproducer (greedy delta-debugging over graph nodes, edges
 //! and formula subterms), and serializes the reproducer as JSON.
 
-use autokit::LabelGraph;
+use autokit::{ActSet, LabelGraph, ProductState, PropSet, Vocab, MAX_ACTS, MAX_PROPS};
 use ltlcheck::symbolic::check_graph_fair_symbolic;
-use ltlcheck::{check_graph_fair, Justice, Ltl};
-use serde::{Deserialize, Serialize};
+use ltlcheck::{check_graph_fair, parse, Justice, Ltl};
+use obskit::json::{DecodeError, FromJson, ToJson, Value};
 
 /// A case where the two backends returned different verdicts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Disagreement {
     /// The graph both backends checked.
     pub graph: LabelGraph,
@@ -174,22 +174,109 @@ fn binary_shrinks(out: &mut Vec<Ltl>, l: &Ltl, r: &Ltl, rebuild: impl Fn(Ltl, Lt
 }
 
 /// Serializes a disagreement as pretty-printed JSON, ready to be dumped
-/// to a repro file.
+/// to a repro file; [`Disagreement::from_json`] reads it back.
 ///
-/// # Errors
-///
-/// Returns the underlying serialization error, which for this plain data
-/// type indicates a serializer bug.
-pub fn repro_json(dis: &Disagreement) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(dis)
+/// The graph is `{"labels": [[prop_bits, act_bits], ..], "origin":
+/// [[model, ctrl], ..], "succs": [[..], ..], "initial": [..]}`. The
+/// formula is LTL text over the id vocabulary: proposition `i` is named
+/// `p<i>` and action `i` is `a<i>`.
+pub fn repro_json(dis: &Disagreement) -> String {
+    dis.to_json().to_json_pretty()
+}
+
+/// The vocabulary repro formulas are written in: every id a label set
+/// can hold, named by its index.
+fn id_vocab() -> Vocab {
+    let mut vocab = Vocab::new();
+    for i in 0..MAX_PROPS {
+        vocab.add_prop(&format!("p{i}")).ok();
+    }
+    for i in 0..MAX_ACTS {
+        vocab.add_act(&format!("a{i}")).ok();
+    }
+    vocab
+}
+
+impl ToJson for Disagreement {
+    fn to_json(&self) -> Value {
+        let g = &self.graph;
+        let labels: Vec<Vec<u32>> = g
+            .labels
+            .iter()
+            .map(|(p, a)| vec![p.bits(), a.bits()])
+            .collect();
+        let origin: Vec<Vec<usize>> = g.origin.iter().map(|s| vec![s.model, s.ctrl]).collect();
+        let graph = Value::obj([
+            ("labels", labels.to_json()),
+            ("origin", origin.to_json()),
+            ("succs", g.succs.to_json()),
+            ("initial", g.initial.to_json()),
+        ]);
+        Value::obj([
+            ("graph", graph),
+            ("phi", Value::Str(self.phi.to_string(&id_vocab()))),
+            ("justice_names", self.justice_names.to_json()),
+            ("explicit_holds", self.explicit_holds.to_json()),
+            ("symbolic_holds", self.symbolic_holds.to_json()),
+        ])
+    }
+}
+
+/// Rejects a graph whose node lists disagree in length or whose edges
+/// and initial nodes point past the last node, so a loaded repro is safe
+/// to hand to either backend.
+impl FromJson for Disagreement {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        let g = v.field("graph")?;
+        let graph = LabelGraph {
+            labels: pairs(g, "labels")?
+                .into_iter()
+                .map(|(p, a)| (PropSet::from_bits(p), ActSet::from_bits(a)))
+                .collect(),
+            origin: pairs(g, "origin")?
+                .into_iter()
+                .map(|(model, ctrl)| ProductState { model, ctrl })
+                .collect(),
+            succs: g.field_as("succs")?,
+            initial: g.field_as("initial")?,
+        };
+        let n = graph.num_nodes();
+        if graph.origin.len() != n || graph.succs.len() != n {
+            return Err(DecodeError("graph: node lists differ in length".to_owned()));
+        }
+        let nodes = graph.succs.iter().flatten().chain(&graph.initial);
+        if let Some(bad) = nodes.copied().find(|&i| i >= n) {
+            return Err(DecodeError(format!("graph: node {bad} of {n}")));
+        }
+        let text: String = v.field_as("phi")?;
+        let phi = parse(&text, &id_vocab()).map_err(|e| DecodeError(format!("phi: {e}")))?;
+        Ok(Disagreement {
+            graph,
+            phi,
+            justice_names: v.field_as("justice_names")?,
+            explicit_holds: v.field_as("explicit_holds")?,
+            symbolic_holds: v.field_as("symbolic_holds")?,
+        })
+    }
+}
+
+/// The field `key` of `v` as a list of two-element arrays.
+fn pairs<T: FromJson + Copy>(v: &Value, key: &str) -> Result<Vec<(T, T)>, DecodeError> {
+    let lists: Vec<Vec<T>> = v.field_as(key)?;
+    lists
+        .into_iter()
+        .map(|pair| match pair[..] {
+            [a, b] => Ok((a, b)),
+            _ => Err(DecodeError(format!("{key}: expected pairs"))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)] // ALLOW: test-only panics are the assertion mechanism.
     use super::*;
-    use autokit::{ActSet, ProductState, PropSet, Vocab};
-    use ltlcheck::parse;
+    use proptest::prelude::*;
 
     fn vocab() -> Vocab {
         let mut v = Vocab::new();
@@ -249,17 +336,70 @@ mod tests {
     #[test]
     fn repro_round_trips_through_json() {
         let v = vocab();
-        let dis = Disagreement {
+        let mut dis = Disagreement {
             graph: two_state_graph(&v),
             phi: parse("G F a", &v).unwrap(),
             justice_names: vec!["a io".to_owned()],
             explicit_holds: true,
             symbolic_holds: false,
         };
-        let json = repro_json(&dis).unwrap();
-        let back: Disagreement = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.graph, dis.graph);
-        assert_eq!(back.phi, dis.phi);
-        assert_eq!(back.justice_names, dis.justice_names);
+        let json = repro_json(&dis);
+        let back = Disagreement::from_json(&obskit::json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back, dis);
+        // A repro that points past its last node is rejected, not loaded.
+        dis.graph.succs[1].push(2);
+        let parsed = obskit::json::parse(&repro_json(&dis)).unwrap();
+        assert!(Disagreement::from_json(&parsed).is_err());
+    }
+
+    /// Text over quotes, backslashes, control characters and non-ASCII
+    /// letters, to exercise the string escapes.
+    const TEXT: &str = "[az \"\\\n\u{1}ü]{0,8}";
+
+    /// Formulas up to depth 3 over every proposition and action id.
+    fn arb_ltl() -> impl Strategy<Value = Ltl> {
+        let v = id_vocab();
+        let props: Vec<Ltl> = v.props().map(Ltl::prop).collect();
+        let acts: Vec<Ltl> = v.acts().map(Ltl::act).collect();
+        let leaf = prop_oneof![
+            Just(Ltl::True),
+            Just(Ltl::False),
+            (0..props.len()).prop_map(move |i| props[i].clone()),
+            (0..acts.len()).prop_map(move |i| acts[i].clone()),
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(Ltl::not),
+                inner.clone().prop_map(Ltl::next),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::and(l, r)),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::or(l, r)),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::until(l, r)),
+                (inner.clone(), inner).prop_map(|(l, r)| Ltl::release(l, r)),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_json(parse(to_json(x))) == x` for arbitrary repros.
+        #[test]
+        fn arbitrary_repro_round_trips(
+            graph in crate::tests::arb_graph(),
+            phi in arb_ltl(),
+            justice_names in proptest::collection::vec(TEXT, 0..3),
+            explicit_holds in any::<bool>(),
+            symbolic_holds in any::<bool>(),
+        ) {
+            let dis = Disagreement {
+                graph,
+                phi,
+                justice_names,
+                explicit_holds,
+                symbolic_holds,
+            };
+            let parsed = obskit::json::parse(&repro_json(&dis)).unwrap();
+            prop_assert_eq!(Disagreement::from_json(&parsed), Ok(dis));
+        }
     }
 }

@@ -520,7 +520,7 @@ mod tests {
         })
     }
 
-    fn arb_graph() -> impl Strategy<Value = LabelGraph> {
+    pub(crate) fn arb_graph() -> impl Strategy<Value = LabelGraph> {
         (
             proptest::collection::vec(0u8..8, 1..6),
             proptest::collection::vec((0usize..6, 0usize..6), 1..12),

@@ -178,14 +178,13 @@ fn report_disagreement(name: &str, dis: &Disagreement, justice: &[Justice], repr
     );
     let min = minimize(dis, justice);
     let path = format!("certkit-repro-{}.json", *repros);
-    match repro_json(&min).map(|json| std::fs::write(&path, json)) {
-        Ok(Ok(())) => eprintln!(
+    match std::fs::write(&path, repro_json(&min)) {
+        Ok(()) => eprintln!(
             "certkit:       minimized to {} node(s), formula size {}; repro written to {path}",
             min.graph.num_nodes(),
             min.phi.size()
         ),
-        Ok(Err(e)) => eprintln!("certkit:       could not write {path}: {e}"),
-        Err(e) => eprintln!("certkit:       could not serialize repro: {e}"),
+        Err(e) => eprintln!("certkit:       could not write {path}: {e}"),
     }
     *repros += 1;
 }

@@ -13,11 +13,10 @@ use drivesim::ScenarioKind;
 use glm2fsa::Lexicon;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tinylm::{Token, Tokenizer};
 
 /// One control task the language model is queried about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Task id — doubles as the conditional LM's prompt id.
     pub id: usize,
@@ -35,7 +34,7 @@ pub struct TaskSpec {
 
 /// Instruction quality styles the corpus (and thus the pre-trained model)
 /// mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Style {
     /// Observes the light, checks every hazard, then acts. Satisfies the
     /// most specifications.

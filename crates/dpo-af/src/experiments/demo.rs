@@ -16,7 +16,6 @@ use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, with_default_action};
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{smv, verify_all_fair, Verdict, VerificationReport};
-use serde::{Deserialize, Serialize};
 
 /// The paper's pre-fine-tuning right-turn response (§5.1, aligned form).
 pub const RIGHT_TURN_BEFORE: [&str; 5] = [
@@ -50,7 +49,7 @@ pub const LEFT_TURN_AFTER: [&str; 3] = [
 ];
 
 /// One before/after verification comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemoComparison {
     /// Task label.
     pub task: String,

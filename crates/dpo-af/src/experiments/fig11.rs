@@ -16,11 +16,10 @@ use drivesim::{ground_many, Scenario, ScenarioConfig};
 use ltlcheck::specs::headline_specs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tinylm::{CondLm, SampleOptions};
 
 /// Satisfaction rates for one specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Specification name (`phi_1` … `phi_5`).
     pub spec: String,
@@ -31,7 +30,7 @@ pub struct Fig11Row {
 }
 
 /// The Figure 11 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// One row per headline specification.
     pub rows: Vec<Fig11Row>,
@@ -40,7 +39,7 @@ pub struct Fig11Result {
 }
 
 /// Experiment parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig11Config {
     /// Responses sampled per task per model.
     pub samples_per_task: usize,

@@ -9,13 +9,12 @@
 //! deliberately domain-biased detector is measured alongside as the
 //! negative control.
 
-use serde::{Deserialize, Serialize};
 use vision::{
     calibrate, consistency_gap, generate_dataset, CalibrationCurve, Detector, Domain, ObjectClass,
 };
 
 /// Calibration curves for one object class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassCurves {
     /// Object class.
     pub class: ObjectClass,
@@ -28,7 +27,7 @@ pub struct ClassCurves {
 }
 
 /// The Figure 12 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Result {
     /// Per-class curves for the consistent detector.
     pub consistent: Vec<ClassCurves>,
@@ -37,7 +36,7 @@ pub struct Fig12Result {
 }
 
 /// Experiment parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig12Config {
     /// Frames per domain.
     pub frames: usize,

@@ -8,11 +8,10 @@
 //! per-condition accuracies track each other across domains (conditions
 //! are harder or easier *for both*, rather than one domain degrading).
 
-use serde::{Deserialize, Serialize};
 use vision::{generate_frame, Condition, Detector, Domain};
 
 /// Detection statistics for one (condition, domain) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellStats {
     /// Fraction of detections that were correct.
     pub accuracy: f32,
@@ -24,7 +23,7 @@ pub struct CellStats {
 
 /// One row of the Figure 13 table: a condition with its sim and real
 /// statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig13Row {
     /// Weather/light condition.
     pub condition: Condition,
@@ -35,7 +34,7 @@ pub struct Fig13Row {
 }
 
 /// The Figure 13 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Result {
     /// One row per condition.
     pub rows: Vec<Fig13Row>,

@@ -10,11 +10,10 @@ use crate::pipeline::DpoAf;
 use dpo::{DpoTrainer, EpochStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One aggregated epoch point: mean, min and max over seeds for each of
 /// the three panels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Point {
     /// Epoch index.
     pub epoch: usize,
@@ -27,7 +26,7 @@ pub struct Fig8Point {
 }
 
 /// The full Figure 8 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Raw per-seed series.
     pub per_seed: Vec<Vec<EpochStats>>,

@@ -3,11 +3,10 @@
 //! epoch, split into training and validation tasks.
 
 use crate::pipeline::{CheckpointEval, DpoAf, RunArtifacts};
-use serde::{Deserialize, Serialize};
 
 /// The Figure 9 result: the checkpoint evaluation series plus the run's
 /// artifacts for reuse by downstream experiments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// `(epoch, training-task score, validation-task score)` series.
     pub series: Vec<CheckpointEval>,

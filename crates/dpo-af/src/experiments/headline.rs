@@ -3,10 +3,9 @@
 //! to above 90%.
 
 use crate::pipeline::RunArtifacts;
-use serde::{Deserialize, Serialize};
 
 /// The headline numbers extracted from a pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadlineResult {
     /// Percentage of specifications satisfied before fine-tuning
     /// (training and validation tasks pooled).

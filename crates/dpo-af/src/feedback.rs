@@ -18,7 +18,6 @@ use glm2fsa::{synthesize, with_default_action, FsaOptions};
 use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::{driving_specs, Spec};
 use ltlcheck::{check_graph_fair_certified, Justice};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// FSA-construction options for the driving domain: `stop` is a
@@ -144,7 +143,7 @@ pub fn preflight_response(
 
 /// Counters from certified-mode verification: how many verdicts were
 /// produced and independently validated, by polarity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertCounters {
     /// Verdicts produced and certificate-checked.
     pub checks: usize,
@@ -163,12 +162,14 @@ impl CertCounters {
     }
 }
 
+obskit::json_struct!(CertCounters, [checks, holds, fails]);
+
 /// A response with its verification outcome.
 ///
 /// Scoring only decides which rules hold; it keeps no counterexamples.
 /// A caller that wants a violating lasso runs [`ltlcheck::verify_all_fair`]
 /// on `controller` in the task's scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoredResponse {
     /// The decoded response text.
     pub text: String,
@@ -332,6 +333,7 @@ pub fn empirical_rates(
 mod tests {
     use super::*;
     use crate::domain::{render_response, Style};
+    use obskit::json::{FromJson, ToJson};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -448,7 +450,7 @@ mod tests {
     }
 
     /// The pre-flight gate consumes speclint's stable JSON schema: the
-    /// diagnostics round-trip through `serde_json` with their code,
+    /// diagnostics round-trip through `obskit::json` with their code,
     /// severity, subject and message intact, and the gate rejects on the
     /// parsed-back form exactly as on the in-memory one.
     #[test]
@@ -458,9 +460,10 @@ mod tests {
         let text = "do a barrel roll across the intersection .";
 
         let errors = preflight_response(&bundle, task, text).expect_err("must reject");
-        let json = serde_json::to_string(&errors).expect("diagnostics serialize");
+        let json = errors.to_json().to_json();
         let parsed: Vec<speclint::Diagnostic> =
-            serde_json::from_str(&json).expect("stable schema parses back");
+            FromJson::from_json(&obskit::json::parse(&json).expect("diagnostics parse"))
+                .expect("stable schema parses back");
 
         assert!(!parsed.is_empty());
         for diag in &parsed {

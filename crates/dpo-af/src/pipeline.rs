@@ -17,9 +17,9 @@ use crate::domain::DomainBundle;
 use crate::domain::TaskSpec;
 use crate::feedback::{empirical_rates, score_response, score_response_certified, CertCounters};
 use dpo::{DpoTrainer, EpochStats, PreferenceDataset, TrainOptions};
+use obskit::json::{FromJson, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use tinylm::{pretrain, AdaptMode, CondLm, KernelMode, LmConfig, PretrainOptions, SampleOptions};
 
@@ -28,7 +28,7 @@ use tinylm::{pretrain, AdaptMode, CondLm, KernelMode, LmConfig, PretrainOptions,
 /// Defaults are scaled for a CPU-minutes run; the paper's GPU-scale
 /// numbers (≈3000 pairs, 200 epochs, Llama2-7B) map onto the same code by
 /// raising `responses_per_task`, `rounds` and `train.epochs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Master seed; every stage derives its RNG from it.
     pub seed: u64,
@@ -109,7 +109,7 @@ pub struct PipelineConfig {
 }
 
 /// The source of the automated ranking signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackSource {
     /// Model-check the controller against the 15 specifications in the
     /// task's scenario model (paper Equation 1).
@@ -199,7 +199,7 @@ impl PipelineConfig {
 }
 
 /// One checkpoint evaluation point — a sample of the Figure 9 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointEval {
     /// DPO epoch at which the checkpoint was taken (0 = pre-fine-tuning).
     pub epoch: usize,
@@ -211,7 +211,7 @@ pub struct CheckpointEval {
 }
 
 /// Everything a pipeline run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunArtifacts {
     /// The frozen pre-fine-tuning model (the DPO reference).
     pub reference: CondLm,
@@ -229,27 +229,45 @@ pub struct RunArtifacts {
 }
 
 impl RunArtifacts {
-    /// Serializes the artifacts to a JSON file, so expensive runs can be
-    /// checkpointed to disk and post-processed by other experiments.
+    /// Serializes the artifacts to a compact JSON file, so expensive runs
+    /// can be checkpointed to disk and post-processed by other
+    /// experiments. Identical artifacts write identical bytes.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self).map_err(std::io::Error::other)
+        std::fs::write(path, self.to_json().to_json())
     }
 
     /// Loads artifacts previously written by [`RunArtifacts::save`].
     ///
     /// # Errors
     ///
-    /// Returns any I/O or deserialization error.
+    /// Returns any I/O error, and [`std::io::ErrorKind::InvalidData`] for
+    /// malformed JSON or a document that is not a valid run (see
+    /// [`CondLm`]'s `from_json` for what a model must satisfy).
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<RunArtifacts> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
+        let text = std::fs::read_to_string(path)?;
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        let value = obskit::json::parse(&text).map_err(|e| invalid(e.to_string()))?;
+        RunArtifacts::from_json(&value).map_err(|e| invalid(e.to_string()))
     }
 }
+
+obskit::json_struct!(CheckpointEval, [epoch, train_score, val_score]);
+
+obskit::json_struct!(
+    RunArtifacts,
+    [
+        reference,
+        policy,
+        epoch_stats,
+        checkpoint_evals,
+        dataset_size,
+        cert
+    ]
+);
 
 /// The assembled DPO-AF pipeline.
 #[derive(Debug)]
@@ -748,12 +766,43 @@ mod tests {
         assert_eq!(artifacts.checkpoint_evals[0].epoch, 0);
         assert_ne!(artifacts.policy.params(), artifacts.reference.params());
 
-        // Save/load round-trip.
+        // Save/load round-trip, down to the bytes.
         let path = std::env::temp_dir().join("dpo_af_artifacts_test.json");
         artifacts.save(&path).expect("writable temp dir");
         let back = RunArtifacts::load(&path).expect("readable file");
-        assert_eq!(back.dataset_size, artifacts.dataset_size);
-        assert_eq!(back.policy.params(), artifacts.policy.params());
+        assert_eq!(back, artifacts);
+        let written = std::fs::read_to_string(&path).ok();
+        assert_eq!(written, Some(back.to_json().to_json()));
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A file whose parameters do not fit its config is an error on
+    /// load, not a panic on first use.
+    #[test]
+    #[allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
+    fn load_rejects_truncated_params() {
+        let cfg = DpoAf::new(PipelineConfig::smoke()).lm_config();
+        let model = CondLm::new(cfg, &mut StdRng::seed_from_u64(5));
+        let artifacts = RunArtifacts {
+            reference: model.clone(),
+            policy: model,
+            epoch_stats: Vec::new(),
+            checkpoint_evals: Vec::new(),
+            dataset_size: 0,
+            cert: CertCounters::default(),
+        };
+        let path = std::env::temp_dir().join("dpo_af_truncated_params_test.json");
+        artifacts.save(&path).expect("writable temp dir");
+        let text = std::fs::read_to_string(&path).expect("readable file");
+        // Keep the first 100 of the policy's parameters.
+        let policy = text.find("\"policy\":").expect("policy field");
+        let start = policy + text[policy..].find("\"params\":[").expect("params") + 10;
+        let end = start + text[start..].find(']').expect("array end");
+        let kept: Vec<&str> = text[start..end].split(',').take(100).collect();
+        let truncated = format!("{}{}{}", &text[..start], kept.join(","), &text[end..]);
+        std::fs::write(&path, truncated).expect("writable temp dir");
+        let err = RunArtifacts::load(&path).expect_err("truncated params must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         let _ = std::fs::remove_file(path);
     }
 
@@ -789,11 +838,11 @@ mod tests {
     fn artifacts_identical_across_threads_and_cache() {
         let mut cfg = PipelineConfig::smoke();
         cfg.threads = 1;
-        let baseline = serde_json::to_string(&DpoAf::new(cfg.clone()).run()).expect("serializes");
+        let baseline = DpoAf::new(cfg.clone()).run().to_json().to_json();
         for (threads, capacity) in [(4, Some(1 << 16)), (1, Some(1))] {
             cfg.threads = threads;
             cfg.verify_cache_capacity = capacity;
-            let run = serde_json::to_string(&DpoAf::new(cfg.clone()).run()).expect("serializes");
+            let run = DpoAf::new(cfg.clone()).run().to_json().to_json();
             assert_eq!(baseline, run, "threads={threads} capacity={capacity:?}");
         }
     }
@@ -872,10 +921,7 @@ mod tests {
         cfg.threads = 2;
         let cached = DpoAf::new(cfg).run();
         assert_eq!(fresh.cert, cached.cert);
-        assert_eq!(
-            serde_json::to_string(&fresh).expect("serializes"),
-            serde_json::to_string(&cached).expect("serializes"),
-        );
+        assert_eq!(fresh.to_json().to_json(), cached.to_json().to_json());
     }
 
     #[test]

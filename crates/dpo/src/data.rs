@@ -1,10 +1,9 @@
-use serde::{Deserialize, Serialize};
 use tinylm::Token;
 
 /// One preference triple `(x, y_w, y_l)`: the prompt is a task id (the
 /// conditional language model's prompt encoding), `winner` is the
 /// preferred response and `loser` the dispreferred one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreferencePair {
     /// Task (prompt) id.
     pub task: usize,
@@ -15,7 +14,7 @@ pub struct PreferencePair {
 }
 
 /// A DPO training dataset.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PreferenceDataset {
     /// The pairs, in insertion order.
     pub pairs: Vec<PreferencePair>,

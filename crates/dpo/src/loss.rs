@@ -1,9 +1,8 @@
 use crate::PreferencePair;
-use serde::{Deserialize, Serialize};
 use tinylm::{CondLm, GradBuffer, LmError, SeqWorkspace};
 
 /// Loss and metrics of one pair at the current parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairEval {
     /// DPO loss `−log σ(β·margin)`.
     pub loss: f32,

@@ -2,12 +2,11 @@ use crate::loss::pair_grad_under;
 use crate::{PairEval, PreferenceDataset};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tinylm::optim::Adam;
 use tinylm::{CondLm, GradBuffer, LmError};
 
 /// Trainer hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOptions {
     /// DPO inverse-temperature `β`.
     pub beta: f32,
@@ -38,7 +37,7 @@ impl Default for TrainOptions {
 }
 
 /// Metrics for one epoch — the three panels of the paper's Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -49,6 +48,8 @@ pub struct EpochStats {
     /// Mean marginal preference.
     pub margin: f32,
 }
+
+obskit::json_struct!(EpochStats, [epoch, loss, accuracy, margin]);
 
 /// A minibatch DPO trainer with per-epoch metrics and periodic
 /// checkpoints.

@@ -1,6 +1,5 @@
 use crate::ScenarioKind;
 use autokit::{presets::DrivingDomain, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Safety-relevant events detected in an execution trace.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// counterexample "can lead to an accident" refers to. The simulator
 /// reports them independently of LTLf monitoring so examples can show the
 /// *physical* consequence of an unverified controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IncidentKind {
     /// Turned right while a car approached from the left or a pedestrian
     /// occupied the right side.
@@ -23,7 +22,7 @@ pub enum IncidentKind {
 }
 
 /// One detected incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Incident {
     /// Trace position (tick) of the event.
     pub step: usize,

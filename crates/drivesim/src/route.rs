@@ -13,10 +13,9 @@ use crate::{Scenario, ScenarioConfig, ScenarioKind};
 use autokit::{presets::DrivingDomain, ActSet, Controller, Step, Trace};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One leg of a route: a scenario plus the action that completes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteLeg {
     /// Where this leg takes place.
     pub scenario: ScenarioKind,
@@ -26,14 +25,14 @@ pub struct RouteLeg {
 }
 
 /// A planned route.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Route {
     /// The legs, in driving order.
     pub legs: Vec<RouteLeg>,
 }
 
 /// The outcome of driving a route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionOutcome {
     /// Legs completed before the mission ended or stalled.
     pub legs_completed: usize,

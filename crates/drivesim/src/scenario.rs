@@ -1,10 +1,9 @@
 use autokit::{presets::DrivingDomain, PropSet};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which road scenario the simulator plays out — one per world model in
 /// the paper's Figures 5, 6, 15, 16 and 17.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// Regular traffic-light intersection (Figure 5).
     TrafficLight,
@@ -32,7 +31,7 @@ impl ScenarioKind {
 }
 
 /// Stochastic-dynamics parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Per-tick probability that an absent car/pedestrian arrives.
     pub arrival: f64,
@@ -59,7 +58,7 @@ impl Default for ScenarioConfig {
 }
 
 /// Mutable simulation state of one scenario instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     kind: ScenarioKind,
     cfg: ScenarioConfig,

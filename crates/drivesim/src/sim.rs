@@ -2,11 +2,10 @@ use crate::Scenario;
 use autokit::{presets::DrivingDomain, ActSet, Controller, Step, Trace};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the executor resolves controller non-determinism when several
 /// transitions are enabled under one observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPolicy {
     /// Pick uniformly at random among enabled transitions (default; the
     /// paper runs controllers "multiple times" and aggregates).

@@ -1,9 +1,8 @@
 use crate::{ParsedStep, StepKind};
 use autokit::{ActId, ActSet, Controller, ControllerBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Where the controller goes after its final step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnComplete {
     /// Loop back to the first step — the task repeats (an intersection is
     /// handled, the next one comes up). This yields the infinite
@@ -15,7 +14,7 @@ pub enum OnComplete {
 }
 
 /// Options for FSA construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsaOptions {
     /// Behaviour after the last step.
     pub on_complete: OnComplete,

@@ -1,5 +1,4 @@
 use autokit::{presets::DrivingDomain, ActId, PropId, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// A phrase dictionary mapping natural-language paraphrases onto canonical
 /// propositions and actions.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///   propositions and actions.
 ///
 /// Phrase matching is case-insensitive and longest-match-first.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Lexicon {
     /// `(phrase, canonical proposition)` pairs, including the identity
     /// mapping for every canonical name.

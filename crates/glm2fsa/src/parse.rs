@@ -1,9 +1,8 @@
 use crate::Lexicon;
 use autokit::{ActSet, Guard, PropSet};
-use serde::{Deserialize, Serialize};
 
 /// What a step does once its guard is met.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
     /// The step only gathers information (`observe`, `check`, `watch`, …).
     /// The set records which propositions the step attends to; the
@@ -17,7 +16,7 @@ pub enum StepKind {
 ///
 /// `<if> <no car from left>, <turn right>` parses to
 /// `guard = ¬car_from_left`, `kind = Act({turn right})`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParsedStep {
     /// Condition under which the step fires (`⊤` for unconditional steps).
     pub guard: Guard,

@@ -1,5 +1,4 @@
 use autokit::{ActId, ActSet, PropId, PropSet, Vocab};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use std::sync::Arc;
 /// The paper's specifications mix both freely, e.g.
 /// `Φ₁ = □(pedestrian → ◇ stop)` refers to the observation `pedestrian`
 /// and the action `stop`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Atom {
     /// An observation proposition `p ∈ P`.
     Prop(PropId),
@@ -56,7 +55,7 @@ impl Atom {
 /// assert_eq!(phi.to_string(&v), "G((!(\"pedestrian\")) | (F(\"stop\")))");
 /// # Ok::<(), autokit::AutokitError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Ltl {
     /// Constant true.
     True,

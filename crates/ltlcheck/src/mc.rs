@@ -20,13 +20,12 @@
 use crate::analysis::negation_automaton;
 use crate::{Buchi, Ltl};
 use autokit::{ActSet, Controller, LabelGraph, Product, ProductState, PropSet, Vocab, WorldModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One step of a counterexample trace: the product state and the emitted
 /// label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CexStep {
     /// The product state `(p, q)` the step originates from.
     pub state: ProductState,
@@ -38,7 +37,7 @@ pub struct CexStep {
 
 /// A lasso-shaped counterexample: a finite stem followed by a cycle that
 /// repeats forever.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
     /// The finite prefix of the violating behaviour.
     pub stem: Vec<CexStep>,
@@ -123,7 +122,7 @@ impl fmt::Display for CexDisplay<'_> {
 /// assert_eq!(clear.name(), "intersection clears");
 /// # Ok::<(), ltlcheck::NonPropositionalError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Justice {
     name: String,
     condition: Ltl,
@@ -200,7 +199,7 @@ impl Justice {
 }
 
 /// The outcome of checking one specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Every (fair) behaviour satisfies the specification.
     Holds,
@@ -216,7 +215,7 @@ impl Verdict {
 }
 
 /// The outcome of verifying a named specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecResult {
     /// Specification name (e.g. `"phi_5"`).
     pub name: String,
@@ -226,7 +225,7 @@ pub struct SpecResult {
 
 /// Aggregate result of verifying a controller against a specification
 /// suite — the paper's per-controller feedback signal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerificationReport {
     /// Per-specification outcomes, in input order.
     pub results: Vec<SpecResult>,

@@ -7,10 +7,9 @@
 
 use crate::Ltl;
 use autokit::presets::DrivingDomain;
-use serde::{Deserialize, Serialize};
 
 /// A named specification with a human-readable gloss.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Spec {
     /// Short identifier, `"phi_1"` … `"phi_15"`.
     pub name: String,

@@ -1,10 +1,25 @@
-//! A minimal JSON value, writer and parser.
+//! The workspace's one JSON stack: an ordered value tree, a writer, a
+//! strict parser, and the [`ToJson`]/[`FromJson`] conversions of every
+//! type that crosses a file boundary.
 //!
-//! obskit deliberately has no dependencies (it is linked into every
-//! hot-path crate), so the report schema and its validator carry their
-//! own JSON support: an ordered [`Value`] tree, a pretty-printer with
-//! stable output (object keys keep insertion order — golden files diff
-//! cleanly), and a recursive-descent parser for the validator side.
+//! obskit has no dependencies (it is linked into every hot-path crate),
+//! so it carries its own JSON support. The same code writes and reads the
+//! bench reports and traces, the run artifacts (`RunArtifacts`), the
+//! speclint JSON report and certkit's repro files. Object keys keep
+//! insertion order, so golden files diff cleanly; the pretty layout
+//! indents by two spaces.
+//!
+//! # Numbers
+//!
+//! An integral [`Value::Num`] renders as an integer (`3`), which counters
+//! and sizes want. A [`Value::Float`] renders an integral value below
+//! `1e15` in magnitude with a trailing `.0` (`3.0`), any other finite
+//! value in Rust's shortest round-trip form, and a non-finite one as
+//! `null`. `Float` exists so the run artifacts keep the bytes they have
+//! always had: a zero LoRA weight is `0.0`, not `0`. [`parse`] never
+//! produces it; the float conversions read both variants, and `null` as
+//! NaN. An `f32` widens exactly through `f64::from`, so its f64 rendering
+//! reads back as the same `f32`.
 
 use std::fmt::Write as _;
 
@@ -16,8 +31,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; integers survive up to 2^53 exactly.
+    /// Any number; integers survive up to 2^53 exactly and render
+    /// without a fraction.
     Num(f64),
+    /// A float that keeps its `.0` when integral (see the module docs).
+    /// Written by [`ToJson`] for `f32`/`f64`; never produced by [`parse`].
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -46,7 +65,7 @@ impl Value {
     /// The numeric payload, if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) | Value::Float(n) => Some(*n),
             _ => None,
         }
     }
@@ -86,6 +105,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_num(out, *n),
+            Value::Float(x) => write_float(out, *x),
             Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
@@ -140,10 +160,21 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf; fail soft.
-    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+    } else if n.fract() == 0.0 && n.abs() < MAX_EXACT_INT {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
+    }
+}
+
+fn write_float(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        // Keep a trailing ".0" so the value reads as a float.
+        let _ = write!(out, "{x:.1}");
+    } else {
+        let _ = write!(out, "{x}");
     }
 }
 
@@ -163,6 +194,213 @@ fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+impl Value {
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// The field `key` of an object, or an error naming it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] when `self` is not an object or has no
+    /// such field.
+    pub fn field(&self, key: &str) -> Result<&Value, DecodeError> {
+        self.get(key)
+            .ok_or_else(|| DecodeError(format!("missing field `{key}`")))
+    }
+
+    /// Decodes the field `key` of an object as `T`. Errors are prefixed
+    /// with the field name, so nested failures read as a path.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] when the field is missing or does not
+    /// decode as `T`.
+    pub fn field_as<T: FromJson>(&self, key: &str) -> Result<T, DecodeError> {
+        T::from_json(self.field(key)?).map_err(|e| DecodeError(format!("{key}: {}", e.0)))
+    }
+}
+
+/// A well-formed document without the shape a [`FromJson`] type expects:
+/// a missing field, a value of the wrong kind, or a number out of range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError(pub String);
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "json decode error: {}", self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Conversion into a [`Value`] tree, for the types written to files.
+pub trait ToJson {
+    /// The value tree of `self`.
+    fn to_json(&self) -> Value;
+}
+
+/// Conversion out of a parsed [`Value`]: the inverse of [`ToJson`].
+pub trait FromJson: Sized {
+    /// Rebuilds a value from its tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] when `v` does not have the expected
+    /// shape.
+    fn from_json(v: &Value) -> Result<Self, DecodeError>;
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for a struct whose fields all
+/// convert: an object keyed by field name, in the order listed (list
+/// them in declaration order).
+///
+/// ```
+/// struct Point {
+///     x: usize,
+///     y: f32,
+/// }
+/// obskit::json_struct!(Point, [x, y]);
+///
+/// use obskit::json::ToJson;
+/// assert_eq!(Point { x: 1, y: 2.0 }.to_json().to_json(), r#"{"x":1,"y":2.0}"#);
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident, [$($field:ident),+ $(,)?]) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Value {
+                use $crate::json::ToJson as _;
+                $crate::json::Value::obj([$((stringify!($field), self.$field.to_json())),+])
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                v: &$crate::json::Value,
+            ) -> ::std::result::Result<Self, $crate::json::DecodeError> {
+                Ok($ty { $($field: v.field_as(stringify!($field))?),+ })
+            }
+        }
+    };
+}
+
+fn expected(what: &str, found: &Value) -> DecodeError {
+    let found = match found {
+        Value::Str(_) => "a string".to_owned(),
+        Value::Arr(_) => "an array".to_owned(),
+        Value::Obj(_) => "an object".to_owned(),
+        scalar => scalar.to_json(),
+    };
+    DecodeError(format!("expected {what}, found {found}"))
+}
+
+/// Largest integer an `f64` holds exactly (2^53).
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+macro_rules! unsigned_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+        }
+
+        /// Accepts only exact non-negative integers that fit the type.
+        impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, DecodeError> {
+                match v {
+                    Value::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(n) => {
+                        <$t>::try_from(*n as u64).ok()
+                    }
+                    _ => None,
+                }
+                .ok_or_else(|| expected(concat!("a ", stringify!($t)), v))
+            }
+        }
+    )*};
+}
+unsigned_json!(u32, usize);
+
+macro_rules! float_json {
+    ($($t:ty),*) => {$(
+        /// Written as a [`Value::Float`]; an `f32` widens exactly.
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::Float(f64::from(*self))
+            }
+        }
+
+        /// Reads any number, and `null` (how a non-finite float is
+        /// written) as NaN.
+        impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, DecodeError> {
+                match v {
+                    Value::Num(x) | Value::Float(x) => Ok(*x as $t),
+                    Value::Null => Ok(<$t>::NAN),
+                    _ => Err(expected("a number", v)),
+                }
+            }
+        }
+    )*};
+}
+float_json!(f32, f64);
+
+impl ToJson for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(expected("a boolean", v)),
+        }
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| expected("a string", v))
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        let items = v.as_arr().ok_or_else(|| expected("an array", v))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| DecodeError(format!("[{i}]: {}", e.0))))
+            .collect()
+    }
+}
+
+/// A range is `{"start": .., "end": ..}`.
+impl<T: ToJson> ToJson for std::ops::Range<T> {
+    fn to_json(&self) -> Value {
+        Value::obj([("start", self.start.to_json()), ("end", self.end.to_json())])
+    }
 }
 
 /// A parse failure with a byte offset into the input.
@@ -354,11 +592,14 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates render as the replacement char:
@@ -386,22 +627,45 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the JSON number grammar exactly:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(self.err("expected a digit")),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 }
 
@@ -436,6 +700,44 @@ mod tests {
     }
 
     #[test]
+    fn floats_keep_their_fraction() {
+        let floats = [3.0, 0.0, -2.0, 0.1, 1e15, f64::NAN, f64::INFINITY];
+        let texts = [
+            "3.0",
+            "0.0",
+            "-2.0",
+            "0.1",
+            "1000000000000000",
+            "null",
+            "null",
+        ];
+        assert_eq!(floats.map(|x| Value::Float(x).to_json()), texts);
+        assert_eq!(0.0f32.to_json().to_json(), "0.0");
+        assert_eq!(Value::Float(2.5).as_num(), Some(2.5));
+        // The parser reads every number as `Num`.
+        assert_eq!(parse("3.0"), Ok(Value::Num(3.0)));
+    }
+
+    #[test]
+    fn decoders_accept_only_their_shape() {
+        assert_eq!(usize::from_json(&Value::Num(7.0)), Ok(7));
+        for bad in [-1.0, 2.5, 1e300, f64::NAN] {
+            assert!(usize::from_json(&Value::Num(bad)).is_err(), "{bad}");
+        }
+        assert!(usize::from_json(&Value::Str("7".into())).is_err());
+        assert!(u32::from_json(&Value::Num(4_294_967_296.0)).is_err());
+        assert!(f64::from_json(&Value::Null).is_ok_and(f64::is_nan));
+        assert_eq!(f32::from_json(&Value::Num(0.5)), Ok(0.5));
+        assert!(bool::from_json(&Value::Num(1.0)).is_err());
+        let doc = parse(r#"{"a": [1, 2]}"#).unwrap_or(Value::Null);
+        assert_eq!(doc.field_as::<Vec<u32>>("a"), Ok(vec![1, 2]));
+        let missing = doc.field_as::<usize>("zz");
+        assert!(missing.is_err_and(|e| e.0.contains("`zz`")));
+        let nested = doc.field_as::<Vec<bool>>("a");
+        assert!(nested.is_err_and(|e| e.0.starts_with("a: [0]:")));
+    }
+
+    #[test]
     fn strings_escape_and_unescape() {
         let s = "a\"b\\c\nd\tü";
         let rendered = Value::Str(s.into()).to_json();
@@ -447,6 +749,10 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // Numbers outside the JSON grammar, and a signed `\u` escape.
+        for bad in ["-.5", "01", "1.", r#""\u+041""#] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -5,7 +5,7 @@
 //! stable identifiers (`SL001`, `SL101`, ...) that tools and tests may
 //! match on; messages are for humans and carry no stability guarantee.
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use obskit::json::{DecodeError, FromJson, ToJson, Value};
 use std::fmt;
 
 /// How serious a finding is.
@@ -15,7 +15,7 @@ use std::fmt;
 /// almost certainly authoring mistakes; `Note` findings are expected in
 /// healthy inputs but worth surfacing (e.g. rules that are vacuous in one
 /// scenario but binding in another).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational; expected in healthy inputs.
     Note,
@@ -303,52 +303,42 @@ impl fmt::Display for Diagnostic {
 }
 
 // The JSON schema is flat and stable: {"code", "severity", "subject",
-// "element"?, "message"}. Hand-written (rather than derived) so the
-// nested `Location` flattens and the schema cannot drift by refactor.
-impl Serialize for Diagnostic {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("code".to_string(), Value::Str(self.code.code().to_string())),
-            (
-                "severity".to_string(),
-                Value::Str(self.severity.to_string()),
-            ),
-            (
-                "subject".to_string(),
-                Value::Str(self.location.subject.clone()),
-            ),
+// "element"?, "message"}, so the nested `Location` flattens and the
+// schema cannot drift by refactor.
+impl ToJson for Diagnostic {
+    fn to_json(&self) -> Value {
+        let mut fields = vec![
+            ("code", Value::Str(self.code.code().to_owned())),
+            ("severity", Value::Str(self.severity.to_string())),
+            ("subject", Value::Str(self.location.subject.clone())),
         ];
         if let Some(el) = &self.location.element {
-            entries.push(("element".to_string(), Value::Str(el.clone())));
+            fields.push(("element", Value::Str(el.clone())));
         }
-        entries.push(("message".to_string(), Value::Str(self.message.clone())));
-        Value::Map(entries)
+        fields.push(("message", Value::Str(self.message.clone())));
+        Value::obj(fields)
     }
 }
 
-impl Deserialize for Diagnostic {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let code_str = String::from_value(v.field("code")?)?;
+impl FromJson for Diagnostic {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        let code_str: String = v.field_as("code")?;
         let code = LintCode::from_code(&code_str)
-            .ok_or_else(|| SerdeError::new(format!("unknown lint code `{code_str}`")))?;
-        let element = match v.field("element") {
-            Ok(el) => Some(String::from_value(el)?),
-            Err(_) => None,
-        };
-        let severity = match String::from_value(v.field("severity")?)?.as_str() {
+            .ok_or_else(|| DecodeError(format!("unknown lint code `{code_str}`")))?;
+        let severity = match v.field_as::<String>("severity")?.as_str() {
             "note" => Severity::Note,
             "warning" => Severity::Warning,
             "error" => Severity::Error,
-            other => return Err(SerdeError::new(format!("unknown severity `{other}`"))),
+            other => return Err(DecodeError(format!("unknown severity `{other}`"))),
         };
         Ok(Diagnostic {
             code,
             severity,
             location: Location {
-                subject: String::from_value(v.field("subject")?)?,
-                element,
+                subject: v.field_as("subject")?,
+                element: v.get("element").map(String::from_json).transpose()?,
             },
-            message: String::from_value(v.field("message")?)?,
+            message: v.field_as("message")?,
         })
     }
 }
@@ -408,6 +398,7 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn codes_are_unique_and_invertible() {
@@ -434,12 +425,38 @@ mod tests {
     fn json_round_trip_preserves_fields() {
         let d = Diagnostic::new(LintCode::DeadTransition, "controller free", "guard p & !p")
             .element("transition 3");
-        let json = serde_json::to_string(&d).expect("serializes");
+        let json = d.to_json().to_json();
         assert!(json.contains("\"code\":\"SL102\""), "{json}");
         assert!(json.contains("\"severity\":\"warning\""), "{json}");
         assert!(json.contains("\"subject\":\"controller free\""), "{json}");
-        let back: Diagnostic = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, d);
+        let back = obskit::json::parse(&json).expect("parses");
+        assert_eq!(Diagnostic::from_json(&back), Ok(d));
+    }
+
+    /// Text over quotes, backslashes, control characters and non-ASCII
+    /// letters, to exercise the string escapes.
+    const TEXT: &str = "[az \"\\\n\u{1}ü]{0,12}";
+
+    proptest! {
+        /// `from_json(parse(to_json(x))) == x` for arbitrary diagnostics,
+        /// in both the compact and the pretty layout.
+        #[test]
+        fn arbitrary_diagnostic_round_trips(
+            code in 0..LintCode::ALL.len(),
+            severity in 0..3usize,
+            (subject, message) in (TEXT, TEXT),
+            (has_element, element) in (any::<bool>(), TEXT),
+        ) {
+            let mut d = Diagnostic::new(LintCode::ALL[code], subject, message);
+            d.severity = [Severity::Note, Severity::Warning, Severity::Error][severity];
+            if has_element {
+                d = d.element(element);
+            }
+            for json in [d.to_json().to_json(), d.to_json().to_json_pretty()] {
+                let parsed = obskit::json::parse(&json);
+                prop_assert_eq!(parsed.map(|v| Diagnostic::from_json(&v)), Ok(Ok(d.clone())));
+            }
+        }
     }
 
     #[test]

@@ -24,10 +24,7 @@
 //! `{"diagnostics": [{"code", "severity", "subject", "element"?,
 //! "message"}, ...], "tally": {"errors", "warnings", "notes"}}`.
 
-// A binary may panic on internal invariants (serializing a value tree).
-#![allow(clippy::expect_used)] // ALLOW: a binary may panic on internal invariants.
-
-use serde::{Serialize, Value};
+use obskit::json::{ToJson, Value};
 use speclint::presets::{
     conflicting_semantic_input, driving_input, driving_semantic_input, warehouse_input,
     warehouse_semantic_input,
@@ -130,18 +127,21 @@ fn semantic_diags(book: Book) -> Vec<Diagnostic> {
 }
 
 fn json_report(diags: &[Diagnostic], tally: Tally) -> String {
-    let report = Value::Map(vec![
-        ("diagnostics".to_owned(), diags.to_value()),
+    Value::obj([
         (
-            "tally".to_owned(),
-            Value::Map(vec![
-                ("errors".to_owned(), tally.errors.to_value()),
-                ("warnings".to_owned(), tally.warnings.to_value()),
-                ("notes".to_owned(), tally.notes.to_value()),
+            "diagnostics",
+            Value::Arr(diags.iter().map(ToJson::to_json).collect()),
+        ),
+        (
+            "tally",
+            Value::obj([
+                ("errors", tally.errors.to_json()),
+                ("warnings", tally.warnings.to_json()),
+                ("notes", tally.notes.to_json()),
             ]),
         ),
-    ]);
-    serde_json::to_string_pretty(&report).expect("report is a plain value tree")
+    ])
+    .to_json_pretty()
 }
 
 fn main() -> ExitCode {

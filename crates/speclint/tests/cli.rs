@@ -5,6 +5,7 @@
 
 #![allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
 
+use obskit::json::ToJson;
 use std::process::Command;
 
 fn speclint(args: &[&str]) -> std::process::Output {
@@ -31,16 +32,20 @@ fn json_report_matches_golden_file() {
     );
 }
 
-/// The golden report itself parses as the documented stable object.
+/// The golden report itself parses as the documented stable object, and
+/// its diagnostics round-trip through `Diagnostic`'s JSON conversions.
 #[test]
 fn golden_report_is_valid_json_with_tally() {
     let golden = include_str!("golden/report.json");
-    let value: serde::Value = serde_json::from_str(golden).expect("golden parses");
-    value.field("diagnostics").expect("diagnostics array");
+    let value = obskit::json::parse(golden).expect("golden parses");
+    // Every diagnostic decodes, and re-encodes to the same tree.
+    let diags: Vec<speclint::Diagnostic> = value.field_as("diagnostics").expect("diagnostics");
+    assert!(!diags.is_empty());
+    assert_eq!(Some(&diags.to_json()), value.get("diagnostics"));
     let tally = value.field("tally").expect("tally object");
     for key in ["errors", "warnings", "notes"] {
         tally
-            .field(key)
+            .field_as::<usize>(key)
             .unwrap_or_else(|e| panic!("tally.{key}: {e}"));
     }
 }

@@ -8,8 +8,8 @@
 use autokit::{ActSet, Controller, ControllerBuilder, Guard, PropSet, Vocab, WorldModel};
 use ltlcheck::specs::Spec;
 use ltlcheck::{parse, Ltl};
+use obskit::json::ToJson;
 use proptest::prelude::*;
-use serde::Serialize;
 use speclint::presets::free_controller;
 use speclint::semantic::{analyze, CorpusController, SemanticInput, SemanticWorld};
 use speclint::sort_diagnostics;
@@ -121,8 +121,7 @@ fn pathological_book_trips_every_code_and_matches_golden() {
             "{code} missing from {diags:?}"
         );
     }
-    let got =
-        serde_json::to_string_pretty(&diags.to_value()).expect("diagnostics are a plain tree");
+    let got = diags.to_json().to_json_pretty();
     check_golden("semantic_codes.json", &got);
 }
 
@@ -133,7 +132,7 @@ fn analysis_is_deterministic_across_runs() {
     let render = || {
         let mut diags = analyze(&pathological_input());
         sort_diagnostics(&mut diags);
-        serde_json::to_string_pretty(&diags.to_value()).expect("diagnostics are a plain tree")
+        diags.to_json().to_json_pretty()
     };
     assert_eq!(render(), render());
 }

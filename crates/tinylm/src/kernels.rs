@@ -38,12 +38,10 @@
 //! thread-local workspaces on pool workers pick up the configured mode
 //! without any signature changes along the hot path.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which arithmetic the tape kernels use. See the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Bit-identical to the original scalar loops (the default): only
     /// transformations that preserve each output element's exact f32

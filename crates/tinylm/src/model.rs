@@ -1,7 +1,7 @@
 use crate::tape::{dot, GradArena, Tape};
 use crate::tokenizer::{Token, BOS, EOS};
+use obskit::json::{DecodeError, FromJson, ToJson, Value};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
@@ -11,7 +11,7 @@ use std::ops::Range;
 /// Mirrors the paper's Appendix E: full fine-tuning updates every weight;
 /// LoRA holds each base matrix `W` constant and trains a low-rank product
 /// `A·B` so that the effective weight is `W + A·B`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptMode {
     /// All parameters are trainable.
     Full,
@@ -23,7 +23,7 @@ pub enum AdaptMode {
 }
 
 /// Model hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmConfig {
     /// Vocabulary size (including `BOS`/`EOS`/`<unk>`).
     pub vocab_size: usize,
@@ -89,7 +89,7 @@ impl std::error::Error for LmError {}
 /// Gradient of a scalar objective with respect to the model's full
 /// parameter vector (same layout as [`CondLm::params`]; frozen entries are
 /// zero).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradBuffer(pub Vec<f32>);
 
 impl GradBuffer {
@@ -232,7 +232,7 @@ fn merge_lora(
 }
 
 /// Sampling options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleOptions {
     /// Softmax temperature (1.0 = untempered; higher = more diverse).
     pub temperature: f32,
@@ -263,8 +263,8 @@ type ScoredPosition = (Vec<Token>, Token);
 /// Parameter ranges of the four LoRA matrices `(A1, B1, A2, B2)`.
 type LoraSegments = (Range<usize>, Range<usize>, Range<usize>, Range<usize>);
 
-/// Byte ranges of each parameter segment in the flat parameter vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Index ranges of each parameter segment in the flat parameter vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Segments {
     tok_emb: Range<usize>,
     task_emb: Range<usize>,
@@ -275,6 +275,50 @@ struct Segments {
     /// `(a1, b1l, a2, b2l)` when LoRA is enabled: `W1 += s·A1·B1`,
     /// `W2 += s·A2·B2`.
     lora: Option<LoraSegments>,
+}
+
+impl Segments {
+    /// The layout of a model with configuration `cfg`: the segments in
+    /// order, back to back from index 0. `None` when the parameter count
+    /// overflows `usize`.
+    fn new(cfg: &LmConfig) -> Option<Segments> {
+        let v = cfg.vocab_size;
+        let h = cfg.hidden;
+        let input = cfg
+            .context
+            .checked_mul(cfg.token_dim)?
+            .checked_add(cfg.task_dim)?;
+        let mut offset = 0usize;
+        let mut range = |rows: usize, cols: usize| {
+            let start = offset;
+            offset = offset.checked_add(rows.checked_mul(cols)?)?;
+            Some(start..offset)
+        };
+        Some(Segments {
+            tok_emb: range(v, cfg.token_dim)?,
+            task_emb: range(cfg.num_tasks, cfg.task_dim)?,
+            w1: range(h, input)?,
+            b1: range(h, 1)?,
+            w2: range(v, h)?,
+            b2: range(v, 1)?,
+            lora: match cfg.adapt {
+                AdaptMode::Full => None,
+                AdaptMode::Lora { rank } => Some((
+                    range(h, rank)?,
+                    range(rank, input)?,
+                    range(v, rank)?,
+                    range(rank, h)?,
+                )),
+            },
+        })
+    }
+
+    /// Total parameter count: the end of the last segment.
+    fn len(&self) -> usize {
+        self.lora
+            .as_ref()
+            .map_or(self.b2.end, |(_, _, _, b2l)| b2l.end)
+    }
 }
 
 /// A conditional n-gram MLP language model.
@@ -303,7 +347,7 @@ struct Segments {
 /// assert!(lp <= 0.0);
 /// # Ok::<(), tinylm::LmError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondLm {
     cfg: LmConfig,
     params: Vec<f32>,
@@ -316,43 +360,13 @@ impl CondLm {
     pub fn new(cfg: LmConfig, rng: &mut impl Rng) -> Self {
         assert!(cfg.vocab_size > 2, "vocabulary must include specials");
         assert!(cfg.num_tasks > 0, "at least one task required");
-        let v = cfg.vocab_size;
         let input = cfg.input_dim();
         let h = cfg.hidden;
-
-        let mut offset = 0usize;
-        let mut range = |len: usize| {
-            let r = offset..offset + len;
-            offset += len;
-            r
-        };
-        let tok_emb = range(v * cfg.token_dim);
-        let task_emb = range(cfg.num_tasks * cfg.task_dim);
-        let w1 = range(h * input);
-        let b1 = range(h);
-        let w2 = range(v * h);
-        let b2 = range(v);
-        let lora = match cfg.adapt {
-            AdaptMode::Full => None,
-            AdaptMode::Lora { rank } => {
-                let a1 = range(h * rank);
-                let b1l = range(rank * input);
-                let a2 = range(v * rank);
-                let b2l = range(rank * h);
-                Some((a1, b1l, a2, b2l))
-            }
-        };
-        let seg = Segments {
-            tok_emb,
-            task_emb,
-            w1,
-            b1,
-            w2,
-            b2,
-            lora,
+        let Some(seg) = Segments::new(&cfg) else {
+            panic!("parameter count overflows usize");
         };
 
-        let mut params = vec![0.0f32; offset];
+        let mut params = vec![0.0f32; seg.len()];
         let init = |slice: &mut [f32], scale: f32, rng: &mut dyn rand::RngCore| {
             for p in slice {
                 *p = (rng.gen::<f32>() * 2.0 - 1.0) * scale;
@@ -941,6 +955,97 @@ impl CondLm {
     }
 }
 
+// The artifact encoding of a model: `{"cfg", "params", "seg"}`, with
+// `adapt` as `"Full"` or `{"Lora": {"rank": k}}`. It lives here because
+// the fields are private; `from_json` validates what `new` would assert.
+
+impl ToJson for AdaptMode {
+    fn to_json(&self) -> Value {
+        match self {
+            AdaptMode::Full => Value::Str("Full".to_owned()),
+            AdaptMode::Lora { rank } => {
+                Value::obj([("Lora", Value::obj([("rank", rank.to_json())]))])
+            }
+        }
+    }
+}
+
+impl FromJson for AdaptMode {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        match v.as_str() {
+            Some("Full") => Ok(AdaptMode::Full),
+            Some(other) => Err(DecodeError(format!("unknown adapt mode `{other}`"))),
+            None => Ok(AdaptMode::Lora {
+                rank: v.field("Lora")?.field_as("rank")?,
+            }),
+        }
+    }
+}
+
+obskit::json_struct!(
+    LmConfig,
+    [vocab_size, num_tasks, token_dim, task_dim, context, hidden, adapt, lora_scale]
+);
+
+impl ToJson for Segments {
+    fn to_json(&self) -> Value {
+        let lora = self
+            .lora
+            .as_ref()
+            .map_or(Value::Null, |(a1, b1l, a2, b2l)| {
+                Value::Arr(vec![
+                    a1.to_json(),
+                    b1l.to_json(),
+                    a2.to_json(),
+                    b2l.to_json(),
+                ])
+            });
+        Value::obj([
+            ("tok_emb", self.tok_emb.to_json()),
+            ("task_emb", self.task_emb.to_json()),
+            ("w1", self.w1.to_json()),
+            ("b1", self.b1.to_json()),
+            ("w2", self.w2.to_json()),
+            ("b2", self.b2.to_json()),
+            ("lora", lora),
+        ])
+    }
+}
+
+impl ToJson for CondLm {
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("cfg", self.cfg.to_json()),
+            ("params", self.params.to_json()),
+            ("seg", self.seg.to_json()),
+        ])
+    }
+}
+
+/// Accepts only a model [`CondLm::new`] could have built: a
+/// configuration that passes its checks, the segment layout that
+/// configuration implies, and exactly that many parameters.
+impl FromJson for CondLm {
+    fn from_json(v: &Value) -> Result<Self, DecodeError> {
+        let cfg: LmConfig = v.field_as("cfg")?;
+        let seg = Segments::new(&cfg)
+            .filter(|_| cfg.vocab_size > 2 && cfg.num_tasks > 0)
+            .ok_or_else(|| DecodeError("cfg: not a configuration `new` accepts".to_owned()))?;
+        if v.field("seg")? != &seg.to_json() {
+            return Err(DecodeError("seg: not the layout cfg implies".to_owned()));
+        }
+        let params: Vec<f32> = v.field_as("params")?;
+        if params.len() != seg.len() {
+            return Err(DecodeError(format!(
+                "params: expected {} values, found {}",
+                seg.len(),
+                params.len()
+            )));
+        }
+        Ok(CondLm { cfg, params, seg })
+    }
+}
+
 /// Samples an index from tempered log-probabilities with optional top-k
 /// and nucleus truncation.
 fn sample_from_log_probs(log_probs: &[f32], options: SampleOptions, rng: &mut impl Rng) -> Token {
@@ -1347,14 +1452,41 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let m = model(AdaptMode::Lora { rank: 2 }, 11);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: CondLm = serde_json::from_str(&json).unwrap();
+        let json = m.to_json().to_json();
+        let back = CondLm::from_json(&obskit::json::parse(&json).unwrap()).unwrap();
         assert_eq!(m, back);
         assert_eq!(
             m.log_prob(0, &[3, 4]).unwrap(),
             back.log_prob(0, &[3, 4]).unwrap()
         );
+    }
+
+    /// Loading checks the stored model against the layout its config
+    /// implies, so a damaged file is an error instead of a later
+    /// out-of-bounds panic in `next_log_probs`.
+    #[test]
+    fn from_json_rejects_models_new_could_not_build() {
+        let m = model(AdaptMode::Lora { rank: 2 }, 12);
+        let load = |m: &CondLm| CondLm::from_json(&m.to_json());
+        let mut broken = vec![m.clone(), m.clone()];
+        broken[0].params.truncate(100);
+        broken[1].seg.w1.end -= 1;
+        let edits: [fn(&mut LmConfig); 5] = [
+            |c| c.vocab_size = 2,
+            |c| c.num_tasks = 0,
+            |c| c.context += 1,
+            |c| c.hidden = usize::MAX,
+            |c| c.adapt = AdaptMode::Full,
+        ];
+        for edit in edits {
+            let mut bad = m.clone();
+            edit(&mut bad.cfg);
+            broken.push(bad);
+        }
+        for bad in &broken {
+            assert!(load(bad).is_err(), "{:?}", bad.cfg);
+        }
     }
 }

@@ -1,13 +1,11 @@
 //! Optimizers over flat parameter vectors.
 
-use serde::{Deserialize, Serialize};
-
 /// Plain stochastic gradient *ascent/descent* with optional gradient
 /// clipping.
 ///
 /// The sign convention is descent: `step` subtracts `lr · grad`. Pass the
 /// gradient of a *loss*.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
@@ -39,7 +37,7 @@ impl Sgd {
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction and optional clipping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,

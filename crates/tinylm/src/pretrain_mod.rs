@@ -14,10 +14,9 @@ use crate::optim::Adam;
 use crate::tokenizer::Token;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Pretraining hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PretrainOptions {
     /// Full passes over the corpus.
     pub epochs: usize,
@@ -38,7 +37,7 @@ impl Default for PretrainOptions {
 }
 
 /// Per-epoch statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainStats {
     /// Mean negative log-likelihood per sequence, by epoch.
     pub nll_per_epoch: Vec<f32>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A token id.
@@ -27,10 +26,9 @@ pub const EOS: Token = 1;
 /// let ids = tok.encode("Turn RIGHT now!");
 /// assert_eq!(tok.decode(&ids), "turn right <unk>");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tokenizer {
     words: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, Token>,
 }
 
@@ -128,16 +126,6 @@ impl Tokenizer {
     /// Looks up a single word's token id, if present.
     pub fn token_of(&self, word: &str) -> Option<Token> {
         self.index.get(word).copied()
-    }
-
-    /// Rebuilds the word→id index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), i as Token))
-            .collect();
     }
 }
 

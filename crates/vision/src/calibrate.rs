@@ -1,8 +1,7 @@
 use crate::detector::Detection;
-use serde::{Deserialize, Serialize};
 
 /// One confidence bin of a calibration curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalBin {
     /// Bin center in `[0, 1]`.
     pub confidence: f32,
@@ -15,7 +14,7 @@ pub struct CalBin {
 
 /// A confidence→accuracy mapping, the artifact of the paper's Figure 12
 /// (following the confidence-calibration method of Yang et al., 2023).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationCurve {
     /// Equal-width bins over `[0, 1]`.
     pub bins: Vec<CalBin>,

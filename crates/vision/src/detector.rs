@@ -1,10 +1,9 @@
 use crate::scene::{Frame, ObjectClass, SceneObject};
 use crate::Domain;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One detection attempt on one annotated object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// The object's ground-truth class.
     pub class: ObjectClass,
@@ -25,7 +24,7 @@ pub struct Detection {
 /// calibration is a property of the detector, independent of the domain.
 /// The optional `domain_bias` breaks that independence to model a
 /// detector that overfits one domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detector {
     /// Logistic slope from detectability to correctness probability.
     pub sharpness: f32,

@@ -1,8 +1,7 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which imaging domain a frame comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Rendered simulator frames (the paper's Carla dataset).
     Sim,
@@ -12,7 +11,7 @@ pub enum Domain {
 
 /// Object classes the detector is queried for — the categories of the
 /// paper's Figure 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectClass {
     /// Vehicles.
     Car,
@@ -38,7 +37,7 @@ impl ObjectClass {
 
 /// Weather / lighting condition of a frame — the qualitative axis of the
 /// paper's Figure 13 ("different weather or light conditions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Condition {
     /// Clear daylight.
     ClearDay,
@@ -74,7 +73,7 @@ impl Condition {
 
 /// One annotated object in a frame, described by the latent factors that
 /// drive detectability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneObject {
     /// Class label (ground truth).
     pub class: ObjectClass,
@@ -96,7 +95,7 @@ impl SceneObject {
 
 /// One frame: a bag of annotated objects from one domain under one
 /// weather/light condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// The imaging domain.
     pub domain: Domain,

@@ -5,11 +5,10 @@ use autokit::{ActId, PropId, PropSet, Vocab, WorldModel};
 use glm2fsa::Lexicon;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tinylm::{Token, Tokenizer};
 
 /// One robot task (doubles as the conditional LM's prompt id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarehouseTask {
     /// Task id.
     pub id: usize,
@@ -26,7 +25,7 @@ pub struct WarehouseTask {
 
 /// Instruction quality styles, the warehouse analogue of the driving
 /// corpus mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarehouseStyle {
     /// Checks prerequisites and hazards, then acts.
     Careful,

@@ -7,11 +7,10 @@ use crate::feedback::score_warehouse_response;
 use dpo::{DpoTrainer, PreferenceDataset, TrainOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
 
 /// Configuration for [`run_mini`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MiniConfig {
     /// Master seed.
     pub seed: u64,
@@ -59,7 +58,7 @@ impl MiniConfig {
 }
 
 /// What the mini pipeline reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniOutcome {
     /// Mean rules satisfied (of 8) before fine-tuning.
     pub before: f64,
