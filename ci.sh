@@ -5,8 +5,8 @@
 # controllers and step lists, the specsem semantic analysis of the rule
 # books under their world models, the unsafe-code audit, the conckit
 # concurrency model-checking gate (exhaustive interleaving exploration
-# of the parkit pool/deque and the sharded verdict cache, plus a miri
-# pass when the interpreter is installed), the certkit certification +
+# of the sharded verdict cache, plus a miri pass over parkit and conckit
+# when the interpreter is installed), the certkit certification +
 # explicit-vs-symbolic differential suite (including the scaled
 # drivesim/warehouse models under a time budget), the symbolic backend
 # gate (a fast backend_compare --sweep whose symbolic.* counters are
@@ -85,7 +85,7 @@ cargo run -q --release -p speclint -- --semantic --deny-warnings
 echo "==> unsafe-code audit (every unsafe site carries a SAFETY comment)"
 cargo run -q --release -p bench --bin unsafe_audit -- --no-obs
 
-echo "==> conckit exploration gate (model-checked pool/deque/cache interleavings)"
+echo "==> conckit exploration gate (model-checked sharded-cache interleavings)"
 conc_report="$(mktemp -t BENCH_conc.XXXXXX.json)"
 trap 'rm -f "$test_build_log" "$conc_report"' EXIT
 cargo run -q --release -p bench --features model --bin conc_check -- \
@@ -116,7 +116,7 @@ cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
     --artifacts-out "$smoke_art2" > /dev/null
 cargo run -q --release -p bench --bin metrics_check -- "$smoke_report" \
-    --require pipeline.pairs_formed,pipeline.responses_scored,ltlcheck.checks,ltlcheck.automaton_cache_hits,ltlcheck.product_states,pretrain.tokens,dpo.pairs_trained,pool.tasks,pool.steals,verify.cache_hits,verify.cache_misses,verify.cache_entries,verify.cache_evictions,verify.cache_hit_rate,dpo.ref_cache_hits,dpo.tokens_per_sec,tape.nodes,tape.grad_buffer_reuses,speclint.semantic_rules,speclint.semantic_checks,speclint.semantic_errors,speclint.semantic_notes,alloc.allocs,alloc.bytes_allocated,alloc.bytes_freed,alloc.frees,alloc.current_bytes,alloc.peak_bytes \
+    --require pipeline.pairs_formed,pipeline.responses_scored,ltlcheck.checks,ltlcheck.automaton_cache_hits,ltlcheck.product_states,pretrain.tokens,dpo.pairs_trained,pool.tasks,verify.cache_hits,verify.cache_misses,verify.cache_entries,verify.cache_evictions,verify.cache_hit_rate,dpo.ref_cache_hits,dpo.tokens_per_sec,tape.nodes,tape.grad_buffer_reuses,speclint.semantic_rules,speclint.semantic_checks,speclint.semantic_errors,speclint.semantic_notes,alloc.allocs,alloc.bytes_allocated,alloc.bytes_freed,alloc.frees,alloc.current_bytes,alloc.peak_bytes \
     --require-span pipeline.run,pipeline.pretrain,pipeline.collect,pipeline.sample,pipeline.parse,pipeline.verify,pipeline.rank,pipeline.train,pipeline.eval,pipeline.score_batch,pipeline.score,dpo.ref,dpo.epoch,dpo.forward,dpo.backward
 
 # smoke_art2 was produced at --threads 2 with --alloc; smoke_art1 is

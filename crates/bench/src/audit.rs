@@ -5,9 +5,9 @@
 //! Four kinds of site are tracked:
 //!
 //! * **`unsafe`** (block, fn, impl, trait) — requires `// SAFETY:`.
-//!   Every first-party crate except `parkit` carries
-//!   `#![forbid(unsafe_code)]`; parkit's scoped pool needs exactly one
-//!   lifetime-erasing transmute (see DESIGN.md's unsafe-code policy).
+//!   The only `unsafe` is the allocator code: obskit's tracking
+//!   allocator and the raw-allocation timing loop in `obs_overhead`
+//!   (see DESIGN.md's unsafe-code policy).
 //! * **`static mut`** — requires `// SAFETY:`. The most race-prone
 //!   shape of shared state; the steady-state count is zero.
 //! * **`transmute`** — requires `// SAFETY:`, *in addition to* the

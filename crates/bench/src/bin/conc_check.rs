@@ -4,10 +4,10 @@
 //! exploration).
 //!
 //! Built only with the `model` feature (`cargo run --release -p bench
-//! --features model --bin conc_check`), which reroutes parkit's mutexes,
-//! condvars, atomics and threads through conckit's cooperative
-//! scheduler. Each model is a tiny closed program over the real pool /
-//! deque / sharded-map code; the explorer enumerates all schedules up to
+//! --features model --bin conc_check`), which reroutes the mutexes and
+//! threads of parkit's sharded map through conckit's cooperative
+//! scheduler. Each model is a tiny closed program over the real
+//! sharded-map code; the explorer enumerates all schedules up to
 //! the preemption bound with sleep-set pruning, so a pass here is a
 //! proof over that schedule space — not a stress test that happened to
 //! get lucky.

@@ -5,9 +5,10 @@
 //! `#[allow(clippy::…)]` lint opt-outs.
 //!
 //! The expected steady state is documented in DESIGN.md's unsafe-code
-//! policy: every first-party crate forbids `unsafe_code` except
-//! `parkit`, whose scoped pool needs one lifetime-erasing transmute;
-//! `static mut` stays at zero; every clippy opt-out states its reason.
+//! policy: the only `unsafe` is the allocator code (obskit's tracking
+//! allocator and the `obs_overhead` timing loop that calls the
+//! allocators directly); `transmute` and `static mut` stay at zero;
+//! every clippy opt-out states its reason.
 //! Run from CI as `cargo run -p bench --bin unsafe_audit`.
 
 // ALLOW: binary entrypoint — panicking on a broken workspace layout is the gate.

@@ -51,7 +51,6 @@ impl Budgets {
             spans: Vec::new(),
             ignore: vec![
                 "alloc.*".into(),
-                "pool.steals".into(),
                 "pool.threads".into(),
                 "*.tokens_per_sec".into(),
                 "*_per_sec".into(),
@@ -481,7 +480,7 @@ mod tests {
             r#"{{
               "schema": "obskit.bench.v2",
               "bench": "t", "args": [], "wall_ms": {wall},
-              "counters": {{"dpo.pairs_trained": {pairs}, "pool.steals": 7}},
+              "counters": {{"dpo.pairs_trained": {pairs}, "alloc.allocs": 7}},
               "gauges": {{"headline.after_pct": 90.45, "tinylm.pretrain_tokens_per_sec": 81000.0}},
               "histograms": {{}},
               "spans": [
@@ -546,15 +545,16 @@ mod tests {
     #[test]
     fn ignored_and_new_metrics_do_not_fail() {
         let base = report(100.0, 96, 40.0, 30.0);
-        // Same workload, but: steal count drifted (scheduler noise),
-        // throughput gauge changed (machine speed), and the candidate
-        // carries brand-new allocator metrics. None of that may fail.
+        // Same workload, but: allocation count drifted (allocator
+        // noise), throughput gauge changed (machine speed), and the
+        // candidate carries brand-new allocator metrics. None of that
+        // may fail.
         let cand = json::parse(
             r#"{
               "schema": "obskit.bench.v2",
               "bench": "t", "args": [], "wall_ms": 100,
-              "counters": {"dpo.pairs_trained": 96, "pool.steals": 900,
-                           "alloc.allocs": 123},
+              "counters": {"dpo.pairs_trained": 96, "alloc.allocs": 900,
+                           "alloc.frees": 123},
               "gauges": {"headline.after_pct": 90.45,
                          "tinylm.pretrain_tokens_per_sec": 55000.0,
                          "alloc.peak_bytes": 123456.0},
@@ -586,7 +586,7 @@ mod tests {
             r#"{
               "schema": "obskit.bench.v2",
               "bench": "t", "args": [], "wall_ms": 100,
-              "counters": {"pool.steals": 7},
+              "counters": {"alloc.allocs": 7},
               "gauges": {"headline.after_pct": 90.45,
                          "tinylm.pretrain_tokens_per_sec": 81000.0},
               "histograms": {},
@@ -617,7 +617,7 @@ mod tests {
               "default_share_tolerance": 0.5,
               "min_share_pct": 2.0,
               "spans": {"dpo.*": 0.02},
-              "ignore": ["pool.steals"]
+              "ignore": ["pool.threads"]
             }"#,
         )
         .expect("budgets parse");
@@ -631,7 +631,7 @@ mod tests {
             budgets.span_tolerance("pipeline.verify", "pipeline.verify"),
             0.5
         );
-        assert!(budgets.ignored("pool.steals"));
+        assert!(budgets.ignored("pool.threads"));
         assert!(!budgets.ignored("alloc.peak_bytes"));
 
         // The tight dpo.* override now catches a +5% drift the loose
@@ -651,7 +651,7 @@ mod tests {
         assert!(glob_match("alloc.*", "alloc.peak_bytes"));
         assert!(glob_match("*_per_sec", "tinylm.pretrain_tokens_per_sec"));
         assert!(glob_match("*.tokens_per_sec", "sim.tokens_per_sec"));
-        assert!(glob_match("pool.steals", "pool.steals"));
+        assert!(glob_match("pool.threads", "pool.threads"));
         assert!(glob_match("*", "anything"));
         assert!(glob_match("a*c*e", "abcde"));
         assert!(!glob_match("alloc.*", "dpo.pairs_trained"));

@@ -1,11 +1,12 @@
 //! # conckit — a schedule-exploring concurrency model checker
 //!
-//! The workspace applies formal methods to language-model outputs, but
-//! until conckit its *own* concurrency substrate (parkit's
-//! work-stealing pool, the sharded verdict cache, obskit's cross-thread
-//! spans) was validated only by interleaving-blind unit tests. conckit
-//! closes that gap with the same discipline: instead of sampling lucky
-//! timings, it **enumerates** thread interleavings.
+//! The workspace applies formal methods to language-model outputs, and
+//! conckit applies the same discipline to the one piece of its own
+//! concurrency with real lock interleavings: parkit's sharded, bounded
+//! LRU verdict cache. Instead of sampling lucky timings, it
+//! **enumerates** thread interleavings. (parkit's `map` needs no model:
+//! it is one atomic index counter inside [`std::thread::scope`], and its
+//! results travel through the joins.)
 //!
 //! ## How it works
 //!
@@ -20,8 +21,8 @@
 //! module docs of `rt`), detecting:
 //!
 //! * **deadlock** — no thread can make progress but some are
-//!   unfinished; lost wakeups surface here because `wait_timeout` is
-//!   modeled as never timing out;
+//!   unfinished; lost wakeups surface here, because a waiter whose
+//!   notify fired before it waited stays parked;
 //! * **panics** — assertion failures in the model body, under every
 //!   explored interleaving;
 //! * **livelock** — a single execution exceeding the step budget.
@@ -36,9 +37,14 @@
 //! orders, condvar waits/notifies, SC atomics, spawn/join) reachable
 //! within the preemption bound. Not modeled: weak-memory reorderings
 //! (atomics are sequentially consistent), mutex poisoning, spurious
-//! condvar wakeups, timeouts (they never fire), and non-shim shared
-//! state (plain `std::sync` used directly is invisible to the
-//! scheduler). Model bodies must be deterministic modulo scheduling.
+//! condvar wakeups, and non-shim shared state (plain `std::sync` used
+//! directly is invisible to the scheduler). Model bodies must be
+//! deterministic modulo scheduling.
+//!
+//! The shims cover what the `ShardedMap` models and this crate's own
+//! mutant tests use, and nothing more: `Mutex`, `Condvar` (`wait`,
+//! `notify_one`, `notify_all`), `AtomicUsize` (`load`, `store`,
+//! `fetch_add`), `Arc`, and `thread::spawn` with `join`.
 //!
 //! ```
 //! # #[cfg(feature = "model")] {

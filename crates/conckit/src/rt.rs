@@ -15,9 +15,8 @@
 //! disabled (lock on a held mutex, join on a live thread, condvar wait)
 //! simply stays unchosen. When no thread is enabled and some are
 //! unfinished, the execution has deadlocked — that single check also
-//! catches lost wakeups, because `wait_timeout` is modeled as a plain
-//! wait (timeout backstops never fire in the model; a protocol that
-//! needs them for progress is a lost-wakeup bug).
+//! catches lost wakeups (a waiter whose notify fired before it waited
+//! stays parked forever).
 //!
 //! Teardown after a violation cannot forcibly kill parked OS threads, so
 //! the runtime *aborts* them: every parked thread wakes, observes the
@@ -72,8 +71,6 @@ pub(crate) enum Op {
     Spawn,
     /// Join thread `tid` (enabled once it has finished).
     Join(usize),
-    /// A bare scheduling point (`thread::yield_now`).
-    Yield,
 }
 
 impl Op {
@@ -84,7 +81,7 @@ impl Op {
             Op::Lock(o) | Op::Unlock(o) => (Some(o), true),
             Op::Wait { cv, .. } | Op::NotifyOne(cv) | Op::NotifyAll(cv) => (Some(cv), true),
             Op::Atomic { obj, write } => (Some(obj), write),
-            Op::Start | Op::Spawn | Op::Join(_) | Op::Yield => (None, true),
+            Op::Start | Op::Spawn | Op::Join(_) => (None, true),
         }
     }
 }
@@ -125,8 +122,8 @@ pub(crate) struct StepInfo {
 #[derive(Debug, Clone)]
 pub enum Violation {
     /// No thread can make progress, but not all have finished. Lost
-    /// wakeups surface here: `wait_timeout` never times out under the
-    /// model, so a missed notification parks its waiter forever.
+    /// wakeups surface here: a missed notification parks its waiter
+    /// forever.
     Deadlock {
         /// The schedule that reached the deadlock (replayable id).
         schedule: String,
@@ -438,7 +435,7 @@ impl Exec {
                     st.threads[w].status = Status::Ready(Op::Lock(mutex));
                 }
             }
-            Op::Start | Op::Atomic { .. } | Op::Spawn | Op::Join(_) | Op::Yield => {}
+            Op::Start | Op::Atomic { .. } | Op::Spawn | Op::Join(_) => {}
         }
         st.threads[me].status = Status::Running;
         true
@@ -501,11 +498,11 @@ impl Exec {
 
     /// Registers a freshly spawned thread (caller must hold the turn).
     /// The new thread starts parked with a pending [`Op::Start`].
-    pub(crate) fn register_thread(&self, name: Option<String>) -> usize {
+    pub(crate) fn register_thread(&self) -> usize {
         let mut st = lock_state(&self.state);
         st.threads.push(ThreadState {
             status: Status::Ready(Op::Start),
-            name,
+            name: None,
         });
         st.live += 1;
         st.threads.len() - 1

@@ -18,43 +18,39 @@
 //!   a model execution (panics unwind the whole execution as a
 //!   violation instead). Outside an execution, real poisoning behaves
 //!   as in `std`.
-//! * **`wait_timeout` never times out** — the timeout backstop is
-//!   modeled as never firing, so any protocol that needs it for
-//!   progress deadlocks in the model. That is the lost-wakeup detector.
 //! * **Atomics are sequentially consistent** — orderings are accepted
 //!   and ignored; weak-memory reorderings are out of scope.
 //! * **`notify_one` wakes the oldest waiter** (FIFO), a deterministic
 //!   refinement of the unspecified `std` choice.
 
 #[cfg(not(feature = "model"))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use std::sync::{Condvar, Mutex, MutexGuard};
 
 // These are accurate under the model too: the model guard reuses
 // `std::sync::PoisonError` so downstream poisoning-recovery code
 // compiles identically in both builds.
 pub use std::sync::{Arc, LockResult, PoisonError};
 
-/// Atomic types and the `Ordering` enum. Under the model, operations
+/// `AtomicUsize` and the `Ordering` enum. Under the model, operations
 /// are scheduler yield points executed sequentially consistently.
 pub mod atomic {
     pub use std::sync::atomic::Ordering;
 
     #[cfg(not(feature = "model"))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::AtomicUsize;
 
     #[cfg(feature = "model")]
-    pub use super::model::{AtomicBool, AtomicU64, AtomicUsize};
+    pub use super::model::AtomicUsize;
 }
 
 #[cfg(feature = "model")]
-pub use model::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use model::{Condvar, Mutex, MutexGuard};
 
 #[cfg(feature = "model")]
 mod model {
     use crate::rt::{self, Op};
     use std::sync::atomic::Ordering;
     use std::sync::{LockResult, OnceLock, PoisonError};
-    use std::time::Duration;
 
     /// Lazily assigns this object's model id (const-constructible so
     /// statics work; the id is allocated at first use, deterministically
@@ -142,11 +138,6 @@ mod model {
                 }
             }
         }
-
-        /// Mutable access without locking (requires `&mut self`).
-        pub fn get_mut(&mut self) -> LockResult<&mut T> {
-            self.inner.get_mut()
-        }
     }
 
     impl<'a, T: ?Sized> MutexGuard<'a, T> {
@@ -184,18 +175,6 @@ mod model {
         }
     }
 
-    /// Result of [`Condvar::wait_timeout`]: under the model the timeout
-    /// never fires.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult(());
-
-    impl WaitTimeoutResult {
-        /// Always `false` in the model (see the module docs).
-        pub fn timed_out(&self) -> bool {
-            false
-        }
-    }
-
     /// A model condition variable.
     #[derive(Debug, Default)]
     pub struct Condvar {
@@ -212,42 +191,35 @@ mod model {
             }
         }
 
-        fn wait_model<'a, T: ?Sized>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-        ) -> LockResult<MutexGuard<'a, T>> {
-            let mutex = guard.mutex;
-            // Release the real lock, then park on the model condvar;
-            // yield_op returns only after a notify re-ran our re-acquire
-            // op, at which point re-taking the real lock cannot contend.
-            guard.guard = None;
-            let (cv, m) = (self.id.get(), mutex.id.get());
-            yield_op(|| Op::Wait { cv, mutex: m });
-            std::mem::forget(guard); // plain fields; Drop would re-unlock
-            let real = match mutex.inner.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            Ok(MutexGuard {
-                mutex,
-                guard: Some(real),
-            })
-        }
-
         /// Blocks until notified, releasing the mutex while parked. A
         /// missed notification parks this thread forever — which the
         /// explorer reports as a deadlock.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
             if rt::current().is_some() {
-                self.wait_model(guard)
+                let mutex = guard.mutex;
+                // Release the real lock, then park on the model condvar;
+                // yield_op returns only after a notify re-ran our
+                // re-acquire op, at which point re-taking the real lock
+                // cannot contend.
+                guard.guard = None;
+                let (cv, m) = (self.id.get(), mutex.id.get());
+                yield_op(|| Op::Wait { cv, mutex: m });
+                std::mem::forget(guard); // plain fields; Drop would re-unlock
+                let real = match mutex.inner.lock() {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                Ok(MutexGuard {
+                    mutex,
+                    guard: Some(real),
+                })
             } else {
                 let mutex = guard.mutex;
-                let mut g = guard;
-                let real = g
+                let real = guard
                     .guard
                     .take()
                     .unwrap_or_else(|| unreachable!("wait on released guard"));
-                std::mem::forget(g);
+                std::mem::forget(guard);
                 match self.inner.wait(real) {
                     Ok(r) => Ok(MutexGuard {
                         mutex,
@@ -257,49 +229,6 @@ mod model {
                         mutex,
                         guard: Some(p.into_inner()),
                     })),
-                }
-            }
-        }
-
-        /// [`Condvar::wait`] with a timeout. **Modeled as never timing
-        /// out**: protocols that rely on the timeout for progress (a
-        /// lost-wakeup backstop) deadlock under the model, on purpose.
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            if rt::current().is_some() {
-                match self.wait_model(guard) {
-                    Ok(g) => Ok((g, WaitTimeoutResult(()))),
-                    Err(p) => Err(PoisonError::new((p.into_inner(), WaitTimeoutResult(())))),
-                }
-            } else {
-                let mutex = guard.mutex;
-                let mut g = guard;
-                let real = g
-                    .guard
-                    .take()
-                    .unwrap_or_else(|| unreachable!("wait on released guard"));
-                std::mem::forget(g);
-                match self.inner.wait_timeout(real, dur) {
-                    Ok((r, _t)) => Ok((
-                        MutexGuard {
-                            mutex,
-                            guard: Some(r),
-                        },
-                        WaitTimeoutResult(()),
-                    )),
-                    Err(p) => {
-                        let (r, _t) = p.into_inner();
-                        Err(PoisonError::new((
-                            MutexGuard {
-                                mutex,
-                                guard: Some(r),
-                            },
-                            WaitTimeoutResult(()),
-                        )))
-                    }
                 }
             }
         }
@@ -318,98 +247,47 @@ mod model {
         }
     }
 
-    macro_rules! model_atomic {
-        ($name:ident, $std:ty, $prim:ty) => {
-            /// A model atomic: every operation is a scheduler yield
-            /// point, executed sequentially consistently.
-            #[derive(Debug, Default)]
-            pub struct $name {
-                id: ObjectId,
-                inner: $std,
-            }
-
-            impl $name {
-                /// Creates a new model atomic.
-                pub const fn new(v: $prim) -> $name {
-                    $name {
-                        id: ObjectId::new(),
-                        inner: <$std>::new(v),
-                    }
-                }
-
-                /// Atomic load (modeled as a read of this object).
-                pub fn load(&self, _order: Ordering) -> $prim {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: false,
-                    });
-                    self.inner.load(Ordering::SeqCst)
-                }
-
-                /// Atomic store.
-                pub fn store(&self, v: $prim, _order: Ordering) {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: true,
-                    });
-                    self.inner.store(v, Ordering::SeqCst)
-                }
-
-                /// Atomic swap.
-                pub fn swap(&self, v: $prim, _order: Ordering) -> $prim {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: true,
-                    });
-                    self.inner.swap(v, Ordering::SeqCst)
-                }
-            }
-        };
+    /// A model atomic: every operation is a scheduler yield point,
+    /// executed sequentially consistently.
+    #[derive(Debug, Default)]
+    pub struct AtomicUsize {
+        id: ObjectId,
+        inner: std::sync::atomic::AtomicUsize,
     }
 
-    macro_rules! model_atomic_arith {
-        ($name:ident, $prim:ty) => {
-            impl $name {
-                /// Atomic add, returning the previous value.
-                pub fn fetch_add(&self, v: $prim, _order: Ordering) -> $prim {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: true,
-                    });
-                    self.inner.fetch_add(v, Ordering::SeqCst)
-                }
-
-                /// Atomic subtract, returning the previous value.
-                pub fn fetch_sub(&self, v: $prim, _order: Ordering) -> $prim {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: true,
-                    });
-                    self.inner.fetch_sub(v, Ordering::SeqCst)
-                }
-
-                /// Atomic compare-exchange.
-                pub fn compare_exchange(
-                    &self,
-                    current: $prim,
-                    new: $prim,
-                    _success: Ordering,
-                    _failure: Ordering,
-                ) -> Result<$prim, $prim> {
-                    yield_op(|| Op::Atomic {
-                        obj: self.id.get(),
-                        write: true,
-                    });
-                    self.inner
-                        .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
+    impl AtomicUsize {
+        /// Creates a new model atomic.
+        pub const fn new(v: usize) -> AtomicUsize {
+            AtomicUsize {
+                id: ObjectId::new(),
+                inner: std::sync::atomic::AtomicUsize::new(v),
             }
-        };
-    }
+        }
 
-    model_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-    model_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    model_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-    model_atomic_arith!(AtomicUsize, usize);
-    model_atomic_arith!(AtomicU64, u64);
+        /// Declares an access to this object at a yield point.
+        fn access(&self, write: bool) {
+            yield_op(|| Op::Atomic {
+                obj: self.id.get(),
+                write,
+            });
+        }
+
+        /// Atomic load (modeled as a read of this object).
+        pub fn load(&self, _order: Ordering) -> usize {
+            self.access(false);
+            self.inner.load(Ordering::SeqCst)
+        }
+
+        /// Atomic store.
+        pub fn store(&self, v: usize, _order: Ordering) {
+            self.access(true);
+            self.inner.store(v, Ordering::SeqCst)
+        }
+
+        /// Atomic add, returning the previous value.
+        pub fn fetch_add(&self, v: usize, _order: Ordering) -> usize {
+            self.access(true);
+            self.inner.fetch_add(v, Ordering::SeqCst)
+        }
+    }
 }

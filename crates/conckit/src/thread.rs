@@ -1,7 +1,7 @@
 //! Thread shim: `std::thread` re-exports in normal builds, model-thread
 //! spawning under the `model` feature.
 //!
-//! Inside a model execution, `spawn`/`Builder::spawn` register a new
+//! Inside a model execution, `spawn` registers a new
 //! model thread with the scheduler: the closure still runs on a real OS
 //! thread, but it only executes when the scheduler gives it the turn,
 //! and `join` becomes a modeled blocking operation (enabled once the
@@ -11,15 +11,13 @@
 //! A panic that escapes a model thread's closure is recorded as a
 //! [`crate::Violation::Panic`] and tears the execution down — unlike
 //! `std`, where it would surface only through `join`. Model code that
-//! intends a panic must catch it itself (as parkit's task wrappers do).
+//! intends a panic must catch it itself.
 
 #[cfg(not(feature = "model"))]
-pub use std::thread::{spawn, yield_now, Builder, JoinHandle};
-
-pub use std::thread::available_parallelism;
+pub use std::thread::{spawn, JoinHandle};
 
 #[cfg(feature = "model")]
-pub use model::{spawn, yield_now, Builder, JoinHandle};
+pub use model::{spawn, JoinHandle};
 
 #[cfg(feature = "model")]
 mod model {
@@ -89,30 +87,27 @@ mod model {
         }
     }
 
-    fn spawn_inner<F, T>(name: Option<String>, f: F) -> std::io::Result<JoinHandle<T>>
+    /// Spawns a thread (modeled inside an execution).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the underlying OS spawn fails.
+    pub fn spawn<F, T>(f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
         let Some((exec, me)) = rt::current() else {
-            let mut b = std::thread::Builder::new();
-            if let Some(n) = name {
-                b = b.name(n);
-            }
-            return b.spawn(f).map(|h| JoinHandle(Inner::Std(h)));
+            return JoinHandle(Inner::Std(std::thread::spawn(f)));
         };
         // Spawning is itself a scheduling point, then the registration
         // happens while we still hold the turn.
         exec.yield_op(me, Op::Spawn);
-        let tid = exec.register_thread(name.clone());
+        let tid = exec.register_thread();
         let outcome: Outcome<T> = Arc::new(Mutex::new(None));
         let slot = outcome.clone();
         let child_exec = exec.clone();
-        let mut b = std::thread::Builder::new();
-        if let Some(n) = name {
-            b = b.name(n);
-        }
-        let os = b.spawn(move || {
+        let os = std::thread::spawn(move || {
             rt::set_current(Some((child_exec.clone(), tid)));
             child_exec.wait_first_turn(tid);
             let result = catch_unwind(AssertUnwindSafe(f));
@@ -132,67 +127,12 @@ mod model {
                 }
             }
             child_exec.finish_thread(tid);
-        })?;
-        Ok(JoinHandle(Inner::Model {
+        });
+        JoinHandle(Inner::Model {
             exec,
             tid,
             os,
             outcome,
-        }))
-    }
-
-    /// Spawns a thread (modeled inside an execution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying OS spawn fails.
-    pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        spawn_inner(None, f).unwrap_or_else(|e| panic!("thread spawn failed: {e}"))
-    }
-
-    /// Mirror of `std::thread::Builder` over the model spawn.
-    #[derive(Debug, Default)]
-    pub struct Builder {
-        name: Option<String>,
-    }
-
-    impl Builder {
-        /// Creates a builder with no name set.
-        pub fn new() -> Builder {
-            Builder::default()
-        }
-
-        /// Names the thread (kept on the OS thread and in the model's
-        /// deadlock reports).
-        pub fn name(mut self, name: String) -> Builder {
-            self.name = Some(name);
-            self
-        }
-
-        /// Spawns the thread.
-        ///
-        /// # Errors
-        ///
-        /// Propagates OS spawn failure.
-        pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
-        where
-            F: FnOnce() -> T + Send + 'static,
-            T: Send + 'static,
-        {
-            spawn_inner(self.name, f)
-        }
-    }
-
-    /// A bare scheduling point inside an execution; `std` yield outside.
-    pub fn yield_now() {
-        if let Some((exec, me)) = rt::current() {
-            exec.yield_op(me, Op::Yield);
-        } else {
-            std::thread::yield_now();
-        }
+        })
     }
 }

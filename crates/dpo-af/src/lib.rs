@@ -23,8 +23,8 @@
 //!   scenario's justice assumptions), and empirical evaluation via
 //!   `drivesim` rollouts.
 //! * [`pipeline`] — the DPO-AF loop: sample → verify → rank → fine-tune,
-//!   with periodic checkpoints. Formal scoring fans out across a `parkit`
-//!   work-stealing pool and memoizes verdicts in a [`cache::VerifyCache`];
+//!   with periodic checkpoints. Formal scoring fans out with
+//!   `parkit::ThreadPool::map` and memoizes verdicts in a [`cache::VerifyCache`];
 //!   both are pure performance features — artifacts are byte-identical at
 //!   any thread count and any cache capacity.
 //! * [`experiments`] — one module per paper artifact (Figures 7, 8, 9,

@@ -284,7 +284,7 @@ pub struct DpoAf {
     /// Memoized formal verdicts, shared across rounds, iterations and
     /// checkpoint evaluations.
     cache: VerifyCache,
-    /// The work-stealing pool behind the scoring fan-out.
+    /// The pool behind the scoring and DPO gradient fan-outs.
     pool: parkit::ThreadPool,
 }
 
@@ -562,7 +562,10 @@ impl DpoAf {
                 let mut sampled: Vec<(usize, String)> = Vec::new();
                 for &tid in tasks {
                     for _ in 0..self.config.eval_samples {
-                        let tokens = lm.sample(tid, rng, opts).expect("task id in range");
+                        let tokens = {
+                            let _s = obskit::span("pipeline.sample");
+                            lm.sample(tid, rng, opts).expect("task id in range")
+                        };
                         sampled.push((tid, self.bundle.decode(&tokens)));
                     }
                 }
@@ -579,7 +582,10 @@ impl DpoAf {
                 for &tid in tasks {
                     let task = &self.bundle.tasks[tid];
                     for _ in 0..self.config.eval_samples {
-                        let tokens = lm.sample(tid, rng, opts).expect("task id in range");
+                        let tokens = {
+                            let _s = obskit::span("pipeline.sample");
+                            lm.sample(tid, rng, opts).expect("task id in range")
+                        };
                         total += self.score(task, &tokens, rng);
                         count += 1;
                     }
@@ -624,11 +630,10 @@ impl DpoAf {
 
         let _run = obskit::span("pipeline.run");
         // Register the pool/cache metrics up front so instrumented runs
-        // report them even when they stay at zero (single thread, cache
-        // off, no contention).
+        // report them even when they stay at zero (cache off, no
+        // evictions).
         for name in [
             "pool.tasks",
-            "pool.steals",
             "verify.cache_hits",
             "verify.cache_misses",
             "verify.cache_evictions",

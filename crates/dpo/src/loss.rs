@@ -102,7 +102,7 @@ pub(crate) fn pair_grad_under(
     beta: f32,
     under: Option<obskit::Handoff>,
 ) -> Result<(PairEval, GradBuffer), LmError> {
-    SeqWorkspace::with_tls(|ws| {
+    SeqWorkspace::with_shared(|ws| {
         ws.reset();
         let (graph_w, graph_l) = {
             let _s = maybe_span_under("dpo.forward", under);

@@ -91,8 +91,7 @@ impl DpoTrainer {
     }
 
     /// [`DpoTrainer::train`] with per-pair gradient computations fanned
-    /// out over `pool` (when given and wider than one thread), mirroring
-    /// `tinylm::pretrain_in`.
+    /// out over `pool` (one thread when `None`).
     ///
     /// Parallelism never changes the math: the RNG-driven epoch shuffle
     /// stays sequential, per-pair gradients are pure functions of the
@@ -120,6 +119,8 @@ impl DpoTrainer {
     ) -> Result<Vec<EpochStats>, LmError> {
         assert!(!dataset.is_empty(), "preference dataset must be non-empty");
         let opts = self.options;
+        let one_thread = parkit::ThreadPool::new(1);
+        let pool = pool.unwrap_or(&one_thread);
         let started = std::time::Instant::now();
         let mut adam = Adam::new(opts.lr, policy.params().len());
         let mut stats = Vec::with_capacity(opts.epochs);
@@ -165,25 +166,24 @@ impl DpoTrainer {
             {
                 let epoch_span = obskit::span("dpo.epoch");
                 let under = Some(epoch_span.handoff());
-                let pair_grad = |i: usize, policy: &CondLm| {
-                    let (ref_w, ref_l) = ref_lps[i];
-                    obskit::counter_add("dpo.ref_cache_hits", 2);
-                    pair_grad_under(policy, &dataset.pairs[i], ref_w, ref_l, opts.beta, under)
-                };
                 for batch in epoch_pairs.chunks(opts.batch_size) {
                     let mut grad = GradBuffer::zeros(policy);
-                    let per_pair: Vec<(PairEval, GradBuffer)> = match pool {
-                        Some(pool) if pool.threads() > 1 => {
-                            let frozen: &CondLm = policy;
-                            pool.map(batch, |_, &i| pair_grad(i, frozen))
-                                .into_iter()
-                                .collect::<Result<Vec<_>, LmError>>()?
-                        }
-                        _ => batch
-                            .iter()
-                            .map(|&i| pair_grad(i, policy))
-                            .collect::<Result<Vec<_>, LmError>>()?,
-                    };
+                    let frozen: &CondLm = policy;
+                    let per_pair: Vec<(PairEval, GradBuffer)> = pool
+                        .map(batch, |_, &i| {
+                            let (ref_w, ref_l) = ref_lps[i];
+                            obskit::counter_add("dpo.ref_cache_hits", 2);
+                            pair_grad_under(
+                                frozen,
+                                &dataset.pairs[i],
+                                ref_w,
+                                ref_l,
+                                opts.beta,
+                                under,
+                            )
+                        })
+                        .into_iter()
+                        .collect::<Result<Vec<_>, LmError>>()?;
                     for (&i, (eval, g)) in batch.iter().zip(&per_pair) {
                         let pair = &dataset.pairs[i];
                         tokens_seen += (pair.winner.len() + pair.loser.len() + 2) as u64;

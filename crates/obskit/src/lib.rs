@@ -66,8 +66,23 @@ struct Global {
     registry: Registry,
     spans: SpanStore,
     events: EventLog,
-    /// Human-readable names for trace threads (`thread_id() → name`).
-    thread_names: Mutex<Vec<(u64, String)>>,
+    /// Human-readable names for trace threads, one per trace id.
+    thread_names: Mutex<Vec<NamedTrack>>,
+}
+
+/// A named trace id. `live` while a running thread holds the id; once
+/// that thread exits, a later thread taking the same name reuses it.
+struct NamedTrack {
+    tid: u64,
+    name: String,
+    live: bool,
+}
+
+fn named_tracks() -> std::sync::MutexGuard<'static, Vec<NamedTrack>> {
+    match global().thread_names.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
 static GLOBAL: OnceLock<Global> = OnceLock::new();
@@ -98,13 +113,41 @@ pub(crate) fn global_registry_snapshot() -> MetricsSnapshot {
     global().registry.snapshot()
 }
 
+thread_local! {
+    /// This thread's trace id, `u64::MAX` until first use. Settable, so
+    /// [`set_thread_name`] can hand a thread the id of an exited namesake.
+    static THREAD_ID: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
+/// Frees the named track this thread holds (its id, `u64::MAX` if none)
+/// when the thread exits.
+struct TrackRelease(Cell<u64>);
+
+impl Drop for TrackRelease {
+    fn drop(&mut self) {
+        let tid = self.0.get();
+        if tid == u64::MAX {
+            return;
+        }
+        if let Some(track) = named_tracks().iter_mut().find(|t| t.tid == tid) {
+            track.live = false;
+        }
+    }
+}
+
+thread_local! {
+    static TRACK: TrackRelease = const { TrackRelease(Cell::new(u64::MAX)) };
+}
+
 /// Dense per-thread id (0, 1, 2, …) for trace attribution.
 fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ID.with(|id| *id)
+    THREAD_ID.with(|id| {
+        if id.get() == u64::MAX {
+            id.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        id.get()
+    })
 }
 
 thread_local! {
@@ -255,19 +298,40 @@ pub fn span_under(name: &str, handoff: Handoff) -> Span {
 /// Names the current thread for trace attribution (e.g. Chrome-trace
 /// track labels). Recorded regardless of whether the recorder is
 /// enabled — a thread's identity is not a measurement — and surviving
-/// [`enable`]'s data clear, so pools created before `enable()` keep
+/// [`enable`]'s data clear, so threads named before `enable()` keep
 /// their labels. Last call per thread wins.
+///
+/// A thread taking the name of a thread that has exited takes over that
+/// thread's trace id, so short-lived threads that fill the same role one
+/// after another (parkit's per-call helpers) share one trace track.
+/// Threads alive at the same time never share an id: a name taken while
+/// its earlier holder still runs gets a fresh id and a second entry. An
+/// id is freed when its thread's thread-locals are destroyed, which
+/// `JoinHandle::join` waits for. Call it before the thread opens spans.
 pub fn set_thread_name(name: &str) {
-    let tid = thread_id();
-    let mut names = match global().thread_names.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(entry) = names.iter_mut().find(|(t, _)| *t == tid) {
-        entry.1 = name.to_owned();
-    } else {
-        names.push((tid, name.to_owned()));
+    let mut tracks = named_tracks();
+    let held = TRACK.with(|t| t.0.get());
+    if let Some(track) = tracks.iter_mut().find(|t| t.tid == held) {
+        track.name = name.to_owned();
+        return;
     }
+    let tid = match tracks.iter_mut().find(|t| !t.live && t.name == name) {
+        Some(track) => {
+            track.live = true;
+            THREAD_ID.with(|id| id.set(track.tid));
+            track.tid
+        }
+        None => {
+            let tid = thread_id();
+            tracks.push(NamedTrack {
+                tid,
+                name: name.to_owned(),
+                live: true,
+            });
+            tid
+        }
+    };
+    TRACK.with(|t| t.0.set(tid));
 }
 
 /// Opens a span named `name` on the current thread. While the recorder
@@ -395,10 +459,10 @@ pub fn snapshot() -> Snapshot {
         span_records,
         spans,
         events: g.events.snapshot(),
-        thread_names: match g.thread_names.lock() {
-            Ok(names) => names.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        },
+        thread_names: named_tracks()
+            .iter()
+            .map(|t| (t.tid, t.name.clone()))
+            .collect(),
         samples: recorder::samples(),
         alloc,
     }

@@ -56,6 +56,34 @@ fn global_recorder_end_to_end() {
             });
         });
     }
+    // Two threads that run one after the other under the same name share
+    // one trace id. The explicit join waits for the first thread's
+    // thread-locals, which free its id, to be destroyed.
+    for _ in 0..2 {
+        std::thread::scope(|scope| {
+            let slot = scope.spawn(|| {
+                obskit::set_thread_name("test-slot");
+                let _s = obskit::span("test.slot");
+            });
+            assert!(slot.join().is_ok());
+        });
+    }
+    // Two threads alive at the same time under one name keep apart: the
+    // inner thread starts while the outer one still holds the name.
+    std::thread::scope(|scope| {
+        let outer = scope.spawn(|| {
+            obskit::set_thread_name("test-nested");
+            let _s = obskit::span("test.nested");
+            std::thread::scope(|inner_scope| {
+                let inner = inner_scope.spawn(|| {
+                    obskit::set_thread_name("test-nested");
+                    let _s = obskit::span("test.nested");
+                });
+                assert!(inner.join().is_ok());
+            });
+        });
+        assert!(outer.join().is_ok());
+    });
     let snap = obskit::snapshot();
     obskit::disable();
     obskit::set_console(true);
@@ -135,6 +163,39 @@ fn global_recorder_end_to_end() {
         obskit::chrome::chrome_trace_named(&snap.span_records, &snap.events, &snap.thread_names);
     assert!(trace.contains("thread_name"), "{trace}");
     assert!(trace.contains("test-worker"), "{trace}");
+
+    let slot_threads: Vec<u64> = snap
+        .span_records
+        .iter()
+        .filter(|r| r.name == "test.slot")
+        .map(|r| r.thread)
+        .collect();
+    assert_eq!(slot_threads.len(), 2);
+    assert_eq!(slot_threads[0], slot_threads[1], "one track per name");
+    let slot_names: Vec<u64> = snap
+        .thread_names
+        .iter()
+        .filter(|(_, name)| name == "test-slot")
+        .map(|&(tid, _)| tid)
+        .collect();
+    assert_eq!(slot_names, vec![slot_threads[0]]);
+    let nested_threads: Vec<u64> = snap
+        .span_records
+        .iter()
+        .filter(|r| r.name == "test.nested")
+        .map(|r| r.thread)
+        .collect();
+    assert_eq!(nested_threads.len(), 2);
+    assert_ne!(
+        nested_threads[0], nested_threads[1],
+        "live threads never share a track"
+    );
+    let nested_names = snap
+        .thread_names
+        .iter()
+        .filter(|(_, name)| name == "test-nested")
+        .count();
+    assert_eq!(nested_names, 2);
 
     // Events: the progress! line and the explicit event, in order.
     let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();

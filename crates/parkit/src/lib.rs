@@ -1,46 +1,42 @@
-//! # parkit — a zero-dependency work-stealing thread pool
+//! # parkit — index-ordered parallel map for DPO-AF
 //!
-//! The DPO-AF feedback loop spends almost all of its wall clock on
-//! per-response formal verification — pure, independent work units that
-//! repeat thousands of times per run. `parkit` is the workspace's
-//! parallel substrate for exactly that shape of work:
+//! DPO-AF's parallel work is always a flat batch of independent items:
+//! the formal score of each sampled response, and the per-pair DPO
+//! gradients of a minibatch. `parkit` serves exactly that shape:
 //!
-//! * **Work stealing.** Each worker owns a deque (owner LIFO at the
-//!   bottom, thieves FIFO at the top — the Chase–Lev discipline, see
-//!   [`mod@deque`] for why the buffer itself is lock-based) plus a global
-//!   injector for tasks spawned from outside the pool. Idle workers
-//!   steal, so uneven verification costs balance themselves.
-//! * **Scoped spawning.** [`ThreadPool::scope`] lets tasks borrow from
-//!   the enclosing stack frame; the scope cannot be exited until every
-//!   task has finished, which is what makes the lifetime erasure sound.
-//! * **Deterministic joins.** [`ThreadPool::map`] writes results into
-//!   per-index slots and hands them back **in item order**. Runs are
-//!   byte-identical at 1 or N threads as long as the mapped function is
-//!   itself deterministic per item — the pipeline's reproducibility
-//!   contract (DESIGN.md §8).
-//! * **Panic propagation.** The first panic from any task is re-raised
-//!   from the scope (after all tasks finish), never swallowed on a
-//!   worker.
-//! * **Caller participation.** A pool of `n` threads spawns `n - 1`
-//!   workers; the scope owner helps execute tasks while it waits. A
-//!   1-thread pool is exactly the sequential loop.
+//! * **One fan-out.** [`ThreadPool::map`] opens one
+//!   [`std::thread::scope`], spawns `n - 1` helpers and works alongside
+//!   them; every thread claims the next item index from one shared
+//!   counter, so uneven item costs balance themselves. Every helper is
+//!   joined before `map` returns, so no parkit thread outlives a call.
+//! * **Deterministic joins.** Results come back **in item order**. Runs
+//!   are byte-identical at 1 or N threads as long as the mapped function
+//!   is itself deterministic per item — the pipeline's reproducibility
+//!   contract (DESIGN.md §8). A 1-thread pool is exactly the sequential
+//!   loop.
+//! * **Panic propagation.** A panic in any invocation is re-raised from
+//!   `map` with its original payload, never swallowed on a helper.
 //!
 //! Thread-count resolution ([`resolve_threads`]): explicit config >
 //! `PARKIT_THREADS` environment variable > available parallelism.
 //!
-//! The pool feeds two `obskit` counters: `pool.tasks` (tasks spawned)
-//! and `pool.steals` (tasks taken from another worker's deque), and
-//! names its workers (`parkit-worker-N`) in Chrome traces.
+//! `map` feeds the `obskit` counter `pool.tasks` (items mapped, once
+//! each at every width) and names helper `k` `parkit-worker-k` in
+//! Chrome traces, so each helper slot keeps one track across calls.
+//!
+//! [`ShardedMap`] is the sharded, bounded LRU map behind the verdict
+//! memo-cache; its interleavings are model-checked with conckit
+//! (`models`, under the `model` feature).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-mod deque;
 #[cfg(feature = "model")]
 pub mod models;
 mod pool;
 mod shard;
 
-pub use pool::{resolve_threads, Scope, ThreadPool};
+pub use pool::{resolve_threads, ThreadPool};
 pub use shard::{InsertOutcome, ShardedMap};
 
 #[cfg(test)]
@@ -50,7 +46,7 @@ mod tests {
 
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Barrier, Mutex};
 
     #[test]
     fn map_returns_results_in_item_order() {
@@ -93,94 +89,43 @@ mod tests {
         assert_eq!(serial.map(&items, f), parallel.map(&items, f));
     }
 
-    /// Contention torture: many more tasks than threads, every task
-    /// runs exactly once, and the scope owner's borrows survive.
+    /// Contention torture: many more items than threads, and every item
+    /// is mapped exactly once.
     #[test]
-    fn steal_correctness_under_contention() {
+    fn map_runs_every_item_exactly_once() {
         let pool = ThreadPool::new(4);
         let hits = AtomicUsize::new(0);
         let sum = AtomicUsize::new(0);
         let n = 5_000;
-        pool.scope(|s| {
-            for i in 0..n {
-                let hits = &hits;
-                let sum = &sum;
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(i, Ordering::Relaxed);
-                });
-            }
+        let items: Vec<usize> = (0..n).collect();
+        let out = pool.map(&items, |i, &x| {
+            hits.fetch_add(1, Ordering::Relaxed);
+            sum.fetch_add(x, Ordering::Relaxed);
+            i
         });
         assert_eq!(hits.load(Ordering::Relaxed), n);
         assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+        assert_eq!(out, items);
     }
 
     #[test]
-    fn scope_propagates_task_panic() {
-        let pool = ThreadPool::new(3);
-        let completed = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..20 {
-                    let completed = &completed;
-                    s.spawn(move || {
-                        if i == 11 {
-                            panic!("task 11 exploded");
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        let payload = result.expect_err("panic must cross the scope");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        assert!(msg.contains("task 11 exploded"), "payload: {msg}");
-        // Every non-panicking task still ran before the panic surfaced.
-        assert_eq!(completed.load(Ordering::Relaxed), 19);
-    }
-
-    #[test]
-    fn map_propagates_panic_too() {
-        let pool = ThreadPool::new(2);
-        let items = [1u32, 2, 3];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map(&items, |_, &x| {
-                assert!(x != 2, "poisoned item");
-                x
-            })
-        }));
-        assert!(result.is_err());
-    }
-
-    /// A task may open a scope of its own on the same pool (the shape a
-    /// nested fan-out produces). The inner scope's tasks
-    /// run on the already-busy pool without deadlocking.
-    #[test]
-    fn nested_scopes_on_the_same_pool() {
-        let pool = ThreadPool::new(3);
-        let log = Mutex::new(Vec::new());
-        let pool_ref = &pool;
-        pool.scope(|s| {
-            for outer in 0..4 {
-                let log = &log;
-                let pool = pool_ref;
-                s.spawn(move || {
-                    let inner: Vec<usize> = pool.map(&[10usize, 20, 30], |_, &x| x + outer);
-                    if let Ok(mut l) = log.lock() {
-                        l.push((outer, inner));
-                    }
-                });
-            }
-        });
-        let mut entries = log.into_inner().unwrap_or_else(|p| p.into_inner());
-        entries.sort();
-        assert_eq!(entries.len(), 4);
-        for (outer, inner) in entries {
-            assert_eq!(inner, vec![10 + outer, 20 + outer, 30 + outer]);
+    fn map_propagates_panic_payload() {
+        for threads in [1, 2, 3] {
+            let pool = ThreadPool::new(threads);
+            let items: Vec<u32> = (0..20).collect();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.map(&items, |_, &x| {
+                    assert!(x != 11, "item 11 exploded");
+                    x
+                })
+            }));
+            let payload = result.expect_err("panic must cross map");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            assert!(msg.contains("item 11 exploded"), "payload: {msg}");
         }
     }
 
@@ -199,57 +144,50 @@ mod tests {
     }
 
     #[test]
-    fn scope_returns_closure_value() {
-        let pool = ThreadPool::new(2);
-        let v = pool.scope(|s| {
-            s.spawn(|| {});
-            41 + 1
-        });
-        assert_eq!(v, 42);
-    }
-
-    #[test]
     fn resolve_prefers_explicit_request() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
     }
 
     #[test]
-    fn one_thread_pool_runs_inline_in_spawn_order() {
+    fn one_thread_map_runs_inline_in_item_order() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.threads(), 1);
+        let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..10 {
-                let order = &order;
-                s.spawn(move || {
-                    if let Ok(mut o) = order.lock() {
-                        o.push(i);
-                    }
-                });
-            }
+        pool.map(&[(); 10], |i, _| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
         });
-        let order = order.into_inner().unwrap_or_else(|p| p.into_inner());
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        assert_eq!(order.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
-    /// Dropping a pool joins its workers; a fresh pool per iteration
-    /// must not leak threads or wedge.
+    /// Every helper has exited when `map` returns: a thread-local
+    /// destructor runs on thread exit, and both helpers' have run. The
+    /// barrier makes each of the three threads take one of the first
+    /// three items.
     #[test]
-    fn pools_shut_down_cleanly() {
-        for threads in 1..=4 {
-            let pool = ThreadPool::new(threads);
-            let n = AtomicUsize::new(0);
-            pool.scope(|s| {
-                for _ in 0..50 {
-                    let n = &n;
-                    s.spawn(move || {
-                        n.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(n.load(Ordering::Relaxed), 50);
-            drop(pool);
+    fn helpers_exit_before_map_returns() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
         }
+        thread_local! {
+            static ON_EXIT: OnExit = const { OnExit };
+        }
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(3);
+        ThreadPool::new(3).map(&[(); 64], |i, _| {
+            if i < 3 {
+                barrier.wait();
+            }
+            if std::thread::current().id() != caller {
+                ON_EXIT.with(|_| {});
+            }
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), 2);
     }
 }

@@ -1,149 +1,19 @@
-//! conckit models of parkit's concurrency properties.
+//! conckit models of [`ShardedMap`]'s concurrency properties.
 //!
 //! Each function here builds one small, deterministic concurrent
-//! scenario over the real pool/deque/map code (compiled against the
-//! conckit shim) and returns the exploration [`Report`]. They are run
+//! scenario over the real map code (compiled against the conckit shim) and returns the exploration [`Report`]. They are run
 //! twice: as `#[test]`s in the `model`-feature test suite, and by the
 //! `conc_check` bench binary which records schedule counts in CI.
 //!
-//! Scenarios are deliberately tiny — two or three threads, a handful of
-//! tasks — because exhaustive exploration cost is exponential in
+//! Scenarios are deliberately tiny — two threads, a handful of
+//! operations — because exhaustive exploration cost is exponential in
 //! scheduling points. Within the preemption bound the coverage is still
 //! total: every admissible interleaving of every sync operation in the
 //! scenario, including the ones a torture test hits once a decade.
 
-use crate::deque::WorkerDeque;
 use crate::shard::ShardedMap;
-use crate::ThreadPool;
-use conckit::sync::atomic::{AtomicUsize, Ordering};
-use conckit::sync::{Arc, Mutex};
+use conckit::sync::Arc;
 use conckit::{explore, Config, Report};
-
-/// Every spawned task runs exactly once — none lost, none duplicated —
-/// across every interleaving of a 2-thread pool under contention.
-pub fn pool_no_task_lost(config: &Config) -> Report {
-    explore(config, || {
-        let pool = ThreadPool::new(2);
-        let hits = AtomicUsize::new(0);
-        let sum = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for i in 1..=3 {
-                let (hits, sum) = (&hits, &sum);
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            3,
-            "a task was lost or ran twice"
-        );
-        assert_eq!(sum.load(Ordering::Relaxed), 6, "task effects corrupted");
-    })
-}
-
-/// `pool.map` returns results in item order under every schedule, with
-/// a yield point inside the mapped function to widen the interleaving
-/// space.
-pub fn pool_map_order(config: &Config) -> Report {
-    explore(config, || {
-        let pool = ThreadPool::new(2);
-        let out = pool.map(&[10usize, 20, 30], |i, &x| {
-            conckit::thread::yield_now();
-            x + i
-        });
-        assert_eq!(out, vec![10, 21, 32], "map order is schedule-dependent");
-    })
-}
-
-/// A panicking task is contained: the panic surfaces from `scope`, the
-/// other tasks still ran, and the pool (and its deques) stay usable.
-pub fn pool_panic_containment(config: &Config) -> Report {
-    explore(config, || {
-        let pool = ThreadPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let ran = &ran;
-                s.spawn(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-                s.spawn(|| panic!("seeded task panic"));
-            });
-        }));
-        assert!(result.is_err(), "the task panic must cross the scope");
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "sibling task was lost");
-        // Neither the deques nor the scope latch are poisoned: the same
-        // pool still completes fresh work.
-        let out = pool.map(&[1u32, 2], |_, &x| x * 2);
-        assert_eq!(out, vec![2, 4], "pool wedged after a task panic");
-    })
-}
-
-/// Dropping the pool quiesces from every reachable state: workers parked
-/// on the wakeup condvar, mid-steal, or mid-task all observe shutdown
-/// and join. A lost shutdown wakeup would deadlock here.
-pub fn pool_shutdown_quiesces(config: &Config) -> Report {
-    explore(config, || {
-        let pool = ThreadPool::new(2);
-        let n = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let n = &n;
-            s.spawn(move || {
-                n.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        drop(pool);
-        assert_eq!(n.load(Ordering::Relaxed), 1);
-    })
-}
-
-/// Owner LIFO / thief FIFO discipline on one deque under a concurrent
-/// thief: whatever the interleaving, the thief takes from the old end,
-/// the owner from the new end, and each task is taken exactly once.
-pub fn deque_discipline(config: &Config) -> Report {
-    explore(config, || {
-        let deque = Arc::new(WorkerDeque::default());
-        let taken: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let push = |tag: &'static str| {
-            let taken = taken.clone();
-            Box::new(move || {
-                if let Ok(mut t) = taken.lock() {
-                    t.push(tag);
-                }
-            }) as crate::pool::Task
-        };
-        deque.push(push("old"));
-        deque.push(push("mid"));
-        deque.push(push("new"));
-        let thief = {
-            let deque = deque.clone();
-            conckit::thread::spawn(move || {
-                if let Some(t) = deque.steal() {
-                    t();
-                }
-            })
-        };
-        // Owner pops the newest item.
-        if let Some(t) = deque.pop() {
-            t();
-        }
-        let _ = thief.join();
-        let log = taken.lock().map(|t| t.clone()).unwrap_or_default();
-        assert_eq!(log.len(), 2, "a task was lost or run twice: {log:?}");
-        assert!(
-            log.contains(&"new"),
-            "owner must take the LIFO end: {log:?}"
-        );
-        assert!(
-            log.contains(&"old"),
-            "thief must take the FIFO end: {log:?}"
-        );
-        assert_eq!(deque.len(), 1, "exactly one task should remain");
-    })
-}
 
 /// Concurrent `get`/`insert` on a bounded [`ShardedMap`] never observes
 /// a torn value and never exceeds the capacity bound, under every
@@ -225,11 +95,6 @@ pub type Model = fn(&Config) -> Report;
 /// suite and the `conc_check` CI gate.
 pub fn all() -> Vec<(&'static str, Model)> {
     vec![
-        ("pool_no_task_lost", pool_no_task_lost),
-        ("pool_map_order", pool_map_order),
-        ("pool_panic_containment", pool_panic_containment),
-        ("pool_shutdown_quiesces", pool_shutdown_quiesces),
-        ("deque_discipline", deque_discipline),
         ("sharded_map_consistency", sharded_map_consistency),
         ("sharded_map_lru_touch", sharded_map_lru_touch),
     ]
@@ -241,33 +106,6 @@ mod tests {
 
     fn config() -> Config {
         Config::with_bound(2)
-    }
-
-    #[test]
-    fn model_pool_no_task_lost() {
-        pool_no_task_lost(&config()).assert_ok();
-    }
-
-    #[test]
-    fn model_pool_map_order() {
-        pool_map_order(&config()).assert_ok();
-    }
-
-    #[test]
-    fn model_pool_panic_containment() {
-        pool_panic_containment(&config()).assert_ok();
-    }
-
-    #[test]
-    fn model_pool_shutdown_quiesces() {
-        pool_shutdown_quiesces(&config()).assert_ok();
-    }
-
-    #[test]
-    fn model_deque_discipline() {
-        let report = deque_discipline(&config());
-        report.assert_ok();
-        assert!(report.schedules >= 2, "expected real branching");
     }
 
     #[test]

@@ -1,18 +1,7 @@
-//! The work-stealing pool: workers, injector, scopes and the
-//! deterministic `map` join.
+//! The pool: a resolved thread count and the deterministic `map` join.
 
-use crate::deque::WorkerDeque;
-use conckit::sync::atomic::{AtomicUsize, Ordering};
-use conckit::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::Duration;
-
-/// A unit of work queued on the pool. Lifetimes are erased by
-/// [`Scope::spawn`]; the scope's completion latch guarantees every task
-/// has finished before the borrows it captured go out of scope.
-pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a requested thread count to an effective one:
 ///
@@ -30,196 +19,30 @@ pub fn resolve_threads(requested: usize) -> usize {
     {
         return n;
     }
-    conckit::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Wake/shutdown state shared between the pool handle and its workers.
-struct PoolSync {
-    /// Bumped on every push; sleeping workers recheck when it moves.
-    generation: u64,
-    /// Set by `Drop`; workers drain their queues and exit.
-    shutdown: bool,
-}
-
-struct Shared {
-    /// Tasks spawned from outside the pool's worker threads.
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker thread.
-    workers: Vec<WorkerDeque>,
-    sync: Mutex<PoolSync>,
-    cv: Condvar,
-    /// Process-unique pool id, so nested pools never confuse the
-    /// thread-local "which worker am I" marker.
-    id: usize,
-}
-
-fn lock_sync(shared: &Shared) -> MutexGuard<'_, PoolSync> {
-    match shared.sync.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn lock_injector(shared: &Shared) -> MutexGuard<'_, VecDeque<Task>> {
-    match shared.injector.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-thread_local! {
-    /// `(pool id, worker index)` while running on a pool worker thread.
-    static CURRENT_WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-impl Shared {
-    /// Queues a task: onto the current worker's own deque when called
-    /// from inside this pool (work stays local, thieves balance it),
-    /// onto the global injector otherwise.
-    fn push(&self, task: Task) {
-        let local = CURRENT_WORKER
-            .with(|c| c.get())
-            .and_then(|(pool, idx)| (pool == self.id).then(|| &self.workers[idx]));
-        match local {
-            Some(deque) => deque.push(task),
-            None => lock_injector(self).push_back(task),
-        }
-        let mut sync = lock_sync(self);
-        sync.generation = sync.generation.wrapping_add(1);
-        drop(sync);
-        self.cv.notify_all();
-    }
-
-    /// Finds one runnable task: own deque first (LIFO), then the
-    /// injector, then steals from the other workers (FIFO). `me` is the
-    /// calling worker's index, or `None` for a caller helping from
-    /// outside the pool.
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(idx) = me {
-            if let Some(t) = self.workers[idx].pop() {
-                return Some(t);
-            }
-        }
-        if let Some(t) = lock_injector(self).pop_front() {
-            return Some(t);
-        }
-        // Steal sweep, starting just past our own slot so contending
-        // thieves fan out instead of hammering worker 0.
-        let n = self.workers.len();
-        let start = me.map_or(0, |i| i + 1);
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = self.workers[victim].steal() {
-                obskit::counter_add("pool.steals", 1);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Total queued tasks across injector and worker deques (racy
-    /// snapshot; used only to decide whether to sleep).
-    fn queued(&self) -> usize {
-        lock_injector(self).len() + self.workers.iter().map(WorkerDeque::len).sum::<usize>()
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, idx: usize) {
-    CURRENT_WORKER.with(|c| c.set(Some((shared.id, idx))));
-    obskit::set_thread_name(&format!("parkit-worker-{idx}"));
-    loop {
-        if let Some(task) = shared.find_task(Some(idx)) {
-            task();
-            continue;
-        }
-        let mut sync = lock_sync(&shared);
-        if sync.shutdown {
-            // Drain-before-exit: only stop once nothing is queued.
-            if shared.queued() == 0 {
-                return;
-            }
-            continue;
-        }
-        let gen = sync.generation;
-        if shared.queued() == 0 {
-            // Recheck under a timeout: a push between `find_task` and
-            // the lock bumps `generation`, so we never sleep through it.
-            if sync.generation == gen {
-                let (guard, _timeout) =
-                    match shared.cv.wait_timeout(sync, Duration::from_millis(20)) {
-                        Ok(r) => r,
-                        Err(poisoned) => {
-                            let (g, t) = poisoned.into_inner();
-                            (g, t)
-                        }
-                    };
-                sync = guard;
-            }
-        }
-        drop(sync);
-    }
-}
-
-/// A fixed-size work-stealing thread pool.
+/// A fixed degree of parallelism for [`ThreadPool::map`].
 ///
-/// `threads` is the pool's parallelism: `threads - 1` background workers
-/// plus the calling thread, which always helps execute tasks while it
-/// waits inside [`ThreadPool::scope`] or [`ThreadPool::map`]. A pool of
-/// one thread therefore spawns no workers at all and runs every task
-/// inline on the caller, in spawn order — the degenerate case the
-/// determinism contract is anchored to.
+/// `threads` counts the calling thread: a `map` over `n` threads spawns
+/// `n - 1` scoped helpers and the caller works alongside them. Every
+/// helper is joined before `map` returns, so no thread outlives a call
+/// and the pool itself holds no threads. A pool of one thread runs the
+/// sequential loop on the caller — the case the determinism contract is
+/// anchored to.
+#[derive(Debug)]
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<conckit::thread::JoinHandle<()>>,
     threads: usize,
 }
 
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
-
 impl ThreadPool {
-    /// Creates a pool with exactly `threads` threads of parallelism
-    /// (counting the caller; see the type docs). `threads` of 0 is
-    /// treated as 1.
+    /// A pool with exactly `threads` threads of parallelism (counting
+    /// the caller). `threads` of 0 is treated as 1.
     pub fn new(threads: usize) -> ThreadPool {
-        let threads = threads.max(1);
-        let workers = threads - 1;
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            workers: (0..workers).map(|_| WorkerDeque::default()).collect(),
-            sync: Mutex::new(PoolSync {
-                generation: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-        });
-        let handles = (0..workers)
-            .map(|idx| {
-                let shared = shared.clone();
-                conckit::thread::Builder::new()
-                    .name(format!("parkit-{idx}"))
-                    .spawn(move || worker_loop(shared, idx))
-                    .unwrap_or_else(|e| panic!("spawning parkit worker {idx} failed: {e}"))
-            })
-            .collect();
         ThreadPool {
-            shared,
-            handles,
-            threads,
+            threads: threads.max(1),
         }
     }
 
@@ -229,54 +52,23 @@ impl ThreadPool {
         ThreadPool::new(resolve_threads(requested))
     }
 
-    /// The pool's parallelism (workers + the helping caller).
+    /// The pool's parallelism (helpers + the working caller).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Runs `f` with a [`Scope`] on which tasks borrowing from the
-    /// enclosing stack frame can be spawned. Does not return until every
-    /// spawned task has finished — that wait is what makes the borrow
-    /// erasure in [`Scope::spawn`] sound. The caller helps execute tasks
-    /// while it waits.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic from a spawned task (after all tasks
-    /// have completed), or the panic of `f` itself.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
-                done: Condvar::new(),
-                done_lock: Mutex::new(()),
-                panic: Mutex::new(None),
-            }),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Help until every spawned task is done — even when `f`
-        // panicked, queued tasks still hold borrows into 'env.
-        self.help_until_done(&scope.state);
-        if let Some(payload) = take_panic(&scope.state) {
-            resume_unwind(payload);
-        }
-        match result {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
     }
 
     /// Applies `f` to every item and returns the results **in item
     /// order**, regardless of which thread computed what — the
     /// deterministic join the pipeline's reproducibility contract relies
-    /// on. Single-thread pools (and single-item inputs) take a serial
-    /// fast path that is exactly the sequential loop.
+    /// on. With one thread or at most one item this is exactly the
+    /// sequential loop. Otherwise the caller and `min(threads, items) - 1`
+    /// scoped helpers claim item indices from one shared counter, so a
+    /// slow item never holds up the rest.
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic from any invocation of `f`.
+    /// Re-raises a panic from an invocation of `f` with its original
+    /// payload, after every helper has stopped.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -284,139 +76,49 @@ impl ThreadPool {
         F: Fn(usize, &T) -> U + Sync,
     {
         obskit::counter_add("pool.tasks", items.len() as u64);
-        if self.threads <= 1 || items.len() <= 1 {
+        let width = self.threads.min(items.len());
+        if width <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            for (i, item) in items.iter().enumerate() {
-                let slots = &slots;
-                let f = &f;
-                s.spawn(move || {
-                    let value = f(i, item);
-                    if let Ok(mut slot) = slots[i].lock() {
-                        *slot = Some(value);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let value = match slot.into_inner() {
-                    Ok(v) => v,
-                    Err(poisoned) => poisoned.into_inner(),
+        let next = AtomicUsize::new(0);
+        // Claims item indices until none are left. The counter publishes
+        // no data (results travel through the joins), so `Relaxed` suffices.
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return done;
                 };
-                value.unwrap_or_else(|| panic!("map slot {i} never filled"))
-            })
-            .collect()
-    }
-
-    fn help_until_done(&self, state: &ScopeState) {
-        while state.pending.load(Ordering::Acquire) != 0 {
-            if let Some(task) = self.shared.find_task(current_index(&self.shared)) {
-                task();
-                continue;
+                done.push((i, f(i, item)));
             }
-            // Nothing runnable here: tasks are in flight on workers.
-            // Park briefly on the scope's latch; the last task notifies.
-            let guard = match state.done_lock.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if state.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let _ = state.done.wait_timeout(guard, Duration::from_millis(5));
-        }
-    }
-}
-
-/// The calling thread's worker index in `shared`'s pool, if it is one of
-/// that pool's workers (nested scopes run their waits on worker threads).
-fn current_index(shared: &Shared) -> Option<usize> {
-    CURRENT_WORKER
-        .with(|c| c.get())
-        .and_then(|(pool, idx)| (pool == shared.id).then_some(idx))
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut sync = lock_sync(&self.shared);
-            sync.shutdown = true;
-        }
-        self.shared.cv.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Completion latch + first-panic slot for one scope.
-struct ScopeState {
-    pending: AtomicUsize,
-    done: Condvar,
-    done_lock: Mutex<()>,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-fn take_panic(state: &ScopeState) -> Option<Box<dyn Any + Send + 'static>> {
-    match state.panic.lock() {
-        Ok(mut p) => p.take(),
-        Err(poisoned) => poisoned.into_inner().take(),
-    }
-}
-
-/// A spawn handle tied to an enclosing [`ThreadPool::scope`] call.
-/// Spawned closures may borrow anything that outlives the scope
-/// (`'env`); the scope blocks until they all finish.
-pub struct Scope<'pool, 'env> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'pool, 'env> Scope<'pool, 'env> {
-    /// Spawns `f` onto the pool. Runs on any pool thread (or on the
-    /// caller while it helps); panics are captured and re-raised by the
-    /// enclosing [`ThreadPool::scope`] once every task has completed.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        obskit::counter_add("pool.tasks", 1);
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = self.state.clone();
-        let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            if let Err(payload) = result {
-                let mut slot = match state.panic.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                slot.get_or_insert(payload);
-            }
-            if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last task out: wake the scope owner.
-                let _guard = match state.done_lock.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                state.done.notify_all();
-            }
-        });
-        // SAFETY: `task` may borrow data of lifetime 'env. The enclosing
-        // `ThreadPool::scope` call does not return — by success, panic,
-        // or a spawned task's panic — until `state.pending` has reached
-        // zero, i.e. until this closure has run to completion (its
-        // decrement is the last thing it does). The borrows therefore
-        // never outlive the frames they point into, and the 'static
-        // erasure is unobservable.
-        let task: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(task)
         };
-        self.pool.shared.push(task);
+        // A panic on the caller propagates from `scope` after it joins the
+        // helpers; a helper's panic is re-raised here from its join.
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (0..width - 1)
+                .map(|k| {
+                    let work = &work;
+                    std::thread::Builder::new()
+                        .name(format!("parkit-worker-{k}"))
+                        .spawn_scoped(s, move || {
+                            obskit::set_thread_name(&format!("parkit-worker-{k}"));
+                            work()
+                        })
+                        .unwrap_or_else(|e| panic!("spawning parkit worker {k} failed: {e}"))
+                })
+                .collect();
+            let mut done = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => done.extend(part),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            done
+        });
+        // Every index was claimed exactly once, so sorting restores item order.
+        done.sort_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, value)| value).collect()
     }
 }

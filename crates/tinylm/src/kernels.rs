@@ -34,8 +34,8 @@
 //!   not by byte equality.
 //!
 //! The mode is a process-global default ([`set_mode`]/[`mode`]) captured
-//! by each [`crate::tape::Tape`] when it is created or reset, so
-//! thread-local workspaces on pool workers pick up the configured mode
+//! by each [`crate::tape::Tape`] when it is created or reset, so the
+//! shared workspaces used on every thread pick up the configured mode
 //! without any signature changes along the hot path.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -76,7 +76,7 @@ impl std::fmt::Display for KernelMode {
 /// Process-global default kernel mode, captured by [`crate::tape::Tape`]
 /// at creation/reset time. An atomic (same pattern as obskit's global
 /// recorder switch) so the pipeline can set it once before training and
-/// every pool worker's thread-local workspace observes it.
+/// every shared workspace observes it.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-global default [`KernelMode`].

@@ -45,5 +45,5 @@ pub use kernels::KernelMode;
 pub use model::{
     AdaptMode, CondLm, GradBuffer, LmConfig, LmError, SampleOptions, SeqGraph, SeqWorkspace,
 };
-pub use pretrain_mod::{pretrain, pretrain_in, PretrainOptions, PretrainStats};
+pub use pretrain_mod::{pretrain, PretrainOptions, PretrainStats};
 pub use tokenizer::{Token, Tokenizer, BOS, EOS};

@@ -2,9 +2,9 @@ use crate::tape::{dot, GradArena, Tape};
 use crate::tokenizer::{Token, BOS, EOS};
 use obskit::json::{DecodeError, FromJson, ToJson, Value};
 use rand::Rng;
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Which parameters fine-tuning is allowed to update.
 ///
@@ -126,7 +126,7 @@ impl GradBuffer {
 /// Reusable buffers for sequence scoring and gradients: a recyclable
 /// [`Tape`] plus a [`GradArena`], so the hot training loop stops paying
 /// an allocation storm per sequence. [`CondLm::log_prob_grad`] uses a
-/// thread-local workspace automatically; hot loops that want explicit
+/// shared workspace automatically; hot loops that want explicit
 /// control can hold one and call [`CondLm::log_prob_grad_in`].
 #[derive(Debug, Default)]
 pub struct SeqWorkspace {
@@ -151,12 +151,18 @@ impl SeqWorkspace {
         }
     }
 
-    /// Runs `f` with this thread's shared workspace.
-    pub fn with_tls<R>(f: impl FnOnce(&mut SeqWorkspace) -> R) -> R {
-        thread_local! {
-            static WS: RefCell<SeqWorkspace> = RefCell::new(SeqWorkspace::new());
-        }
-        WS.with(|ws| f(&mut ws.borrow_mut()))
+    /// Runs `f` with a workspace from a process-wide free list and puts
+    /// it back afterwards. Workspaces outlive the threads that use them,
+    /// so a short-lived `parkit` helper reuses warm buffers instead of
+    /// growing its own; the list holds at most one workspace per thread
+    /// that ever ran `f` concurrently.
+    pub fn with_shared<R>(f: impl FnOnce(&mut SeqWorkspace) -> R) -> R {
+        static FREE: Mutex<Vec<SeqWorkspace>> = Mutex::new(Vec::new());
+        let free = || FREE.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ws = free().pop().unwrap_or_default();
+        let out = f(&mut ws);
+        free().push(ws);
+        out
     }
 
     /// Clears the tape for a new round of [`CondLm::seq_forward_in`]
@@ -602,7 +608,7 @@ impl CondLm {
         task: usize,
         response: &[Token],
     ) -> Result<(f32, GradBuffer), LmError> {
-        SeqWorkspace::with_tls(|ws| self.log_prob_grad_in(task, response, ws))
+        SeqWorkspace::with_shared(|ws| self.log_prob_grad_in(task, response, ws))
     }
 
     /// [`CondLm::log_prob_grad`] into an explicit workspace.

@@ -58,34 +58,6 @@ pub fn pretrain(
     options: PretrainOptions,
     rng: &mut impl Rng,
 ) -> PretrainStats {
-    pretrain_in(model, corpus, options, rng, None)
-}
-
-/// [`pretrain`] with the per-sequence gradient computations of each
-/// batch fanned out across `pool` (when given and wider than one
-/// thread).
-///
-/// Parallelism never changes the math: the RNG-driven epoch shuffle
-/// stays sequential, per-sequence gradients are independent pure
-/// functions of the frozen pre-step parameters, and the batch reduction
-/// folds them **in batch order** — the same float additions in the same
-/// order as the sequential loop, so trained weights are byte-identical
-/// at any thread count.
-///
-/// # Panics
-///
-/// Panics if the corpus is empty.
-// The corpus is rendered from the model's own tokenizer, so gradient
-// calls cannot see out-of-vocabulary ids; a panic here is a caller bug
-// worth failing loudly on during training.
-#[allow(clippy::expect_used)] // ALLOW: out-of-vocabulary ids are a caller bug worth failing loudly on.
-pub fn pretrain_in(
-    model: &mut CondLm,
-    corpus: &[(usize, Vec<Token>)],
-    options: PretrainOptions,
-    rng: &mut impl Rng,
-    pool: Option<&parkit::ThreadPool>,
-) -> PretrainStats {
     assert!(!corpus.is_empty(), "pretraining corpus must be non-empty");
     let started = std::time::Instant::now();
     let mut adam = Adam::new(options.lr, model.params().len());
@@ -97,31 +69,15 @@ pub fn pretrain_in(
         let mut epoch_nll = 0.0f64;
         for batch in order.chunks(options.batch_size) {
             let mut grad = GradBuffer::zeros(model);
-            let per_seq: Vec<(f32, GradBuffer)> = match pool {
-                Some(pool) if pool.threads() > 1 => {
-                    let frozen: &CondLm = model;
-                    pool.map(batch, |_, &i| {
-                        let (task, ref tokens) = corpus[i];
-                        frozen
-                            .log_prob_grad(task, tokens)
-                            .expect("corpus uses model vocabulary")
-                    })
-                }
-                _ => batch
-                    .iter()
-                    .map(|&i| {
-                        let (task, ref tokens) = corpus[i];
-                        model
-                            .log_prob_grad(task, tokens)
-                            .expect("corpus uses model vocabulary")
-                    })
-                    .collect(),
-            };
-            for (&i, (lp, g)) in batch.iter().zip(&per_seq) {
-                tokens_seen += corpus[i].1.len() as u64;
-                epoch_nll -= f64::from(*lp);
+            for &i in batch {
+                let (task, ref tokens) = corpus[i];
+                let (lp, g) = model
+                    .log_prob_grad(task, tokens)
+                    .expect("corpus uses model vocabulary");
+                tokens_seen += tokens.len() as u64;
+                epoch_nll -= f64::from(lp);
                 // Maximize log-likelihood = descend on −logP.
-                grad.add_scaled(g, -1.0 / batch.len() as f32);
+                grad.add_scaled(&g, -1.0 / batch.len() as f32);
             }
             adam.step(model.params_mut(), &grad.0);
         }
@@ -193,48 +149,6 @@ mod tests {
             lp_good > lp_bad + 1.0,
             "task conditioning not learned: {lp_good} vs {lp_bad}"
         );
-    }
-
-    /// Pooled gradient accumulation is a pure reordering of *where*
-    /// gradients are computed, never of how they are reduced: weights
-    /// after training are bit-identical to the sequential path.
-    #[test]
-    fn pooled_pretraining_is_bit_identical() {
-        let cfg = LmConfig {
-            vocab_size: 10,
-            num_tasks: 2,
-            token_dim: 4,
-            task_dim: 3,
-            context: 2,
-            hidden: 8,
-            adapt: AdaptMode::Full,
-            lora_scale: 1.0,
-        };
-        let corpus: Vec<(usize, Vec<Token>)> = (0..37)
-            .map(|i| (i % 2, vec![3 + (i % 5) as Token, 4, 5 + (i % 3) as Token]))
-            .collect();
-        let opts = PretrainOptions {
-            epochs: 3,
-            lr: 0.02,
-            batch_size: 8,
-        };
-
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut serial = CondLm::new(cfg, &mut rng);
-        let stats_serial = pretrain(&mut serial, &corpus, opts, &mut rng);
-
-        for threads in [2, 4] {
-            let pool = parkit::ThreadPool::new(threads);
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut pooled = CondLm::new(cfg, &mut rng);
-            let stats_pooled = pretrain_in(&mut pooled, &corpus, opts, &mut rng, Some(&pool));
-            assert_eq!(
-                serial.params(),
-                pooled.params(),
-                "weights diverged at {threads} threads"
-            );
-            assert_eq!(stats_serial.nll_per_epoch, stats_pooled.nll_per_epoch);
-        }
     }
 
     #[test]

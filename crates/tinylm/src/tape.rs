@@ -211,9 +211,8 @@ impl Tape {
     /// Clears all nodes while keeping every value buffer for reuse by
     /// the next graph — the recycling half of the tape fast path. Also
     /// re-captures the process-global kernel mode (unless this tape was
-    /// pinned with [`Tape::with_mode`]), which is how the thread-local
-    /// workspaces on pool workers pick up a mode set after they were
-    /// created: every hot path resets its workspace before building a
+    /// pinned with [`Tape::with_mode`]), which is how the shared
+    /// workspaces pick up a mode set after they were created: every hot path resets its workspace before building a
     /// graph.
     pub fn reset(&mut self) {
         self.spare.append(&mut self.vals);
