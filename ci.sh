@@ -3,10 +3,8 @@
 # perfbench benchmark, docs, a warning-free test build, tests,
 # the speclint static-analysis pass over the shipped rule books,
 # controllers and step lists, the specsem semantic analysis of the rule
-# books under their world models, the unsafe-code audit, the conckit
-# concurrency model-checking gate (exhaustive interleaving exploration
-# of the sharded verdict cache, plus a miri pass over parkit and conckit
-# when the interpreter is installed), the certkit certification +
+# books under their world models, the unsafe-code audit, a miri pass
+# over parkit when the interpreter is installed, the certkit certification +
 # explicit-vs-symbolic differential suite (including the scaled
 # drivesim/warehouse models under a time budget), the symbolic backend
 # gate (a fast backend_compare --sweep whose symbolic.* counters are
@@ -64,14 +62,9 @@ fi
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> model-feature tests (parkit under conckit's exploring scheduler)"
-cargo clippy -q -p conckit -p parkit -p bench --all-targets \
-    --features bench/model -- -D warnings
-cargo test -q -p conckit -p parkit --features conckit/model,parkit/model
-
-echo "==> miri gate (parkit + conckit under the interpreter)"
+echo "==> miri gate (parkit under the interpreter)"
 if cargo miri --version >/dev/null 2>&1; then
-    cargo miri test -p parkit -p conckit
+    cargo miri test -p parkit
 else
     echo "miri gate: SKIPPED (cargo miri not installed)"
 fi
@@ -85,20 +78,12 @@ cargo run -q --release -p speclint -- --semantic --deny-warnings
 echo "==> unsafe-code audit (every unsafe site carries a SAFETY comment)"
 cargo run -q --release -p bench --bin unsafe_audit -- --no-obs
 
-echo "==> conckit exploration gate (model-checked sharded-cache interleavings)"
-conc_report="$(mktemp -t BENCH_conc.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$conc_report"' EXIT
-cargo run -q --release -p bench --features model --bin conc_check -- \
-    --metrics-out "$conc_report"
-cargo run -q --release -p bench --bin metrics_check -- "$conc_report" \
-    --require conckit.schedules,conckit.steps,conckit.violations,conckit.max_depth
-
 echo "==> certkit gate (certification + differential suite, incl. scaled models)"
 cargo run -q -p certkit --release
 
 echo "==> symbolic backend gate (fast sweep, symbolic.* metrics, counter diff vs baseline)"
 sweep_report="$(mktemp -t BENCH_backend.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$conc_report" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin backend_compare -- \
     --sweep --fast --quiet --metrics-out "$sweep_report" > /dev/null
 cargo run -q --release -p bench --bin metrics_check -- "$sweep_report" \
@@ -111,7 +96,7 @@ echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
 smoke_art1="$(mktemp -t headline_t1.XXXXXX.json)"
 smoke_art2="$(mktemp -t headline_t2.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$conc_report" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
     --artifacts-out "$smoke_art2" > /dev/null
@@ -136,7 +121,7 @@ sha256sum -c results/headline_fast_artifacts.sha256 < "$smoke_art1"
 
 echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
 smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
     --artifacts-out "$smoke_art4" > /dev/null
@@ -147,7 +132,7 @@ cargo run -q --release -p bench --bin kernel_gate -- --no-obs
 
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
 perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report" "$perf_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report" "$perf_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 1 --alloc --metrics-out "$perf_report" > /dev/null
 cargo run -q --release -p bench --bin bench_diff -- \
@@ -163,7 +148,7 @@ cargo run -q --release -p bench --bin bench_diff -- \
 # the fast baseline's wall (DESIGN.md §10), so the gate sees training.
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
 seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$conc_report" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json > /dev/null

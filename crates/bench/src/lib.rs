@@ -20,9 +20,9 @@
 //! | `backend_compare` | A6: explicit-state vs symbolic (BDD) verification backends |
 //! | `spec_lint`       | rule-book satisfiability / tautology / vacuity lint |
 //!
-//! Criterion micro-benchmarks (`cargo bench`) cover the substrate costs:
-//! Büchi construction, product construction, 15-spec verification, DPO
-//! gradient steps, simulator throughput and GLM2FSA synthesis.
+//! Performance is measured by the stand-alone `perfbench/` package (the
+//! pipeline end to end and per layer) and gated by `bench_diff`, which
+//! compares a fresh obskit report against a committed baseline.
 //!
 //! Run an experiment with `cargo run --release -p bench --bin fig9`.
 //! Every binary accepts `--fast` to run a reduced configuration.

@@ -9,21 +9,24 @@
 //! automaton), so the pipeline caches verdicts keyed by
 //! `(scenario kind, response text)`.
 //!
-//! The concurrency structure lives in [`parkit::ShardedMap`] — a
-//! sharded, bounded, insertion-ordered map whose interleaving behavior
-//! is model-checked by conckit alongside the pool that drives traffic
-//! into it. This module is the domain wrapper: key shape, hit/miss
-//! bookkeeping, and the obskit mirror (`verify.cache_hits` /
-//! `verify.cache_misses` counters, `verify.cache_evictions` counter,
-//! `verify.cache_entries` gauge).
+//! **One lock.** The table, its recency list and its hit/miss/eviction
+//! counts live in one `Lru` behind one [`Mutex`], and the `Lru` is
+//! reachable only through the guard. Each critical section is one hash
+//! probe plus O(1) list relinking, so a torn verdict, a bound overrun or
+//! a list/map mismatch cannot arise from any interleaving, and `len()`
+//! and the `verify.cache_entries` gauge are exact. The obskit mirror is
+//! the `verify.cache_hits` / `verify.cache_misses` /
+//! `verify.cache_evictions` counters and the `verify.cache_entries`
+//! gauge.
 //!
-//! **Bounded.** The cache holds at most `capacity` verdicts (split
-//! across [`SHARDS`] shards); inserting past the bound evicts the
-//! oldest entry in the full shard, FIFO. An evicted verdict is not an
-//! error — the next lookup misses and recomputes, and because verdicts
-//! are pure, a bounded cache produces byte-identical pipeline artifacts
-//! to an unbounded one (the pipeline tests assert this at a
-//! pathologically tiny capacity).
+//! **Bounded, least-recently-used.** The pipeline's cache holds at most
+//! 65 536 verdicts. Inserting a fresh key into a full cache evicts the
+//! least-recently-used entry; both hits and overwrites refresh recency.
+//! Recency is a slab-backed doubly-linked list (slot indices, not
+//! pointers), so lookup, insert, touch and evict are all O(1). An
+//! evicted verdict is not an error — the next lookup misses and
+//! recomputes, and because verdicts are pure, eviction never changes
+//! pipeline artifacts (the pipeline tests assert this at capacity 1).
 //!
 //! **Invalidation:** there is none, by design. A cache lives inside one
 //! [`crate::pipeline::DpoAf`], whose rule book, lexicon and scenario
@@ -33,12 +36,12 @@
 
 use crate::feedback::CertCounters;
 use drivesim::ScenarioKind;
-use parkit::ShardedMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
-/// Number of independent shards. Power of two, comfortably above any
-/// realistic pool width so two workers rarely map to the same lock.
-const SHARDS: usize = 16;
+/// Resident-verdict bound of the pipeline's cache. It keeps a
+/// long-running service's cache a working set, not a leak.
+pub(crate) const CAPACITY: usize = 1 << 16;
 
 /// One memoized verdict: the ranking score, plus the certificate
 /// counters the certified path accumulated when the verdict was first
@@ -54,96 +57,236 @@ pub struct CachedScore {
     pub cert: CertCounters,
 }
 
-/// A sharded, bounded `(scenario, text) → verdict` memo table.
+type Key = (ScenarioKind, String);
+
+/// Sentinel slot index terminating the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident verdict plus its recency-list links.
+#[derive(Debug)]
+struct Entry {
+    key: Key,
+    val: CachedScore,
+    prev: usize,
+    next: usize,
+}
+
+/// The bounded table and its counters. See the module docs.
+#[derive(Debug)]
+struct Lru {
+    capacity: usize,
+    /// Key → slot index into `slots`.
+    map: HashMap<Key, usize>,
+    /// Slab of entries; linked through `prev`/`next` in recency order.
+    slots: Vec<Entry>,
+    /// Slot indices freed by eviction, reused before growing the slab.
+    free: Vec<usize>,
+    /// Most-recently-used slot (`NIL` when empty).
+    head: usize,
+    /// Least-recently-used slot (`NIL` when empty) — the eviction victim.
+    tail: usize,
+    hits: u64,
+    misses: u64,
+    evicted: u64,
+}
+
+impl Lru {
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Links slot `i` at the front (most-recently-used end).
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` as most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+}
+
+/// A bounded `(scenario, text) → verdict` memo table behind one lock.
 #[derive(Debug)]
 pub struct VerifyCache {
-    map: ShardedMap<(ScenarioKind, String), CachedScore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Fresh keys ever inserted (monotone; live entries = fresh − evicted).
-    fresh: AtomicU64,
-    evicted: AtomicU64,
+    lru: Mutex<Lru>,
 }
 
 impl VerifyCache {
-    /// An empty cache holding at most `capacity` verdicts (`None` =
-    /// unbounded; see the module docs for the per-shard split).
-    pub fn new(capacity: Option<usize>) -> VerifyCache {
+    /// An empty cache holding at most `capacity` verdicts (0 is treated
+    /// as 1).
+    pub fn new(capacity: usize) -> VerifyCache {
         VerifyCache {
-            map: ShardedMap::new(SHARDS, capacity),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fresh: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            lru: Mutex::new(Lru {
+                capacity: capacity.max(1),
+                map: HashMap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                hits: 0,
+                misses: 0,
+                evicted: 0,
+            }),
         }
     }
 
-    /// Looks up a memoized verdict, updating the hit/miss counters.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        // Nothing inside a critical section panics short of a bug in
+        // this module (no user code runs under the lock), so a poisoned
+        // guard still holds a consistent table.
+        match self.lru.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Looks up a memoized verdict, marking it most recently used and
+    /// updating the hit/miss counters.
     pub fn lookup(&self, scenario: ScenarioKind, text: &str) -> Option<CachedScore> {
-        let found = self.map.get(&(scenario, text.to_owned()));
-        match found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+        let key = (scenario, text.to_owned());
+        let mut lru = self.lock();
+        match lru.map.get(&key) {
+            Some(&i) => {
+                lru.touch(i);
+                lru.hits += 1;
                 obskit::counter_add("verify.cache_hits", 1);
+                Some(lru.slots[i].val)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                lru.misses += 1;
                 obskit::counter_add("verify.cache_misses", 1);
+                None
             }
         }
-        found
     }
 
-    /// Memoizes a freshly computed verdict. Verdicts are deterministic,
-    /// so a racing double-insert of the same key is idempotent. Fresh
-    /// keys update the `verify.cache_entries` gauge; inserts that push a
-    /// shard past its bound evict its oldest entry and bump the
+    /// Memoizes a freshly computed verdict, marking it most recently
+    /// used. Verdicts are deterministic, so a racing double-insert of
+    /// the same key is an idempotent overwrite. A fresh key sets the
+    /// `verify.cache_entries` gauge; one that lands in a full cache
+    /// evicts the least-recently-used entry and bumps the
     /// `verify.cache_evictions` counter.
     pub fn insert(&self, scenario: ScenarioKind, text: &str, score: CachedScore) {
-        let outcome = self.map.insert((scenario, text.to_owned()), score);
-        if outcome.evicted {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+        let key = (scenario, text.to_owned());
+        let mut guard = self.lock();
+        let lru = &mut *guard;
+        if let Some(&i) = lru.map.get(&key) {
+            lru.slots[i].val = score;
+            lru.touch(i);
+            return;
+        }
+        let entry = Entry {
+            key: key.clone(),
+            val: score,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match lru.free.pop() {
+            Some(i) => {
+                lru.slots[i] = entry;
+                i
+            }
+            None => {
+                lru.slots.push(entry);
+                lru.slots.len() - 1
+            }
+        };
+        lru.push_front(i);
+        lru.map.insert(key, i);
+        if lru.map.len() > lru.capacity {
+            // Over the bound the table holds ≥ 2 entries, so the tail is
+            // a real slot and never the key just linked at the head.
+            let t = lru.tail;
+            lru.unlink(t);
+            lru.map.remove(&lru.slots[t].key);
+            lru.free.push(t);
+            lru.evicted += 1;
             obskit::counter_add("verify.cache_evictions", 1);
         }
-        if outcome.fresh {
-            let fresh = self.fresh.fetch_add(1, Ordering::Relaxed) + 1;
-            let live = fresh.saturating_sub(self.evicted.load(Ordering::Relaxed));
-            obskit::gauge_set("verify.cache_entries", live as f64);
-        }
+        obskit::gauge_set("verify.cache_entries", lru.map.len() as f64);
     }
 
     /// `(hits, misses)` so far — independent of the global recorder.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        let lru = self.lock();
+        (lru.hits, lru.misses)
     }
 
     /// Entries displaced by the capacity bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.lock().evicted
     }
 
     /// Number of distinct memoized `(scenario, text)` keys currently
     /// resident.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lock().map.len()
     }
 
     /// `true` when nothing is currently memoized.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    const S: ScenarioKind = ScenarioKind::TrafficLight;
+
+    /// A verdict whose certificate counters are a function of its score,
+    /// so a value mixed from two writes is detectable.
+    fn score(n: usize) -> CachedScore {
+        CachedScore {
+            num_satisfied: n,
+            cert: CertCounters {
+                checks: 2 * n,
+                holds: n,
+                fails: n,
+            },
+        }
+    }
+
+    fn assert_untorn(v: CachedScore) {
+        assert_eq!(v, score(v.num_satisfied), "torn verdict");
+    }
+
+    fn key(n: usize) -> String {
+        format!("plan {n} .")
+    }
+
+    fn insert(cache: &VerifyCache, n: usize, v: usize) {
+        cache.insert(S, &key(n), score(v));
+    }
+
+    fn get(cache: &VerifyCache, n: usize) -> Option<usize> {
+        cache.lookup(S, &key(n)).map(|v| v.num_satisfied)
+    }
 
     #[test]
     fn lookup_insert_roundtrip_and_stats() {
-        let cache = VerifyCache::new(None);
+        let cache = VerifyCache::new(CAPACITY);
         let score = CachedScore {
             num_satisfied: 12,
             cert: CertCounters::default(),
@@ -167,11 +310,10 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
     }
 
-    /// Keys spread over multiple shards, and concurrent mixed
-    /// lookup/insert traffic stays consistent.
+    /// Concurrent mixed lookup/insert traffic stays consistent.
     #[test]
-    fn sharded_access_under_contention() {
-        let cache = VerifyCache::new(None);
+    fn concurrent_access_stays_consistent() {
+        let cache = VerifyCache::new(CAPACITY);
         let texts: Vec<String> = (0..200).map(|i| format!("step list {i} .")).collect();
         std::thread::scope(|s| {
             let cache = &cache;
@@ -199,36 +341,169 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
     }
 
-    /// A bounded cache stays within its (rounded-up, per-shard) budget,
-    /// counts its evictions, and keeps serving correct verdicts — an
-    /// evicted key just misses and can be re-inserted.
+    /// A bounded cache holds exactly its capacity, counts its evictions
+    /// and keeps serving correct verdicts — under insert-only traffic
+    /// the newest keys survive, and an evicted key just misses and can
+    /// be re-inserted.
     #[test]
-    fn tiny_capacity_evicts_fifo_and_keeps_serving() {
-        let cache = VerifyCache::new(Some(SHARDS)); // one entry per shard
-        let score_of = |n: usize| CachedScore {
-            num_satisfied: n,
-            cert: CertCounters::default(),
-        };
-        let texts: Vec<String> = (0..100).map(|i| format!("plan {i} .")).collect();
-        for (i, t) in texts.iter().enumerate() {
-            cache.insert(ScenarioKind::TrafficLight, t, score_of(i % 16));
+    fn tiny_capacity_evicts_lru_and_keeps_serving() {
+        let cache = VerifyCache::new(16);
+        for n in 0..100 {
+            insert(&cache, n, n % 16);
         }
-        assert!(cache.len() <= SHARDS, "resident {}", cache.len());
-        assert_eq!(cache.evictions(), 100 - cache.len() as u64);
-        // Every resident verdict is intact.
-        let mut resident = 0;
-        for (i, t) in texts.iter().enumerate() {
-            if let Some(v) = cache.lookup(ScenarioKind::TrafficLight, t) {
-                assert_eq!(v, score_of(i % 16), "{t}");
-                resident += 1;
+        assert_eq!(cache.len(), 16);
+        assert_eq!(cache.evictions(), 84);
+        for n in 0..100 {
+            let expect = (n >= 84).then_some(n % 16);
+            assert_eq!(get(&cache, n), expect, "key {n}");
+        }
+        // An evicted key can come back; the table never wedges.
+        insert(&cache, 0, 0);
+        assert_eq!(get(&cache, 0), Some(0));
+        assert_eq!(cache.len(), 16);
+    }
+
+    #[test]
+    fn eviction_reported_per_insert() {
+        let cache = VerifyCache::new(2);
+        insert(&cache, 1, 1);
+        insert(&cache, 2, 2);
+        assert_eq!(cache.evictions(), 0);
+        insert(&cache, 3, 3);
+        assert_eq!(cache.evictions(), 1);
+        // Overwrites never evict, even at capacity.
+        insert(&cache, 3, 4);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn get_touches_recency() {
+        let cache = VerifyCache::new(2);
+        insert(&cache, 1, 10);
+        insert(&cache, 2, 20);
+        // Touch key 1: key 2 becomes the LRU victim.
+        assert_eq!(get(&cache, 1), Some(10));
+        insert(&cache, 3, 30);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(get(&cache, 1), Some(10));
+        assert_eq!(get(&cache, 2), None);
+        assert_eq!(get(&cache, 3), Some(30));
+    }
+
+    #[test]
+    fn overwrite_touches_recency() {
+        let cache = VerifyCache::new(2);
+        insert(&cache, 1, 10);
+        insert(&cache, 2, 20);
+        // Overwriting key 1 refreshes it: key 2 becomes the victim.
+        insert(&cache, 1, 11);
+        insert(&cache, 3, 30);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(get(&cache, 1), Some(11));
+        assert_eq!(get(&cache, 2), None);
+    }
+
+    #[test]
+    fn evicted_slots_are_reused() {
+        let cache = VerifyCache::new(2);
+        for n in 0..100 {
+            insert(&cache, n, n);
+        }
+        assert_eq!(cache.len(), 2);
+        // A fresh insert links its slot before the eviction frees one.
+        assert_eq!(cache.lock().slots.len(), 3);
+        assert_eq!(get(&cache, 99), Some(99));
+        assert_eq!(get(&cache, 98), Some(98));
+    }
+
+    /// Long mixed workloads keep the linked list and map consistent.
+    #[test]
+    fn mixed_workload_stays_consistent() {
+        let cache = VerifyCache::new(6);
+        for round in 0..50 {
+            for n in 0..10 {
+                if (round + n) % 3 == 0 {
+                    let _ = get(&cache, n);
+                } else {
+                    insert(&cache, n, round * 100 + n);
+                }
+            }
+            assert!(cache.len() <= 6, "len {} round {round}", cache.len());
+        }
+        // Every resident key returns the value of its last insert.
+        for n in 0..10 {
+            if let Some(v) = get(&cache, n) {
+                assert_eq!(v % 100, n);
             }
         }
-        assert_eq!(resident, cache.len());
-        // An evicted key can come back; the map never wedges.
-        cache.insert(ScenarioKind::TrafficLight, &texts[0], score_of(0));
-        assert_eq!(
-            cache.lookup(ScenarioKind::TrafficLight, &texts[0]),
-            Some(score_of(0))
-        );
+    }
+
+    /// Two threads insert different keys into a capacity-1 cache and
+    /// read back, released together by a barrier in every round: no
+    /// read is torn, the bound holds exactly, and one intact verdict
+    /// survives.
+    #[test]
+    fn racing_inserts_never_tear_or_exceed_capacity() {
+        for _ in 0..500 {
+            let cache = VerifyCache::new(1);
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                let (cache, start) = (&cache, &start);
+                let writer = |n: usize| {
+                    move || {
+                        start.wait();
+                        insert(cache, n, n);
+                        for k in [1, 2] {
+                            if let Some(v) = cache.lookup(S, &key(k)) {
+                                assert_eq!(v, score(k));
+                            }
+                        }
+                    }
+                };
+                s.spawn(writer(1));
+                s.spawn(writer(2));
+            });
+            assert_eq!(cache.len(), 1);
+            assert_eq!(cache.evictions(), 1);
+            match (1..=2).find_map(|k| cache.lookup(S, &key(k))) {
+                Some(v) => assert_untorn(v),
+                None => panic!("a capacity-1 cache lost both entries"),
+            }
+        }
+    }
+
+    /// A lookup that touches the LRU seed races a fresh insert that must
+    /// evict one: the fresh key always lands, the bound holds, and
+    /// exactly one seed survives — key 1 if the touch came first (key 2
+    /// was then the victim), key 2 if the insert did.
+    #[test]
+    fn touch_racing_evicting_insert_keeps_exactly_one_seed() {
+        for _ in 0..500 {
+            let cache = VerifyCache::new(2);
+            insert(&cache, 1, 1);
+            insert(&cache, 2, 2);
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    if let Some(v) = cache.lookup(S, &key(1)) {
+                        assert_eq!(v, score(1));
+                    }
+                });
+                s.spawn(|| {
+                    start.wait();
+                    insert(&cache, 3, 3);
+                });
+            });
+            assert_eq!(cache.len(), 2);
+            assert_eq!(cache.lookup(S, &key(3)), Some(score(3)));
+            let seed1 = cache.lookup(S, &key(1)).inspect(|&v| assert_untorn(v));
+            let seed2 = cache.lookup(S, &key(2)).inspect(|&v| assert_untorn(v));
+            assert!(
+                seed1.is_some() != seed2.is_some(),
+                "survivors {seed1:?}/{seed2:?} admit no serial order"
+            );
+        }
     }
 }

@@ -17,36 +17,11 @@ use glm2fsa::{synthesize, with_default_action};
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{smv, verify_all_fair, Verdict, VerificationReport};
 
-/// The paper's pre-fine-tuning right-turn response (§5.1, aligned form).
-pub const RIGHT_TURN_BEFORE: [&str; 5] = [
-    "Observe the state of the green traffic light.",
-    "If the green traffic light is on, execute the action go straight.",
-    "As you approach the intersection, observe the state of the car from left.",
-    "If the car from left is not present, check the state of the pedestrian at right.",
-    "If the pedestrian at right is not present, execute the action turn right.",
-];
-
-/// The paper's post-fine-tuning right-turn response (§5.1).
-pub const RIGHT_TURN_AFTER: [&str; 3] = [
-    "Observe the traffic light in front of you.",
-    "Check for the left approaching car and right side pedestrian.",
-    "If no car from the left is approaching and no pedestrian on the right, proceed to turn right.",
-];
-
-/// The paper's pre-fine-tuning left-turn response (Appendix C).
-pub const LEFT_TURN_BEFORE: [&str; 4] = [
-    "Approach the traffic light with a left-turn light.",
-    "Wait for the left-turn light to turn green.",
-    "When the left-turn light turns green, wait for oncoming traffic to clear before turning left.",
-    "Turn left and proceed through the intersection.",
-];
-
-/// The paper's post-fine-tuning left-turn response (Appendix C).
-pub const LEFT_TURN_AFTER: [&str; 3] = [
-    "Approach the traffic light and observe the left turn light.",
-    "If the left turn light is not green, then stop.",
-    "If the left turn light is green, then turn left.",
-];
+// The paper's step lists live with speclint's shipped-content presets,
+// which lint them; the demos and examples reach them through here.
+pub use speclint::presets::{
+    LEFT_TURN_AFTER, LEFT_TURN_BEFORE, RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE,
+};
 
 /// One before/after verification comparison.
 #[derive(Debug, Clone)]

@@ -81,16 +81,6 @@ pub struct PipelineConfig {
     /// parallelism). Purely a scheduling knob: artifacts are
     /// byte-identical at any thread count.
     pub threads: usize,
-    /// Maximum resident verdicts in the memo-cache that keys formal
-    /// verdicts by `(scenario, response text)`, so repeated responses
-    /// skip synthesis and model checking (`None` = unbounded).
-    /// Past the bound the least-recently-used entry in the affected shard
-    /// is evicted (LRU — both hits and overwrites refresh recency) and
-    /// `verify.cache_evictions` counts it. Purely a memory knob: an
-    /// evicted verdict recomputes on the next miss, so artifacts are
-    /// byte-identical at any capacity. The default bound keeps a
-    /// long-running service's cache a working set, not a leak.
-    pub verify_cache_capacity: Option<usize>,
     /// Semantic pre-flight of the rule book
     /// ([`crate::feedback::preflight_rule_book_semantic`]): abort on
     /// `Error`-class `SL3xx` findings (empty-language or
@@ -159,7 +149,6 @@ impl Default for PipelineConfig {
             feedback: FeedbackSource::Formal,
             certified: false,
             threads: 0,
-            verify_cache_capacity: Some(1 << 16),
             semantic_preflight: true,
             kernel_mode: KernelMode::Reference,
         }
@@ -299,7 +288,7 @@ impl DpoAf {
         DpoAf {
             bundle: DomainBundle::new(),
             cert_counters: Mutex::new(CertCounters::default()),
-            cache: VerifyCache::new(config.verify_cache_capacity),
+            cache: VerifyCache::new(crate::cache::CAPACITY),
             pool: parkit::ThreadPool::with_threads(config.threads),
             config,
         }
@@ -844,11 +833,12 @@ mod tests {
         let mut cfg = PipelineConfig::smoke();
         cfg.threads = 1;
         let baseline = DpoAf::new(cfg.clone()).run().to_json().to_json();
-        for (threads, capacity) in [(4, Some(1 << 16)), (1, Some(1))] {
+        for (threads, capacity) in [(4, crate::cache::CAPACITY), (1, 1)] {
             cfg.threads = threads;
-            cfg.verify_cache_capacity = capacity;
-            let run = DpoAf::new(cfg.clone()).run().to_json().to_json();
-            assert_eq!(baseline, run, "threads={threads} capacity={capacity:?}");
+            let mut af = DpoAf::new(cfg.clone());
+            af.cache = VerifyCache::new(capacity);
+            let run = af.run().to_json().to_json();
+            assert_eq!(baseline, run, "threads={threads} capacity={capacity}");
         }
     }
 
@@ -920,9 +910,9 @@ mod tests {
         cfg.train.pairs_per_epoch = Some(4);
         cfg.checkpoint_every = 100;
         cfg.threads = 1;
-        cfg.verify_cache_capacity = Some(1);
-        let fresh = DpoAf::new(cfg.clone()).run();
-        cfg.verify_cache_capacity = PipelineConfig::smoke().verify_cache_capacity;
+        let mut af = DpoAf::new(cfg.clone());
+        af.cache = VerifyCache::new(1);
+        let fresh = af.run();
         cfg.threads = 2;
         let cached = DpoAf::new(cfg).run();
         assert_eq!(fresh.cert, cached.cert);

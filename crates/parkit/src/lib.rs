@@ -23,21 +23,13 @@
 //! `map` feeds the `obskit` counter `pool.tasks` (items mapped, once
 //! each at every width) and names helper `k` `parkit-worker-k` in
 //! Chrome traces, so each helper slot keeps one track across calls.
-//!
-//! [`ShardedMap`] is the sharded, bounded LRU map behind the verdict
-//! memo-cache; its interleavings are model-checked with conckit
-//! (`models`, under the `model` feature).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-#[cfg(feature = "model")]
-pub mod models;
 mod pool;
-mod shard;
 
 pub use pool::{resolve_threads, ThreadPool};
-pub use shard::{InsertOutcome, ShardedMap};
 
 #[cfg(test)]
 mod tests {

@@ -21,8 +21,7 @@ use ltlcheck::specs::{driving_specs, Spec};
 use warehouse::{warehouse_justice, warehouse_specs, WarehouseDomain};
 
 /// The paper's §5.1 right-turn response before fine-tuning (aligned
-/// form). Duplicated from `dpo_af::experiments::demo` because `dpo-af`
-/// depends on this crate for its pre-flight gate.
+/// form). `dpo_af::experiments::demo` re-exports all four step lists.
 pub const RIGHT_TURN_BEFORE: [&str; 5] = [
     "Observe the state of the green traffic light.",
     "If the green traffic light is on, execute the action go straight.",
