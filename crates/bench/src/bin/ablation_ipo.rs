@@ -34,7 +34,8 @@ fn train(
     per_epoch: usize,
     objective: &Objective,
 ) -> (f32, f32, f32) {
-    let mut adam = Adam::new(1.5e-3, policy.params().len());
+    let trainable = policy.trainable();
+    let mut adam = Adam::new(1.5e-3, trainable.len());
     let mut rng = StdRng::seed_from_u64(77);
     let mut indices: Vec<usize> = (0..dataset.len()).collect();
     let (mut loss, mut acc, mut margin) = (0.0, 0.0, 0.0);
@@ -51,7 +52,7 @@ fn train(
                 margin += m;
                 grad.add_scaled(&g, 1.0 / batch.len() as f32);
             }
-            adam.step(policy.params_mut(), &grad.0);
+            adam.step(&mut policy.params_mut()[trainable.clone()], &grad.0);
         }
         loss /= take as f32;
         acc /= take as f32;

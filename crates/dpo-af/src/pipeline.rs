@@ -477,6 +477,8 @@ impl DpoAf {
     #[allow(clippy::expect_used)]
     pub fn collect_dataset(&self, lm: &CondLm, rng: &mut impl Rng) -> PreferenceDataset {
         let _stage = obskit::span("pipeline.collect");
+        // One adapter merge for every response this model version samples.
+        let lm = lm.merged();
         let opts = SampleOptions {
             temperature: self.config.temperature,
             max_len: 60,
@@ -541,6 +543,8 @@ impl DpoAf {
     #[allow(clippy::expect_used)]
     pub fn evaluate(&self, lm: &CondLm, tasks: &[usize], rng: &mut impl Rng) -> f64 {
         let _stage = obskit::span("pipeline.eval");
+        // One adapter merge for the whole checkpoint evaluation.
+        let lm = lm.merged();
         let opts = SampleOptions {
             temperature: self.config.eval_temperature,
             max_len: 60,

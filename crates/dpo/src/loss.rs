@@ -45,7 +45,7 @@ pub struct PairEval {
 /// // At θ = θref the margin is exactly zero and the loss is ln 2.
 /// assert!((eval.margin).abs() < 1e-5);
 /// assert!((eval.loss - std::f32::consts::LN_2).abs() < 1e-5);
-/// assert_eq!(grad.0.len(), policy.params().len());
+/// assert_eq!(grad.0.len(), policy.num_trainable());
 /// # Ok::<(), tinylm::LmError>(())
 /// ```
 pub fn dpo_loss_grad(
@@ -285,17 +285,46 @@ mod tests {
         assert!(after.margin > before.margin);
     }
 
+    /// Under LoRA the DPO gradient covers the adapters only; it matches
+    /// finite differences there, and a descent step along it leaves every
+    /// frozen parameter bit-identical.
     #[test]
     fn lora_gradient_respects_freezing() {
-        let (policy, reference, pair) = setup(AdaptMode::Lora { rank: 2 });
-        let (_, grad) = dpo_loss_grad(&policy, &reference, &pair, 0.5).unwrap();
-        let mask = policy.trainable_mask();
-        for (g, m) in grad.0.iter().zip(mask) {
-            if !m {
-                assert_eq!(*g, 0.0);
+        let (mut policy, reference, pair) = setup(AdaptMode::Lora { rank: 2 });
+        let beta = 0.5;
+        let (_, grad) = dpo_loss_grad(&policy, &reference, &pair, beta).unwrap();
+        let trainable = policy.trainable();
+        assert_eq!(grad.0.len(), trainable.len());
+        assert!(trainable.len() < policy.params().len());
+        assert!(grad.norm() > 0.0);
+        for k in [0, 7, trainable.len() / 2, trainable.len() - 1] {
+            let i = trainable.start + k;
+            let h = 1e-2f32;
+            let mut pp = policy.clone();
+            pp.params_mut()[i] += h;
+            let mut pm = policy.clone();
+            pm.params_mut()[i] -= h;
+            let (ep, _) = dpo_loss_grad(&pp, &reference, &pair, beta).unwrap();
+            let (em, _) = dpo_loss_grad(&pm, &reference, &pair, beta).unwrap();
+            let num = (ep.loss - em.loss) / (2.0 * h);
+            assert!(
+                (num - grad.0[k]).abs() < 3e-2,
+                "param {i}: numeric {num} vs analytic {}",
+                grad.0[k]
+            );
+        }
+        let before = policy.params().to_vec();
+        for (p, g) in policy.params_mut()[trainable.clone()]
+            .iter_mut()
+            .zip(&grad.0)
+        {
+            *p -= 0.1 * g;
+        }
+        for (i, (a, b)) in before.iter().zip(policy.params()).enumerate() {
+            if !trainable.contains(&i) {
+                assert_eq!(a.to_bits(), b.to_bits(), "frozen param {i} moved");
             }
         }
-        assert!(grad.norm() > 0.0);
     }
 
     #[test]

@@ -122,7 +122,10 @@ impl DpoTrainer {
         let one_thread = parkit::ThreadPool::new(1);
         let pool = pool.unwrap_or(&one_thread);
         let started = std::time::Instant::now();
-        let mut adam = Adam::new(opts.lr, policy.params().len());
+        // Adam and every gradient cover only the trainable segment; the
+        // frozen parameters are never touched.
+        let trainable = policy.trainable();
+        let mut adam = Adam::new(opts.lr, trainable.len());
         let mut stats = Vec::with_capacity(opts.epochs);
         let mut indices: Vec<usize> = (0..dataset.len()).collect();
 
@@ -135,6 +138,7 @@ impl DpoTrainer {
         obskit::counter_add("dpo.ref_cache_hits", 0);
         let ref_lps = {
             let _s = obskit::span("dpo.ref");
+            let reference = reference.merged();
             dataset
                 .pairs
                 .iter()
@@ -192,7 +196,7 @@ impl DpoTrainer {
                         sum.margin += eval.margin;
                         grad.add_scaled(g, 1.0 / batch.len() as f32);
                     }
-                    adam.step(policy.params_mut(), &grad.0);
+                    adam.step(&mut policy.params_mut()[trainable.clone()], &grad.0);
                 }
             }
             let n = epoch_pairs.len() as f32;
@@ -236,6 +240,10 @@ mod tests {
     use tinylm::{AdaptMode, LmConfig};
 
     fn setup() -> (CondLm, CondLm, PreferenceDataset) {
+        setup_with(AdaptMode::Full)
+    }
+
+    fn setup_with(adapt: AdaptMode) -> (CondLm, CondLm, PreferenceDataset) {
         let cfg = LmConfig {
             vocab_size: 10,
             num_tasks: 2,
@@ -243,7 +251,7 @@ mod tests {
             task_dim: 3,
             context: 2,
             hidden: 8,
-            adapt: AdaptMode::Full,
+            adapt,
             lora_scale: 1.0,
         };
         let mut rng = StdRng::seed_from_u64(5);
@@ -344,9 +352,14 @@ mod tests {
         assert_ne!(s1, s3, "different seeds should differ (data order)");
     }
 
+    /// The adapt modes the equivalence tests run under: full fine-tuning
+    /// and LoRA rank 2 (whose `B` matrices start at zero and turn
+    /// non-zero with the first Adam step).
+    const MODES: [AdaptMode; 2] = [AdaptMode::Full, AdaptMode::Lora { rank: 2 }];
+
     /// Heterogeneous dataset used by the equivalence tests.
-    fn varied_dataset() -> (CondLm, CondLm, PreferenceDataset) {
-        let (policy, reference, mut ds) = setup();
+    fn varied_dataset(adapt: AdaptMode) -> (CondLm, CondLm, PreferenceDataset) {
+        let (policy, reference, mut ds) = setup_with(adapt);
         for t in 0..9u32 {
             ds.push(PreferencePair {
                 task: (t % 2) as usize,
@@ -357,13 +370,30 @@ mod tests {
         (policy, reference, ds)
     }
 
+    /// Exact zeros in the trainable segment: LoRA's `B` matrices start
+    /// at zero, so this falls once they move.
+    fn trainable_zeros(p: &CondLm) -> usize {
+        p.params()[p.trainable()]
+            .iter()
+            .filter(|&&v| v == 0.0)
+            .count()
+    }
+
     /// The reference-logprob cache is exact memoization: training matches,
     /// bit for bit, a hand-written loop that recomputes the reference
     /// forward for every pair visit (`dpo_loss_grad`), takes the batch
-    /// mean in batch order and steps Adam.
+    /// mean in batch order and steps Adam over the whole parameter
+    /// vector. Under LoRA the loop's frozen entries see a zero gradient,
+    /// so this also pins the trainable-segment Adam against a full one.
     #[test]
     fn ref_cache_is_bit_exact() {
-        let (policy0, reference, ds) = varied_dataset();
+        for adapt in MODES {
+            ref_cache_is_bit_exact_under(adapt);
+        }
+    }
+
+    fn ref_cache_is_bit_exact_under(adapt: AdaptMode) {
+        let (policy0, reference, ds) = varied_dataset(adapt);
         let opts = TrainOptions {
             epochs: 4,
             pairs_per_epoch: Some(6),
@@ -371,18 +401,32 @@ mod tests {
             ..TrainOptions::default()
         };
         let mut p_trained = policy0.clone();
+        let mut zeros_after_epoch0 = None;
         let s_trained = DpoTrainer::new(opts)
             .train(
                 &mut p_trained,
                 &reference,
                 &ds,
                 &mut StdRng::seed_from_u64(13),
-                |_, _| {},
+                |epoch, p| {
+                    if epoch == 0 {
+                        zeros_after_epoch0 = Some(trainable_zeros(p));
+                    }
+                },
             )
             .unwrap();
+        if adapt != AdaptMode::Full {
+            assert!(trainable_zeros(&policy0) > 0);
+            assert_eq!(
+                zeros_after_epoch0,
+                Some(0),
+                "B must be non-zero after epoch 0"
+            );
+        }
 
         let mut p = policy0.clone();
         let mut rng = StdRng::seed_from_u64(13);
+        let trainable = p.trainable();
         let mut adam = Adam::new(opts.lr, p.params().len());
         let mut indices: Vec<usize> = (0..ds.len()).collect();
         let mut s_loop = Vec::new();
@@ -396,14 +440,18 @@ mod tests {
                     .map(|&i| crate::dpo_loss_grad(&p, &reference, &ds.pairs[i], opts.beta))
                     .collect::<Result<_, _>>()
                     .unwrap();
-                let mut grad = GradBuffer::zeros(&p);
+                // A full-length gradient whose frozen entries are zero.
+                let mut grad = vec![0.0f32; p.params().len()];
+                let c = 1.0 / batch.len() as f32;
                 for (eval, g) in &per_pair {
                     loss += eval.loss;
                     correct += eval.correct;
                     margin += eval.margin;
-                    grad.add_scaled(g, 1.0 / batch.len() as f32);
+                    for (a, b) in grad[trainable.clone()].iter_mut().zip(&g.0) {
+                        *a += c * b;
+                    }
                 }
-                adam.step(p.params_mut(), &grad.0);
+                adam.step(p.params_mut(), &grad);
             }
             let n = take as f32;
             s_loop.push(EpochStats {
@@ -425,7 +473,13 @@ mod tests {
     /// byte-identical at any thread count.
     #[test]
     fn pooled_training_is_bit_identical() {
-        let (policy0, reference, ds) = varied_dataset();
+        for adapt in MODES {
+            pooled_training_is_bit_identical_under(adapt);
+        }
+    }
+
+    fn pooled_training_is_bit_identical_under(adapt: AdaptMode) {
+        let (policy0, reference, ds) = varied_dataset(adapt);
         let opts = TrainOptions {
             epochs: 3,
             pairs_per_epoch: Some(8),
@@ -448,10 +502,92 @@ mod tests {
             assert_eq!(
                 p_serial.params(),
                 p_pooled.params(),
-                "weights diverged at {threads} threads"
+                "weights diverged at {threads} threads ({adapt:?})"
             );
             assert_eq!(s_serial, s_pooled);
         }
+        if adapt != AdaptMode::Full {
+            assert_eq!(trainable_zeros(&p_serial), 0, "B must have moved");
+        }
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv1a(values: &[f32]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// A short LoRA `DpoTrainer::train`, pinned bit for bit: the final
+    /// adapters, a digest of every parameter, and the `EpochStats`. The
+    /// values were recorded before the trainer stepped Adam over the
+    /// trainable segment only and before the tape held the frozen base
+    /// as constants, so they pin both changes as pure performance work.
+    #[test]
+    fn lora_training_matches_golden() {
+        const ADAPTERS: [u32; 74] = [
+            0x3d3d020c, 0x3b750be9, 0x3d0690bd, 0x3d0e300e, 0xbd2a7558, 0xbd1525b3, 0x3ca1c6cc,
+            0x3d4cc83e, 0x3c94ef6f, 0xbc520bf4, 0xbc7b4fd6, 0xbd0f3fcb, 0xbd3fdc6f, 0xbcf4285e,
+            0xbc943a1c, 0x3bdadd3c, 0xbd0147d4, 0x3ce9dafc, 0xbceabf44, 0x3d1c5212, 0xbc669cc8,
+            0x3d17a476, 0x3d20d791, 0xbcc7633c, 0xb98bb4a4, 0xbcf197d3, 0x3bc0b3bd, 0xbd1c68f8,
+            0x3d180025, 0xbd184da4, 0xbd1eedee, 0x3d0f386c, 0x3d23cde6, 0x3d17aa7a, 0xbd17a4a1,
+            0x3d060751, 0xbc8fa86e, 0x3d0c934d, 0xbcc5c7c8, 0x3c3427eb, 0x3d094951, 0xbc70083d,
+            0xba002a15, 0x3c52941e, 0xbadd87d6, 0x3bb87dbb, 0x3d4a90ca, 0xbd010845, 0x3cc28f8c,
+            0xbb9f0425, 0xbd1dc94b, 0x3d2d9360, 0xbc436c78, 0x3cbbd39b, 0xbd2863ff, 0x3d421160,
+            0xbce9797f, 0x3ce511f3, 0xbd1f6bae, 0xbd1d7f30, 0x3c8ebfb6, 0xbd1b10d5, 0xbced2cee,
+            0x3d1ada15, 0x3d17602f, 0xbd1774ba, 0x3d17f137, 0x3d12bfd6, 0xbd03aedc, 0x3d084ea0,
+            0x3c9f0247, 0xbcde61f2, 0xbd0dd1c9, 0x3d0b4396,
+        ];
+        const PARAMS_FNV1A: u64 = 0x9533_94fc_e4a9_0770;
+        // (epoch, loss, accuracy, margin) bit patterns.
+        const STATS: [(usize, u32, u32, u32); 4] = [
+            (0, 0x3f317005, 0x3f000000, 0x3904d555),
+            (1, 0x3f3152c1, 0x3f800000, 0x3afac555),
+            (2, 0x3f3121d5, 0x3f555555, 0x3ba0a600),
+            (3, 0x3f30e799, 0x3f800000, 0x3c0ab055),
+        ];
+
+        let (mut p, reference, ds) = varied_dataset(AdaptMode::Lora { rank: 2 });
+        let opts = TrainOptions {
+            epochs: 4,
+            pairs_per_epoch: Some(6),
+            batch_size: 4,
+            ..TrainOptions::default()
+        };
+        let stats = DpoTrainer::new(opts)
+            .train(
+                &mut p,
+                &reference,
+                &ds,
+                &mut StdRng::seed_from_u64(13),
+                |_, _| {},
+            )
+            .unwrap();
+        assert_eq!(
+            p.trainable(),
+            p.params().len() - ADAPTERS.len()..p.params().len()
+        );
+        let adapters: Vec<u32> = p.params()[p.trainable()]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(adapters, ADAPTERS);
+        assert_eq!(fnv1a(p.params()), PARAMS_FNV1A);
+        let stats: Vec<_> = stats
+            .iter()
+            .map(|s| {
+                (
+                    s.epoch,
+                    s.loss.to_bits(),
+                    s.accuracy.to_bits(),
+                    s.margin.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(stats, STATS);
     }
 
     #[test]

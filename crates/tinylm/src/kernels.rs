@@ -156,15 +156,6 @@ fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
     ((pairs[0] + pairs[2]) + (pairs[1] + pairs[3])) + tail
 }
 
-/// Mode-dispatched dot product.
-#[inline]
-pub(crate) fn dot_in(a: &[f32], b: &[f32], mode: KernelMode) -> f32 {
-    match mode {
-        KernelMode::Reference => dot(a, b),
-        KernelMode::Fast => dot_fast(a, b),
-    }
-}
-
 /// `out += s · a`, the rank-1-update inner loop of every backward
 /// matmul. Element-independent, so the reference version vectorizes
 /// without reassociating anything; fast fuses the multiply-add.
@@ -263,7 +254,9 @@ pub(crate) fn matmul_forward(
 }
 
 /// Backward matmul: `gm[r] += Σ_p(rev) g[p,r] · x_p` and
-/// `gx_p += Σ_r g[p,r] · M_r`.
+/// `gx_p += Σ_r g[p,r] · M_r`. Either destination may be `None` when no
+/// trainable leaf reads it (a constant matrix or input); the other is
+/// computed exactly as when both are requested.
 ///
 /// Bit-exactness: positions walk in **reverse** (the unbatched graph's
 /// reverse node-order walk reaches per-position matvecs
@@ -273,14 +266,15 @@ pub(crate) fn matmul_forward(
 /// per column; splitting them into two [`axpy`] passes touches each
 /// destination element in the same order as before — the interleave only
 /// ever alternated between *different* buffers — and turns both passes
-/// into vectorizable slice updates.
+/// into vectorizable slice updates. The same independence is why
+/// dropping one destination leaves the other's bits unchanged.
 // ALLOW: the argument list is the matmul gradient problem statement (two
 // outputs, three inputs, three dims, mode); a parameter struct would
 // just rename it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_backward(
-    gm: &mut [f32],
-    gx: &mut [f32],
+    mut gm: Option<&mut [f32]>,
+    mut gx: Option<&mut [f32]>,
     g: &[f32],
     m: &[f32],
     x: &[f32],
@@ -290,18 +284,24 @@ pub(crate) fn matmul_backward(
     mode: KernelMode,
 ) {
     debug_assert_eq!(g.len(), n * rows);
-    debug_assert_eq!(gm.len(), rows * cols);
-    debug_assert_eq!(gx.len(), n * cols);
+    debug_assert!(gm.as_ref().is_none_or(|gm| gm.len() == rows * cols));
+    debug_assert!(gx.as_ref().is_none_or(|gx| gx.len() == n * cols));
     for p in (0..n).rev() {
         let gp = &g[p * rows..(p + 1) * rows];
         let xp = &x[p * cols..(p + 1) * cols];
-        let gxp = &mut gx[p * cols..(p + 1) * cols];
+        let mut gxp = gx
+            .as_deref_mut()
+            .map(|gx| &mut gx[p * cols..(p + 1) * cols]);
         for (r, &gr) in gp.iter().enumerate() {
             if gr == 0.0 {
                 continue;
             }
-            axpy(&mut gm[r * cols..(r + 1) * cols], gr, xp, mode);
-            axpy(gxp, gr, &m[r * cols..(r + 1) * cols], mode);
+            if let Some(gm) = gm.as_deref_mut() {
+                axpy(&mut gm[r * cols..(r + 1) * cols], gr, xp, mode);
+            }
+            if let Some(gxp) = gxp.as_deref_mut() {
+                axpy(gxp, gr, &m[r * cols..(r + 1) * cols], mode);
+            }
         }
     }
 }
@@ -331,42 +331,57 @@ pub(crate) fn bias_log_softmax_forward(out: &mut [f32], a: &[f32], b: &[f32], n:
 /// Backward of the fused bias+log-softmax: per chunk (in **reverse**
 /// position order, for the shared bias gradient's accumulation order)
 /// both `ga` and `gb` receive `g[j] − (Σg)·softmax_j` — the single f32
-/// expression the unfused pair produces. Identical in both modes.
+/// expression the unfused pair produces. Identical in both modes. A
+/// `None` destination is skipped; the other receives the same bits.
 pub(crate) fn bias_log_softmax_backward(
-    ga: &mut [f32],
-    gb: &mut [f32],
+    mut ga: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
     g: &[f32],
     y: &[f32],
     n: usize,
 ) {
-    let len = gb.len();
-    debug_assert_eq!(ga.len(), n * len);
+    let len = g.len() / n.max(1);
     debug_assert_eq!(g.len(), n * len);
     debug_assert_eq!(y.len(), n * len);
+    debug_assert!(ga.as_ref().is_none_or(|ga| ga.len() == n * len));
+    debug_assert!(n == 0 || gb.as_ref().is_none_or(|gb| gb.len() == len));
     for p in (0..n).rev() {
         let gc = &g[p * len..(p + 1) * len];
         let yc = &y[p * len..(p + 1) * len];
-        let gac = &mut ga[p * len..(p + 1) * len];
+        let mut gac = ga.as_deref_mut().map(|ga| &mut ga[p * len..(p + 1) * len]);
         let gsum: f32 = gc.iter().sum();
         for j in 0..len {
             let d = gc[j] - gsum * yc[j].exp();
-            gac[j] += d;
-            gb[j] += d;
+            if let Some(gac) = gac.as_deref_mut() {
+                gac[j] += d;
+            }
+            if let Some(gb) = gb.as_deref_mut() {
+                gb[j] += d;
+            }
         }
     }
 }
 
 /// Backward of chunk-wise broadcast add: in reverse position order,
 /// `ga_p += g_p` and `gb += g_p`. The old loop interleaved the two per
-/// element; the split passes touch each destination in the same order.
-pub(crate) fn broadcast_add_backward(ga: &mut [f32], gb: &mut [f32], g: &[f32], n: usize) {
-    let len = gb.len();
-    debug_assert_eq!(ga.len(), n * len);
+/// element; the split passes touch each destination in the same order,
+/// so either may be `None` without changing the other.
+pub(crate) fn broadcast_add_backward(
+    mut ga: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
+    g: &[f32],
+    n: usize,
+) {
+    let len = g.len() / n.max(1);
     debug_assert_eq!(g.len(), n * len);
     for p in (0..n).rev() {
         let gc = &g[p * len..(p + 1) * len];
-        add_assign(&mut ga[p * len..(p + 1) * len], gc);
-        add_assign(gb, gc);
+        if let Some(ga) = ga.as_deref_mut() {
+            add_assign(&mut ga[p * len..(p + 1) * len], gc);
+        }
+        if let Some(gb) = gb.as_deref_mut() {
+            add_assign(gb, gc);
+        }
     }
 }
 
@@ -392,25 +407,29 @@ pub(crate) fn gather_sum_backward(ga: &mut [f32], g: f32, chunk: usize, targets:
 /// position order (matching the reverse node-order walk over the
 /// per-position concat nodes of the unbatched graph); `gtable`
 /// accumulates in **forward** `(position, slot)` order (matching the
-/// unbatched graph's final embedding scatter).
+/// unbatched graph's final embedding scatter). Either may be `None`.
 pub(crate) fn pack_inputs_backward(
-    gshared: &mut [f32],
-    gtable: &mut [f32],
+    gshared: Option<&mut [f32]>,
+    gtable: Option<&mut [f32]>,
     g: &[f32],
+    shared_len: usize,
     dim: usize,
     k: usize,
     indices: &[usize],
 ) {
     let n = indices.len() / k.max(1);
-    let shared_len = gshared.len();
     let stride = shared_len + k * dim;
-    for p in (0..n).rev() {
-        add_assign(gshared, &g[p * stride..p * stride + shared_len]);
+    if let Some(gshared) = gshared {
+        for p in (0..n).rev() {
+            add_assign(gshared, &g[p * stride..p * stride + shared_len]);
+        }
     }
-    for (p, pos) in indices.chunks(k).enumerate() {
-        for (slot, &idx) in pos.iter().enumerate() {
-            let src = p * stride + shared_len + slot * dim;
-            add_assign(&mut gtable[idx * dim..(idx + 1) * dim], &g[src..src + dim]);
+    if let Some(gtable) = gtable {
+        for (p, pos) in indices.chunks(k).enumerate() {
+            for (slot, &idx) in pos.iter().enumerate() {
+                let src = p * stride + shared_len + slot * dim;
+                add_assign(&mut gtable[idx * dim..(idx + 1) * dim], &g[src..src + dim]);
+            }
         }
     }
 }
@@ -465,6 +484,10 @@ mod tests {
         (0..len).map(|i| (i as f32 * f).sin()).collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         /// Blocked forward is bit-identical to the naive kernel across
         /// ragged shapes: rows below/at/above the lane width, zero-length
@@ -510,12 +533,66 @@ mod tests {
 
             let mut gm = vec![0.0f32; rows * cols];
             let mut gx = vec![0.0f32; n * cols];
-            matmul_backward(&mut gm, &mut gx, &g, &m, &x, rows, cols, n, KernelMode::Reference);
+            matmul_backward(Some(&mut gm), Some(&mut gx), &g, &m, &x, rows, cols, n, KernelMode::Reference);
             for (a, b) in gm.iter().zip(&gm_naive) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             for (a, b) in gx.iter().zip(&gx_naive) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        /// Each backward kernel's two destinations are independent: with
+        /// one of them `None`, the other comes out bit-identical to the
+        /// call that fills both, for ragged shapes and in both modes.
+        #[test]
+        fn dropping_one_backward_output_keeps_the_other(
+            rows in 1usize..13,
+            cols in 1usize..11,
+            n in 0usize..5,
+            zero_every in 1usize..5,
+            fast in 0usize..2,
+            seed in 0u32..50,
+        ) {
+            let mode = if fast == 1 { KernelMode::Fast } else { KernelMode::Reference };
+            let f = 0.23 + seed as f32 * 0.019;
+            let m = wave(rows * cols, f);
+            let x = wave(n * cols, f + 0.37);
+            let mut g = wave(n * rows, f + 0.05);
+            for (i, gi) in g.iter_mut().enumerate() {
+                if i % zero_every == 0 {
+                    *gi = 0.0;
+                }
+            }
+            // Destinations start non-zero: the kernels accumulate.
+            let (gm0, gx0) = (wave(rows * cols, f + 0.9), wave(n * cols, f + 1.1));
+            let (mut gm, mut gx) = (gm0.clone(), gx0.clone());
+            matmul_backward(Some(&mut gm), Some(&mut gx), &g, &m, &x, rows, cols, n, mode);
+            let mut gm_only = gm0.clone();
+            matmul_backward(Some(&mut gm_only), None, &g, &m, &x, rows, cols, n, mode);
+            let mut gx_only = gx0.clone();
+            matmul_backward(None, Some(&mut gx_only), &g, &m, &x, rows, cols, n, mode);
+            prop_assert_eq!(bits(&gm_only), bits(&gm));
+            prop_assert_eq!(bits(&gx_only), bits(&gx));
+
+            // Chunk-wise kernels: `n` chunks of width `cols`.
+            let g = wave(n * cols, f + 0.61);
+            let y: Vec<f32> = g.iter().map(|v| v - 2.0).collect();
+            let (ga0, gb0) = (wave(n * cols, f + 1.7), wave(cols, f + 2.3));
+            type Kernel = fn(Option<&mut [f32]>, Option<&mut [f32]>, &[f32], &[f32], usize);
+            let kernels: [Kernel; 2] = [
+                |ga, gb, g, _, n| broadcast_add_backward(ga, gb, g, n),
+                |ga, gb, g, y, n| bias_log_softmax_backward(ga, gb, g, y, n),
+            ];
+            for kernel in kernels {
+                let (mut ga, mut gb) = (ga0.clone(), gb0.clone());
+                kernel(Some(&mut ga), Some(&mut gb), &g, &y, n);
+                let mut ga_only = ga0.clone();
+                kernel(Some(&mut ga_only), None, &g, &y, n);
+                let mut gb_only = gb0.clone();
+                kernel(None, Some(&mut gb_only), &g, &y, n);
+                prop_assert_eq!(bits(&ga_only), bits(&ga));
+                prop_assert_eq!(bits(&gb_only), bits(&gb));
             }
         }
 

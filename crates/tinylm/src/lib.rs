@@ -11,7 +11,10 @@
 //!   ([`CondLm::log_prob`], [`CondLm::log_prob_grad`]),
 //! * a frozen reference copy for DPO ([`CondLm`] is `Clone`),
 //! * **LoRA** low-rank adapters (paper Appendix E): hold `W` constant and
-//!   train `A·B` with `rank ≪ dim` ([`AdaptMode::Lora`]).
+//!   train `A·B` with `rank ≪ dim` ([`AdaptMode::Lora`]). Gradients and
+//!   optimizer state cover only the adapters ([`CondLm::trainable`]), and
+//!   [`CondLm::merged`] merges them into the base once for many scoring
+//!   or sampling calls.
 //!
 //! Components:
 //!
@@ -43,7 +46,7 @@ mod tokenizer;
 
 pub use kernels::KernelMode;
 pub use model::{
-    AdaptMode, CondLm, GradBuffer, LmConfig, LmError, SampleOptions, SeqGraph, SeqWorkspace,
+    AdaptMode, CondLm, GradBuffer, LmConfig, LmError, Merged, SampleOptions, SeqGraph, SeqWorkspace,
 };
 pub use pretrain_mod::{pretrain, PretrainOptions, PretrainStats};
 pub use tokenizer::{Token, Tokenizer, BOS, EOS};

@@ -1,7 +1,9 @@
+use crate::kernels;
 use crate::tape::{dot, GradArena, Tape};
 use crate::tokenizer::{Token, BOS, EOS};
 use obskit::json::{DecodeError, FromJson, ToJson, Value};
 use rand::Rng;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -86,16 +88,16 @@ impl fmt::Display for LmError {
 
 impl std::error::Error for LmError {}
 
-/// Gradient of a scalar objective with respect to the model's full
-/// parameter vector (same layout as [`CondLm::params`]; frozen entries are
-/// zero).
+/// Gradient of a scalar objective with respect to the model's trainable
+/// parameters: entry `i` belongs to `params()[trainable().start + i]`
+/// (see [`CondLm::trainable`]). Frozen parameters have no entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradBuffer(pub Vec<f32>);
 
 impl GradBuffer {
-    /// An all-zero gradient for a model.
+    /// An all-zero gradient for a model's trainable segment.
     pub fn zeros(model: &CondLm) -> Self {
-        GradBuffer(vec![0.0; model.params().len()])
+        GradBuffer(vec![0.0; model.trainable().len()])
     }
 
     /// `self += c · other`.
@@ -173,9 +175,10 @@ impl SeqWorkspace {
 }
 
 /// Handles into a sequence graph built by [`CondLm::seq_forward_in`]:
-/// the sequence log-likelihood plus the leaf nodes
+/// the sequence log-likelihood plus the parameter nodes
 /// [`CondLm::seq_grad_in`] needs to scatter gradients back into the flat
-/// parameter layout.
+/// parameter layout. Under LoRA the base nodes are tape constants and
+/// only the adapter handles are read.
 #[derive(Debug, Clone)]
 pub struct SeqGraph {
     value: f32,
@@ -264,6 +267,7 @@ impl Default for SampleOptions {
 }
 
 /// One scoring position: the context window and the target token.
+#[cfg(test)]
 type ScoredPosition = (Vec<Token>, Token);
 
 /// Parameter ranges of the four LoRA matrices `(A1, B1, A2, B2)`.
@@ -409,24 +413,20 @@ impl CondLm {
         &mut self.params
     }
 
-    /// `true` at positions fine-tuning may update. Under
-    /// [`AdaptMode::Full`] every position is trainable; under LoRA only
-    /// the adapter matrices are.
-    pub fn trainable_mask(&self) -> Vec<bool> {
-        let mut mask = vec![matches!(self.cfg.adapt, AdaptMode::Full); self.params.len()];
-        if let Some((a1, b1l, a2, b2l)) = &self.seg.lora {
-            for r in [a1, b1l, a2, b2l] {
-                for m in &mut mask[r.clone()] {
-                    *m = true;
-                }
-            }
+    /// The parameters fine-tuning may update, as one range of
+    /// [`CondLm::params`]: everything under [`AdaptMode::Full`], the
+    /// adapter matrices (which sit last) under LoRA. [`GradBuffer`]s and
+    /// optimizers cover exactly this segment.
+    pub fn trainable(&self) -> Range<usize> {
+        match &self.seg.lora {
+            Some((a1, _, _, b2l)) => a1.start..b2l.end,
+            None => 0..self.params.len(),
         }
-        mask
     }
 
     /// Number of trainable parameters.
     pub fn num_trainable(&self) -> usize {
-        self.trainable_mask().iter().filter(|&&m| m).count()
+        self.trainable().len()
     }
 
     fn tok_row(&self, t: Token) -> &[f32] {
@@ -457,48 +457,49 @@ impl CondLm {
         Ok(())
     }
 
-    /// Effective `W1` (base plus LoRA delta), materialized.
-    fn w1_eff(&self) -> Vec<f32> {
-        let mut w = self.params[self.seg.w1.clone()].to_vec();
-        if let Some((a1, b1l, _, _)) = &self.seg.lora {
-            let AdaptMode::Lora { rank } = self.cfg.adapt else {
-                unreachable!("lora segments imply lora mode");
-            };
-            merge_lora(
-                &mut w,
-                &self.params[a1.clone()],
-                &self.params[b1l.clone()],
-                self.cfg.hidden,
-                self.cfg.input_dim(),
-                rank,
-                self.cfg.lora_scale,
-            );
-        }
-        w
+    /// Effective weight `base + s·A·B` of a `rows×cols` matrix; the base
+    /// itself when there are no adapters.
+    fn w_eff(
+        &self,
+        base: &Range<usize>,
+        lora: Option<(&Range<usize>, &Range<usize>)>,
+        rows: usize,
+        cols: usize,
+    ) -> Cow<'_, [f32]> {
+        let base = &self.params[base.clone()];
+        let (Some((a, b)), AdaptMode::Lora { rank }) = (lora, self.cfg.adapt) else {
+            return Cow::Borrowed(base);
+        };
+        let mut w = base.to_vec();
+        merge_lora(
+            &mut w,
+            &self.params[a.clone()],
+            &self.params[b.clone()],
+            rows,
+            cols,
+            rank,
+            self.cfg.lora_scale,
+        );
+        Cow::Owned(w)
     }
 
-    /// Effective `W2`.
-    fn w2_eff(&self) -> Vec<f32> {
-        let mut w = self.params[self.seg.w2.clone()].to_vec();
-        if let Some((_, _, a2, b2l)) = &self.seg.lora {
-            let AdaptMode::Lora { rank } = self.cfg.adapt else {
-                unreachable!("lora segments imply lora mode");
-            };
-            merge_lora(
-                &mut w,
-                &self.params[a2.clone()],
-                &self.params[b2l.clone()],
-                self.cfg.vocab_size,
-                self.cfg.hidden,
-                rank,
-                self.cfg.lora_scale,
-            );
+    /// The model with its LoRA adapters merged into `W1` and `W2` once,
+    /// for tape-free scoring and sampling. Build one per model version
+    /// and reuse it: every call on it skips the merge.
+    pub fn merged(&self) -> Merged<'_> {
+        let (cfg, seg) = (&self.cfg, &self.seg);
+        let lora1 = seg.lora.as_ref().map(|(a1, b1l, _, _)| (a1, b1l));
+        let lora2 = seg.lora.as_ref().map(|(_, _, a2, b2l)| (a2, b2l));
+        Merged {
+            lm: self,
+            w1: self.w_eff(&seg.w1, lora1, cfg.hidden, cfg.input_dim()),
+            w2: self.w_eff(&seg.w2, lora2, cfg.vocab_size, cfg.hidden),
         }
-        w
     }
 
-    /// Fast (tape-free) next-token log-probabilities given a task and the
-    /// last `context` tokens (`ctx.len() == context`).
+    /// Tape-free next-token log-probabilities given a task and the last
+    /// `context` tokens (`ctx.len() == context`). Merges the adapters for
+    /// this one call; see [`CondLm::merged`] to merge once for many.
     ///
     /// # Errors
     ///
@@ -508,94 +509,51 @@ impl CondLm {
     ///
     /// Panics if `ctx.len() != config().context`.
     pub fn next_log_probs(&self, task: usize, ctx: &[Token]) -> Result<Vec<f32>, LmError> {
-        self.check_task(task)?;
-        self.check_tokens(ctx)?;
-        Ok(self.next_log_probs_merged(&self.w1_eff(), &self.w2_eff(), task, ctx))
+        self.merged().next_log_probs(task, ctx)
     }
 
-    /// [`CondLm::next_log_probs`] with the effective weights already
-    /// merged — lets sequence scoring pay the LoRA merge once instead of
-    /// once per position. Callers must have validated `task`/`ctx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx.len() != config().context`.
-    fn next_log_probs_merged(
-        &self,
-        w1: &[f32],
-        w2: &[f32],
-        task: usize,
-        ctx: &[Token],
-    ) -> Vec<f32> {
-        assert_eq!(ctx.len(), self.cfg.context, "context length mismatch");
-        let input = self.cfg.input_dim();
-        let h = self.cfg.hidden;
-        let v = self.cfg.vocab_size;
-
-        let mut x = Vec::with_capacity(input);
-        x.extend_from_slice(self.task_row(task));
-        for &t in ctx {
-            x.extend_from_slice(self.tok_row(t));
-        }
-        // Sampling is tape-free, so the mode is read per call from the
-        // process global instead of a tape capture.
-        let mode = crate::kernels::mode();
-        let b1 = &self.params[self.seg.b1.clone()];
-        let mut hid = vec![0.0f32; h];
-        for (r, hid_r) in hid.iter_mut().enumerate() {
-            let row = &w1[r * input..(r + 1) * input];
-            *hid_r = (crate::kernels::dot_in(row, &x, mode) + b1[r]).tanh();
-        }
-        let b2 = &self.params[self.seg.b2.clone()];
-        let mut logits = vec![0.0f32; v];
-        for (r, logit) in logits.iter_mut().enumerate() {
-            let row = &w2[r * h..(r + 1) * h];
-            *logit = crate::kernels::dot_in(row, &hid, mode) + b2[r];
-        }
-        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let log_z = max + logits.iter().map(|l| (l - max).exp()).sum::<f32>().ln();
-        for l in &mut logits {
-            *l -= log_z;
-        }
-        logits
-    }
-
-    /// Builds the padded context windows and targets for scoring a
-    /// response: predict `response[0]`, …, `response[n-1]`, then `EOS`.
-    fn positions(&self, response: &[Token]) -> Vec<ScoredPosition> {
+    /// The padded context windows and targets for scoring a response:
+    /// predict `response[0]`, …, `response[n-1]`, then `EOS`. Returns the
+    /// `n · context` packed window token ids and the `n` targets.
+    fn windows(&self, response: &[Token]) -> (Vec<usize>, Vec<usize>) {
         let k = self.cfg.context;
+        let n = response.len() + 1;
         let mut padded = vec![BOS; k];
         padded.extend_from_slice(response);
         padded.push(EOS);
-        (0..response.len() + 1)
-            .map(|t| (padded[t..t + k].to_vec(), padded[t + k]))
+        let mut indices = Vec::with_capacity(n * k);
+        let mut targets = Vec::with_capacity(n);
+        for t in 0..n {
+            indices.extend(padded[t..t + k].iter().map(|&tok| tok as usize));
+            targets.push(padded[t + k] as usize);
+        }
+        (indices, targets)
+    }
+
+    /// [`CondLm::windows`] as one `(context, target)` pair per position.
+    #[cfg(test)]
+    fn positions(&self, response: &[Token]) -> Vec<ScoredPosition> {
+        let (indices, targets) = self.windows(response);
+        indices
+            .chunks(self.cfg.context)
+            .zip(targets)
+            .map(|(ctx, t)| (ctx.iter().map(|&i| i as Token).collect(), t as Token))
             .collect()
     }
 
     /// Exact sequence log-likelihood
     /// `log P(response, EOS | task) = Σ_t log P(y_t | task, ctx_t)`.
+    /// Merges the adapters for this one call; see [`CondLm::merged`].
     ///
     /// # Errors
     ///
     /// Returns [`LmError`] for out-of-range ids.
     pub fn log_prob(&self, task: usize, response: &[Token]) -> Result<f32, LmError> {
-        self.check_task(task)?;
-        self.check_tokens(response)?;
-        // Merge the LoRA deltas once for the whole sequence; the
-        // per-position arithmetic is unchanged, so values are identical
-        // to calling `next_log_probs` per position.
-        let w1 = self.w1_eff();
-        let w2 = self.w2_eff();
-        let mut total = 0.0;
-        for (ctx, target) in self.positions(response) {
-            let lp = self.next_log_probs_merged(&w1, &w2, task, &ctx);
-            total += lp[target as usize];
-        }
-        Ok(total)
+        self.merged().log_prob(task, response)
     }
 
-    /// Sequence log-likelihood and its gradient with respect to the full
-    /// parameter vector (frozen entries zeroed per [`AdaptMode`]).
+    /// Sequence log-likelihood and its gradient with respect to the
+    /// trainable parameters ([`CondLm::trainable`]).
     ///
     /// Uses this thread's shared [`SeqWorkspace`], so repeated calls
     /// recycle tape and gradient buffers automatically.
@@ -661,26 +619,27 @@ impl CondLm {
         let v = cfg.vocab_size;
         let k = cfg.context;
         let n = response.len() + 1;
-
-        // Packed context indices and targets, mirroring `positions`.
-        let mut padded = vec![BOS; k];
-        padded.extend_from_slice(response);
-        padded.push(EOS);
-        let mut indices = Vec::with_capacity(n * k);
-        let mut targets = Vec::with_capacity(n);
-        for t in 0..n {
-            indices.extend(padded[t..t + k].iter().map(|&tok| tok as usize));
-            targets.push(padded[t + k] as usize);
-        }
+        let (indices, targets) = self.windows(response);
 
         let tape = &mut ws.tape;
-        // Shared parameter leaves.
-        let w1 = tape.leaf_from(&self.params[self.seg.w1.clone()]);
-        let b1 = tape.leaf_from(&self.params[self.seg.b1.clone()]);
-        let w2 = tape.leaf_from(&self.params[self.seg.w2.clone()]);
-        let b2 = tape.leaf_from(&self.params[self.seg.b2.clone()]);
-        let task_leaf = tape.leaf_from(self.task_row(task));
-        let tok_table = tape.leaf_from(&self.params[self.seg.tok_emb.clone()]);
+        // Shared parameter nodes. Under LoRA the base is frozen, so it
+        // goes on the tape as constants and backward never differentiates
+        // it: W1's whole backward, W2's matrix gradient, both bias
+        // gradients and the embedding scatter drop out.
+        let frozen = self.seg.lora.is_some();
+        let mut base = |val: &[f32]| {
+            if frozen {
+                tape.constant_from(val)
+            } else {
+                tape.leaf_from(val)
+            }
+        };
+        let w1 = base(&self.params[self.seg.w1.clone()]);
+        let b1 = base(&self.params[self.seg.b1.clone()]);
+        let w2 = base(&self.params[self.seg.w2.clone()]);
+        let b2 = base(&self.params[self.seg.b2.clone()]);
+        let task_leaf = base(self.task_row(task));
+        let tok_table = base(&self.params[self.seg.tok_emb.clone()]);
         let lora_leaves = self.seg.lora.as_ref().map(|(a1, b1l, a2, b2l)| {
             (
                 tape.leaf_from(&self.params[a1.clone()]),
@@ -733,8 +692,8 @@ impl CondLm {
     }
 
     /// Backpropagates through a graph built by [`CondLm::seq_forward_in`]
-    /// and scatters leaf gradients into the flat parameter layout
-    /// (frozen entries zeroed per [`AdaptMode`]).
+    /// and scatters the trainable leaves' gradients into a
+    /// [`GradBuffer`].
     ///
     /// # Panics
     ///
@@ -746,40 +705,38 @@ impl CondLm {
             obskit::counter_add("tape.grad_buffer_reuses", ws.arena.reuses() - reuses_before);
         }
 
-        // Scatter into the flat layout.
+        // Scatter into the trainable segment, whose offset is `start`.
         let arena = &ws.arena;
-        let mut grad = vec![0.0f32; self.params.len()];
-        grad[self.seg.w1.clone()].copy_from_slice(arena.grad(graph.w1));
-        grad[self.seg.b1.clone()].copy_from_slice(arena.grad(graph.b1));
-        grad[self.seg.w2.clone()].copy_from_slice(arena.grad(graph.w2));
-        grad[self.seg.b2.clone()].copy_from_slice(arena.grad(graph.b2));
-        grad[self.seg.tok_emb.clone()].copy_from_slice(arena.grad(graph.tok_table));
-        {
-            let d = self.cfg.task_dim;
-            let base = self.seg.task_emb.start + graph.task * d;
-            grad[base..base + d].copy_from_slice(arena.grad(graph.task_leaf));
-        }
-        if let (Some((a1r, b1r, a2r, b2r)), Some((a1, b1l, a2, b2l))) =
-            (self.seg.lora.clone(), graph.lora)
-        {
-            grad[a1r].copy_from_slice(arena.grad(a1));
-            grad[b1r].copy_from_slice(arena.grad(b1l));
-            grad[a2r].copy_from_slice(arena.grad(a2));
-            grad[b2r].copy_from_slice(arena.grad(b2l));
-        }
-
-        // Zero frozen entries.
-        let mask = self.trainable_mask();
-        for (g, m) in grad.iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
+        let start = self.trainable().start;
+        let mut grad = vec![0.0f32; self.num_trainable()];
+        let mut put = |range: &Range<usize>, leaf| {
+            grad[range.start - start..range.end - start].copy_from_slice(arena.grad(leaf));
+        };
+        match (&self.seg.lora, graph.lora) {
+            (Some((a1r, b1r, a2r, b2r)), Some((a1, b1l, a2, b2l))) => {
+                put(a1r, a1);
+                put(b1r, b1l);
+                put(a2r, a2);
+                put(b2r, b2l);
+            }
+            _ => {
+                put(&self.seg.w1, graph.w1);
+                put(&self.seg.b1, graph.b1);
+                put(&self.seg.w2, graph.w2);
+                put(&self.seg.b2, graph.b2);
+                put(&self.seg.tok_emb, graph.tok_table);
+                let base = self.seg.task_emb.start + graph.task * self.cfg.task_dim;
+                put(&(base..base + self.cfg.task_dim), graph.task_leaf);
             }
         }
         GradBuffer(grad)
     }
 
     /// The original per-position tape graph, kept as the bit-exactness
-    /// oracle for the batched path.
+    /// oracle for the batched path. Every parameter is a gradient-carrying
+    /// leaf here, whatever the [`AdaptMode`], and the gradient covers the
+    /// full parameter vector: its `trainable()` slice is what the batched
+    /// path must reproduce.
     // The position walk always visits at least the EOS slot, so `total`
     // is `Some` by construction; a panic here is a bug in this method.
     #[cfg(test)]
@@ -884,14 +841,6 @@ impl CondLm {
             grad[a2r].copy_from_slice(&node_grads[a2.index()]);
             grad[b2r].copy_from_slice(&node_grads[b2l.index()]);
         }
-
-        // Zero frozen entries.
-        let mask = self.trainable_mask();
-        for (g, m) in grad.iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
         Ok((value, GradBuffer(grad)))
     }
 
@@ -932,6 +881,8 @@ impl CondLm {
     }
 
     /// Samples a response autoregressively until `EOS` or `max_len`.
+    /// Merges the adapters once for the whole response; see
+    /// [`CondLm::merged`] to merge once for many responses.
     ///
     /// # Errors
     ///
@@ -942,12 +893,76 @@ impl CondLm {
         rng: &mut impl Rng,
         options: SampleOptions,
     ) -> Result<Vec<Token>, LmError> {
-        self.check_task(task)?;
-        let k = self.cfg.context;
-        let mut ctx = vec![BOS; k];
+        self.merged().sample(task, rng, options)
+    }
+}
+
+/// A [`CondLm`] with its LoRA adapters merged into the effective `W1` and
+/// `W2` (see [`CondLm::merged`]). Scoring and sampling through it compute
+/// exactly what the model's own methods compute, bit for bit; they just
+/// skip the merge. Under [`AdaptMode::Full`] it borrows the weights.
+#[derive(Debug, Clone)]
+pub struct Merged<'a> {
+    lm: &'a CondLm,
+    w1: Cow<'a, [f32]>,
+    w2: Cow<'a, [f32]>,
+}
+
+impl Merged<'_> {
+    /// Next-token log-probabilities given a task and the last `context`
+    /// tokens (`ctx.len() == context`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LmError`] for out-of-range ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx.len() != config().context`.
+    pub fn next_log_probs(&self, task: usize, ctx: &[Token]) -> Result<Vec<f32>, LmError> {
+        self.lm.check_task(task)?;
+        self.lm.check_tokens(ctx)?;
+        assert_eq!(ctx.len(), self.lm.cfg.context, "context length mismatch");
+        let indices: Vec<usize> = ctx.iter().map(|&t| t as usize).collect();
+        Ok(self.log_softmax_rows(task, &indices))
+    }
+
+    /// Exact sequence log-likelihood
+    /// `log P(response, EOS | task) = Σ_t log P(y_t | task, ctx_t)`,
+    /// every position in one batched pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LmError`] for out-of-range ids.
+    pub fn log_prob(&self, task: usize, response: &[Token]) -> Result<f32, LmError> {
+        self.lm.check_task(task)?;
+        self.lm.check_tokens(response)?;
+        let (indices, targets) = self.lm.windows(response);
+        let v = self.lm.cfg.vocab_size;
+        let lp = self.log_softmax_rows(task, &indices);
+        let mut total = 0.0;
+        for (row, t) in lp.chunks(v).zip(targets) {
+            total += row[t];
+        }
+        Ok(total)
+    }
+
+    /// Samples a response autoregressively until `EOS` or `max_len`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LmError::TaskOutOfRange`] for an unknown task.
+    pub fn sample(
+        &self,
+        task: usize,
+        rng: &mut impl Rng,
+        options: SampleOptions,
+    ) -> Result<Vec<Token>, LmError> {
+        self.lm.check_task(task)?;
+        let mut ctx = vec![BOS as usize; self.lm.cfg.context];
         let mut out = Vec::new();
         for _ in 0..options.max_len {
-            let lp = self.next_log_probs(task, &ctx)?;
+            let lp = self.log_softmax_rows(task, &ctx);
             let next = sample_from_log_probs(&lp, options, rng);
             if next == EOS {
                 break;
@@ -955,9 +970,49 @@ impl CondLm {
             out.push(next);
             ctx.rotate_left(1);
             let last = ctx.len() - 1;
-            ctx[last] = next;
+            ctx[last] = next as usize;
         }
         Ok(out)
+    }
+
+    /// `log_softmax(W2 · tanh(W1 · x_p + b1) + b2)` for each position `p`
+    /// whose `context` token ids `windows` packs, one `vocab`-wide row
+    /// each. Ids must be validated by the caller.
+    ///
+    /// Both layers run through [`kernels::matmul_forward`], which folds
+    /// each output on its own (the reference lanes are the sequential
+    /// `dot`, the fast ones `dot_fast`), and the fused bias + log-softmax
+    /// is the tape's own kernel. So a row's bits do not depend on how
+    /// many positions share the call.
+    fn log_softmax_rows(&self, task: usize, windows: &[usize]) -> Vec<f32> {
+        let lm = self.lm;
+        let cfg = &lm.cfg;
+        let (input, h, v) = (cfg.input_dim(), cfg.hidden, cfg.vocab_size);
+        let n = windows.len() / cfg.context;
+        // Tape-free, so the mode is read per call from the process
+        // global instead of a tape capture.
+        let mode = kernels::mode();
+        let mut x = Vec::with_capacity(n * input);
+        for ctx in windows.chunks(cfg.context) {
+            x.extend_from_slice(lm.task_row(task));
+            for &t in ctx {
+                x.extend_from_slice(lm.tok_row(t as Token));
+            }
+        }
+        let mut hid = vec![0.0f32; n * h];
+        kernels::matmul_forward(&mut hid, &self.w1, &x, h, input, n, mode);
+        let b1 = &lm.params[lm.seg.b1.clone()];
+        for row in hid.chunks_mut(h) {
+            for (o, &b) in row.iter_mut().zip(b1) {
+                *o = (*o + b).tanh();
+            }
+        }
+        let mut logits = vec![0.0f32; n * v];
+        kernels::matmul_forward(&mut logits, &self.w2, &hid, v, h, n, mode);
+        let mut out = vec![0.0f32; n * v];
+        let b2 = &lm.params[lm.seg.b2.clone()];
+        kernels::bias_log_softmax_forward(&mut out, &logits, b2, n);
+        out
     }
 }
 
@@ -1190,36 +1245,71 @@ mod tests {
         let m = model(AdaptMode::Lora { rank: 2 }, 5);
         let resp = vec![6, 8, 2];
         let (_, grad) = m.log_prob_grad(1, &resp).unwrap();
-        let mask = m.trainable_mask();
-        // Probe trainable (LoRA) entries.
-        let idxs: Vec<usize> = (0..m.params().len()).filter(|&i| mask[i]).take(6).collect();
-        for &i in &idxs {
+        let trainable = m.trainable();
+        assert_eq!(grad.0.len(), trainable.len());
+        // Probe trainable (LoRA) entries: the first of each adapter
+        // matrix, and a few more.
+        let Some((a1, b1l, a2, b2l)) = m.seg.lora.clone() else {
+            panic!("lora model");
+        };
+        let idxs = [
+            a1.start,
+            a1.start + 1,
+            b1l.start,
+            b1l.start + 3,
+            a2.start,
+            b2l.end - 1,
+        ];
+        for i in idxs {
             let h = 1e-2f32;
             let mut mp = m.clone();
             mp.params_mut()[i] += h;
             let mut mm = m.clone();
             mm.params_mut()[i] -= h;
             let num = (mp.log_prob(1, &resp).unwrap() - mm.log_prob(1, &resp).unwrap()) / (2.0 * h);
+            let ana = grad.0[i - trainable.start];
             assert!(
-                (num - grad.0[i]).abs() < 3e-2,
-                "param {i}: numeric {num} vs analytic {}",
-                grad.0[i]
+                (num - ana).abs() < 3e-2,
+                "param {i}: numeric {num} vs analytic {ana}"
             );
         }
     }
 
+    /// Under LoRA the gradient covers exactly the adapters, which sit
+    /// last, and an Adam step over that segment leaves every frozen
+    /// parameter bit-identical while moving the adapters.
     #[test]
     fn lora_freezes_base_weights() {
-        let m = model(AdaptMode::Lora { rank: 2 }, 6);
+        let mut m = perturbed_lora_model(6);
         let (_, grad) = m.log_prob_grad(0, &[3, 4]).unwrap();
-        let mask = m.trainable_mask();
+        let trainable = m.trainable();
+        let Some((a1, _, _, b2l)) = m.seg.lora.clone() else {
+            panic!("lora model");
+        };
+        assert_eq!(trainable, a1.start..b2l.end);
+        assert_eq!(trainable.end, m.params().len());
         assert!(m.num_trainable() > 0);
         assert!(m.num_trainable() < m.params().len());
-        for (g, m) in grad.0.iter().zip(mask) {
-            if !m {
-                assert_eq!(*g, 0.0);
+        assert_eq!(grad.0.len(), m.num_trainable());
+        assert!(grad.norm() > 0.0);
+
+        let before = m.params().to_vec();
+        let mut adam = crate::optim::Adam::new(0.01, trainable.len());
+        adam.step(&mut m.params_mut()[trainable.clone()], &grad.0);
+        for (i, (a, b)) in before.iter().zip(m.params()).enumerate() {
+            if !trainable.contains(&i) {
+                assert_eq!(a.to_bits(), b.to_bits(), "frozen param {i} moved");
             }
         }
+        assert_ne!(&before[trainable.clone()], &m.params()[trainable]);
+    }
+
+    #[test]
+    fn full_mode_trains_every_parameter() {
+        let m = model(AdaptMode::Full, 6);
+        assert_eq!(m.trainable(), 0..m.params().len());
+        let (_, grad) = m.log_prob_grad(0, &[3, 4]).unwrap();
+        assert_eq!(grad.0.len(), m.params().len());
     }
 
     #[test]
@@ -1228,8 +1318,9 @@ mod tests {
         // a Full model with the same base weights... construct by copying.
         let m = model(AdaptMode::Lora { rank: 2 }, 7);
         // Effective weights equal base weights at init.
-        assert_eq!(m.w1_eff(), m.params[m.seg.w1.clone()].to_vec());
-        assert_eq!(m.w2_eff(), m.params[m.seg.w2.clone()].to_vec());
+        let merged = m.merged();
+        assert_eq!(&*merged.w1, &m.params[m.seg.w1.clone()]);
+        assert_eq!(&*merged.w2, &m.params[m.seg.w2.clone()]);
     }
 
     #[test]
@@ -1370,21 +1461,76 @@ mod tests {
                 naive[r * input + c] += m.cfg.lora_scale * dot;
             }
         }
-        assert_eq!(m.w1_eff(), naive, "blocked merge must be bit-identical");
+        assert_eq!(*m.merged().w1, naive, "blocked merge must be bit-identical");
     }
 
+    /// `Merged::log_prob` runs every position through one batched pass;
+    /// it must equal the per-position `next_log_probs` sum bit for bit,
+    /// on a LoRA model whose `B` matrices are non-zero.
     #[test]
-    fn log_prob_unchanged_by_hoisted_merge() {
-        // The hoisted-merge sequence path must equal per-position
-        // `next_log_probs` summation exactly.
+    fn merged_log_prob_equals_per_position_sum() {
         let m = perturbed_lora_model(31);
-        let resp = vec![3, 7, 1, 4];
-        let manual: f32 = m
-            .positions(&resp)
-            .iter()
-            .map(|(ctx, tgt)| m.next_log_probs(1, ctx).unwrap()[*tgt as usize])
-            .sum();
-        assert_eq!(m.log_prob(1, &resp).unwrap().to_bits(), manual.to_bits());
+        let merged = m.merged();
+        for (task, resp) in [
+            (1, vec![3, 7, 1, 4]),
+            (0, vec![]),
+            (2, vec![9, 9, 2, 5, 5, 6, 1]),
+        ] {
+            let manual: f32 = m
+                .positions(&resp)
+                .iter()
+                .map(|(ctx, tgt)| m.next_log_probs(task, ctx).unwrap()[*tgt as usize])
+                .sum();
+            let batched = merged.log_prob(task, &resp).unwrap();
+            assert_eq!(batched.to_bits(), manual.to_bits(), "task {task} {resp:?}");
+            assert_eq!(m.log_prob(task, &resp).unwrap().to_bits(), manual.to_bits());
+        }
+        assert!(matches!(
+            merged.log_prob(5, &[3]),
+            Err(LmError::TaskOutOfRange(5))
+        ));
+        assert!(matches!(
+            merged.log_prob(0, &[10]),
+            Err(LmError::TokenOutOfRange(10))
+        ));
+    }
+
+    /// `Merged::sample` emits the tokens a per-token loop over
+    /// `next_log_probs` draws from the same seeded RNG, on a LoRA model
+    /// whose `B` matrices are non-zero.
+    #[test]
+    fn merged_sample_matches_per_token_loop() {
+        let m = perturbed_lora_model(34);
+        let merged = m.merged();
+        let opts = SampleOptions {
+            temperature: 1.3,
+            max_len: 15,
+            top_p: Some(0.95),
+            ..SampleOptions::default()
+        };
+        for (task, seed) in [(0, 1u64), (1, 2), (2, 3), (1, 4)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ctx = vec![BOS; m.cfg.context];
+            let mut want = Vec::new();
+            for _ in 0..opts.max_len {
+                let lp = m.next_log_probs(task, &ctx).unwrap();
+                let next = sample_from_log_probs(&lp, opts, &mut rng);
+                if next == EOS {
+                    break;
+                }
+                want.push(next);
+                ctx.rotate_left(1);
+                *ctx.last_mut().unwrap() = next;
+            }
+            let got = merged
+                .sample(task, &mut StdRng::seed_from_u64(seed), opts)
+                .unwrap();
+            assert_eq!(got, want, "task {task} seed {seed}");
+            let direct = m
+                .sample(task, &mut StdRng::seed_from_u64(seed), opts)
+                .unwrap();
+            assert_eq!(direct, want);
+        }
     }
 
     #[test]
@@ -1429,10 +1575,66 @@ mod tests {
         assert_eq!(grad_solo2, grad_second);
     }
 
+    /// Under `AdaptMode::Full` every parameter is a gradient-carrying
+    /// leaf, so every node of the sequence graph needs a gradient and
+    /// nothing is skipped.
+    #[test]
+    fn full_graph_marks_every_node_as_needing_grad() {
+        let m = model(AdaptMode::Full, 35);
+        let mut ws = SeqWorkspace::new();
+        m.seq_forward_in(1, &[3, 4, 5], &mut ws).unwrap();
+        assert!(!ws.tape.is_empty());
+        assert!(ws.tape.grad_flags().iter().all(|&needs| needs));
+    }
+
+    /// Under LoRA the base weights, embeddings and the nodes they alone
+    /// feed (the packed input, `W1·x`) are constants: backward leaves
+    /// their gradient buffers empty.
+    #[test]
+    fn lora_graph_keeps_the_base_constant() {
+        let m = perturbed_lora_model(36);
+        let mut ws = SeqWorkspace::new();
+        let graph = m.seq_forward_in(1, &[3, 4, 5], &mut ws).unwrap();
+        let tape = &ws.tape;
+        for id in [
+            graph.w1,
+            graph.b1,
+            graph.w2,
+            graph.b2,
+            graph.task_leaf,
+            graph.tok_table,
+        ] {
+            assert!(!tape.needs_grad(id));
+        }
+        let Some((a1, b1l, a2, b2l)) = graph.lora else {
+            panic!("lora graph");
+        };
+        for id in [a1, b1l, a2, b2l, graph.root] {
+            assert!(tape.needs_grad(id));
+        }
+        // w1..tok_table, pack_inputs and W1·x are the constant nodes.
+        let constant = tape.grad_flags().iter().filter(|&&needs| !needs).count();
+        assert_eq!(constant, 8);
+        m.seq_grad_in(&graph, &mut ws);
+        for id in [
+            graph.w1,
+            graph.b1,
+            graph.w2,
+            graph.b2,
+            graph.task_leaf,
+            graph.tok_table,
+        ] {
+            assert!(ws.arena.grad(id).is_empty());
+        }
+    }
+
     proptest::proptest! {
         /// The batched sequence graph is bit-for-bit identical to the
         /// original per-position graph: same value bits, same gradient
-        /// bits, for random sequences under both adapt modes.
+        /// bits, for random sequences under both adapt modes. Under LoRA
+        /// the batched graph holds the base as tape constants and the
+        /// oracle holds it as leaves, so this also pins that skipping the
+        /// frozen gradients leaves the adapters' bits alone.
         #[test]
         fn batched_grad_is_bitwise_equal_to_reference(
             resp in proptest::collection::vec(0u32..10, 0..8),
@@ -1448,7 +1650,11 @@ mod tests {
             let (v_new, g_new) = m.log_prob_grad(task, &resp).unwrap();
             let (v_ref, g_ref) = m.log_prob_grad_reference(task, &resp).unwrap();
             proptest::prop_assert_eq!(v_new.to_bits(), v_ref.to_bits());
-            for (i, (a, b)) in g_new.0.iter().zip(&g_ref.0).enumerate() {
+            // The oracle differentiates every parameter; its trainable
+            // slice is what the batched path computes.
+            let g_ref = &g_ref.0[m.trainable()];
+            proptest::prop_assert_eq!(g_new.0.len(), g_ref.len());
+            for (i, (a, b)) in g_new.0.iter().zip(g_ref).enumerate() {
                 proptest::prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
                     "grad[{}] differs: {} vs {}", i, a, b

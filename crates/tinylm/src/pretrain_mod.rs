@@ -60,7 +60,8 @@ pub fn pretrain(
 ) -> PretrainStats {
     assert!(!corpus.is_empty(), "pretraining corpus must be non-empty");
     let started = std::time::Instant::now();
-    let mut adam = Adam::new(options.lr, model.params().len());
+    let trainable = model.trainable();
+    let mut adam = Adam::new(options.lr, trainable.len());
     let mut order: Vec<usize> = (0..corpus.len()).collect();
     let mut nll_per_epoch = Vec::with_capacity(options.epochs);
     let mut tokens_seen = 0u64;
@@ -79,7 +80,7 @@ pub fn pretrain(
                 // Maximize log-likelihood = descend on −logP.
                 grad.add_scaled(&g, -1.0 / batch.len() as f32);
             }
-            adam.step(model.params_mut(), &grad.0);
+            adam.step(&mut model.params_mut()[trainable.clone()], &grad.0);
         }
         let nll = (epoch_nll / corpus.len() as f64) as f32;
         nll_per_epoch.push(nll);

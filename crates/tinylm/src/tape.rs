@@ -23,6 +23,14 @@
 //! a caller-held [`GradArena`] instead of reallocating the gradient
 //! arena every call.
 //!
+//! Leaves come in two kinds. [`Tape::leaf`] records a value that takes a
+//! gradient; [`Tape::constant_from`] records one that never does (a
+//! frozen weight). Every node remembers whether any gradient-carrying
+//! leaf feeds it ([`Tape::needs_grad`]), and the backward walk skips the
+//! nodes and operand gradients no such leaf reads. Skipping a whole
+//! destination never reorders the additions into another, so every
+//! gradient that is still computed keeps its bits.
+//!
 //! The numeric inner loops live in [`crate::kernels`]: blocked,
 //! vectorizable forward/backward kernels with a bit-identical
 //! `Reference` mode (the default) and an opt-in reassociating `Fast`
@@ -135,6 +143,8 @@ enum Op {
 pub struct Tape {
     vals: Vec<Vec<f32>>,
     ops: Vec<Op>,
+    /// Per node: does any gradient-carrying leaf feed it?
+    needs: Vec<bool>,
     /// Value buffers recycled by [`Tape::reset`]; [`Tape::alloc`] pops
     /// from here before touching the allocator.
     spare: Vec<Vec<f32>>,
@@ -217,6 +227,7 @@ impl Tape {
     pub fn reset(&mut self) {
         self.spare.append(&mut self.vals);
         self.ops.clear();
+        self.needs.clear();
         if !self.pinned {
             self.mode = kernels::mode();
         }
@@ -229,22 +240,64 @@ impl Tape {
         buf
     }
 
+    /// Records a node; it needs a gradient iff one of its operands does.
     fn push(&mut self, val: Vec<f32>, op: Op) -> VarId {
+        let needs = match &op {
+            Op::Leaf => unreachable!("leaves are recorded through push_node"),
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => self.needs[a.0] || self.needs[b.0],
+            Op::MatVec { m, x, .. } | Op::MatMul { m, x, .. } => self.needs[m.0] || self.needs[x.0],
+            Op::BroadcastAdd { a, b, .. } | Op::BiasLogSoftmax { a, b, .. } => {
+                self.needs[a.0] || self.needs[b.0]
+            }
+            Op::PackInputs { shared, table, .. } => self.needs[shared.0] || self.needs[table.0],
+            Op::Scale(a, _)
+            | Op::GatherSum { a, .. }
+            | Op::Tanh(a)
+            | Op::LogSoftmax(a)
+            | Op::Index(a, _)
+            | Op::Sum(a)
+            | Op::LogSigmoid(a) => self.needs[a.0],
+            Op::Concat(parts) => parts.iter().any(|p| self.needs[p.0]),
+        };
+        self.push_node(val, op, needs)
+    }
+
+    fn push_node(&mut self, val: Vec<f32>, op: Op, needs: bool) -> VarId {
         self.vals.push(val);
         self.ops.push(op);
+        self.needs.push(needs);
         VarId(self.vals.len() - 1)
     }
 
     /// Records an input (leaf) node. Gradients accumulate here.
     pub fn leaf(&mut self, val: Vec<f32>) -> VarId {
-        self.push(val, Op::Leaf)
+        self.push_node(val, Op::Leaf, true)
     }
 
     /// Records a leaf by copying from a slice into a recycled buffer.
     pub fn leaf_from(&mut self, val: &[f32]) -> VarId {
         let mut buf = self.alloc();
         buf.extend_from_slice(val);
-        self.push(buf, Op::Leaf)
+        self.push_node(buf, Op::Leaf, true)
+    }
+
+    /// Records a constant: a leaf that takes no gradient. Nodes fed only
+    /// by constants take none either, and [`Tape::backward_into`] leaves
+    /// their gradient buffers empty.
+    pub fn constant_from(&mut self, val: &[f32]) -> VarId {
+        let mut buf = self.alloc();
+        buf.extend_from_slice(val);
+        self.push_node(buf, Op::Leaf, false)
+    }
+
+    /// Whether any gradient-carrying leaf feeds `id` (a leaf made by
+    /// [`Tape::leaf`] counts as feeding itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from this tape.
+    pub fn needs_grad(&self, id: VarId) -> bool {
+        self.needs[id.0]
     }
 
     /// The current value of a node.
@@ -577,7 +630,8 @@ impl Tape {
     }
 
     /// Runs backpropagation from a scalar node; returns one gradient
-    /// vector per node (same indexing as [`VarId::index`]).
+    /// vector per node (same indexing as [`VarId::index`]). A node no
+    /// gradient-carrying leaf feeds gets an empty vector.
     ///
     /// Allocates a fresh arena per call; hot loops should hold a
     /// [`GradArena`] and call [`Tape::backward_into`] instead.
@@ -595,7 +649,10 @@ impl Tape {
     /// are recycled across calls (read them via [`GradArena::grad`]).
     ///
     /// Nodes whose gradient was never written are skipped via a dirty
-    /// flag set on first write — no per-node O(len) zero scan.
+    /// flag set on first write — no per-node O(len) zero scan. A node
+    /// that no gradient-carrying leaf feeds ([`Tape::needs_grad`]) is
+    /// never written: its buffer stays empty, and no op computes an
+    /// operand gradient for it.
     ///
     /// # Panics
     ///
@@ -603,24 +660,31 @@ impl Tape {
     pub fn backward_into(&self, root: VarId, arena: &mut GradArena) {
         assert_eq!(self.vals[root.0].len(), 1, "backward root must be scalar");
         let n = self.vals.len();
+        let needs = &self.needs;
+        let grad_len = |i: usize| if needs[i] { self.vals[i].len() } else { 0 };
         let prior = n.min(arena.bufs.len());
         for (i, buf) in arena.bufs.iter_mut().enumerate().take(prior) {
-            if buf.capacity() >= self.vals[i].len() {
+            if needs[i] && buf.capacity() >= self.vals[i].len() {
                 arena.reuses += 1;
             }
             buf.clear();
-            buf.resize(self.vals[i].len(), 0.0);
+            buf.resize(grad_len(i), 0.0);
         }
         for i in arena.bufs.len()..n {
-            arena.bufs.push(vec![0.0; self.vals[i].len()]);
+            arena.bufs.push(vec![0.0; grad_len(i)]);
         }
         arena.dirty.clear();
         arena.dirty.resize(n, false);
         let grads = &mut arena.bufs;
         let dirty = &mut arena.dirty;
+        if !needs[root.0] {
+            return;
+        }
         grads[root.0][0] = 1.0;
         dirty[root.0] = true;
         for i in (0..=root.0).rev() {
+            // Only nodes that need a gradient are ever marked dirty, so
+            // this also skips everything fed by constants alone.
             if !dirty[i] {
                 continue;
             }
@@ -629,31 +693,46 @@ impl Tape {
             match &self.ops[i] {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    dirty[a.0] = true;
-                    dirty[b.0] = true;
+                    let (na, nb) = (needs[a.0], needs[b.0]);
+                    dirty[a.0] |= na;
+                    dirty[b.0] |= nb;
                     for (k, &gk) in g.iter().enumerate() {
-                        grads[a.0][k] += gk;
-                        grads[b.0][k] += gk;
+                        if na {
+                            grads[a.0][k] += gk;
+                        }
+                        if nb {
+                            grads[b.0][k] += gk;
+                        }
                     }
                 }
                 // (indexing by k is intentional throughout: gradient
                 // slices alias multiple nodes, so zip-style iteration
                 // would fight the borrow checker for no clarity gain)
                 Op::Sub(a, b) => {
-                    dirty[a.0] = true;
-                    dirty[b.0] = true;
+                    let (na, nb) = (needs[a.0], needs[b.0]);
+                    dirty[a.0] |= na;
+                    dirty[b.0] |= nb;
                     for (k, &gk) in g.iter().enumerate() {
-                        grads[a.0][k] += gk;
-                        grads[b.0][k] -= gk;
+                        if na {
+                            grads[a.0][k] += gk;
+                        }
+                        if nb {
+                            grads[b.0][k] -= gk;
+                        }
                     }
                 }
                 Op::Mul(a, b) => {
-                    dirty[a.0] = true;
-                    dirty[b.0] = true;
+                    let (na, nb) = (needs[a.0], needs[b.0]);
+                    dirty[a.0] |= na;
+                    dirty[b.0] |= nb;
                     for (k, &gk) in g.iter().enumerate() {
                         let (av, bv) = (self.vals[a.0][k], self.vals[b.0][k]);
-                        grads[a.0][k] += gk * bv;
-                        grads[b.0][k] += gk * av;
+                        if na {
+                            grads[a.0][k] += gk * bv;
+                        }
+                        if nb {
+                            grads[b.0][k] += gk * av;
+                        }
                     }
                 }
                 Op::Scale(a, c) => {
@@ -663,13 +742,12 @@ impl Tape {
                     }
                 }
                 Op::MatVec { m, rows, cols, x } => {
-                    dirty[m.0] = true;
-                    dirty[x.0] = true;
                     let xv = &self.vals[x.0];
                     let mv = &self.vals[m.0];
                     if m.0 == x.0 {
                         // Aliased operands share one gradient buffer:
                         // keep the historical interleaved indexed walk.
+                        dirty[m.0] = true;
                         let gb = &mut grads[m.0];
                         for r in 0..*rows {
                             let gr = g[r];
@@ -682,13 +760,11 @@ impl Tape {
                             }
                         }
                     } else {
-                        let mut gm = std::mem::take(&mut grads[m.0]);
-                        let mut gx = std::mem::take(&mut grads[x.0]);
-                        kernels::matmul_backward(
-                            &mut gm, &mut gx, &g, mv, xv, *rows, *cols, 1, self.mode,
-                        );
-                        grads[m.0] = gm;
-                        grads[x.0] = gx;
+                        backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
+                            kernels::matmul_backward(
+                                gm, gx, &g, mv, xv, *rows, *cols, 1, self.mode,
+                            );
+                        });
                     }
                 }
                 // Positions are walked in reverse: the unbatched graph
@@ -704,13 +780,12 @@ impl Tape {
                     x,
                     n,
                 } => {
-                    dirty[m.0] = true;
-                    dirty[x.0] = true;
                     let xv = &self.vals[x.0];
                     let mv = &self.vals[m.0];
                     if m.0 == x.0 {
                         // Aliased operands share one gradient buffer:
                         // keep the historical interleaved indexed walk.
+                        dirty[m.0] = true;
                         let gb = &mut grads[m.0];
                         for p in (0..*n).rev() {
                             for r in 0..*rows {
@@ -725,22 +800,19 @@ impl Tape {
                             }
                         }
                     } else {
-                        let mut gm = std::mem::take(&mut grads[m.0]);
-                        let mut gx = std::mem::take(&mut grads[x.0]);
-                        kernels::matmul_backward(
-                            &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, self.mode,
-                        );
-                        grads[m.0] = gm;
-                        grads[x.0] = gx;
+                        backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
+                            kernels::matmul_backward(
+                                gm, gx, &g, mv, xv, *rows, *cols, *n, self.mode,
+                            );
+                        });
                     }
                 }
                 // Reverse position order for the same reason as MatMul:
                 // the per-position `add` nodes would be walked
                 // last-position-first.
                 Op::BroadcastAdd { a, b, n } => {
-                    dirty[a.0] = true;
-                    dirty[b.0] = true;
                     if a.0 == b.0 {
+                        dirty[a.0] = true;
                         let len = g.len() / n;
                         let gb = &mut grads[a.0];
                         for p in (0..*n).rev() {
@@ -751,11 +823,9 @@ impl Tape {
                             }
                         }
                     } else {
-                        let mut ga = std::mem::take(&mut grads[a.0]);
-                        let mut gb = std::mem::take(&mut grads[b.0]);
-                        kernels::broadcast_add_backward(&mut ga, &mut gb, &g, *n);
-                        grads[a.0] = ga;
-                        grads[b.0] = gb;
+                        backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
+                            kernels::broadcast_add_backward(ga, gb, &g, *n);
+                        });
                     }
                 }
                 // Per chunk this is the exact composition of the
@@ -764,11 +834,10 @@ impl Tape {
                 // expression the unfused pair produces. Chunks walk in
                 // reverse position order for the shared bias gradient.
                 Op::BiasLogSoftmax { a, b, n } => {
-                    dirty[a.0] = true;
-                    dirty[b.0] = true;
+                    let y = &self.vals[i];
                     if a.0 == b.0 {
+                        dirty[a.0] = true;
                         let len = g.len() / n;
-                        let y = &self.vals[i];
                         let gb = &mut grads[a.0];
                         for p in (0..*n).rev() {
                             let gc = &g[p * len..(p + 1) * len];
@@ -780,11 +849,9 @@ impl Tape {
                             }
                         }
                     } else {
-                        let mut ga = std::mem::take(&mut grads[a.0]);
-                        let mut gb = std::mem::take(&mut grads[b.0]);
-                        kernels::bias_log_softmax_backward(&mut ga, &mut gb, &g, &self.vals[i], *n);
-                        grads[a.0] = ga;
-                        grads[b.0] = gb;
+                        backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
+                            kernels::bias_log_softmax_backward(ga, gb, &g, y, *n);
+                        });
                     }
                 }
                 Op::GatherSum { a, chunk, targets } => {
@@ -803,9 +870,8 @@ impl Tape {
                     k,
                     indices,
                 } => {
-                    dirty[shared.0] = true;
-                    dirty[table.0] = true;
                     if shared.0 == table.0 {
+                        dirty[shared.0] = true;
                         let n = indices.len() / k;
                         let shared_len = self.vals[shared.0].len();
                         let stride = shared_len + k * dim;
@@ -824,18 +890,12 @@ impl Tape {
                             }
                         }
                     } else {
-                        let mut gshared = std::mem::take(&mut grads[shared.0]);
-                        let mut gtable = std::mem::take(&mut grads[table.0]);
-                        kernels::pack_inputs_backward(
-                            &mut gshared,
-                            &mut gtable,
-                            &g,
-                            *dim,
-                            *k,
-                            indices,
-                        );
-                        grads[shared.0] = gshared;
-                        grads[table.0] = gtable;
+                        let shared_len = self.vals[shared.0].len();
+                        backward_pair(grads, dirty, needs, shared.0, table.0, |gs, gt| {
+                            kernels::pack_inputs_backward(
+                                gs, gt, &g, shared_len, *dim, *k, indices,
+                            );
+                        });
                     }
                 }
                 Op::Tanh(a) => {
@@ -867,10 +927,12 @@ impl Tape {
                 Op::Concat(parts) => {
                     let mut offset = 0;
                     for p in parts {
-                        dirty[p.0] = true;
                         let len = self.vals[p.0].len();
-                        for k in 0..len {
-                            grads[p.0][k] += g[offset + k];
+                        if needs[p.0] {
+                            dirty[p.0] = true;
+                            for k in 0..len {
+                                grads[p.0][k] += g[offset + k];
+                            }
                         }
                         offset += len;
                     }
@@ -887,6 +949,12 @@ impl Tape {
         }
     }
 
+    /// [`Tape::needs_grad`] of every node, in node order.
+    #[cfg(test)]
+    pub(crate) fn grad_flags(&self) -> &[bool] {
+        &self.needs
+    }
+
     /// Number of nodes recorded.
     pub fn len(&self) -> usize {
         self.vals.len()
@@ -895,6 +963,31 @@ impl Tape {
     /// `true` iff the tape has no nodes.
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
+    }
+}
+
+/// Runs a two-destination backward kernel on the gradient buffers of
+/// the distinct nodes `a` and `b`, passing `None` for an operand no
+/// gradient-carrying leaf feeds, and marks the written ones dirty.
+fn backward_pair(
+    grads: &mut [Vec<f32>],
+    dirty: &mut [bool],
+    needs: &[bool],
+    a: usize,
+    b: usize,
+    kernel: impl FnOnce(Option<&mut [f32]>, Option<&mut [f32]>),
+) {
+    debug_assert_ne!(a, b, "aliased operands take the interleaved path");
+    let mut ga = needs[a].then(|| std::mem::take(&mut grads[a]));
+    let mut gb = needs[b].then(|| std::mem::take(&mut grads[b]));
+    kernel(ga.as_deref_mut(), gb.as_deref_mut());
+    if let Some(ga) = ga {
+        grads[a] = ga;
+        dirty[a] = true;
+    }
+    if let Some(gb) = gb {
+        grads[b] = gb;
+        dirty[b] = true;
     }
 }
 
@@ -1294,6 +1387,58 @@ mod tests {
         }
         // From the second round on every buffer is recycled.
         assert!(arena.reuses() >= 5, "reuses = {}", arena.reuses());
+    }
+
+    /// Builds `sum(tanh(W · (C · x)))` with `C` and `x` recorded by
+    /// `base` and `W` a gradient-carrying leaf.
+    fn frozen_prefix_graph(
+        tape: &mut Tape,
+        base: fn(&mut Tape, &[f32]) -> VarId,
+    ) -> (VarId, VarId, VarId, VarId, VarId) {
+        let c = base(tape, &[0.5, -0.25, 1.5, 0.75, -1.0, 0.3]); // 2×3
+        let x = base(tape, &[0.2, -0.9, 0.4]);
+        let cx = tape.matvec(c, 2, 3, x);
+        let w = tape.leaf(vec![0.1, 0.7, -0.4, 0.9, 0.3, -0.6]); // 3×2
+        let y = tape.matvec(w, 3, 2, cx);
+        let t = tape.tanh(y);
+        let s = tape.sum(t);
+        (c, x, cx, w, s)
+    }
+
+    /// A constant's gradient buffer is never written, nodes fed only by
+    /// constants are skipped, and the surviving leaf gradient is
+    /// bit-identical to the all-leaf graph's.
+    #[test]
+    fn constants_take_no_gradient() {
+        let mut arena = GradArena::new();
+        let mut tape = Tape::new();
+        let (c, x, cx, w, s) = frozen_prefix_graph(&mut tape, Tape::leaf_from);
+        tape.backward_into(s, &mut arena);
+        assert!(tape.needs_grad(c) && tape.needs_grad(cx));
+        let all_leaf_w = arena.grad(w).to_vec();
+        assert_eq!(arena.grad(c).len(), 6);
+
+        // Same arena, so the constant nodes' buffers held old gradients.
+        tape.reset();
+        let (c, x2, cx, w, s) = frozen_prefix_graph(&mut tape, Tape::constant_from);
+        assert_eq!(x2, x);
+        for id in [c, x, cx] {
+            assert!(!tape.needs_grad(id));
+        }
+        assert!(tape.needs_grad(w) && tape.needs_grad(s));
+        tape.backward_into(s, &mut arena);
+        for id in [c, x, cx] {
+            assert!(arena.grad(id).is_empty(), "node {} was written", id.index());
+        }
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(arena.grad(w)), bits(&all_leaf_w));
+
+        // A root fed by constants alone has no gradient to propagate.
+        let mut tape = Tape::new();
+        let a = tape.constant_from(&[1.0, 2.0]);
+        let r = tape.sum(a);
+        assert!(!tape.needs_grad(r));
+        assert!(tape.backward(r).iter().all(Vec::is_empty));
     }
 
     proptest! {
