@@ -14,8 +14,7 @@
 # schema (metrics_check), byte-equality gates proving the performance
 # and gating knobs (--threads, semantic pre-flight, allocation tracking)
 # never change artifacts, a digest gate pinning the fast headline
-# artifacts across commits, the kernel gate (fast-math tolerance envelope
-# over real sequence graphs), and a noise-aware perf-regression gate
+# artifacts across commits, and a noise-aware perf-regression gate
 # (bench_diff) that diffs a fresh fast headline run against the
 # committed baseline under results/PERF_BUDGETS.json — including a
 # seeded-regression self-test proving the gate really fails when one
@@ -126,9 +125,6 @@ cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
     --artifacts-out "$smoke_art4" > /dev/null
 cmp "$smoke_art1" "$smoke_art4"
-
-echo "==> kernel gate (fast-math tolerance, DESIGN.md §13)"
-cargo run -q --release -p bench --bin kernel_gate -- --no-obs
 
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
 perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"

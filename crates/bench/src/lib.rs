@@ -57,15 +57,11 @@ static ALLOC: obskit::alloc::TrackingAlloc = obskit::alloc::TrackingAlloc::new()
 /// | `--quiet`            | drop the stderr progress sink, keep recording |
 /// | `--threads <n>`      | worker-pool width for scoring, pretraining and DPO (0/omitted = `PARKIT_THREADS` or the machine) |
 /// | `--no-semantic-preflight` | skip the semantic rule-book gate |
-/// | `--kernel-mode <m>`  | tape kernel arithmetic: `reference` (default) or `fast` |
 ///
 /// `--threads` and `--no-semantic-preflight` are pure performance/gating
 /// knobs — results are byte-identical whatever you pass (see DESIGN.md
-/// §8, §10). `--kernel-mode fast` is the exception: it reassociates
-/// kernel accumulation, so artifacts deviate within the `kernel_gate`
-/// tolerance instead of matching byte-for-byte (DESIGN.md §13). A
-/// `--threads` value that is not a number, or a `--kernel-mode` value
-/// other than `reference`/`fast`, is an error.
+/// §8, §10). A `--threads` value that is not a number, or an output flag
+/// with no path after it, is an error.
 ///
 /// [`BenchCli::parse`] enables the global `obskit` recorder (unless
 /// `--no-obs`), and [`BenchCli::finish`] snapshots it and writes the
@@ -91,8 +87,6 @@ pub struct BenchCli {
     /// `--no-semantic-preflight` was passed: skip the semantic rule-book
     /// gate (used by CI to prove the gate never changes artifacts).
     pub no_semantic_preflight: bool,
-    /// `--kernel-mode` value (`reference` unless `fast` was requested).
-    pub kernel_mode: tinylm::KernelMode,
     /// The raw argument list (recorded in the report for provenance).
     pub args: Vec<String>,
     started: Instant,
@@ -114,8 +108,8 @@ impl BenchCli {
     /// # Errors
     ///
     /// Returns a message naming the flag when `--threads` is not given a
-    /// non-negative integer or `--kernel-mode` is not given `reference`
-    /// or `fast`.
+    /// non-negative integer or `--metrics-out`, `--trace-out` or
+    /// `--flame-out` is not given a path.
     pub fn from_args(bench: &str, args: Vec<String>) -> Result<BenchCli, String> {
         let mut cli = BenchCli {
             bench: bench.to_owned(),
@@ -127,7 +121,6 @@ impl BenchCli {
             no_obs: false,
             threads: 0,
             no_semantic_preflight: false,
-            kernel_mode: tinylm::KernelMode::Reference,
             args: args.clone(),
             started: Instant::now(),
         };
@@ -140,15 +133,9 @@ impl BenchCli {
                 "--no-obs" => cli.no_obs = true,
                 "--quiet" => quiet = true,
                 "--no-semantic-preflight" => cli.no_semantic_preflight = true,
-                "--kernel-mode" => {
-                    let value = it.next().unwrap_or_default();
-                    cli.kernel_mode = tinylm::KernelMode::parse(&value).ok_or_else(|| {
-                        format!("--kernel-mode expects `reference` or `fast`, got `{value}`")
-                    })?;
-                }
-                "--metrics-out" => cli.metrics_out = it.next().map(PathBuf::from),
-                "--trace-out" => cli.trace_out = it.next().map(PathBuf::from),
-                "--flame-out" => cli.flame_out = it.next().map(PathBuf::from),
+                "--metrics-out" => cli.metrics_out = Some(path_value(&mut it, &arg)?),
+                "--trace-out" => cli.trace_out = Some(path_value(&mut it, &arg)?),
+                "--flame-out" => cli.flame_out = Some(path_value(&mut it, &arg)?),
                 "--threads" => {
                     let value = it.next().unwrap_or_default();
                     cli.threads = value.parse().map_err(|_| {
@@ -215,15 +202,22 @@ impl BenchCli {
 
     /// The pipeline configuration implied by this command line: the
     /// shared [`pipeline_config`] reduction for `--fast`, with the
-    /// `--threads`, `--no-semantic-preflight` and `--kernel-mode` knobs
-    /// applied.
+    /// `--threads` and `--no-semantic-preflight` knobs applied.
     pub fn pipeline_config(&self) -> dpo_af::pipeline::PipelineConfig {
         let mut cfg = pipeline_config(self.fast);
         cfg.threads = self.threads;
         cfg.semantic_preflight = !self.no_semantic_preflight;
-        cfg.kernel_mode = self.kernel_mode;
         cfg
     }
+}
+
+/// The path that must follow the output flag `flag`; an error naming the
+/// flag when the argument list ends first, so a run never drops its
+/// report without saying so.
+fn path_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
+    it.next()
+        .map(PathBuf::from)
+        .ok_or_else(|| format!("{flag} expects a path"))
 }
 
 /// Formats a two-column table of `(label, value)` rows.
@@ -309,8 +303,6 @@ mod tests {
                 "--threads",
                 "4",
                 "--no-semantic-preflight",
-                "--kernel-mode",
-                "fast",
                 "--seeds=3", // unknown flags are left for the binary
             ]),
         )
@@ -333,52 +325,42 @@ mod tests {
         assert!(cli.alloc);
         assert_eq!(cli.threads, 4);
         assert!(cli.no_semantic_preflight);
-        assert_eq!(cli.kernel_mode, tinylm::KernelMode::Fast);
-        assert_eq!(cli.args.len(), 15);
+        assert_eq!(cli.args.len(), 13);
 
         // The performance knobs land in the pipeline configuration.
         let cfg = cli.pipeline_config();
         assert_eq!(cfg.threads, 4);
         assert!(!cfg.semantic_preflight);
-        assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Fast);
         let defaults = BenchCli::from_args("headline", args(&["--no-obs"])).expect("no values");
         assert_eq!(defaults.threads, 0);
         let cfg = defaults.pipeline_config();
         assert_eq!(cfg.threads, 0);
         assert!(cfg.semantic_preflight);
-        assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Reference);
     }
 
     /// Every accepted spelling of the valued knobs.
     #[test]
     fn cli_accepts_well_formed_values() {
-        for (flags, threads, mode) in [
-            (&["--threads", "0"][..], 0, tinylm::KernelMode::Reference),
-            (&["--threads", "16"][..], 16, tinylm::KernelMode::Reference),
-            (
-                &["--kernel-mode", "reference"][..],
-                0,
-                tinylm::KernelMode::Reference,
-            ),
-            (&["--kernel-mode", "fast"][..], 0, tinylm::KernelMode::Fast),
-        ] {
+        for (flags, threads) in [(&["--threads", "0"][..], 0), (&["--threads", "16"][..], 16)] {
             let mut list = vec!["--no-obs"];
             list.extend_from_slice(flags);
             let cli = BenchCli::from_args("headline", args(&list)).expect("well-formed");
-            assert_eq!((cli.threads, cli.kernel_mode), (threads, mode), "{flags:?}");
+            assert_eq!(cli.threads, threads, "{flags:?}");
         }
     }
 
-    /// A malformed `--threads` or `--kernel-mode` value is an error that
-    /// names the flag, not a silent fall-back to the default.
+    /// A malformed `--threads` value, or an output flag with no path, is
+    /// an error that names the flag, not a silent fall-back to the
+    /// default.
     #[test]
     fn cli_rejects_malformed_values() {
         for (flags, flag) in [
             (&["--threads", "four"][..], "--threads"),
             (&["--threads", "-1"][..], "--threads"),
             (&["--threads"][..], "--threads"),
-            (&["--kernel-mode", "fsat"][..], "--kernel-mode"),
-            (&["--kernel-mode"][..], "--kernel-mode"),
+            (&["--metrics-out"][..], "--metrics-out"),
+            (&["--trace-out"][..], "--trace-out"),
+            (&["--flame-out"][..], "--flame-out"),
         ] {
             let mut list = vec!["--no-obs"];
             list.extend_from_slice(flags);

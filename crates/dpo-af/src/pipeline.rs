@@ -21,7 +21,7 @@ use obskit::json::{FromJson, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
-use tinylm::{pretrain, AdaptMode, CondLm, KernelMode, LmConfig, PretrainOptions, SampleOptions};
+use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
 
 /// Pipeline hyperparameters.
 ///
@@ -89,13 +89,6 @@ pub struct PipelineConfig {
     /// The verdict is memoized process-wide, so the cost is one semantic
     /// sweep per process, not per run.
     pub semantic_preflight: bool,
-    /// Which arithmetic the tinylm tape kernels use (see
-    /// `tinylm::kernels`): `reference` (default) is bit-identical to the
-    /// historical scalar loops; `fast` reassociates accumulation and
-    /// fuses multiply-adds, trading byte identity for speed within the
-    /// tolerance bounded by the `kernel_gate` CI gate. Set process-wide
-    /// when the pipeline is constructed.
-    pub kernel_mode: KernelMode,
 }
 
 /// The source of the automated ranking signal.
@@ -150,7 +143,6 @@ impl Default for PipelineConfig {
             certified: false,
             threads: 0,
             semantic_preflight: true,
-            kernel_mode: KernelMode::Reference,
         }
     }
 }
@@ -278,13 +270,8 @@ pub struct DpoAf {
 }
 
 impl DpoAf {
-    /// Creates a pipeline over a fresh [`DomainBundle`]. Sets the
-    /// process-global tinylm kernel mode to
-    /// [`PipelineConfig::kernel_mode`] — tapes capture it on their next
-    /// reset, so every workspace (including pool workers' thread-locals)
-    /// follows the configured mode.
+    /// Creates a pipeline over a fresh [`DomainBundle`].
     pub fn new(config: PipelineConfig) -> Self {
-        tinylm::kernels::set_mode(config.kernel_mode);
         DpoAf {
             bundle: DomainBundle::new(),
             cert_counters: Mutex::new(CertCounters::default()),

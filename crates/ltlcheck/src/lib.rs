@@ -75,6 +75,8 @@ mod parser;
 pub mod smv;
 pub mod specs;
 pub mod symbolic;
+#[cfg(test)]
+mod testgen;
 
 pub use ast::{Atom, Ltl};
 pub use buchi::{Buchi, BuchiState, MAX_CLOSURE};

@@ -419,6 +419,8 @@ pub fn parse(input: &str, vocab: &Vocab) -> Result<Ltl, ParseLtlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen;
+    use proptest::prelude::*;
 
     fn vocab() -> Vocab {
         let mut v = Vocab::new();
@@ -558,6 +560,21 @@ mod tests {
             let printed = phi.to_string(&v);
             let reparsed = parse(&printed, &v).unwrap();
             assert_eq!(phi, reparsed, "roundtrip failed for `{src}` → `{printed}`");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Printing a formula and parsing the text back gives the same
+        /// formula: the printer's quoting and parenthesisation are
+        /// exactly what the parser reads.
+        #[test]
+        fn print_then_parse_is_identity(phi in testgen::arb_ltl()) {
+            let v = testgen::vocab();
+            let printed = phi.to_string(&v);
+            let reparsed = parse(&printed, &v);
+            prop_assert_eq!(reparsed, Ok(phi), "printed as `{}`", printed);
         }
     }
 }

@@ -604,17 +604,10 @@ fn bits_for(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen::{arb_ltl, vocab};
     use crate::{check_graph_fair, parse, Verdict};
     use autokit::{ActSet, ProductState, PropSet, Vocab};
     use proptest::prelude::*;
-
-    fn vocab() -> Vocab {
-        let mut v = Vocab::new();
-        v.add_prop("a").unwrap();
-        v.add_prop("b").unwrap();
-        v.add_act("s").unwrap();
-        v
-    }
 
     fn lasso_graph(prefix: &[(PropSet, ActSet)], cycle: &[(PropSet, ActSet)]) -> LabelGraph {
         let n = prefix.len() + cycle.len();
@@ -748,30 +741,6 @@ mod tests {
                 assert_eq!(expected, got, "{spec} under {config:?}");
             }
         }
-    }
-
-    fn arb_ltl() -> impl Strategy<Value = Ltl> {
-        let v = vocab();
-        let a = v.prop("a").unwrap();
-        let b = v.prop("b").unwrap();
-        let s = v.act("s").unwrap();
-        let leaf = prop_oneof![
-            Just(Ltl::True),
-            Just(Ltl::False),
-            Just(Ltl::prop(a)),
-            Just(Ltl::prop(b)),
-            Just(Ltl::act(s)),
-        ];
-        leaf.prop_recursive(3, 20, 2, |inner| {
-            prop_oneof![
-                inner.clone().prop_map(Ltl::not),
-                inner.clone().prop_map(Ltl::next),
-                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::and(l, r)),
-                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::or(l, r)),
-                (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::until(l, r)),
-                (inner.clone(), inner).prop_map(|(l, r)| Ltl::release(l, r)),
-            ]
-        })
     }
 
     /// Random branching graphs (not just lassos). `max_nodes`/`max_edges`

@@ -37,14 +37,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernels;
+mod kernels;
 mod model;
 pub mod optim;
 mod pretrain_mod;
 pub mod tape;
 mod tokenizer;
 
-pub use kernels::KernelMode;
 pub use model::{
     AdaptMode, CondLm, GradBuffer, LmConfig, LmError, Merged, SampleOptions, SeqGraph, SeqWorkspace,
 };

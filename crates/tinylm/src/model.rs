@@ -142,17 +142,6 @@ impl SeqWorkspace {
         Self::default()
     }
 
-    /// A fresh workspace whose tape is pinned to `mode` (the shared and
-    /// default-constructed workspaces follow the process-global
-    /// [`crate::kernels::mode`] instead). Used by tests that must not
-    /// depend on — or race with — the global.
-    pub fn with_mode(mode: crate::kernels::KernelMode) -> Self {
-        SeqWorkspace {
-            tape: Tape::with_mode(mode),
-            arena: GradArena::default(),
-        }
-    }
-
     /// Runs `f` with a workspace from a process-wide free list and puts
     /// it back afterwards. Workspaces outlive the threads that use them,
     /// so a short-lived `parkit` helper reuses warm buffers instead of
@@ -980,18 +969,14 @@ impl Merged<'_> {
     /// each. Ids must be validated by the caller.
     ///
     /// Both layers run through [`kernels::matmul_forward`], which folds
-    /// each output on its own (the reference lanes are the sequential
-    /// `dot`, the fast ones `dot_fast`), and the fused bias + log-softmax
-    /// is the tape's own kernel. So a row's bits do not depend on how
-    /// many positions share the call.
+    /// each output on its own with the sequential `dot`, and the fused
+    /// bias + log-softmax is the tape's own kernel. So a row's bits do
+    /// not depend on how many positions share the call.
     fn log_softmax_rows(&self, task: usize, windows: &[usize]) -> Vec<f32> {
         let lm = self.lm;
         let cfg = &lm.cfg;
         let (input, h, v) = (cfg.input_dim(), cfg.hidden, cfg.vocab_size);
         let n = windows.len() / cfg.context;
-        // Tape-free, so the mode is read per call from the process
-        // global instead of a tape capture.
-        let mode = kernels::mode();
         let mut x = Vec::with_capacity(n * input);
         for ctx in windows.chunks(cfg.context) {
             x.extend_from_slice(lm.task_row(task));
@@ -1000,7 +985,7 @@ impl Merged<'_> {
             }
         }
         let mut hid = vec![0.0f32; n * h];
-        kernels::matmul_forward(&mut hid, &self.w1, &x, h, input, n, mode);
+        kernels::matmul_forward(&mut hid, &self.w1, &x, h, input, n);
         let b1 = &lm.params[lm.seg.b1.clone()];
         for row in hid.chunks_mut(h) {
             for (o, &b) in row.iter_mut().zip(b1) {
@@ -1008,7 +993,7 @@ impl Merged<'_> {
             }
         }
         let mut logits = vec![0.0f32; n * v];
-        kernels::matmul_forward(&mut logits, &self.w2, &hid, v, h, n, mode);
+        kernels::matmul_forward(&mut logits, &self.w2, &hid, v, h, n);
         let mut out = vec![0.0f32; n * v];
         let b2 = &lm.params[lm.seg.b2.clone()];
         kernels::bias_log_softmax_forward(&mut out, &logits, b2, n);

@@ -31,12 +31,9 @@
 //! destination never reorders the additions into another, so every
 //! gradient that is still computed keeps its bits.
 //!
-//! The numeric inner loops live in [`crate::kernels`]: blocked,
-//! vectorizable forward/backward kernels with a bit-identical
-//! `Reference` mode (the default) and an opt-in reassociating `Fast`
-//! mode. Each tape captures the process-global [`crate::kernels::mode`]
-//! when created or [`Tape::reset`] (unless pinned via
-//! [`Tape::with_mode`]).
+//! The numeric inner loops live in the crate's `kernels` module:
+//! blocked, vectorizable forward/backward kernels, each bit-identical
+//! to the scalar loop it replaced.
 //!
 //! # Example
 //!
@@ -66,7 +63,7 @@ impl VarId {
     }
 }
 
-use crate::kernels::{self, KernelMode};
+use crate::kernels;
 pub(crate) use kernels::dot;
 
 #[derive(Debug, Clone)]
@@ -148,13 +145,6 @@ pub struct Tape {
     /// Value buffers recycled by [`Tape::reset`]; [`Tape::alloc`] pops
     /// from here before touching the allocator.
     spare: Vec<Vec<f32>>,
-    /// Which kernel arithmetic this tape's ops use; captured from the
-    /// process global at creation/reset unless pinned.
-    mode: KernelMode,
-    /// Set by [`Tape::with_mode`]: [`Tape::reset`] keeps the pinned mode
-    /// instead of re-capturing the global (used by tests that must not
-    /// depend on — or race with — the global).
-    pinned: bool,
 }
 
 /// A reusable gradient arena for [`Tape::backward_into`]: one buffer per
@@ -192,45 +182,17 @@ impl GradArena {
 }
 
 impl Tape {
-    /// Creates an empty tape running the process-global
-    /// [`crate::kernels::mode`] at this moment (re-captured on every
-    /// [`Tape::reset`]).
+    /// Creates an empty tape.
     pub fn new() -> Self {
-        Tape {
-            mode: kernels::mode(),
-            ..Self::default()
-        }
-    }
-
-    /// Creates an empty tape pinned to `mode`: [`Tape::reset`] keeps it
-    /// instead of re-reading the global. `Tape::default()` is pinned to
-    /// nothing but starts at [`KernelMode::Reference`] unpinned.
-    pub fn with_mode(mode: KernelMode) -> Self {
-        Tape {
-            mode,
-            pinned: true,
-            ..Self::default()
-        }
-    }
-
-    /// The kernel mode this tape's ops currently run in.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
+        Self::default()
     }
 
     /// Clears all nodes while keeping every value buffer for reuse by
-    /// the next graph — the recycling half of the tape fast path. Also
-    /// re-captures the process-global kernel mode (unless this tape was
-    /// pinned with [`Tape::with_mode`]), which is how the shared
-    /// workspaces pick up a mode set after they were created: every hot path resets its workspace before building a
-    /// graph.
+    /// the next graph — the recycling half of the tape fast path.
     pub fn reset(&mut self) {
         self.spare.append(&mut self.vals);
         self.ops.clear();
         self.needs.clear();
-        if !self.pinned {
-            self.mode = kernels::mode();
-        }
     }
 
     /// An empty `Vec<f32>` with recycled capacity when available.
@@ -387,15 +349,7 @@ impl Tape {
         assert_eq!(self.vals[x.0].len(), cols, "vector size mismatch");
         let mut out = self.alloc();
         out.resize(rows, 0.0);
-        kernels::matmul_forward(
-            &mut out,
-            &self.vals[m.0],
-            &self.vals[x.0],
-            rows,
-            cols,
-            1,
-            self.mode,
-        );
+        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, 1);
         self.push(out, Op::MatVec { m, rows, cols, x })
     }
 
@@ -407,8 +361,8 @@ impl Tape {
     /// with chunk `p` — the same left-to-right fold `matvec` computes —
     /// so the values equal `n` separate `matvec` calls exactly. The loop
     /// kernel advances eight row dots together (each still the exact
-    /// [`dot`] fold — see [`crate::kernels`]), filling the FPU pipeline
-    /// without changing any output's bits in `Reference` mode.
+    /// [`dot`] fold — see the `kernels` module), filling the FPU pipeline
+    /// without changing any output's bits.
     ///
     /// # Panics
     ///
@@ -418,15 +372,7 @@ impl Tape {
         assert_eq!(self.vals[x.0].len(), n * cols, "packed operand mismatch");
         let mut out = self.alloc();
         out.resize(n * rows, 0.0);
-        kernels::matmul_forward(
-            &mut out,
-            &self.vals[m.0],
-            &self.vals[x.0],
-            rows,
-            cols,
-            n,
-            self.mode,
-        );
+        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, n);
         self.push(
             out,
             Op::MatMul {
@@ -761,9 +707,7 @@ impl Tape {
                         }
                     } else {
                         backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
-                            kernels::matmul_backward(
-                                gm, gx, &g, mv, xv, *rows, *cols, 1, self.mode,
-                            );
+                            kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, 1);
                         });
                     }
                 }
@@ -801,9 +745,7 @@ impl Tape {
                         }
                     } else {
                         backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
-                            kernels::matmul_backward(
-                                gm, gx, &g, mv, xv, *rows, *cols, *n, self.mode,
-                            );
+                            kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, *n);
                         });
                     }
                 }
