@@ -5,11 +5,8 @@
 # controllers and step lists, the specsem semantic analysis of the rule
 # books under their world models, the unsafe-code audit, a miri pass
 # over parkit when the interpreter is installed, the certkit certification +
-# explicit-vs-symbolic differential suite (including the scaled
-# drivesim/warehouse models under a time budget), the symbolic backend
-# gate (a fast backend_compare --sweep whose symbolic.* counters are
-# validated by metrics_check and diffed exactly against the committed
-# results/BENCH_backend.json baseline), an instrumented bench smoke run
+# decide-only vs certified differential suite (including the scaled
+# drivesim/warehouse models), an instrumented bench smoke run
 # (allocation tracking on) validated against the obskit.bench.v2 report
 # schema (metrics_check), byte-equality gates proving the performance
 # and gating knobs (--threads, semantic pre-flight, allocation tracking)
@@ -80,22 +77,11 @@ cargo run -q --release -p bench --bin unsafe_audit -- --no-obs
 echo "==> certkit gate (certification + differential suite, incl. scaled models)"
 cargo run -q -p certkit --release
 
-echo "==> symbolic backend gate (fast sweep, symbolic.* metrics, counter diff vs baseline)"
-sweep_report="$(mktemp -t BENCH_backend.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$sweep_report"' EXIT
-cargo run -q --release -p bench --bin backend_compare -- \
-    --sweep --fast --quiet --metrics-out "$sweep_report" > /dev/null
-cargo run -q --release -p bench --bin metrics_check -- "$sweep_report" \
-    --require symbolic.checks,symbolic.cache_hits,symbolic.cache_lookups,symbolic.el_iterations,symbolic.peak_nodes,symbolic.reach_rings,backend.sweep_scales,ltlcheck.checks
-cargo run -q --release -p bench --bin bench_diff -- \
-    results/BENCH_backend.json "$sweep_report" \
-    --budgets results/PERF_BUDGETS.json
-
 echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)"
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
 smoke_art1="$(mktemp -t headline_t1.XXXXXX.json)"
 smoke_art2="$(mktemp -t headline_t2.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
     --artifacts-out "$smoke_art2" > /dev/null
@@ -120,7 +106,7 @@ sha256sum -c results/headline_fast_artifacts.sha256 < "$smoke_art1"
 
 echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
 smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
     --artifacts-out "$smoke_art4" > /dev/null
@@ -128,7 +114,7 @@ cmp "$smoke_art1" "$smoke_art4"
 
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
 perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report" "$perf_report"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$perf_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 1 --alloc --metrics-out "$perf_report" > /dev/null
 cargo run -q --release -p bench --bin bench_diff -- \
@@ -144,7 +130,7 @@ cargo run -q --release -p bench --bin bench_diff -- \
 # the fast baseline's wall (DESIGN.md §10), so the gate sees training.
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
 seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
-trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
+trap 'rm -f "$test_build_log" "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$perf_report" "$seeded_out"' EXIT
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json > /dev/null

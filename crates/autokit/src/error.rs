@@ -21,7 +21,7 @@ pub enum AutokitError {
     NoInitialState,
     /// Two components with different vocabularies were combined.
     VocabMismatch,
-    /// A name contained characters outside `[a-z0-9_ -]`.
+    /// A name contained characters outside `[a-z0-9 -]`.
     InvalidName(String),
 }
 
@@ -41,7 +41,7 @@ impl fmt::Display for AutokitError {
                 write!(f, "components were built against different vocabularies")
             }
             AutokitError::InvalidName(name) => {
-                write!(f, "invalid name `{name}`: only lowercase letters, digits, spaces, `-` and `_` are allowed")
+                write!(f, "invalid name `{name}`: only lowercase letters, digits, spaces and `-` are allowed")
             }
         }
     }

@@ -68,11 +68,13 @@ pub struct Vocab {
     act_index: HashMap<String, ActId>,
 }
 
+/// `_` is not allowed: the LTL parser reads it as a space, so a name
+/// containing it could never be parsed back.
 fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name
             .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || " -_".contains(c))
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || " -".contains(c))
 }
 
 impl Vocab {
@@ -88,7 +90,7 @@ impl Vocab {
     /// Returns [`AutokitError::DuplicateName`] if the name is already
     /// registered (as a proposition *or* an action — the two namespaces are
     /// shared, because LTL specifications mix both),
-    /// [`AutokitError::InvalidName`] for names outside `[a-z0-9 _-]`, and
+    /// [`AutokitError::InvalidName`] for names outside `[a-z0-9 -]`, and
     /// [`AutokitError::VocabFull`] past [`MAX_PROPS`] entries.
     pub fn add_prop(&mut self, name: &str) -> Result<PropId> {
         if !valid_name(name) {
@@ -268,6 +270,10 @@ mod tests {
         ));
         assert!(matches!(
             v.add_act("go!"),
+            Err(AutokitError::InvalidName(_))
+        ));
+        assert!(matches!(
+            v.add_prop("a_b"),
             Err(AutokitError::InvalidName(_))
         ));
     }

@@ -17,7 +17,6 @@
 //! | `ablation_m`      | A3: responses-per-prompt `m` vs preference-pair yield and quality |
 //! | `ablation_conservative` | A4: pruned vs conservative world-model construction (Algorithm 1) |
 //! | `ablation_ipo`    | A5: DPO vs IPO objective on the same dataset |
-//! | `backend_compare` | A6: explicit-state vs symbolic (BDD) verification backends |
 //! | `spec_lint`       | rule-book satisfiability / tautology / vacuity lint |
 //!
 //! Performance is measured by the stand-alone `perfbench/` package (the

@@ -1,61 +1,109 @@
-//! Explicit-vs-symbolic differential harness.
+//! Decide-only vs certified differential harness.
 //!
-//! Both `ltlcheck` backends — the explicit-state SCC search
-//! ([`ltlcheck::check_graph_fair`]) and the BDD-based Emerson–Lei
-//! fixpoint ([`ltlcheck::symbolic::check_graph_fair_symbolic`]) — decide
-//! the same question. Any disagreement means at least one of them is
-//! wrong, which would silently poison every preference pair the training
-//! loop ranks. This module detects disagreements, shrinks them to a
-//! minimal reproducer (greedy delta-debugging over graph nodes, edges
-//! and formula subterms), and serializes the reproducer as JSON.
+//! Scoring ranks every response by
+//! [`ltlcheck::analysis::holds_all_fair`]: one on-the-fly emptiness
+//! search per spec, over a label index shared by the whole suite, that
+//! answers yes or no and emits no evidence. The certified checker
+//! ([`ltlcheck::check_graph_fair_certified`]) decides the same question
+//! and attaches a lasso or an emptiness certificate, which
+//! [`check_certified`](crate::check_certified) re-validates from
+//! scratch. This module runs a spec suite through both, the decide-only
+//! side exactly as scoring calls it, and reports every spec where the
+//! two verdicts differ. A disagreement whose certified side validates
+//! means the decide-only search is wrong, which would silently poison
+//! every preference pair the training loop ranks. Each disagreement is
+//! shrunk to a minimal reproducer (greedy delta-debugging over graph
+//! nodes, edges and formula subterms) and serializes to JSON.
 
+use crate::{check_graph_fair_validated, CertError};
 use autokit::{ActSet, LabelGraph, ProductState, PropSet, Vocab, MAX_ACTS, MAX_PROPS};
-use ltlcheck::symbolic::check_graph_fair_symbolic;
-use ltlcheck::{check_graph_fair, parse, Justice, Ltl};
+use ltlcheck::analysis::holds_all_fair;
+use ltlcheck::{parse, Justice, Ltl};
 use obskit::json::{DecodeError, FromJson, ToJson, Value};
 
-/// A case where the two backends returned different verdicts.
+/// A spec on which the decide-only and certified verdicts differ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Disagreement {
-    /// The graph both backends checked.
+    /// The graph both paths checked.
     pub graph: LabelGraph,
-    /// The specification both backends checked.
+    /// The specification both paths checked.
     pub phi: Ltl,
     /// Names of the justice assumptions in force (conditions are
     /// reconstructed by the repro consumer from its own domain).
     pub justice_names: Vec<String>,
-    /// The explicit backend's verdict.
-    pub explicit_holds: bool,
-    /// The symbolic backend's verdict.
-    pub symbolic_holds: bool,
+    /// The decide-only verdict ([`holds_all_fair`]).
+    pub decided_holds: bool,
+    /// The certified verdict
+    /// ([`check_graph_fair_certified`](ltlcheck::check_graph_fair_certified)).
+    pub certified_holds: bool,
 }
 
-/// Runs both backends; returns a [`Disagreement`] if their verdicts
-/// differ, `None` when they agree.
-pub fn differential(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> Option<Disagreement> {
-    let explicit_holds = check_graph_fair(graph, phi, justice).holds();
-    let symbolic_holds = check_graph_fair_symbolic(graph, phi, justice);
-    if explicit_holds == symbolic_holds {
-        return None;
+/// Both paths' verdicts on one spec suite.
+#[derive(Debug, Clone, Default)]
+pub struct SuiteCheck {
+    /// Per spec, the certified verdict, whose evidence
+    /// [`check_certified`](crate::check_certified) accepted.
+    pub certified: Vec<bool>,
+    /// The specs whose decide-only verdict differs, by index into the
+    /// suite, each already [`minimize`]d.
+    pub disagreements: Vec<(usize, Disagreement)>,
+}
+
+/// Decides `specs` on `graph` with one [`holds_all_fair`] call, as
+/// scoring does, and certifies each spec with
+/// [`check_graph_fair_validated`]: certified model checking whose
+/// evidence [`check_certified`](crate::check_certified) must accept.
+///
+/// # Errors
+///
+/// The index of the first spec whose certified evidence is rejected, and
+/// why. That is a certified-checker bug, so no disagreement is reported
+/// against it.
+pub fn differential<'a>(
+    graph: &LabelGraph,
+    specs: impl IntoIterator<Item = &'a Ltl>,
+    justice: &[Justice],
+) -> Result<SuiteCheck, (usize, CertError)> {
+    let specs: Vec<&Ltl> = specs.into_iter().collect();
+    let decided = holds_all_fair(graph, specs.iter().copied(), justice);
+    let mut suite = SuiteCheck::default();
+    for (i, (phi, decided_holds)) in specs.into_iter().zip(decided).enumerate() {
+        let certified_holds = certified(graph, phi, justice).map_err(|e| (i, e))?;
+        suite.certified.push(certified_holds);
+        if decided_holds != certified_holds {
+            let dis = Disagreement {
+                graph: graph.clone(),
+                phi: phi.clone(),
+                justice_names: justice.iter().map(|j| j.name().to_owned()).collect(),
+                decided_holds,
+                certified_holds,
+            };
+            suite.disagreements.push((i, minimize(&dis, justice)));
+        }
     }
-    Some(Disagreement {
-        graph: graph.clone(),
-        phi: phi.clone(),
-        justice_names: justice.iter().map(|j| j.name().to_owned()).collect(),
-        explicit_holds,
-        symbolic_holds,
-    })
+    Ok(suite)
+}
+
+/// The certified verdict of `phi`, once its evidence is accepted.
+fn certified(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> Result<bool, CertError> {
+    check_graph_fair_validated(graph, phi, justice).map(|v| v.holds())
+}
+
+/// The decide-only verdict of `phi` alone.
+fn decided(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
+    holds_all_fair(graph, [phi], justice)[0]
 }
 
 /// Greedily shrinks a disagreement while it still reproduces: drop graph
 /// nodes, then individual edges, then simplify the formula. Every
-/// candidate is re-checked against both backends, so the result is a
-/// (locally) minimal disagreement.
+/// candidate is re-checked both ways, one spec at a time, and kept only
+/// while the verdicts differ and the certified evidence still validates,
+/// so the result is a (locally) minimal disagreement that blames the
+/// decide-only path.
 pub fn minimize(dis: &Disagreement, justice: &[Justice]) -> Disagreement {
     let still_disagrees = |graph: &LabelGraph, phi: &Ltl| -> bool {
         !graph.initial.is_empty()
-            && check_graph_fair(graph, phi, justice).holds()
-                != check_graph_fair_symbolic(graph, phi, justice)
+            && certified(graph, phi, justice).is_ok_and(|c| c != decided(graph, phi, justice))
     };
     let mut cur = dis.clone();
     loop {
@@ -103,8 +151,10 @@ pub fn minimize(dis: &Disagreement, justice: &[Justice]) -> Disagreement {
             break;
         }
     }
-    cur.explicit_holds = check_graph_fair(&cur.graph, &cur.phi, justice).holds();
-    cur.symbolic_holds = check_graph_fair_symbolic(&cur.graph, &cur.phi, justice);
+    cur.decided_holds = decided(&cur.graph, &cur.phi, justice);
+    if let Ok(holds) = certified(&cur.graph, &cur.phi, justice) {
+        cur.certified_holds = holds;
+    }
     cur
 }
 
@@ -216,15 +266,15 @@ impl ToJson for Disagreement {
             ("graph", graph),
             ("phi", Value::Str(self.phi.to_string(&id_vocab()))),
             ("justice_names", self.justice_names.to_json()),
-            ("explicit_holds", self.explicit_holds.to_json()),
-            ("symbolic_holds", self.symbolic_holds.to_json()),
+            ("decided_holds", self.decided_holds.to_json()),
+            ("certified_holds", self.certified_holds.to_json()),
         ])
     }
 }
 
 /// Rejects a graph whose node lists disagree in length or whose edges
 /// and initial nodes point past the last node, so a loaded repro is safe
-/// to hand to either backend.
+/// to hand to either checker.
 impl FromJson for Disagreement {
     fn from_json(v: &Value) -> Result<Self, DecodeError> {
         let g = v.field("graph")?;
@@ -254,8 +304,8 @@ impl FromJson for Disagreement {
             graph,
             phi,
             justice_names: v.field_as("justice_names")?,
-            explicit_holds: v.field_as("explicit_holds")?,
-            symbolic_holds: v.field_as("symbolic_holds")?,
+            decided_holds: v.field_as("decided_holds")?,
+            certified_holds: v.field_as("certified_holds")?,
         })
     }
 }
@@ -303,14 +353,22 @@ mod tests {
     fn agreeing_backends_yield_none() {
         let v = vocab();
         let graph = two_state_graph(&v);
-        for spec in ["G a", "F !a", "G F a", "a U b"] {
-            let phi = parse(spec, &v).unwrap();
-            assert!(differential(&graph, &phi, &[]).is_none(), "{spec}");
-        }
+        let specs: Vec<Ltl> = ["G a", "F !a", "G F a", "a U b"]
+            .iter()
+            .map(|spec| parse(spec, &v).unwrap())
+            .collect();
+        let suite = differential(&graph, &specs, &[]).unwrap();
+        assert!(suite.disagreements.is_empty());
+        assert_eq!(suite.certified, [false; 4]);
+        // Visiting `a` infinitely often makes `G F a` hold.
+        let justice = [Justice::new("a io", parse("a", &v).unwrap()).unwrap()];
+        let suite = differential(&graph, &specs, &justice).unwrap();
+        assert!(suite.disagreements.is_empty());
+        assert_eq!(suite.certified, [false, false, true, false]);
     }
 
     /// Minimization shrinks a fabricated disagreement down to a tiny
-    /// reproducer while preserving the property "backends disagree" —
+    /// reproducer while preserving the property "the paths disagree" —
     /// exercised here with a fake disagreement observed on an agreeing
     /// pair, where minimize must simply return a consistent record.
     #[test]
@@ -322,14 +380,14 @@ mod tests {
             graph: graph.clone(),
             phi: phi.clone(),
             justice_names: Vec::new(),
-            explicit_holds: true,
-            symbolic_holds: false,
+            decided_holds: true,
+            certified_holds: false,
         };
         // No shrink reproduces (there is no real disagreement), so the
         // record keeps its shape and the verdict fields are refreshed to
         // the true (agreeing) values.
         let min = minimize(&dis, &[]);
-        assert_eq!(min.explicit_holds, min.symbolic_holds);
+        assert_eq!(min.decided_holds, min.certified_holds);
         assert_eq!(min.graph.num_nodes(), graph.num_nodes());
     }
 
@@ -340,8 +398,8 @@ mod tests {
             graph: two_state_graph(&v),
             phi: parse("G F a", &v).unwrap(),
             justice_names: vec!["a io".to_owned()],
-            explicit_holds: true,
-            symbolic_holds: false,
+            decided_holds: true,
+            certified_holds: false,
         };
         let json = repro_json(&dis);
         let back = Disagreement::from_json(&obskit::json::parse(&json).unwrap()).unwrap();
@@ -388,15 +446,15 @@ mod tests {
             graph in crate::tests::arb_graph(),
             phi in arb_ltl(),
             justice_names in proptest::collection::vec(TEXT, 0..3),
-            explicit_holds in any::<bool>(),
-            symbolic_holds in any::<bool>(),
+            decided_holds in any::<bool>(),
+            certified_holds in any::<bool>(),
         ) {
             let dis = Disagreement {
                 graph,
                 phi,
                 justice_names,
-                explicit_holds,
-                symbolic_holds,
+                decided_holds,
+                certified_holds,
             };
             let parsed = obskit::json::parse(&repro_json(&dis)).unwrap();
             prop_assert_eq!(Disagreement::from_json(&parsed), Ok(dis));

@@ -1,32 +1,30 @@
 //! The certkit CI gate.
 //!
-//! Runs two suites and exits non-zero if either finds a problem:
+//! Runs three suites, each through [`certkit::differential`]: every
+//! spec suite is decided in one `holds_all_fair` call, as scoring
+//! decides it, and certified spec by spec, with the certified evidence
+//! validated by the independent checker. The gate exits non-zero if any
+//! evidence is rejected or any decide-only verdict differs.
 //!
-//! 1. **Preset certification** — every preset scenario × rule-book case
-//!    is model-checked with certificates and each verdict's evidence is
-//!    validated by the independent checker; then the explicit and
-//!    symbolic backends are differentially compared on the same matrix.
-//! 2. **Randomized differential + certification** — seeded random
-//!    graphs and formulas (mirroring the proptest generators) are run
-//!    through both backends and through certificate validation.
-//! 3. **Scaled-model differential** — the backends are compared on
-//!    scaled-up world models (`drivesim::scaled`, the warehouse grid
-//!    corridor) under a wall-clock budget: the first scaled case always
-//!    runs to completion, further cases run while budget remains. This
-//!    is the regime the partitioned symbolic encoding (DESIGN.md §14)
-//!    is built for, so it is exactly where a divergence would hide.
+//! 1. **Preset certification** — every preset scenario × rule-book case.
+//! 2. **Randomized cases** — seeded random graphs and formulas
+//!    (mirroring the proptest generators), half of them under a justice
+//!    assumption.
+//! 3. **Scaled models** — scaled-up world models (`drivesim::scaled`,
+//!    the warehouse grid corridor) against their domain rule books, whose
+//!    products are far larger than the presets'.
 //!
-//! Any backend disagreement is minimized and dumped as a JSON repro
-//! file (`certkit-repro-*.json`) before exiting.
+//! Every disagreement is minimized and dumped as a JSON repro file
+//! (`certkit-repro-*.json`) before exiting.
 //!
-//! Usage: `certkit [--random N] [--seed S] [--scaled-budget-ms MS]`
+//! Usage: `certkit [--random N] [--seed S]`
 
 // ALLOW: a CI gate terminates on the first inconsistency; panicking accessors
 // are the point here, not a liability.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use autokit::{ActSet, LabelGraph, ProductState, PropSet, Vocab};
-use certkit::differential::{differential, minimize, repro_json, Disagreement};
+use certkit::differential::{differential, repro_json, Disagreement};
 use ltlcheck::{Justice, Ltl};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +33,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut random_cases: usize = 200;
     let mut seed: u64 = 0x00C0_FFEE;
-    let mut scaled_budget = std::time::Duration::from_millis(20_000);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -51,17 +48,8 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--seed takes a u64");
             }
-            "--scaled-budget-ms" => {
-                scaled_budget = std::time::Duration::from_millis(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scaled-budget-ms takes milliseconds"),
-                );
-            }
             other => {
-                eprintln!(
-                    "usage: certkit [--random N] [--seed S] [--scaled-budget-ms MS] (got `{other}`)"
-                );
+                eprintln!("usage: certkit [--random N] [--seed S] (got `{other}`)");
                 return ExitCode::FAILURE;
             }
         }
@@ -82,23 +70,14 @@ fn main() -> ExitCode {
         "certkit: ok: {} cases, {} checks ({} holds, {} fails) all certified",
         report.cases, report.checks, report.holds, report.fails
     );
-
-    println!("certkit: differential explicit-vs-symbolic on the preset matrix...");
-    let mut preset_checks = 0usize;
-    for case in certkit::presets::preset_cases() {
-        for spec in &case.specs {
-            preset_checks += 1;
-            if let Some(dis) = differential(&case.graph, &spec.formula, &case.justice) {
-                let name = format!(
-                    "{}/{}/{} × {}",
-                    case.domain, case.scenario, case.controller, spec.name
-                );
-                report_disagreement(&name, &dis, &case.justice, &mut repros);
-            }
-        }
+    for (name, dis) in &report.disagreements {
+        report_disagreement(name, dis, &mut repros);
     }
     if repros == 0 {
-        println!("certkit: ok: {preset_checks} preset checks, backends agree");
+        println!(
+            "certkit: ok: {} preset checks, decide-only agrees with certified",
+            report.checks
+        );
     }
 
     // --- suite 2: randomized differential + certification ----------------
@@ -116,44 +95,48 @@ fn main() -> ExitCode {
         let graph = random_graph(&mut rng, &vocab);
         let phi = random_formula(&mut rng, &vocab, 3);
         let justice = &justice_pool[case % justice_pool.len()];
-        if let Some(dis) = differential(&graph, &phi, justice) {
-            report_disagreement(&format!("random case {case}"), &dis, justice, &mut repros);
-        }
-        let certified = ltlcheck::check_graph_fair_certified(&graph, &phi, justice);
-        if let Err(e) = certkit::check_certified(&graph, &phi, justice, &certified) {
-            eprintln!("certkit: FAIL: random case {case}: evidence rejected: {e}");
-            cert_failures += 1;
-        }
-    }
-    if repros == 0 && cert_failures == 0 {
-        println!("certkit: ok: {random_cases} random cases, backends agree, all certified");
-    }
-
-    // --- suite 3: scaled-model differential under a time budget ----------
-    println!(
-        "certkit: scaled-model differential (budget {} ms)...",
-        scaled_budget.as_millis()
-    );
-    let started = std::time::Instant::now();
-    let mut scaled_checks = 0usize;
-    for (i, case) in scaled_cases().iter().enumerate() {
-        // The first scaled case always runs to completion; later cases
-        // only start while budget remains.
-        if i > 0 && started.elapsed() > scaled_budget {
-            println!("certkit: scaled budget reached after {i} case(s)");
-            break;
-        }
-        for spec in &case.specs {
-            scaled_checks += 1;
-            if let Some(dis) = differential(&case.graph, &spec.formula, &case.justice) {
-                let name = format!("{} × {}", case.name, spec.name);
-                report_disagreement(&name, &dis, &case.justice, &mut repros);
+        match differential(&graph, [&phi], justice) {
+            Ok(suite) => {
+                for (_, dis) in &suite.disagreements {
+                    report_disagreement(&format!("random case {case}"), dis, &mut repros);
+                }
+            }
+            Err((_, e)) => {
+                eprintln!("certkit: FAIL: random case {case}: evidence rejected: {e}");
+                cert_failures += 1;
             }
         }
     }
-    if repros == 0 {
+    if repros == 0 && cert_failures == 0 {
         println!(
-            "certkit: ok: {scaled_checks} scaled checks in {:.1?}, backends agree",
+            "certkit: ok: {random_cases} random cases, decide-only agrees with certified, all certified"
+        );
+    }
+
+    // --- suite 3: scaled-model differential -------------------------------
+    println!("certkit: scaled-model differential...");
+    let started = std::time::Instant::now();
+    let mut scaled_checks = 0usize;
+    for case in scaled_cases() {
+        let formulas = case.specs.iter().map(|s| &s.formula);
+        match differential(&case.graph, formulas, &case.justice) {
+            Ok(suite) => {
+                scaled_checks += suite.certified.len();
+                for (i, dis) in &suite.disagreements {
+                    let name = format!("{} × {}", case.name, case.specs[*i].name);
+                    report_disagreement(&name, dis, &mut repros);
+                }
+            }
+            Err((i, e)) => {
+                let name = format!("{} × {}", case.name, case.specs[i].name);
+                eprintln!("certkit: FAIL: {name}: evidence rejected: {e}");
+                cert_failures += 1;
+            }
+        }
+    }
+    if repros == 0 && cert_failures == 0 {
+        println!(
+            "certkit: ok: {scaled_checks} scaled checks in {:.1?}, decide-only agrees with certified, all certified",
             started.elapsed()
         );
     }
@@ -163,26 +146,25 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "certkit: gate FAILED: {repros} backend disagreement(s), {cert_failures} rejected verdict(s)"
+            "certkit: gate FAILED: {repros} decide-only disagreement(s), {cert_failures} rejected verdict(s)"
         );
         ExitCode::FAILURE
     }
 }
 
-/// Prints, minimizes and dumps one backend disagreement.
-fn report_disagreement(name: &str, dis: &Disagreement, justice: &[Justice], repros: &mut usize) {
+/// Prints and dumps one (already minimized) disagreement.
+fn report_disagreement(name: &str, dis: &Disagreement, repros: &mut usize) {
     eprintln!(
-        "certkit: FAIL: {name}: explicit says {}, symbolic says {}",
-        verdict_word(dis.explicit_holds),
-        verdict_word(dis.symbolic_holds)
+        "certkit: FAIL: {name}: decide-only says {}, certified says {}",
+        verdict_word(dis.decided_holds),
+        verdict_word(dis.certified_holds)
     );
-    let min = minimize(dis, justice);
     let path = format!("certkit-repro-{}.json", *repros);
-    match std::fs::write(&path, repro_json(&min)) {
+    match std::fs::write(&path, repro_json(dis)) {
         Ok(()) => eprintln!(
             "certkit:       minimized to {} node(s), formula size {}; repro written to {path}",
-            min.graph.num_nodes(),
-            min.phi.size()
+            dis.graph.num_nodes(),
+            dis.phi.size()
         ),
         Err(e) => eprintln!("certkit:       could not write {path}: {e}"),
     }
@@ -206,9 +188,9 @@ struct ScaledCase {
     justice: Vec<Justice>,
 }
 
-/// The scaled cases, cheapest first: a 64-label conservative traffic
-/// world (twice the A6 benchmark's label space) and a 6-aisle warehouse
-/// corridor, each verified against its domain rule book.
+/// The scaled cases: a 64-label conservative traffic world and a
+/// 6-aisle warehouse corridor, each verified against its domain rule
+/// book.
 fn scaled_cases() -> Vec<ScaledCase> {
     use autokit::Product;
     let mut cases = Vec::new();

@@ -1,24 +1,23 @@
-//! Scaled-up conservative world models for backend benchmarking.
+//! Scaled-up conservative world models for stress-testing the checker.
 //!
-//! The paper's scenario models top out at a few dozen states — small
-//! enough that the explicit checker wins on constant factors (ablation
-//! A6). These builders parameterize the "conservative perspective"
-//! (Algorithm 1 without pruning, every transition allowed) by the number
-//! of distinct environment labels, producing traffic worlds 10–100×
-//! larger whose products stress both verification backends and expose
-//! the explicit-vs-symbolic crossover (`backend_compare --sweep`).
+//! The paper's scenario models top out at a few dozen states. These
+//! builders parameterize the "conservative perspective" (Algorithm 1
+//! without pruning, every transition allowed) by the number of distinct
+//! environment labels, producing traffic worlds 10–100× larger. The
+//! `certkit` differential gate checks the decide-only path against the
+//! certified checker on one of them.
 //!
-//! The label set is nested: `scaled_conservative_model(d, 32)` is
-//! exactly the A6 dense model (all masks over its five propositions),
+//! The label set is nested: `scaled_conservative_model(d, 32)` is the
+//! dense model over the five scenario propositions (all their masks),
 //! and larger budgets extend the same enumeration over the rest of the
-//! driving vocabulary, so every sweep point is a superset of the last.
+//! driving vocabulary, so every size is a superset of the last.
 
 use autokit::presets::DrivingDomain;
 use autokit::{PropSet, WorldModel, WorldModelBuilder};
 
 /// The fixed proposition order scaling enumerates over. The first five
-/// match the A6 dense-model benchmark bit-for-bit; the remainder extend
-/// the environment with the rest of the driving vocabulary.
+/// are the scenario propositions; the remainder extend the environment
+/// with the rest of the driving vocabulary.
 fn scaling_props(d: &DrivingDomain) -> [autokit::PropId; 10] {
     [
         d.green_tl,
@@ -40,7 +39,7 @@ fn scaling_props(d: &DrivingDomain) -> [autokit::PropId; 10] {
 ///
 /// Panics if `labels` exceeds the `2^10` distinct labels the driving
 /// vocabulary supports.
-pub fn scaled_labels(d: &DrivingDomain, labels: usize) -> Vec<PropSet> {
+fn scaled_labels(d: &DrivingDomain, labels: usize) -> Vec<PropSet> {
     let props = scaling_props(d);
     assert!(
         labels <= 1 << props.len(),
@@ -61,9 +60,9 @@ pub fn scaled_labels(d: &DrivingDomain, labels: usize) -> Vec<PropSet> {
 }
 
 /// A conservative (fully connected, unpruned) traffic world over the
-/// first `labels` environment labels. `labels = 32` reproduces the A6
-/// dense model exactly; the product's label graph grows quadratically in
-/// `labels`, which is what makes the sweep's crossover visible.
+/// first `labels` environment labels. `labels = 32` is the dense model
+/// over the five scenario propositions; the product's label graph grows
+/// quadratically in `labels`.
 pub fn scaled_conservative_model(d: &DrivingDomain, labels: usize) -> WorldModel {
     WorldModelBuilder::new(&d.vocab)
         .name(format!("conservative traffic ({labels} labels)"))
@@ -91,21 +90,21 @@ mod tests {
     }
 
     #[test]
-    fn thirty_two_labels_match_the_a6_dense_model() {
-        // The A6 benchmark enumerates all masks over these five props;
-        // the nested enumeration must reproduce that set exactly.
+    fn thirty_two_labels_are_every_mask_over_the_scenario_props() {
+        // The nested enumeration starts with all masks over these five
+        // props, in mask order.
         let d = DrivingDomain::new();
-        let a6_props = [
+        let dense_props = [
             d.green_tl,
             d.car_left,
             d.opposite_car,
             d.ped_right,
             d.ped_front,
         ];
-        let a6: Vec<PropSet> = (0..32u32)
+        let dense: Vec<PropSet> = (0..32u32)
             .map(|mask| {
                 let mut l = PropSet::empty();
-                for (i, &p) in a6_props.iter().enumerate() {
+                for (i, &p) in dense_props.iter().enumerate() {
                     if mask & (1 << i) != 0 {
                         l.insert(p);
                     }
@@ -113,7 +112,7 @@ mod tests {
                 l
             })
             .collect();
-        assert_eq!(scaled_labels(&d, 32), a6);
+        assert_eq!(scaled_labels(&d, 32), dense);
     }
 
     #[test]
@@ -126,8 +125,8 @@ mod tests {
         }
     }
 
-    /// Both verification backends agree on a scaled model one step past
-    /// the A6 size (a superset of its label space).
+    /// The decide-only path scoring runs agrees with the certified
+    /// checker on a scaled model past the 32-label dense model.
     #[test]
     fn backends_agree_on_a_scaled_model() {
         let d = DrivingDomain::new();
@@ -142,11 +141,12 @@ mod tests {
         let ctrl = glm2fsa::with_default_action(&ctrl, d.stop);
         let model = scaled_conservative_model(&d, 40);
         let graph = autokit::Product::build(&model, &ctrl).label_graph();
-        for spec in ltlcheck::specs::driving_specs(&d).iter().take(4) {
-            let explicit = ltlcheck::check_graph_fair(&graph, &spec.formula, &[]).holds();
-            let symbolic =
-                ltlcheck::symbolic::check_graph_fair_symbolic(&graph, &spec.formula, &[]);
-            assert_eq!(explicit, symbolic, "{}", spec.name);
+        let specs = ltlcheck::specs::driving_specs(&d);
+        let decided =
+            ltlcheck::analysis::holds_all_fair(&graph, specs.iter().map(|s| &s.formula), &[]);
+        for (spec, decided) in specs.iter().zip(decided) {
+            let certified = ltlcheck::check_graph_fair_certified(&graph, &spec.formula, &[]);
+            assert_eq!(decided, certified.holds(), "{}", spec.name);
         }
     }
 }

@@ -23,7 +23,6 @@
 //!   yes/no universal and existential queries, answered by an on-the-fly
 //!   emptiness search (Couvreur's path-based SCC algorithm) that stops at
 //!   the first fair accepting cycle and builds no lasso.
-//! * [`symbolic`] — the same universal question decided with BDDs.
 //! * [`finite`] — LTL over *finite* traces (LTLf semantics), used for the
 //!   paper's empirical evaluation of simulator rollouts (its Eq. 2).
 //! * [`specs`] — the paper's 15 driving-rule specifications Φ₁..Φ₁₅
@@ -74,7 +73,6 @@ mod mc;
 mod parser;
 pub mod smv;
 pub mod specs;
-pub mod symbolic;
 #[cfg(test)]
 mod testgen;
 

@@ -283,7 +283,8 @@ impl VerificationReport {
 /// produced the certificate. The checker does trust that `buchi` is a
 /// faithful translation of `¬φ`; see DESIGN.md's trust argument for why
 /// that residual assumption is discharged separately (lasso-oracle
-/// property tests and the explicit-vs-symbolic differential gate).
+/// property tests). The decide-only search shares the automaton, so the
+/// certkit differential gate checks the search, not the translation.
 #[derive(Debug, Clone)]
 pub struct HoldsCertificate {
     /// The Büchi automaton of the negated specification used in the

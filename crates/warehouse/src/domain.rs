@@ -234,8 +234,8 @@ impl WarehouseDomain {
     /// proposition at a time); the robot can also move to the same
     /// situation in an adjacent aisle. State count grows linearly in
     /// `aisles` with sparse, structured transitions — the grid-world
-    /// counterpart to `drivesim`'s dense scaled traffic models in the
-    /// `backend_compare --sweep` benchmark.
+    /// counterpart to `drivesim`'s dense scaled traffic models, and one
+    /// of the scaled cases of the `certkit` differential gate.
     ///
     /// # Panics
     ///
@@ -501,11 +501,12 @@ mod tests {
         let ctrl = glm2fsa::with_default_action(&ctrl, d.wait);
         let graph = autokit::Product::build(&model, &ctrl).label_graph();
         let justice = warehouse_justice(&d);
-        for spec in warehouse_specs(&d) {
-            let explicit = ltlcheck::check_graph_fair(&graph, &spec.formula, &justice).holds();
-            let symbolic =
-                ltlcheck::symbolic::check_graph_fair_symbolic(&graph, &spec.formula, &justice);
-            assert_eq!(explicit, symbolic, "{}", spec.name);
+        let specs = warehouse_specs(&d);
+        let decided =
+            ltlcheck::analysis::holds_all_fair(&graph, specs.iter().map(|s| &s.formula), &justice);
+        for (spec, decided) in specs.iter().zip(decided) {
+            let certified = ltlcheck::check_graph_fair_certified(&graph, &spec.formula, &justice);
+            assert_eq!(decided, certified.holds(), "{}", spec.name);
         }
     }
 
