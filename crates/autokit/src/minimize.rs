@@ -44,9 +44,7 @@ impl Controller {
     /// assert!(min.num_states() < ctrl.num_states());
     /// # Ok::<(), autokit::AutokitError>(())
     /// ```
-    // ALLOW: the rebuild maps valid indices through a total `block` function, so
-    // the final `build` cannot fail; a panic here is a bug in this method.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "the rebuild maps valid indices")]
     pub fn bisimulation_quotient(&self) -> Controller {
         let n = self.num_states();
         if n == 0 {

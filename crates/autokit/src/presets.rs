@@ -76,9 +76,7 @@ fn hamming(a: PropSet, b: PropSet) -> u32 {
 
 impl DrivingDomain {
     /// Builds the paper's driving vocabulary.
-    // ALLOW: the vocabulary is built from distinct literals into a fresh `Vocab`;
-    // an `expect` failure here is a bug in this constructor.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "distinct literals, fresh `Vocab`")]
     pub fn new() -> Self {
         let mut vocab = Vocab::new();
         let green_tl = vocab.add_prop("green traffic light").expect("fresh vocab");

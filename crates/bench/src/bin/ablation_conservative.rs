@@ -3,9 +3,7 @@
 //! missing transitions but "will significantly increase the computation
 //! cost for formal verification". This binary quantifies the blow-up.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
 use autokit::{PropSet, WorldModelBuilder};
 use bench::{table, BenchCli};

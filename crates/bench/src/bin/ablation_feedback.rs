@@ -7,11 +7,8 @@
 //! two feedback sources agree). The paper argues the two are consistent,
 //! so empirical evaluation can substitute when no world model exists.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-#![allow(clippy::field_reassign_with_default)] // ALLOW: config structs are built by
-                                               // mutating a Default, which reads better than giant struct-update literals
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
+#![allow(clippy::field_reassign_with_default, reason = "configs tweak Default")]
 
 use bench::{table, BenchCli};
 use dpo_af::domain::DomainBundle;

@@ -6,9 +6,7 @@
 //! keeps pushing the margin toward infinity while IPO settles at its
 //! target. This ablation compares final metrics and margin growth.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
 use bench::{table, BenchCli};
 use dpo::{dpo_loss_grad, ipo_loss_grad, PreferenceDataset};

@@ -2,11 +2,8 @@
 //! adaptation): DPO quality and cost as a function of adapter rank,
 //! against full fine-tuning.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-#![allow(clippy::field_reassign_with_default)] // ALLOW: config structs are built by
-                                               // mutating a Default, which reads better than giant struct-update literals
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
+#![allow(clippy::field_reassign_with_default, reason = "configs tweak Default")]
 
 use bench::{table, BenchCli};
 use dpo::DpoTrainer;

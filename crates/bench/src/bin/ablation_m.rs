@@ -3,9 +3,7 @@
 //! measures the realized pair yield (ties produce no pair) and the
 //! quality gap between winners and losers as `m` grows.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
 use bench::{table, BenchCli};
 use dpo_af::feedback::score_response;

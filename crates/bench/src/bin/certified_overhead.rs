@@ -10,9 +10,7 @@
 //! The last column is what `PipelineConfig::certified` costs per
 //! verification call.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
 use bench::{table, BenchCli};
 use ltlcheck::analysis::holds_all_fair;

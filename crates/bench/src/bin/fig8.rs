@@ -1,9 +1,7 @@
 //! Figure 8: DPO fine-tuning statistics (loss, accuracy, marginal
 //! preference) per epoch, mean with min/max band over five seeds.
 
-// ALLOW: experiment binary — panicking on internal invariants is acceptable here
-// (the workspace unwrap/expect lints target library code paths).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
 use bench::{table, BenchCli};
 use dpo_af::experiments::fig8;

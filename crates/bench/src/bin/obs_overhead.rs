@@ -35,6 +35,7 @@ fn timed_run(fast_cfg: dpo_af::pipeline::PipelineConfig) -> f64 {
 }
 
 /// ns per alloc+free pair of a 64-byte block.
+#[allow(unsafe_code, reason = "times raw allocator calls, which are unsafe")]
 fn alloc_pair_ns(via_global: bool, iters: u64) -> f64 {
     let layout = Layout::new::<[u8; 64]>();
     let t = Instant::now();

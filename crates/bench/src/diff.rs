@@ -470,8 +470,6 @@ pub fn seed_regression(doc: &mut Value, span: &str, factor: f64) -> usize {
 }
 
 #[cfg(test)]
-// ALLOW: test-only panics are the assertion mechanism.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

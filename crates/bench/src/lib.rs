@@ -18,6 +18,11 @@
 //! | `ablation_conservative` | A4: pruned vs conservative world-model construction (Algorithm 1) |
 //! | `ablation_ipo`    | A5: DPO vs IPO objective on the same dataset |
 //! | `spec_lint`       | rule-book satisfiability / tautology / vacuity lint |
+//! | `specsem`         | semantic (`SL3xx`) rule-book analysis cost, per rule and phase |
+//! | `certified_overhead` | cost of certified model checking vs decide-only scoring |
+//! | `obs_overhead`    | cost of the observability recorder and the tracking allocator |
+//! | `metrics_check`   | validates a `BENCH_<name>.json` report against the obskit schema |
+//! | `bench_diff`      | noise-aware perf-regression gate: a fresh report vs a committed baseline |
 //!
 //! Performance is measured by the stand-alone `perfbench/` package (the
 //! pipeline end to end and per layer) and gated by `bench_diff`, which
@@ -26,7 +31,6 @@
 //! Run an experiment with `cargo run --release -p bench --bin fig9`.
 //! Every binary accepts `--fast` to run a reduced configuration.
 
-pub mod audit;
 pub mod diff;
 
 use std::fmt::Write as _;
@@ -162,8 +166,7 @@ impl BenchCli {
     ///
     /// Panics when a requested output file cannot be written — a bench
     /// run that silently drops its report would poison the perf record.
-    // ALLOW: a bench run that silently drops its report would poison the perf record.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "a lost report poisons the record")]
     pub fn finish(&self) -> obskit::Snapshot {
         let mut snapshot = obskit::snapshot();
         // The recorder anchor predates parse() by process-startup time;
@@ -274,8 +277,6 @@ pub fn pipeline_config(fast: bool) -> dpo_af::pipeline::PipelineConfig {
 }
 
 #[cfg(test)]
-// ALLOW: test-only panics are the assertion mechanism.
-#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 

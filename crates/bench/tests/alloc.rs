@@ -4,9 +4,6 @@
 //! test function (see DESIGN.md §7 on the one-test-per-binary rule for
 //! global-recorder tests).
 
-// ALLOW: test-only panics are the assertion mechanism.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use obskit::report::{validate, Requirements};
 
 fn find<'a>(nodes: &'a [obskit::SpanNode], name: &str) -> Option<&'a obskit::SpanNode> {

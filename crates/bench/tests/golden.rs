@@ -5,9 +5,6 @@
 //! schema change and must be deliberate (bump `obskit::report::SCHEMA`
 //! or regenerate the golden with `UPDATE_GOLDEN=1 cargo test -p bench`).
 
-// ALLOW: test-only panics are the assertion mechanism.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use obskit::metrics::{BucketCount, HistogramSnapshot, MetricsSnapshot};
 use obskit::report::{validate, Requirements};
 use obskit::{BenchReport, SpanNode};

@@ -324,7 +324,6 @@ fn pairs<T: FromJson + Copy>(v: &Value, key: &str) -> Result<Vec<(T, T)>, Decode
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)] // ALLOW: test-only panics are the assertion mechanism.
     use super::*;
     use proptest::prelude::*;
 

@@ -135,7 +135,6 @@ fn eval(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)] // ALLOW: test-only panics are the assertion mechanism.
     use super::*;
     use autokit::Vocab;
     use ltlcheck::parse;

@@ -313,7 +313,6 @@ pub fn certify_presets() -> Result<GateReport, (String, CertError)> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)] // ALLOW: test-only panics are the assertion mechanism.
     use super::*;
     use autokit::{ActSet, ControllerBuilder, Guard, ProductState, PropSet, Vocab};
     use ltlcheck::{check_graph_fair_certified, parse, Counterexample};

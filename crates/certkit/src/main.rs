@@ -19,9 +19,7 @@
 //!
 //! Usage: `certkit [--random N] [--seed S]`
 
-// ALLOW: a CI gate terminates on the first inconsistency; panicking accessors
-// are the point here, not a liability.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a CI gate binary")]
 
 use autokit::{ActSet, LabelGraph, ProductState, PropSet, Vocab};
 use certkit::differential::{differential, repro_json, Disagreement};

@@ -8,9 +8,7 @@
 //! so certification runs against exactly the artifacts the pipeline
 //! verifies.
 
-// ALLOW: preset construction mirrors speclint::presets: everything is built
-// from compile-time constants, so a failure is a bug in this crate.
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "built from compile-time constants")]
 
 use autokit::presets::DrivingDomain;
 use autokit::{ActSet, LabelGraph, Product};

@@ -15,7 +15,7 @@
 //! `cargo test -p certkit --test pinned_exploration -- --ignored --nocapture print_pinned`
 //! and paste the output into `tests/golden/pinned_exploration.txt`.
 
-#![allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
+#![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 
 use certkit::presets::preset_cases;
 use ltlcheck::{check_graph_fair_certified, CertifiedVerdict};

@@ -183,8 +183,7 @@ impl DomainBundle {
     /// Generates a pretraining corpus of `(task_id, tokens)` pairs with
     /// the quality mixture that yields the paper's ~60% pre-fine-tuning
     /// baseline.
-    // ALLOW: tasks and surface lists are non-empty by construction.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "tasks and surface lists are non-empty")]
     pub fn pretraining_corpus(&self, size: usize, rng: &mut impl Rng) -> Vec<(usize, Vec<Token>)> {
         // Calibrated so that controllers sampled from the pre-trained
         // model satisfy ≈9 of 15 specifications — the paper's ~60%
@@ -333,15 +332,13 @@ fn build_tasks(d: &DrivingDomain) -> Vec<TaskSpec> {
     ]
 }
 
-// ALLOW: `choose` on a non-empty const slice cannot return `None`.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, reason = "a non-empty slice always has a choice")]
 fn pick<'a>(options: &[&'a str], rng: &mut impl Rng) -> &'a str {
     options.choose(rng).expect("non-empty surface list")
 }
 
 /// Renders a response: step strings joined by ` ; `.
-// ALLOW: `choose` on a non-empty action set cannot return `None`.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, reason = "the action set is never empty")]
 pub fn render_response(
     d: &DrivingDomain,
     task: &TaskSpec,

@@ -39,9 +39,7 @@ pub struct DemoComparison {
     pub smv_module: String,
 }
 
-// ALLOW: the paper's demonstration step lists align by construction (the
-// speclint presets tests assert the same invariant).
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, reason = "the demo step lists always align")]
 fn verify_steps(
     bundle: &DomainBundle,
     name: &str,

@@ -79,7 +79,7 @@ fn collect_traces(
     let mut traces = Vec::new();
     for task in &bundle.tasks {
         for _ in 0..cfg.samples_per_task {
-            #[allow(clippy::expect_used)] // ALLOW: task ids come from the bundle
+            #[allow(clippy::expect_used, reason = "task ids come from the bundle")]
             let tokens = lm.sample(task.id, rng, opts).expect("task id in range");
             let scored = score_response(bundle, task, &bundle.decode(&tokens));
             let Some(ctrl) = scored.controller else {

@@ -50,7 +50,7 @@ pub fn run(pipeline: &DpoAf, seeds: &[u64]) -> Fig8Result {
         .map(|&seed| {
             let mut policy = reference.clone();
             let mut seed_rng = StdRng::seed_from_u64(seed);
-            #[allow(clippy::expect_used)] // ALLOW: dataset tokens come from this model
+            #[allow(clippy::expect_used, reason = "dataset tokens come from this model")]
             trainer
                 .train(&mut policy, &reference, &dataset, &mut seed_rng, |_, _| {})
                 .expect("dataset uses model vocabulary")

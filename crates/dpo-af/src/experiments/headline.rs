@@ -20,8 +20,7 @@ pub struct HeadlineResult {
 /// epoch-0 point is "before", the final checkpoint is "after". Scores are
 /// averaged over training and validation tasks (they are reported per
 /// split in Figure 9; the abstract pools them).
-// ALLOW: `run()` always records the epoch-0 checkpoint before returning.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, reason = "`run()` records the epoch-0 point")]
 pub fn from_artifacts(artifacts: &RunArtifacts) -> HeadlineResult {
     let first = artifacts
         .checkpoint_evals

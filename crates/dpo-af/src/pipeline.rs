@@ -20,6 +20,7 @@ use dpo::{DpoTrainer, EpochStats, PreferenceDataset, TrainOptions};
 use obskit::json::{FromJson, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Mutex;
 use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
 
@@ -432,6 +433,11 @@ impl DpoAf {
     /// joining index-ordered: callers see the same scores in the same
     /// positions at any thread count. Workers parent their spans under
     /// the caller's `pipeline.score_batch` span via an obskit handoff.
+    ///
+    /// The fan-out scores only the first occurrence of each
+    /// `(scenario, text)`: two copies scored concurrently would both miss
+    /// the cache. Later copies are scored after the join, each a cache
+    /// hit, so every counter equals the one-thread run's.
     fn score_formal_batch<'p, T: Sync>(
         &'p self,
         items: &[T],
@@ -440,10 +446,23 @@ impl DpoAf {
     ) -> Vec<usize> {
         let batch = obskit::span("pipeline.score_batch");
         let handoff = batch.handoff();
-        let scores = self.pool.map(items, |_, item| {
+        let score = |item: &T| {
             let _s = obskit::span_under("pipeline.score", handoff);
             self.score_formal(task_of(item), text_of(item))
-        });
+        };
+        let mut seen = HashSet::new();
+        let first: Vec<bool> = items
+            .iter()
+            .map(|item| seen.insert((task_of(item).scenario, text_of(item))))
+            .collect();
+        let fanned = self
+            .pool
+            .map(items, |i, item| first[i].then(|| score(item)));
+        let scores = fanned
+            .into_iter()
+            .zip(items)
+            .map(|(fanned, item)| fanned.unwrap_or_else(|| score(item)))
+            .collect();
         // Scored batches are a natural flight-recorder beat (throttled).
         obskit::recorder::tick();
         scores
@@ -459,9 +478,7 @@ impl DpoAf {
     /// artifact, is identical to the fully serial interleaved loop.
     /// Empirical feedback keeps that interleaved loop: its rollouts
     /// consume the RNG, so reordering them would change the run.
-    // ALLOW: task ids come from the bundle itself, so sampling cannot see an
-    // out-of-range id; fail loudly if it somehow does.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "task ids come from the bundle itself")]
     pub fn collect_dataset(&self, lm: &CondLm, rng: &mut impl Rng) -> PreferenceDataset {
         let _stage = obskit::span("pipeline.collect");
         // One adapter merge for every response this model version samples.
@@ -525,9 +542,7 @@ impl DpoAf {
     /// feedback the whole checkpoint's samples are drawn serially, then
     /// scored in one parallel fan-out (summing `usize` scores is
     /// order-independent, so the mean is exact at any thread count).
-    // ALLOW: task ids come from the bundle itself, so sampling cannot see an
-    // out-of-range id; fail loudly if it somehow does.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "task ids come from the bundle itself")]
     pub fn evaluate(&self, lm: &CondLm, tasks: &[usize], rng: &mut impl Rng) -> f64 {
         let _stage = obskit::span("pipeline.eval");
         // One adapter merge for the whole checkpoint evaluation.
@@ -587,9 +602,7 @@ impl DpoAf {
     /// The returned `reference` is the original pre-trained model (the
     /// "before fine-tuning" baseline); each iteration's DPO reference is
     /// the policy snapshot entering that iteration.
-    // ALLOW: task ids come from the bundle itself, so training cannot see
-    // out-of-vocabulary tokens; fail loudly if it somehow does.
-    #[allow(clippy::expect_used)]
+    #[allow(clippy::expect_used, reason = "bundle tokens are in vocabulary")]
     pub fn run(&self) -> RunArtifacts {
         // Pre-flight: a rule book with lint errors (unsatisfiable or
         // pairwise-conflicting rules) would cap every response's score and
@@ -764,7 +777,6 @@ mod tests {
     /// A file whose parameters do not fit its config is an error on
     /// load, not a panic on first use.
     #[test]
-    #[allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
     fn load_rejects_truncated_params() {
         let cfg = DpoAf::new(PipelineConfig::smoke()).lm_config();
         let model = CondLm::new(cfg, &mut StdRng::seed_from_u64(5));
@@ -857,6 +869,26 @@ mod tests {
         // Uncached scoring of the decoded text agrees.
         let fresh = score_response(&pipeline.bundle, task, &pipeline.bundle.decode(&tokens));
         assert_eq!(fresh.num_satisfied, first);
+    }
+
+    /// Copies within one batch are scored once at any thread count: the
+    /// fan-out takes first occurrences only, so each later copy hits.
+    #[test]
+    fn batch_copies_hit_the_cache_at_two_threads() {
+        let mut cfg = PipelineConfig::smoke();
+        cfg.threads = 2;
+        let pipeline = DpoAf::new(cfg);
+        let mut rng = StdRng::seed_from_u64(3);
+        let task = &pipeline.bundle.tasks[0];
+        let d = &pipeline.bundle.driving;
+        let a = crate::domain::render_response(d, task, crate::domain::Style::Careful, &mut rng);
+        let b = crate::domain::render_response(d, task, crate::domain::Style::Reckless, &mut rng);
+        assert_ne!(a, b);
+        let batch = [&a, &a, &b, &b];
+        let scores = pipeline.score_formal_batch(&batch, |_| task, |text| text.as_str());
+        assert_eq!(scores[0], scores[1]);
+        assert_eq!(scores[2], scores[3]);
+        assert_eq!(pipeline.cache_stats(), (2, 2));
     }
 
     /// In certified mode a cache hit re-accounts the stored certificate

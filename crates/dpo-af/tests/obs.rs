@@ -32,6 +32,7 @@ fn recorded_run(threads: usize) -> (RunArtifacts, obskit::Snapshot) {
 /// At two threads the per-response stages run on `parkit` helpers and
 /// reach `pipeline.run` only through the `score_batch` handoff, so this
 /// is also the check that cross-thread nesting survives the fan-out.
+#[allow(clippy::expect_used, reason = "a test helper asserts by panicking")]
 fn assert_spans_and_counters(threads: usize, artifacts: &RunArtifacts, snap: &obskit::Snapshot) {
     // Every pipeline stage shows up in the aggregated span forest, with
     // the per-response stages nested under the run root.
@@ -144,4 +145,21 @@ fn smoke_run_emits_stage_spans_and_counters() {
         counter(&snap_one, "pool.tasks"),
         counter(&snap_two, "pool.tasks")
     );
+
+    // The work counters do not depend on the thread count. The first run
+    // also filled the process-wide spec-automaton cache, so compare the
+    // two-thread run with a one-thread run that finds it warm too.
+    let (_, snap_one_warm) = recorded_run(1);
+    assert_eq!(work_counters(&snap_one_warm), work_counters(&snap_two));
+}
+
+/// The verdict-cache, model-checking and pipeline counters of a run,
+/// sorted by name as the snapshot holds them.
+fn work_counters(snap: &obskit::Snapshot) -> Vec<&(String, u64)> {
+    let work = ["verify.cache_", "ltlcheck.", "pipeline."];
+    snap.metrics
+        .counters
+        .iter()
+        .filter(|(name, _)| work.iter().any(|prefix| name.starts_with(prefix)))
+        .collect()
 }

@@ -29,8 +29,7 @@ pub fn scenario_model(d: &DrivingDomain, kind: ScenarioKind) -> WorldModel {
 ///
 /// Mirrors NuSMV `JUSTICE` declarations; without them the liveness rules
 /// Φ₇/Φ₁₀/Φ₁₃ are unsatisfiable against a fully adversarial environment.
-// ALLOW: the justice conditions are propositional by construction.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, reason = "justice conditions are propositional")]
 pub fn scenario_justice(d: &DrivingDomain, kind: ScenarioKind) -> Vec<Justice> {
     let clear_of = |props: &[autokit::PropId]| -> Ltl {
         Ltl::all(props.iter().map(|&p| Ltl::not(Ltl::prop(p))))

@@ -74,7 +74,6 @@ pub fn scaled_conservative_model(d: &DrivingDomain, labels: usize) -> WorldModel
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)] // ALLOW: test-only panics are the assertion mechanism.
     use super::*;
 
     #[test]

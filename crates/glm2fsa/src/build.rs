@@ -87,7 +87,7 @@ pub fn build_controller(name: &str, steps: &[ParsedStep], options: FsaOptions) -
             builder = builder.transition(i, neg, ActSet::empty(), else_target);
         }
     }
-    #[allow(clippy::expect_used)] // ALLOW: indices are in range by construction
+    #[allow(clippy::expect_used, reason = "indices are in range by construction")]
     builder
         .build()
         .expect("construction is structurally valid by construction")
@@ -112,7 +112,7 @@ pub fn with_default_action(ctrl: &Controller, default: ActId) -> Controller {
         };
         builder = builder.transition(t.from, t.guard, action, t.to);
     }
-    #[allow(clippy::expect_used)] // ALLOW: copies a valid controller's shape
+    #[allow(clippy::expect_used, reason = "copies a valid controller's shape")]
     builder.build().expect("same shape as a valid controller")
 }
 

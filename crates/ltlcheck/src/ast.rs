@@ -92,7 +92,7 @@ impl Ltl {
     ///
     /// (A static constructor, deliberately named after the connective —
     /// not the `std::ops::Not` trait method.)
-    #[allow(clippy::should_implement_trait)] // ALLOW: constructor deliberately named after the connective, not the trait.
+    #[allow(clippy::should_implement_trait, reason = "named after the connective")]
     pub fn not(phi: Ltl) -> Ltl {
         Ltl::Not(Arc::new(phi))
     }

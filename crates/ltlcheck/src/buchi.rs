@@ -70,7 +70,7 @@ impl Closure {
     /// Id of an interned subformula. The closure is built over every
     /// subformula of the root, so a miss during expansion is a
     /// construction bug, not an input condition.
-    #[allow(clippy::expect_used)] // ALLOW: a miss during expansion is a construction bug, not an input condition.
+    #[allow(clippy::expect_used, reason = "a miss is a construction bug")]
     fn id_of(&self, phi: &Ltl) -> u32 {
         self.id(phi).expect("subformula interned")
     }

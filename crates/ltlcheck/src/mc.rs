@@ -563,10 +563,7 @@ fn lasso_search(graph: &LabelGraph, buchi: Arc<Buchi>, justice: &[Justice]) -> C
 
 /// BFS over the label-consistent product pairs, followed by an iterative
 /// Tarjan SCC decomposition.
-// Tarjan stack pops are internal invariants of the decomposition: an
-// `expect` failure here is a bug in this function, never an input
-// condition.
-#[allow(clippy::expect_used)] // ALLOW: failure here is a bug in this function, never an input condition.
+#[allow(clippy::expect_used, reason = "Tarjan stack pops are invariants")]
 fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
     let labels = LabelIndex::new(graph, &[]);
     let idx = ProductIndex::new(&labels, buchi);
@@ -861,10 +858,7 @@ pub(crate) fn fair_cycle_in(labels: &LabelIndex<'_>, buchi: &Buchi) -> bool {
 /// Extracts a lasso counterexample through the fair accepting SCC
 /// `target_comp`: a BFS stem from an initial state, then a cycle that
 /// visits an accepting state and one witness per justice condition.
-// SCC membership and witness lookups are internal invariants of the
-// decomposition: an `expect` failure here is a bug in this module, never
-// an input condition.
-#[allow(clippy::expect_used)] // ALLOW: failure here is a bug in this module, never an input condition.
+#[allow(clippy::expect_used, reason = "SCC/witness lookups are invariants")]
 fn extract_lasso(
     ex: &Exploration,
     graph: &LabelGraph,

@@ -220,6 +220,7 @@ impl TrackingAlloc {
     }
 }
 
+#[allow(unsafe_code, reason = "`GlobalAlloc` is an unsafe trait")]
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // GlobalAlloc contract; the accounting side-effects touch only atomics
 // and a guarded mutex and never observe or alter the returned memory.

@@ -33,9 +33,6 @@ pub use pool::{resolve_threads, ThreadPool};
 
 #[cfg(test)]
 mod tests {
-    // ALLOW: test-only panics are the assertion mechanism.
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Barrier, Mutex};

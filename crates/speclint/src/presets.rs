@@ -3,9 +3,7 @@
 //! their step lists. The `speclint` CLI and the `bench` rule-book tool
 //! are thin wrappers over these.
 
-// Everything here is built from compile-time constants; a build failure is
-// a bug in this crate, not an input condition, so panicking is correct.
-#![allow(clippy::expect_used)] // ALLOW: built from compile-time constants; failure is a bug in this crate.
+#![allow(clippy::expect_used, reason = "built from compile-time constants")]
 
 use crate::semantic::{CorpusController, SemanticInput, SemanticWorld};
 use crate::{ControllerInput, LintInput, StepListInput};

@@ -3,7 +3,7 @@
 //! pipeline pre-flight gate, so drift must be deliberate), and the exit
 //! codes follow the documented contract.
 
-#![allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
+#![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 
 use obskit::json::ToJson;
 use std::process::Command;

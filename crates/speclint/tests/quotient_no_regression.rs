@@ -30,6 +30,7 @@ fn arb_controller() -> impl Strategy<Value = Controller> {
                     to % nq,
                 );
             }
+            #[allow(clippy::expect_used, reason = "every index is reduced mod nq")]
             builder.build().expect("indices are in range")
         })
 }

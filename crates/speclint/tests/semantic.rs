@@ -3,7 +3,7 @@
 //! and a property test that `SL300` (empty language) never misfires —
 //! every flagged formula is confirmed unsatisfiable on a live product.
 
-#![allow(clippy::expect_used)] // ALLOW: test-only panics are the assertion mechanism.
+#![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 
 use autokit::{ActSet, Controller, ControllerBuilder, Guard, PropSet, Vocab, WorldModel};
 use ltlcheck::specs::Spec;

@@ -131,10 +131,10 @@ pub(crate) fn matmul_forward(
 /// ever alternated between *different* buffers — and turns both passes
 /// into vectorizable slice updates. The same independence is why
 /// dropping one destination leaves the other's bits unchanged.
-// ALLOW: the argument list is the matmul gradient problem statement (two
+// The argument list is the matmul gradient problem statement (two
 // outputs, three inputs, three dims); a parameter struct would just
 // rename it.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the matmul gradient problem")]
 pub(crate) fn matmul_backward(
     mut gm: Option<&mut [f32]>,
     mut gx: Option<&mut [f32]>,
@@ -314,7 +314,7 @@ mod tests {
 
     /// The retained naive backward kernel: the pre-kernels interleaved
     /// per-column loop, indexed exactly as `backward_into` indexed it.
-    #[allow(clippy::needless_range_loop)] // ALLOW: mirrors the historical indexed loop verbatim.
+    #[allow(clippy::needless_range_loop, reason = "mirrors the historical loop")]
     fn naive_matmul_backward(
         g: &[f32],
         m: &[f32],

@@ -729,7 +729,6 @@ impl CondLm {
     // The position walk always visits at least the EOS slot, so `total`
     // is `Some` by construction; a panic here is a bug in this method.
     #[cfg(test)]
-    #[allow(clippy::expect_used)] // ALLOW: test helper; a panic here is a bug in this method.
     fn log_prob_grad_reference(
         &self,
         task: usize,

@@ -49,9 +49,8 @@ pub struct PretrainStats {
 ///
 /// Panics if the corpus is empty.
 // The corpus is rendered from the model's own tokenizer, so gradient
-// calls cannot see out-of-vocabulary ids; a panic here is a caller bug
-// worth failing loudly on during training.
-#[allow(clippy::expect_used)] // ALLOW: out-of-vocabulary ids are a caller bug worth failing loudly on.
+// calls cannot see out-of-vocabulary ids.
+#[allow(clippy::expect_used, reason = "out-of-vocabulary ids are a caller bug")]
 pub fn pretrain(
     model: &mut CondLm,
     corpus: &[(usize, Vec<Token>)],

@@ -934,7 +934,7 @@ fn backward_pair(
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // ALLOW: index-parallel comparisons read clearest.
+#[allow(clippy::needless_range_loop, reason = "parallel indexing reads best")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -88,9 +88,7 @@ impl Default for WarehouseDomain {
 
 impl WarehouseDomain {
     /// Builds the warehouse domain.
-    // Built from distinct literals into a fresh vocabulary/lexicon; a
-    // panic here is a bug in this constructor.
-    #[allow(clippy::expect_used)] // ALLOW: fresh vocabulary by construction; a panic is a constructor bug.
+    #[allow(clippy::expect_used, reason = "distinct literals, fresh vocabulary")]
     pub fn new() -> Self {
         let mut vocab = Vocab::new();
         let human = vocab.add_prop("human nearby").expect("fresh vocab");
@@ -279,8 +277,7 @@ impl WarehouseDomain {
         model
     }
 
-    // `choose` on a non-empty const slice cannot return `None`.
-    #[allow(clippy::expect_used)] // ALLOW: choose on a non-empty const slice cannot fail.
+    #[allow(clippy::expect_used, reason = "a non-empty slice always has a choice")]
     fn prop_phrase<'a>(&self, p: PropId, rng: &mut impl Rng) -> &'a str {
         let options: &[&str] = if p == self.human {
             &["human nearby", "person in the aisle", "someone nearby"]
@@ -294,8 +291,7 @@ impl WarehouseDomain {
         options.choose(rng).expect("non-empty")
     }
 
-    // `choose` on a non-empty const slice cannot return `None`.
-    #[allow(clippy::expect_used)] // ALLOW: choose on a non-empty const slice cannot fail.
+    #[allow(clippy::expect_used, reason = "a non-empty slice always has a choice")]
     fn act_phrase<'a>(&self, a: ActId, rng: &mut impl Rng) -> &'a str {
         let options: &[&str] = if a == self.move_forward {
             &["move forward", "drive forward", "advance"]
@@ -312,8 +308,7 @@ impl WarehouseDomain {
     }
 
     /// Renders one response for a task in a style (steps `;`-separated).
-    // `choose` on a non-empty const slice cannot return `None`.
-    #[allow(clippy::expect_used)] // ALLOW: choose on a non-empty const slice cannot fail.
+    #[allow(clippy::expect_used, reason = "a non-empty slice always has a choice")]
     pub fn render(
         &self,
         task: &WarehouseTask,
@@ -381,8 +376,7 @@ impl WarehouseDomain {
     }
 
     /// A pretraining corpus with a deliberately mixed quality profile.
-    // `choose` on a non-empty const slice cannot return `None`.
-    #[allow(clippy::expect_used)] // ALLOW: choose on a non-empty const slice cannot fail.
+    #[allow(clippy::expect_used, reason = "a non-empty slice always has a choice")]
     pub fn corpus(&self, size: usize, rng: &mut impl Rng) -> Vec<(usize, Vec<Token>)> {
         let styles = [
             (WarehouseStyle::Careful, 0.30),

@@ -79,8 +79,7 @@ pub fn warehouse_specs(d: &WarehouseDomain) -> Vec<Spec> {
 
 /// The floor's justice assumption: infinitely often a shelf is in view
 /// while the aisle is clear and the battery is fine.
-// The justice condition is propositional by construction.
-#[allow(clippy::expect_used)] // ALLOW: the justice condition is propositional by construction.
+#[allow(clippy::expect_used, reason = "the justice condition is propositional")]
 pub fn warehouse_justice(d: &WarehouseDomain) -> Vec<Justice> {
     let condition = Ltl::all([
         Ltl::prop(d.shelf),

@@ -72,9 +72,7 @@ pub struct MiniOutcome {
     pub sample_after: String,
 }
 
-// Task ids and corpus tokens come from the domain itself, so sampling
-// and training cannot see out-of-range inputs; fail loudly if they do.
-#[allow(clippy::expect_used)] // ALLOW: domain-sourced ids cannot be out of range; fail loudly if they are.
+#[allow(clippy::expect_used, reason = "domain-made ids are in range")]
 fn evaluate(d: &WarehouseDomain, lm: &CondLm, samples: usize, rng: &mut impl Rng) -> f64 {
     let opts = SampleOptions {
         temperature: 0.6,
@@ -94,9 +92,7 @@ fn evaluate(d: &WarehouseDomain, lm: &CondLm, samples: usize, rng: &mut impl Rng
 }
 
 /// Runs the warehouse DPO-AF loop end to end.
-// Task ids and corpus tokens come from the domain itself, so sampling
-// and training cannot see out-of-range inputs; fail loudly if they do.
-#[allow(clippy::expect_used)] // ALLOW: domain-sourced ids cannot be out of range; fail loudly if they are.
+#[allow(clippy::expect_used, reason = "domain-made ids are in range")]
 pub fn run_mini(config: MiniConfig) -> MiniOutcome {
     let domain = WarehouseDomain::new();
     let mut rng = StdRng::seed_from_u64(config.seed);

@@ -14,6 +14,7 @@ use glm2fsa::{synthesize, with_default_action};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[allow(clippy::expect_used, reason = "the commute legs are fixed")]
 fn leg_controller(bundle: &DomainBundle, style: Style, leg: usize, rng: &mut StdRng) -> Controller {
     // Pick the task matching the leg's scenario and maneuver.
     let d = &bundle.driving;

@@ -8,12 +8,12 @@
 //!
 //! Run with: `cargo run --release --example fine_tune_small`
 
-#![allow(clippy::field_reassign_with_default)] // ALLOW: config structs are built by field reassignment for readability.
-                                               // mutating a Default, which reads better than giant struct-update literals
+#![allow(clippy::field_reassign_with_default, reason = "configs tweak Default")]
 
 use dpo_af::pipeline::{DpoAf, PipelineConfig};
 use tinylm::SampleOptions;
 
+#[allow(clippy::expect_used, reason = "task 0 exists in the shipped bundle")]
 fn main() {
     let mut cfg = PipelineConfig::default();
     cfg.corpus_size = 400;
