@@ -10,7 +10,8 @@
 # of the rule books under their world models, a miri pass over parkit
 # when the interpreter is installed, the certkit certification +
 # decide-only vs certified differential suite (including the scaled
-# drivesim/warehouse models), an instrumented bench smoke run
+# drivesim/warehouse models), the paper demo controllers' verdicts and
+# counterexamples pinned to results/demo.txt, an instrumented bench smoke run
 # (allocation tracking on) validated against the obskit.bench.v2 report
 # schema (metrics_check), byte-equality gates proving the performance
 # and gating knobs (--threads, semantic pre-flight, allocation tracking)
@@ -71,6 +72,11 @@ cargo run -q --release -p speclint -- --semantic --deny-warnings
 
 echo "==> certkit gate (certification + differential suite, incl. scaled models)"
 cargo run -q -p certkit --release
+
+# The demo prints the paper's four demonstration controllers with their
+# verdicts and counterexamples; pin them across commits.
+echo "==> demo gate (paper demo verdicts and counterexamples match results/demo.txt)"
+cargo run -q --release -p bench --bin demo -- --no-obs | cmp - results/demo.txt
 
 echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)"
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"

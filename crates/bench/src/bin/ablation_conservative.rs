@@ -9,7 +9,7 @@ use autokit::{PropSet, WorldModelBuilder};
 use bench::{table, BenchCli};
 use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::RIGHT_TURN_AFTER;
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use glm2fsa::synthesize;
 use ltlcheck::specs::driving_specs;
 use ltlcheck::verify_all_fair;
 use std::time::Instant;
@@ -18,14 +18,8 @@ fn main() {
     let cli = BenchCli::parse("ablation_conservative");
     let bundle = DomainBundle::new();
     let d = &bundle.driving;
-    let ctrl = synthesize(
-        "turn right",
-        &RIGHT_TURN_AFTER,
-        &bundle.lexicon,
-        FsaOptions::default(),
-    )
-    .expect("paper demo aligns");
-    let ctrl = with_default_action(&ctrl, d.stop);
+    let ctrl =
+        synthesize("turn right", &RIGHT_TURN_AFTER, &bundle.lexicon).expect("paper demo aligns");
     let specs = driving_specs(d);
 
     // Pruned: the preset traffic-light model (single-change dynamics over

@@ -199,10 +199,8 @@ fn scaled_cases() -> Vec<ScaledCase> {
         "turn right",
         &["If no car from the left and no pedestrian at your right, turn right."],
         &lex,
-        glm2fsa::FsaOptions::default(),
     )
     .expect("canonical steps align");
-    let ctrl = glm2fsa::with_default_action(&ctrl, d.stop);
     let model = drivesim::scaled::scaled_conservative_model(&d, 64);
     cases.push(ScaledCase {
         name: "driving/conservative-64".to_owned(),
@@ -213,13 +211,8 @@ fn scaled_cases() -> Vec<ScaledCase> {
 
     let w = warehouse::WarehouseDomain::new();
     let (task_name, steps) = speclint::presets::WAREHOUSE_STEPS[2];
-    let options = glm2fsa::FsaOptions {
-        non_blocking: ActSet::singleton(w.wait),
-        ..glm2fsa::FsaOptions::default()
-    };
-    let ctrl = glm2fsa::synthesize(task_name, steps, &w.lexicon, options)
-        .expect("canonical warehouse steps align");
-    let ctrl = glm2fsa::with_default_action(&ctrl, w.wait);
+    let ctrl =
+        glm2fsa::synthesize(task_name, steps, &w.lexicon).expect("canonical warehouse steps align");
     let model = w.scaled_floor_model(6);
     cases.push(ScaledCase {
         name: "warehouse/corridor-6".to_owned(),

@@ -14,7 +14,7 @@ use autokit::presets::DrivingDomain;
 use autokit::{ActSet, LabelGraph, Product};
 use drivesim::formal::{scenario_justice, scenario_model};
 use drivesim::ScenarioKind;
-use glm2fsa::{synthesize, with_default_action, FsaOptions, Lexicon};
+use glm2fsa::{synthesize, Lexicon};
 use ltlcheck::specs::{driving_specs, Spec};
 use ltlcheck::Justice;
 use speclint::presets::{
@@ -57,10 +57,6 @@ pub fn preset_cases() -> Vec<PresetCase> {
     let d = DrivingDomain::new();
     let lexicon = Lexicon::driving(&d);
     let specs = driving_specs(&d);
-    let options = || FsaOptions {
-        non_blocking: ActSet::singleton(d.stop),
-        ..FsaOptions::default()
-    };
     let demos: [(&str, &[&str], ScenarioKind); 4] = [
         (
             "turn right (before fine-tuning)",
@@ -84,8 +80,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
         ),
     ];
     for (name, steps, kind) in demos {
-        let ctrl = synthesize(name, steps, &lexicon, options()).expect("paper demo steps align");
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize(name, steps, &lexicon).expect("paper demo steps align");
         let model = scenario_model(&d, kind);
         cases.push(PresetCase {
             domain: "driving",
@@ -118,13 +113,7 @@ pub fn preset_cases() -> Vec<PresetCase> {
     let wjustice = warehouse_justice(&w);
     let floor = w.floor_model();
     for (name, steps) in WAREHOUSE_STEPS {
-        let options = FsaOptions {
-            non_blocking: ActSet::singleton(w.wait),
-            ..FsaOptions::default()
-        };
-        let ctrl =
-            synthesize(name, steps, &w.lexicon, options).expect("canonical warehouse steps align");
-        let ctrl = with_default_action(&ctrl, w.wait);
+        let ctrl = synthesize(name, steps, &w.lexicon).expect("canonical warehouse steps align");
         cases.push(PresetCase {
             domain: "warehouse",
             scenario: "WarehouseFloor".to_owned(),

@@ -217,15 +217,6 @@ impl DomainBundle {
     pub fn decode(&self, tokens: &[Token]) -> String {
         self.tokenizer.decode(tokens)
     }
-
-    /// Splits a decoded response into its step strings (steps are
-    /// `;`-separated).
-    pub fn split_steps(text: &str) -> Vec<String> {
-        text.split(';')
-            .map(|s| s.trim().trim_end_matches('.').trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .collect()
-    }
 }
 
 impl Default for DomainBundle {
@@ -435,7 +426,7 @@ pub fn render_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glm2fsa::{synthesize, FsaOptions};
+    use glm2fsa::{split_steps, synthesize};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -457,8 +448,7 @@ mod tests {
         for task in &b.tasks {
             for _ in 0..4 {
                 let text = render_response(&b.driving, task, Style::Careful, &mut rng);
-                let steps = DomainBundle::split_steps(&text);
-                let ctrl = synthesize(&task.prompt, &steps, &b.lexicon, FsaOptions::default());
+                let ctrl = synthesize(&task.prompt, &split_steps(&text), &b.lexicon);
                 assert!(ctrl.is_ok(), "task {} text `{}`: {:?}", task.id, text, ctrl);
             }
         }
@@ -470,9 +460,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for task in &b.tasks {
             let text = render_response(&b.driving, task, Style::Unalignable, &mut rng);
-            let steps = DomainBundle::split_steps(&text);
             assert!(
-                synthesize(&task.prompt, &steps, &b.lexicon, FsaOptions::default()).is_err(),
+                synthesize(&task.prompt, &split_steps(&text), &b.lexicon).is_err(),
                 "`{text}` should not align"
             );
         }
@@ -511,15 +500,5 @@ mod tests {
         tasks.sort_unstable();
         tasks.dedup();
         assert_eq!(tasks.len(), 10);
-    }
-
-    #[test]
-    fn split_steps_strips_numbering_and_period() {
-        let steps = DomainBundle::split_steps(
-            "observe the green light ; if no car from left, turn right .",
-        );
-        assert_eq!(steps.len(), 2);
-        assert_eq!(steps[0], "observe the green light");
-        assert_eq!(steps[1], "if no car from left, turn right");
     }
 }

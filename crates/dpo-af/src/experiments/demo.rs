@@ -13,7 +13,7 @@
 use crate::domain::DomainBundle;
 use crate::feedback::{justice_for, scenario_model};
 use drivesim::ScenarioKind;
-use glm2fsa::{synthesize, with_default_action};
+use glm2fsa::synthesize;
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{smv, verify_all_fair, Verdict, VerificationReport};
 
@@ -46,14 +46,7 @@ fn verify_steps(
     steps: &[&str],
     scenario: ScenarioKind,
 ) -> (autokit::Controller, VerificationReport) {
-    let ctrl = synthesize(
-        name,
-        steps,
-        &bundle.lexicon,
-        crate::feedback::fsa_options(&bundle.driving),
-    )
-    .expect("paper demo steps align");
-    let ctrl = with_default_action(&ctrl, bundle.driving.stop);
+    let ctrl = synthesize(name, steps, &bundle.lexicon).expect("paper demo steps align");
     let model = scenario_model(&bundle.driving, scenario);
     let justice = justice_for(&bundle.driving, scenario);
     let specs = driving_specs(&bundle.driving);

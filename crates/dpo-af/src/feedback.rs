@@ -14,22 +14,11 @@
 use crate::domain::{DomainBundle, TaskSpec};
 use autokit::{presets::DrivingDomain, Controller, Product, WorldModel};
 use drivesim::ScenarioKind;
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use glm2fsa::{split_steps, synthesize};
 use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::{driving_specs, Spec};
 use ltlcheck::{check_graph_fair_certified, Justice};
 use std::sync::OnceLock;
-
-/// FSA-construction options for the driving domain: `stop` is a
-/// *reactive* action (`"if the light is not green, stop"` applies only
-/// while its condition holds), every maneuver is *blocking* (the vehicle
-/// waits for its precondition).
-pub fn fsa_options(d: &DrivingDomain) -> FsaOptions {
-    FsaOptions {
-        non_blocking: autokit::ActSet::singleton(d.stop),
-        ..FsaOptions::default()
-    }
-}
 
 /// The scenario's world model (paper Figures 5, 6, 15, 16, 17).
 ///
@@ -116,31 +105,6 @@ pub fn preflight_rule_book_semantic(d: &DrivingDomain) -> Result<(), Vec<speclin
         .clone()
 }
 
-/// Pre-flight static analysis of one response's step list: runs the
-/// `speclint` step analyzers and returns the `Error`-severity findings
-/// (unparseable steps), if any.
-///
-/// [`score_response`] calls this before model checking; a rejected
-/// response scores 0, the same rank the paper assigns to responses that
-/// fail to align (property-1 failures).
-pub fn preflight_response(
-    bundle: &DomainBundle,
-    task: &TaskSpec,
-    text: &str,
-) -> Result<(), Vec<speclint::Diagnostic>> {
-    let steps = DomainBundle::split_steps(text);
-    let diags = speclint::lint_steps(&task.prompt, &steps, &bundle.lexicon, &bundle.driving.vocab);
-    let errors: Vec<speclint::Diagnostic> = diags
-        .into_iter()
-        .filter(|diag| diag.severity == speclint::Severity::Error)
-        .collect();
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
 /// Counters from certified-mode verification: how many verdicts were
 /// produced and independently validated, by polarity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -203,11 +167,8 @@ impl ScoredResponse {
 /// assumptions.
 ///
 /// Responses that fail to align (the paper's property-1 failure mode)
-/// score 0 and therefore rank below every verifiable response.
-///
-/// [`preflight_response`] gates the expensive work: a step list carrying
-/// lint-`Error` findings is rejected before any synthesis or model
-/// checking happens.
+/// score 0 and therefore rank below every verifiable response; synthesis
+/// is the one gate, so they never reach model checking.
 pub fn score_response(bundle: &DomainBundle, task: &TaskSpec, text: &str) -> ScoredResponse {
     score_response_impl(bundle, task, text, None)
 }
@@ -243,30 +204,14 @@ fn score_response_impl(
         holds: None,
         num_satisfied: 0,
     };
-    if preflight_response(bundle, task, text).is_err() {
-        obskit::counter_add("pipeline.responses_rejected", 1);
-        return rejected;
-    }
-    let steps = DomainBundle::split_steps(text);
     let parsed = {
         let _stage = obskit::span("pipeline.parse");
-        synthesize(
-            &task.prompt,
-            &steps,
-            &bundle.lexicon,
-            fsa_options(&bundle.driving),
-        )
+        synthesize(&task.prompt, &split_steps(text), &bundle.lexicon)
     };
-    let ctrl = match parsed {
-        Ok(c) => c,
-        Err(_) => {
-            obskit::counter_add("pipeline.responses_rejected", 1);
-            return rejected;
-        }
+    let Ok(ctrl) = parsed else {
+        obskit::counter_add("pipeline.responses_rejected", 1);
+        return rejected;
     };
-    // The paper's SMV encodings give the vehicle an action at every step:
-    // an observing controller is a stopped controller.
-    let ctrl = with_default_action(&ctrl, bundle.driving.stop);
     let model = scenario_model(&bundle.driving, task.scenario);
     let justice = justice_for(&bundle.driving, task.scenario);
     let specs = driving_specs(&bundle.driving);
@@ -333,7 +278,6 @@ pub fn empirical_rates(
 mod tests {
     use super::*;
     use crate::domain::{render_response, Style};
-    use obskit::json::{FromJson, ToJson};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -447,51 +391,6 @@ mod tests {
     fn preflight_accepts_shipped_rule_book() {
         let d = DrivingDomain::new();
         assert!(preflight_rule_book(&d).is_ok());
-    }
-
-    /// The pre-flight gate consumes speclint's stable JSON schema: the
-    /// diagnostics round-trip through `obskit::json` with their code,
-    /// severity, subject and message intact, and the gate rejects on the
-    /// parsed-back form exactly as on the in-memory one.
-    #[test]
-    fn preflight_rejects_unparseable_response_via_json_diagnostics() {
-        let bundle = DomainBundle::new();
-        let task = &bundle.tasks[0];
-        let text = "do a barrel roll across the intersection .";
-
-        let errors = preflight_response(&bundle, task, text).expect_err("must reject");
-        let json = errors.to_json().to_json();
-        let parsed: Vec<speclint::Diagnostic> =
-            FromJson::from_json(&obskit::json::parse(&json).expect("diagnostics parse"))
-                .expect("stable schema parses back");
-
-        assert!(!parsed.is_empty());
-        for diag in &parsed {
-            assert_eq!(diag.code.code(), "SL201", "{diag:?}");
-            assert_eq!(diag.severity, speclint::Severity::Error, "{diag:?}");
-            assert!(diag.location.subject.contains(&task.prompt), "{diag:?}");
-        }
-        assert!(json.contains("\"severity\":\"error\""), "{json}");
-
-        // The gate keeps the rejected response at the bottom of the
-        // ranking without running synthesis or model checking.
-        let scored = score_response(&bundle, task, text);
-        assert_eq!(scored.num_satisfied, 0);
-        assert!(scored.controller.is_none());
-    }
-
-    #[test]
-    fn preflight_accepts_careful_responses() {
-        let bundle = DomainBundle::new();
-        let mut rng = StdRng::seed_from_u64(11);
-        for task in &bundle.tasks {
-            let text = render_response(&bundle.driving, task, Style::Careful, &mut rng);
-            assert!(
-                preflight_response(&bundle, task, &text).is_ok(),
-                "careful response for `{}` rejected: `{text}`",
-                task.prompt
-            );
-        }
     }
 
     #[test]

@@ -14,12 +14,17 @@ fn counter(snap: &obskit::Snapshot, name: &str) -> u64 {
         .map_or(0, |&(_, v)| v)
 }
 
-/// Runs the smoke pipeline at `threads` with the recorder on.
+/// Runs the smoke pipeline at `threads` with the recorder on. Six
+/// near-greedy samples per task repeat responses, so some scoring
+/// batches hold copies that must hit the verdict cache.
 fn recorded_run(threads: usize) -> (RunArtifacts, obskit::Snapshot) {
     obskit::enable();
     obskit::set_console(false);
     let artifacts = DpoAf::new(PipelineConfig {
         threads,
+        responses_per_task: 6,
+        temperature: 0.05,
+        eval_temperature: 0.05,
         ..PipelineConfig::smoke()
     })
     .run();
@@ -119,6 +124,12 @@ fn assert_spans_and_counters(threads: usize, artifacts: &RunArtifacts, snap: &ob
     assert!(counter(snap, "ltlcheck.product_states") > 0);
     assert!(counter(snap, "ltlcheck.search_visits") >= counter(snap, "ltlcheck.product_states"));
     assert!(counter(snap, "pretrain.tokens") > 0);
+    // Repeated responses are scored once: losing the first-occurrence
+    // fan-out of `score_formal_batch` would score every copy.
+    assert!(
+        counter(snap, "verify.cache_hits") > 0,
+        "threads {threads}: no verdict-cache hits"
+    );
     assert!(counter(snap, "dpo.pairs_trained") > 0);
 
     // Per-epoch training events were recorded.

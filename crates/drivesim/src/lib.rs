@@ -25,7 +25,7 @@
 //! ```
 //! use autokit::presets::DrivingDomain;
 //! use drivesim::{ground, Scenario, ScenarioConfig, ScenarioKind};
-//! use glm2fsa::{synthesize, FsaOptions, Lexicon};
+//! use glm2fsa::{synthesize, Lexicon};
 //! use rand::SeedableRng;
 //!
 //! let d = DrivingDomain::new();
@@ -34,7 +34,6 @@
 //!     "turn right",
 //!     &["If no car from the left and no pedestrian at your right, turn right."],
 //!     &lex,
-//!     FsaOptions::default(),
 //! )?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut scenario = Scenario::new(ScenarioKind::TrafficLight, ScenarioConfig::default());

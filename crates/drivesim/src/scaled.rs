@@ -134,10 +134,8 @@ mod tests {
             "turn right",
             &["If no car from the left and no pedestrian at your right, turn right."],
             &lex,
-            glm2fsa::FsaOptions::default(),
         )
         .unwrap();
-        let ctrl = glm2fsa::with_default_action(&ctrl, d.stop);
         let model = scaled_conservative_model(&d, 40);
         let graph = autokit::Product::build(&model, &ctrl).label_graph();
         let specs = ltlcheck::specs::driving_specs(&d);

@@ -1,49 +1,28 @@
 use crate::{ParsedStep, StepKind};
 use autokit::{ActId, ActSet, Controller, ControllerBuilder};
 
-/// Where the controller goes after its final step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnComplete {
-    /// Loop back to the first step — the task repeats (an intersection is
-    /// handled, the next one comes up). This yields the infinite
-    /// behaviours LTL model checking is defined over and is the default.
-    #[default]
-    Restart,
-    /// Stay in the final state forever (self-loop with `ε`).
-    SelfLoop,
-}
-
-/// Options for FSA construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FsaOptions {
-    /// Behaviour after the last step.
-    pub on_complete: OnComplete,
-    /// Actions whose conditional steps are *reactive* rather than
-    /// *blocking*: when the guard of a step emitting one of these actions
-    /// is false, the controller moves on to the next step instead of
-    /// waiting.
-    ///
-    /// `"if the light is not green, stop"` is reactive — when the light
-    /// *is* green the instruction simply does not apply and the next step
-    /// takes over. `"if the way is clear, turn right"` is blocking — the
-    /// vehicle waits for the way to clear. Driving pipelines pass
-    /// `{stop}` here.
-    pub non_blocking: ActSet,
-}
-
 /// Builds an FSA controller from parsed steps, following GLM2FSA: one
-/// state per step (the first is initial); a step's transition fires when
-/// its guard matches, emitting the step's action (or `ε` for
-/// observations). When the guard is false, blocking steps **wait** (stay
-/// in place with `ε`) while steps emitting a
-/// [`non_blocking`](FsaOptions::non_blocking) action **skip** to the next
-/// step.
+/// state per step (the first is initial), the last step looping back to
+/// the first so the task repeats and the controller has the infinite
+/// behaviours LTL is checked over. A step's transition fires when its
+/// guard matches, emitting the step's action.
+///
+/// `idle` is the domain's idle action (driving `stop`, warehouse
+/// `wait`). The paper's NuSMV encodings (Appendix D) give the agent an
+/// action at *every* step, so wherever a step emits no action of its
+/// own — an observation, or waiting for a guard — the controller emits
+/// `idle`; specifications like Φ₆ (*"always commit to some action"*)
+/// are unsatisfiable without it. When the guard is false, a step whose
+/// action is `idle` is *reactive* and **skips** to the next step
+/// (`"if the light is not green, stop"` does not apply while it is
+/// green); every other step is *blocking* and **waits** in place
+/// (`"if the way is clear, turn right"` waits for the way to clear).
 ///
 /// # Example
 ///
 /// ```
 /// use autokit::{presets::DrivingDomain, ActSet, Guard, PropSet};
-/// use glm2fsa::{build_controller, FsaOptions, ParsedStep, StepKind};
+/// use glm2fsa::{build_controller, ParsedStep, StepKind};
 ///
 /// let d = DrivingDomain::new();
 /// let steps = [
@@ -56,35 +35,25 @@ pub struct FsaOptions {
 ///         kind: StepKind::Act(ActSet::singleton(d.go_straight)),
 ///     },
 /// ];
-/// let ctrl = build_controller("cross", &steps, FsaOptions::default());
+/// let ctrl = build_controller("cross", &steps, d.stop);
 /// assert_eq!(ctrl.num_states(), 2);
 /// assert_eq!(ctrl.initial(), 0);
+/// assert!(ctrl.transitions().iter().all(|t| !t.action.is_empty()));
 /// ```
-pub fn build_controller(name: &str, steps: &[ParsedStep], options: FsaOptions) -> Controller {
+pub fn build_controller(name: &str, steps: &[ParsedStep], idle: ActId) -> Controller {
+    let idle = ActSet::singleton(idle);
     let n = steps.len().max(1);
     let mut builder = ControllerBuilder::new(name, n).initial(0);
     for (i, step) in steps.iter().enumerate() {
-        let next = if i + 1 < n {
-            i + 1
-        } else {
-            match options.on_complete {
-                OnComplete::Restart => 0,
-                OnComplete::SelfLoop => i,
-            }
-        };
-        let action = match step.kind {
-            StepKind::Observe(_) => ActSet::empty(),
-            StepKind::Act(a) => a,
+        let next = if i + 1 < n { i + 1 } else { 0 };
+        let (action, reactive) = match step.kind {
+            StepKind::Act(a) if !a.is_empty() => (a, a == idle),
+            _ => (idle, false),
         };
         builder = builder.transition(i, step.guard, action, next);
         // Else-branch: one transition per negated literal of the guard.
-        // Reactive (non-blocking-action) steps skip to the next step;
-        // everything else waits in place.
-        let reactive = matches!(step.kind, StepKind::Act(a)
-            if !a.is_empty() && options.non_blocking.is_superset(a));
-        let else_target = if reactive { next } else { i };
         for neg in step.guard.negation() {
-            builder = builder.transition(i, neg, ActSet::empty(), else_target);
+            builder = builder.transition(i, neg, idle, if reactive { next } else { i });
         }
     }
     #[allow(clippy::expect_used, reason = "indices are in range by construction")]
@@ -93,34 +62,11 @@ pub fn build_controller(name: &str, steps: &[ParsedStep], options: FsaOptions) -
         .expect("construction is structurally valid by construction")
 }
 
-/// Returns a copy of `ctrl` whose `ε` (empty) actions are replaced by
-/// `default`.
-///
-/// The paper's NuSMV encodings (Appendix D) give the vehicle an action in
-/// *every* step — a controller that is observing is a controller that is
-/// stopped. Applying `with_default_action(ctrl, stop)` before verification
-/// reproduces that encoding; specifications like Φ₆ (*"always commit to
-/// some action"*) are unsatisfiable without it.
-pub fn with_default_action(ctrl: &Controller, default: ActId) -> Controller {
-    let mut builder =
-        ControllerBuilder::new(ctrl.name(), ctrl.num_states()).initial(ctrl.initial());
-    for t in ctrl.transitions() {
-        let action = if t.action.is_empty() {
-            ActSet::singleton(default)
-        } else {
-            t.action
-        };
-        builder = builder.transition(t.from, t.guard, action, t.to);
-    }
-    #[allow(clippy::expect_used, reason = "copies a valid controller's shape")]
-    builder.build().expect("same shape as a valid controller")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autokit::presets::DrivingDomain;
-    use autokit::{Guard, PropSet};
+    use autokit::{CtrlTransition, Guard, PropSet};
 
     fn steps(d: &DrivingDomain) -> Vec<ParsedStep> {
         vec![
@@ -142,7 +88,7 @@ mod tests {
     #[test]
     fn one_state_per_step() {
         let d = DrivingDomain::new();
-        let ctrl = build_controller("t", &steps(&d), FsaOptions::default());
+        let ctrl = build_controller("t", &steps(&d), d.stop);
         assert_eq!(ctrl.num_states(), 3);
         assert_eq!(ctrl.initial(), 0);
     }
@@ -150,44 +96,25 @@ mod tests {
     #[test]
     fn restart_loops_to_initial() {
         let d = DrivingDomain::new();
-        let ctrl = build_controller("t", &steps(&d), FsaOptions::default());
+        let ctrl = build_controller("t", &steps(&d), d.stop);
         let last_main = ctrl
             .transitions()
             .iter()
-            .find(|t| t.from == 2 && !t.action.is_empty())
+            .find(|t| t.from == 2 && t.action.contains(d.turn_right))
             .unwrap();
         assert_eq!(last_main.to, 0);
     }
 
     #[test]
-    fn self_loop_option() {
-        let d = DrivingDomain::new();
-        let ctrl = build_controller(
-            "t",
-            &steps(&d),
-            FsaOptions {
-                on_complete: OnComplete::SelfLoop,
-                ..FsaOptions::default()
-            },
-        );
-        let last_main = ctrl
-            .transitions()
-            .iter()
-            .find(|t| t.from == 2 && !t.action.is_empty())
-            .unwrap();
-        assert_eq!(last_main.to, 2);
-    }
-
-    #[test]
     fn guarded_steps_wait() {
         let d = DrivingDomain::new();
-        let ctrl = build_controller("t", &steps(&d), FsaOptions::default());
-        // Step 1 (requires green): when ¬green, a wait self-loop exists.
+        let ctrl = build_controller("t", &steps(&d), d.stop);
+        // Step 1 (requires green): when ¬green, an idling self-loop exists.
         let sigma_red = PropSet::empty();
         let enabled: Vec<_> = ctrl.enabled(1, sigma_red).collect();
         assert_eq!(enabled.len(), 1);
         assert_eq!(enabled[0].to, 1);
-        assert!(enabled[0].action.is_empty());
+        assert_eq!(enabled[0].action, ActSet::singleton(d.stop));
         // When green, the main transition fires.
         let sigma_green = PropSet::singleton(d.green_tl);
         let enabled: Vec<_> = ctrl.enabled(1, sigma_green).collect();
@@ -198,7 +125,7 @@ mod tests {
     #[test]
     fn no_deadlock_under_any_observation() {
         let d = DrivingDomain::new();
-        let ctrl = build_controller("t", &steps(&d), FsaOptions::default());
+        let ctrl = build_controller("t", &steps(&d), d.stop);
         // The guard + its negation disjuncts cover every symbol.
         for bits in 0..(1u32 << d.vocab.num_props()) {
             let sigma = PropSet::from_bits(bits);
@@ -208,62 +135,56 @@ mod tests {
         }
     }
 
+    /// Observe, blocking act, reactive idle act: the whole transition
+    /// list, in insertion order. No transition is `ε`; the observation
+    /// and the blocking step's wait emit `stop`, and the reactive `stop`
+    /// step's else-branch skips to the next step.
     #[test]
-    fn default_action_replaces_epsilon_only() {
+    fn transitions_of_observe_blocking_and_reactive_steps() {
         let d = DrivingDomain::new();
-        let ctrl = build_controller("t", &steps(&d), FsaOptions::default());
-        let mapped = with_default_action(&ctrl, d.stop);
-        assert_eq!(mapped.num_states(), ctrl.num_states());
-        for t in mapped.transitions() {
-            assert!(!t.action.is_empty());
-        }
-        // Real actions are preserved.
-        assert!(mapped
-            .transitions()
-            .iter()
-            .any(|t| t.action.contains(d.turn_right)));
-        assert!(mapped
-            .transitions()
-            .iter()
-            .any(|t| t.action.contains(d.go_straight)));
-    }
-
-    #[test]
-    fn non_blocking_action_steps_skip_instead_of_wait() {
-        let d = DrivingDomain::new();
-        // "if ¬green, stop" as a reactive step, then "if green, turn".
+        let stop = ActSet::singleton(d.stop);
+        let turn = ActSet::singleton(d.turn_left);
         let steps = [
             ParsedStep {
-                guard: Guard::always().forbids(d.green_ll),
-                kind: StepKind::Act(ActSet::singleton(d.stop)),
+                guard: Guard::always(),
+                kind: StepKind::Observe(PropSet::singleton(d.green_ll)),
             },
             ParsedStep {
-                guard: Guard::always().requires(d.green_ll),
-                kind: StepKind::Act(ActSet::singleton(d.turn_left)),
+                guard: Guard::always().forbids(d.green_ll),
+                kind: StepKind::Act(stop),
+            },
+            ParsedStep {
+                guard: Guard::always().requires(d.green_ll).forbids(d.opposite_car),
+                kind: StepKind::Act(turn),
             },
         ];
-        let opts = FsaOptions {
-            non_blocking: ActSet::singleton(d.stop),
-            ..FsaOptions::default()
+        let ctrl = build_controller("left turn", &steps, d.stop);
+        let t = |from, guard, action, to| CtrlTransition {
+            from,
+            guard,
+            action,
+            to,
         };
-        let ctrl = build_controller("left turn", &steps, opts);
-        // When the light is green at q0, the reactive stop-step SKIPS to
-        // q1 (no waiting while green).
-        let green = PropSet::singleton(d.green_ll);
-        let at_q0: Vec<_> = ctrl.enabled(0, green).collect();
-        assert_eq!(at_q0.len(), 1);
-        assert_eq!(at_q0[0].to, 1);
-        assert!(at_q0[0].action.is_empty());
-        // The blocking turn-step still waits while the light is red.
-        let red = PropSet::empty();
-        let at_q1: Vec<_> = ctrl.enabled(1, red).collect();
-        assert_eq!(at_q1.len(), 1);
-        assert_eq!(at_q1[0].to, 1);
+        let green = Guard::always().requires(d.green_ll);
+        let not_green = Guard::always().forbids(d.green_ll);
+        let car = Guard::always().requires(d.opposite_car);
+        assert_eq!(
+            ctrl.transitions(),
+            [
+                t(0, Guard::always(), stop, 1),
+                t(1, not_green, stop, 2),
+                t(1, green, stop, 2),
+                t(2, green.forbids(d.opposite_car), turn, 0),
+                t(2, not_green, stop, 2),
+                t(2, car, stop, 2),
+            ]
+        );
     }
 
     #[test]
     fn empty_step_list_yields_single_idle_state() {
-        let ctrl = build_controller("idle", &[], FsaOptions::default());
+        let d = DrivingDomain::new();
+        let ctrl = build_controller("idle", &[], d.stop);
         assert_eq!(ctrl.num_states(), 1);
         assert!(ctrl.transitions().is_empty());
     }

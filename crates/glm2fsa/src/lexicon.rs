@@ -16,7 +16,11 @@ use autokit::{presets::DrivingDomain, ActId, PropId, Vocab};
 ///   propositions and actions.
 ///
 /// Phrase matching is case-insensitive and longest-match-first.
-#[derive(Debug, Clone, Default)]
+///
+/// The lexicon also records the domain's **idle action** — the action
+/// the agent performs while it observes or waits (driving `stop`,
+/// warehouse `wait`); see [`build_controller`](crate::build_controller).
+#[derive(Debug, Clone)]
 pub struct Lexicon {
     /// `(phrase, canonical proposition)` pairs, including the identity
     /// mapping for every canonical name.
@@ -27,6 +31,8 @@ pub struct Lexicon {
     prop_names: Vec<String>,
     /// Canonical action names, indexed by `ActId`.
     act_names: Vec<String>,
+    /// The domain's idle action.
+    idle: ActId,
 }
 
 fn normalize(text: &str) -> String {
@@ -70,10 +76,16 @@ fn longest_match<T: Copy>(words: &[&str], phrases: &[(String, T)]) -> Option<(us
 }
 
 impl Lexicon {
-    /// Creates an empty lexicon over a vocabulary; every canonical name
-    /// maps to itself.
-    pub fn new(vocab: &Vocab) -> Self {
-        let mut lex = Lexicon::default();
+    /// Creates a lexicon over a vocabulary whose idle action is `idle`;
+    /// every canonical name maps to itself.
+    pub fn new(vocab: &Vocab, idle: ActId) -> Self {
+        let mut lex = Lexicon {
+            prop_phrases: Vec::new(),
+            act_phrases: Vec::new(),
+            prop_names: Vec::new(),
+            act_names: Vec::new(),
+            idle,
+        };
         for p in vocab.props() {
             let name = vocab.prop_name(p).to_owned();
             lex.prop_phrases.push((name.clone(), p));
@@ -107,6 +119,12 @@ impl Lexicon {
             .sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
         self.act_phrases
             .sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
+    }
+
+    /// The domain's idle action, emitted wherever a step emits no action
+    /// of its own.
+    pub fn idle(&self) -> ActId {
+        self.idle
     }
 
     /// The canonical name of a proposition.
@@ -191,9 +209,10 @@ impl Lexicon {
     }
 
     /// The full paraphrase dictionary for the paper's autonomous-driving
-    /// domain.
+    /// domain, whose idle action is `stop`: an observing vehicle is a
+    /// stopped vehicle.
     pub fn driving(d: &DrivingDomain) -> Lexicon {
-        let mut lex = Lexicon::new(&d.vocab);
+        let mut lex = Lexicon::new(&d.vocab, d.stop);
         // --- observations -------------------------------------------------
         for phrase in [
             "green light",

@@ -15,30 +15,31 @@
 //!    action.
 //! 3. **FSA construction** ([`build_controller`]) — one controller state
 //!    per step, the first step initial, `if`-guards on transitions, and a
-//!    wait self-loop when a guard is not met.
+//!    wait self-loop when a guard is not met. Wherever a step emits no
+//!    action of its own the controller emits the domain's idle action
+//!    ([`Lexicon::idle`]), as the paper's NuSMV encodings do.
 //!
-//! The end-to-end entry point is [`synthesize`].
+//! The end-to-end entry point is [`synthesize`]: the controller it returns
+//! is the one the model checker verifies. [`split_steps`] cuts a response
+//! into the step list it takes.
 //!
 //! ## Example: the paper's fine-tuned right-turn controller (Fig. 7 right)
 //!
 //! ```
 //! use autokit::presets::DrivingDomain;
-//! use glm2fsa::{synthesize, FsaOptions, Lexicon};
+//! use glm2fsa::{split_steps, synthesize, Lexicon};
 //!
 //! let domain = DrivingDomain::new();
 //! let lexicon = Lexicon::driving(&domain);
-//! let steps = [
-//!     "Observe the traffic light in front of you.",
-//!     "Check for the left approaching car and right side pedestrian.",
-//!     "If no car from the left and no pedestrian at right, turn right.",
-//! ];
-//! let ctrl = synthesize(
-//!     "turn right at traffic light",
-//!     &steps,
-//!     &lexicon,
-//!     FsaOptions::default(),
-//! )?;
+//! let steps = split_steps(
+//!     "Observe the traffic light in front of you; \
+//!      Check for the left approaching car and right side pedestrian; \
+//!      If no car from the left and no pedestrian at right, turn right.",
+//! );
+//! let ctrl = synthesize("turn right at traffic light", &steps, &lexicon)?;
 //! assert_eq!(ctrl.num_states(), 3);
+//! // The observing steps emit `stop`: no transition is without an action.
+//! assert!(ctrl.transitions().iter().all(|t| !t.action.is_empty()));
 //! # Ok::<(), glm2fsa::SynthesisError>(())
 //! ```
 
@@ -50,15 +51,32 @@ mod error;
 mod lexicon;
 mod parse;
 
-pub use build::{build_controller, with_default_action, FsaOptions, OnComplete};
+pub use build::build_controller;
 pub use error::SynthesisError;
 pub use lexicon::Lexicon;
 pub use parse::{parse_step, ParsedStep, StepKind};
 
 use autokit::Controller;
 
-/// Converts a natural-language step list into an FSA controller:
-/// align → parse each step → build.
+/// Splits a response into its step strings: steps are `;`-separated, and
+/// surrounding whitespace, a trailing period and empty steps are dropped.
+///
+/// ```
+/// assert_eq!(
+///     glm2fsa::split_steps("1. Observe the light. ; ; 2. If green, go straight."),
+///     ["1. Observe the light", "2. If green, go straight"]
+/// );
+/// ```
+pub fn split_steps(text: &str) -> Vec<String> {
+    text.split(';')
+        .map(|s| s.trim().trim_end_matches('.').trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
+/// Converts a natural-language step list into the FSA controller the
+/// model checker verifies: align → parse each step → build, emitting the
+/// lexicon's idle action where a step emits none of its own.
 ///
 /// # Errors
 ///
@@ -69,7 +87,6 @@ pub fn synthesize<S: AsRef<str>>(
     name: &str,
     steps: &[S],
     lexicon: &Lexicon,
-    options: FsaOptions,
 ) -> Result<Controller, SynthesisError> {
     if steps.is_empty() {
         return Err(SynthesisError::EmptyStepList);
@@ -85,5 +102,5 @@ pub fn synthesize<S: AsRef<str>>(
             })
         })
         .collect::<Result<_, _>>()?;
-    Ok(build_controller(name, &parsed, options))
+    Ok(build_controller(name, &parsed, lexicon.idle()))
 }

@@ -6,7 +6,7 @@ use autokit::{ActSet, Guard, PropSet};
 pub enum StepKind {
     /// The step only gathers information (`observe`, `check`, `watch`, …).
     /// The set records which propositions the step attends to; the
-    /// controller emits no action (`ε`).
+    /// controller emits the lexicon's idle action.
     Observe(PropSet),
     /// The step performs actions.
     Act(ActSet),

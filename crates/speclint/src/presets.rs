@@ -13,7 +13,7 @@ use autokit::{
 };
 use drivesim::formal::scenario_justice;
 use drivesim::ScenarioKind;
-use glm2fsa::{synthesize, with_default_action, FsaOptions, Lexicon};
+use glm2fsa::{synthesize, Lexicon};
 use ltlcheck::parse;
 use ltlcheck::specs::{driving_specs, Spec};
 use warehouse::{warehouse_justice, warehouse_specs, WarehouseDomain};
@@ -109,10 +109,6 @@ pub fn driving_input() -> LintInput {
         "free (driving)",
         &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(ActSet::singleton),
     );
-    let options = || FsaOptions {
-        non_blocking: ActSet::singleton(d.stop),
-        ..FsaOptions::default()
-    };
 
     let mut input = LintInput {
         specs: driving_specs(&d),
@@ -149,8 +145,7 @@ pub fn driving_input() -> LintInput {
         ),
     ];
     for (name, steps, kind) in demos {
-        let ctrl = synthesize(name, steps, &lexicon, options()).expect("paper demo steps align");
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize(name, steps, &lexicon).expect("paper demo steps align");
         input.controllers.push(ControllerInput {
             controller: ctrl,
             vocab: Some(d.vocab.clone()),
@@ -189,13 +184,7 @@ pub fn warehouse_input() -> LintInput {
         ..Default::default()
     };
     for (name, steps) in WAREHOUSE_STEPS {
-        let options = FsaOptions {
-            non_blocking: ActSet::singleton(w.wait),
-            ..FsaOptions::default()
-        };
-        let ctrl =
-            synthesize(name, steps, &w.lexicon, options).expect("canonical warehouse steps align");
-        let ctrl = with_default_action(&ctrl, w.wait);
+        let ctrl = synthesize(name, steps, &w.lexicon).expect("canonical warehouse steps align");
         input.controllers.push(ControllerInput {
             controller: ctrl,
             vocab: Some(w.vocab.clone()),
@@ -274,12 +263,7 @@ pub fn driving_semantic_input() -> SemanticInput {
         ),
     ];
     for (name, steps, kind) in demos {
-        let options = FsaOptions {
-            non_blocking: ActSet::singleton(d.stop),
-            ..FsaOptions::default()
-        };
-        let ctrl = synthesize(name, steps, &lexicon, options).expect("paper demo steps align");
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize(name, steps, &lexicon).expect("paper demo steps align");
         input.corpus.push(CorpusController::from_parts(
             name,
             format!("{kind:?}"),
@@ -322,13 +306,7 @@ pub fn warehouse_semantic_input() -> SemanticInput {
         justice.clone(),
     ));
     for (name, steps) in WAREHOUSE_STEPS {
-        let options = FsaOptions {
-            non_blocking: ActSet::singleton(w.wait),
-            ..FsaOptions::default()
-        };
-        let ctrl =
-            synthesize(name, steps, &w.lexicon, options).expect("canonical warehouse steps align");
-        let ctrl = with_default_action(&ctrl, w.wait);
+        let ctrl = synthesize(name, steps, &w.lexicon).expect("canonical warehouse steps align");
         input.corpus.push(CorpusController::from_parts(
             name,
             "WarehouseFloor",

@@ -1,7 +1,6 @@
 //! End-to-end tests of the `speclint` binary: the JSON report is pinned
-//! to a golden file (the schema is consumed by CI tooling and by the
-//! pipeline pre-flight gate, so drift must be deliberate), and the exit
-//! codes follow the documented contract.
+//! to a golden file (the schema is consumed by CI tooling, so drift must
+//! be deliberate), and the exit codes follow the documented contract.
 
 #![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 

@@ -101,7 +101,8 @@ impl WarehouseDomain {
         let wait = vocab.add_act("wait").expect("fresh vocab");
         let dock = vocab.add_act("dock").expect("fresh vocab");
 
-        let mut lexicon = Lexicon::new(&vocab);
+        // A warehouse robot that observes or waits holds position.
+        let mut lexicon = Lexicon::new(&vocab, wait);
         for (phrase, p) in [
             ("person in the aisle", human),
             ("someone nearby", human),
@@ -435,13 +436,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for task in &d.tasks {
             let text = d.render(task, WarehouseStyle::Careful, &mut rng);
-            let steps: Vec<&str> = text.trim_end_matches('.').split(';').collect();
-            let ctrl = glm2fsa::synthesize(
-                &task.prompt,
-                &steps,
-                &d.lexicon,
-                glm2fsa::FsaOptions::default(),
-            );
+            let steps = glm2fsa::split_steps(&text);
+            let ctrl = glm2fsa::synthesize(&task.prompt, &steps, &d.lexicon);
             assert!(ctrl.is_ok(), "`{text}`: {ctrl:?}");
             let tokens = d.tokenizer.encode(&text);
             assert!(!d.tokenizer.decode(&tokens).contains("<unk>"), "`{text}`");
@@ -453,10 +449,8 @@ mod tests {
         let d = WarehouseDomain::new();
         let mut rng = StdRng::seed_from_u64(1);
         let text = d.render(&d.tasks[0], WarehouseStyle::Unalignable, &mut rng);
-        let steps: Vec<&str> = text.trim_end_matches('.').split(';').collect();
-        assert!(
-            glm2fsa::synthesize("t", &steps, &d.lexicon, glm2fsa::FsaOptions::default()).is_err()
-        );
+        let steps = glm2fsa::split_steps(&text);
+        assert!(glm2fsa::synthesize("t", &steps, &d.lexicon).is_err());
     }
 
     #[test]
@@ -484,15 +478,8 @@ mod tests {
         let task = &d.tasks[2]; // patrol the aisle
         let mut rng = StdRng::seed_from_u64(3);
         let text = d.render(task, WarehouseStyle::Careful, &mut rng);
-        let steps: Vec<&str> = text.trim_end_matches('.').split(';').collect();
-        let ctrl = glm2fsa::synthesize(
-            &task.prompt,
-            &steps,
-            &d.lexicon,
-            glm2fsa::FsaOptions::default(),
-        )
-        .unwrap();
-        let ctrl = glm2fsa::with_default_action(&ctrl, d.wait);
+        let steps = glm2fsa::split_steps(&text);
+        let ctrl = glm2fsa::synthesize(&task.prompt, &steps, &d.lexicon).unwrap();
         let graph = autokit::Product::build(&model, &ctrl).label_graph();
         let justice = warehouse_justice(&d);
         let specs = warehouse_specs(&d);

@@ -1,8 +1,8 @@
 //! The warehouse rule book and automated feedback.
 
 use crate::domain::{WarehouseDomain, WarehouseTask};
-use autokit::{ActSet, Product};
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use autokit::Product;
+use glm2fsa::{split_steps, synthesize};
 use ltlcheck::analysis::holds_all_fair;
 use ltlcheck::specs::Spec;
 use ltlcheck::{Justice, Ltl};
@@ -92,22 +92,12 @@ pub fn warehouse_justice(d: &WarehouseDomain) -> Vec<Justice> {
 }
 
 /// Scores a response for a task: number of warehouse rules satisfied
-/// (0 on alignment failure). The robot's reactive action is `wait`; `ε`
-/// defaults to `wait` (an observing robot is a holding robot).
+/// (0 on alignment failure). The lexicon's idle action is `wait`: an
+/// observing robot is a holding robot.
 pub fn score_warehouse_response(d: &WarehouseDomain, task: &WarehouseTask, text: &str) -> usize {
-    let steps: Vec<String> = text
-        .split(';')
-        .map(|s| s.trim().trim_end_matches('.').trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .collect();
-    let options = FsaOptions {
-        non_blocking: ActSet::singleton(d.wait),
-        ..FsaOptions::default()
-    };
-    let Ok(ctrl) = synthesize(&task.prompt, &steps, &d.lexicon, options) else {
+    let Ok(ctrl) = synthesize(&task.prompt, &split_steps(text), &d.lexicon) else {
         return 0;
     };
-    let ctrl = with_default_action(&ctrl, d.wait);
     let graph = Product::build(&d.floor_model(), &ctrl).label_graph();
     let specs = warehouse_specs(d);
     holds_all_fair(

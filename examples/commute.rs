@@ -8,9 +8,8 @@
 
 use autokit::Controller;
 use dpo_af::domain::{render_response, DomainBundle, Style};
-use dpo_af::feedback::fsa_options;
 use drivesim::{drive_route, Route, ScenarioConfig};
-use glm2fsa::{synthesize, with_default_action};
+use glm2fsa::{split_steps, synthesize};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,10 +25,8 @@ fn leg_controller(bundle: &DomainBundle, style: Style, leg: usize, rng: &mut Std
         .find(|t| t.scenario == target.scenario && target.completes_on.contains(t.action))
         .expect("every commute leg has a matching task");
     let text = render_response(d, task, style, rng);
-    let steps = DomainBundle::split_steps(&text);
-    let ctrl = synthesize(&task.prompt, &steps, &bundle.lexicon, fsa_options(d))
-        .expect("careful/hasty templates align");
-    with_default_action(&ctrl, d.stop)
+    synthesize(&task.prompt, &split_steps(&text), &bundle.lexicon)
+        .expect("careful/hasty templates align")
 }
 
 fn main() {

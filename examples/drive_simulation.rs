@@ -7,7 +7,7 @@
 use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::{RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE};
 use drivesim::{detect_incidents, ground_many, Scenario, ScenarioConfig, ScenarioKind};
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use glm2fsa::synthesize;
 use ltlcheck::specs::headline_specs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,8 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("before fine-tuning", &RIGHT_TURN_BEFORE[..]),
         ("after fine-tuning", &RIGHT_TURN_AFTER[..]),
     ] {
-        let ctrl = synthesize("turn right", steps, &bundle.lexicon, FsaOptions::default())?;
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize("turn right", steps, &bundle.lexicon)?;
 
         let mut scenario = Scenario::new(ScenarioKind::TrafficLight, ScenarioConfig::default());
         let traces = ground_many(&ctrl, &mut scenario, d, &mut rng, 60, 50);
@@ -39,13 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("(one 60-tick episode of the first controller, for flavour:)");
-    let ctrl = synthesize(
-        "turn right",
-        &RIGHT_TURN_BEFORE,
-        &bundle.lexicon,
-        FsaOptions::default(),
-    )?;
-    let ctrl = with_default_action(&ctrl, d.stop);
+    let ctrl = synthesize("turn right", &RIGHT_TURN_BEFORE, &bundle.lexicon)?;
     let mut scenario = Scenario::new(ScenarioKind::TrafficLight, ScenarioConfig::default());
     let trace = drivesim::ground(&ctrl, &mut scenario, d, &mut rng, 12);
     print!("{}", trace.display(&d.vocab));

@@ -6,7 +6,7 @@
 
 use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::{RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE};
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use glm2fsa::synthesize;
 use ltlcheck::smv;
 use ltlcheck::specs::driving_specs;
 
@@ -22,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("turn_right_before_finetune", &RIGHT_TURN_BEFORE[..]),
         ("turn_right_after_finetune", &RIGHT_TURN_AFTER[..]),
     ] {
-        let ctrl = synthesize(name, steps, &bundle.lexicon, FsaOptions::default())?;
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize(name, steps, &bundle.lexicon)?;
         println!("{}", smv::render_module(name, &ctrl, &d.vocab, &specs));
     }
 

@@ -9,7 +9,7 @@ use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::{RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE};
 use dpo_af::feedback::{justice_for, scenario_model};
 use drivesim::{ground_many, Scenario, ScenarioConfig, ScenarioKind};
-use glm2fsa::{synthesize, with_default_action, FsaOptions};
+use glm2fsa::synthesize;
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{verify_all_fair, Verdict};
 use rand::rngs::StdRng;
@@ -32,9 +32,7 @@ fn formally_verified_safety_holds_on_every_simulated_trace() {
     let mut rng = StdRng::seed_from_u64(99);
 
     for steps in [&RIGHT_TURN_BEFORE[..], &RIGHT_TURN_AFTER[..]] {
-        let ctrl = synthesize("turn right", steps, &bundle.lexicon, FsaOptions::default())
-            .expect("demo steps align");
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize("turn right", steps, &bundle.lexicon).expect("demo steps align");
         let report = verify_all_fair(
             &model,
             &ctrl,
@@ -72,14 +70,7 @@ fn counterexamples_describe_realizable_environment_behaviour() {
     let d = &bundle.driving;
     let model = scenario_model(d, ScenarioKind::TrafficLight);
     let specs = driving_specs(d);
-    let ctrl = synthesize(
-        "turn right",
-        &RIGHT_TURN_BEFORE,
-        &bundle.lexicon,
-        FsaOptions::default(),
-    )
-    .expect("demo aligns");
-    let ctrl = with_default_action(&ctrl, d.stop);
+    let ctrl = synthesize("turn right", &RIGHT_TURN_BEFORE, &bundle.lexicon).expect("demo aligns");
     let report = verify_all_fair(
         &model,
         &ctrl,

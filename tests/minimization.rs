@@ -4,9 +4,9 @@ use dpo_af::domain::DomainBundle;
 use dpo_af::experiments::demo::{
     LEFT_TURN_AFTER, LEFT_TURN_BEFORE, RIGHT_TURN_AFTER, RIGHT_TURN_BEFORE,
 };
-use dpo_af::feedback::{fsa_options, justice_for, scenario_model};
+use dpo_af::feedback::{justice_for, scenario_model};
 use drivesim::ScenarioKind;
-use glm2fsa::{synthesize, with_default_action};
+use glm2fsa::synthesize;
 use ltlcheck::specs::driving_specs;
 use ltlcheck::verify_all_fair;
 
@@ -22,9 +22,7 @@ fn quotient_preserves_all_fifteen_verdicts() {
         (&LEFT_TURN_AFTER, ScenarioKind::LeftTurnSignal),
     ];
     for (steps, kind) in cases {
-        let ctrl = synthesize("demo", steps, &bundle.lexicon, fsa_options(d))
-            .expect("paper demo steps align");
-        let ctrl = with_default_action(&ctrl, d.stop);
+        let ctrl = synthesize("demo", steps, &bundle.lexicon).expect("paper demo steps align");
         let min = ctrl.bisimulation_quotient();
         assert!(min.num_states() <= ctrl.num_states());
 
@@ -60,14 +58,11 @@ fn quotient_shrinks_repeated_step_controllers() {
     // otherwise waits), so the quotient merges them — pure verification
     // speedup with identical behaviour.
     let bundle = DomainBundle::new();
-    let d = &bundle.driving;
     let steps = [
         "if no car from the left, turn right",
         "if no car from the left, turn right",
     ];
-    let ctrl =
-        synthesize("stuttered", &steps, &bundle.lexicon, fsa_options(d)).expect("steps align");
-    let ctrl = with_default_action(&ctrl, d.stop);
+    let ctrl = synthesize("stuttered", &steps, &bundle.lexicon).expect("steps align");
     let min = ctrl.bisimulation_quotient();
     assert_eq!(ctrl.num_states(), 2);
     assert_eq!(min.num_states(), 1, "duplicated steps should merge");
