@@ -5,22 +5,23 @@
 # every unsafe declaration and every lint opt-out; see Cargo.toml's
 # [workspace.lints] and DESIGN.md); a clippy pass over the stand-alone
 # perfbench benchmark under the same unsafe-block and allow-reason
-# lints; docs; tests; the speclint static-analysis pass over the shipped
-# rule books, controllers and step lists, the specsem semantic analysis
-# of the rule books under their world models, a miri pass over parkit
-# when the interpreter is installed, the certkit certification +
-# decide-only vs certified differential suite (including the scaled
-# drivesim/warehouse models), the paper demo controllers' verdicts and
-# counterexamples pinned to results/demo.txt, an instrumented bench smoke run
-# (allocation tracking on) validated against the obskit.bench.v2 report
-# schema (metrics_check), byte-equality gates proving the performance
-# and gating knobs (--threads, semantic pre-flight, allocation tracking)
-# never change artifacts, a digest gate pinning the fast headline
-# artifacts across commits, and a noise-aware perf-regression gate
-# (bench_diff) that diffs a fresh fast headline run against the
-# committed baseline under results/PERF_BUDGETS.json — including a
-# seeded-regression self-test proving the gate really fails when one
-# span slows down.
+# lints; docs; tests; a miri pass over parkit when the interpreter is
+# installed; the one speclint pass over the shipped rule books (analysed
+# under their world models), controllers and step lists; the certkit
+# certification + decide-only vs certified differential suite (including
+# the scaled drivesim/warehouse models); the paper demo controllers'
+# verdicts and counterexamples pinned to results/demo.txt; an
+# instrumented bench smoke run (allocation tracking on) validated against
+# the obskit.bench.v2 report schema (metrics_check); byte-equality gates
+# proving the performance and gating knobs (--threads, semantic
+# pre-flight, allocation tracking) never change artifacts; a digest gate
+# pinning the fast headline artifacts across commits; a noise-aware
+# perf-regression gate (bench_diff) that diffs a fresh fast headline run
+# against the committed baseline under results/PERF_BUDGETS.json; a
+# thread-parity gate (bench_diff under results/THREAD_PARITY_BUDGETS.json)
+# proving the work counters do not depend on the thread count; and a
+# seeded-regression self-test proving the perf gate really fails when
+# one span slows down.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,11 +65,8 @@ else
     echo "miri gate: SKIPPED (cargo miri not installed)"
 fi
 
-echo "==> speclint --deny-warnings"
-cargo run -q -p speclint -- --deny-warnings
-
-echo "==> speclint --semantic --deny-warnings (SL3xx over shipped books)"
-cargo run -q --release -p speclint -- --semantic --deny-warnings
+echo "==> speclint --deny-warnings (shipped rule books, controllers and step lists)"
+cargo run -q --release -p speclint -- --deny-warnings
 
 echo "==> certkit gate (certification + differential suite, incl. scaled models)"
 cargo run -q -p certkit --release
@@ -121,6 +119,15 @@ cargo run -q --release -p bench --bin headline -- \
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json "$perf_report" \
     --budgets results/PERF_BUDGETS.json
+
+# perf_report ran at --threads 1 and smoke_report at --threads 2, both
+# with --alloc. Counters describe the work done, so they must agree;
+# the budgets skip every span and ignore only the readings that depend
+# on the schedule by nature.
+echo "==> thread-parity gate (work counters at --threads 1 and 2 agree)"
+cargo run -q --release -p bench --bin bench_diff -- \
+    "$perf_report" "$smoke_report" \
+    --budgets results/THREAD_PARITY_BUDGETS.json
 
 # Self-test against the baseline *itself* so the verdicts are
 # deterministic: identical reports must pass, and the same pair with a

@@ -1,7 +1,6 @@
 //! Validates a `BENCH_<name>.json` metrics report against the
-//! `obskit.bench.v2` schema (v1 reports are still accepted, without the
-//! v2-only quantile/allocation fields), optionally requiring specific
-//! metrics and spans to be present — the CI gate behind `--metrics-out`.
+//! `obskit.bench.v2` schema, optionally requiring specific metrics and
+//! spans to be present — the CI gate behind `--metrics-out`.
 //!
 //! ```text
 //! metrics_check <report.json> [--require m1,m2,…] [--require-span s1,s2,…]

@@ -1,24 +1,25 @@
-//! Semantic rule-book analysis cost: runs the full `SL3xx` pass
-//! (satisfiability, world vacuity, pairwise conflict/subsumption, corpus
-//! discrimination) over the shipped driving and warehouse books and
+//! Rule-book analysis cost: runs the full `SL002`/`SL3xx` pass
+//! (satisfiability, tautology, world vacuity, pairwise
+//! conflict/subsumption, corpus discrimination) over the shipped driving
+//! and warehouse books and
 //! reports per-rule wall time, split into solo / pairwise / corpus
 //! phases. Feeds the EXPERIMENTS.md cost table and, with
-//! `--metrics-out`, an `obskit.bench.v1` report.
+//! `--metrics-out`, an `obskit.bench.v2` report.
 //!
 //! Semantic analysis reuses the ltlcheck spec-automaton cache, so the
 //! hit/miss counters (`ltlcheck.automaton_cache_*`) show how much the
 //! sweep shares across worlds and pairs.
 
 use bench::{table, BenchCli};
-use speclint::presets::{driving_semantic_input, warehouse_semantic_input};
+use speclint::presets::{driving_input, warehouse_input};
 use speclint::semantic::analyze_timed;
 use speclint::{sort_diagnostics, Severity, Tally};
 
 fn main() {
     let cli = BenchCli::parse("specsem");
     let books = [
-        ("driving", driving_semantic_input()),
-        ("warehouse", warehouse_semantic_input()),
+        ("driving", driving_input().book),
+        ("warehouse", warehouse_input().book),
     ];
 
     let mut diags = Vec::new();

@@ -21,8 +21,7 @@
 //!
 //! Missing counters or spans in the candidate are regressions; metrics
 //! that only exist in the candidate are informational (new
-//! instrumentation must not fail old baselines, which is also what
-//! keeps v1-schema baselines diffable against v2 candidates).
+//! instrumentation must not fail old baselines).
 
 use obskit::json::{self, Value};
 
@@ -299,7 +298,7 @@ fn lookup<'a>(pairs: &'a [(String, f64)], name: &str) -> Option<&'a f64> {
 }
 
 /// Compares a candidate report against a baseline under the given
-/// budgets. Both arguments are parsed report documents (v1 or v2).
+/// budgets. Both arguments are parsed `obskit.bench.v2` report documents.
 ///
 /// # Errors
 ///

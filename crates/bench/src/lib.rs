@@ -17,8 +17,7 @@
 //! | `ablation_m`      | A3: responses-per-prompt `m` vs preference-pair yield and quality |
 //! | `ablation_conservative` | A4: pruned vs conservative world-model construction (Algorithm 1) |
 //! | `ablation_ipo`    | A5: DPO vs IPO objective on the same dataset |
-//! | `spec_lint`       | rule-book satisfiability / tautology / vacuity lint |
-//! | `specsem`         | semantic (`SL3xx`) rule-book analysis cost, per rule and phase |
+//! | `specsem`         | rule-book analysis (`SL002`, `SL3xx`) cost, per rule and phase |
 //! | `certified_overhead` | cost of certified model checking vs decide-only scoring |
 //! | `obs_overhead`    | cost of the observability recorder and the tracking allocator |
 //! | `metrics_check`   | validates a `BENCH_<name>.json` report against the obskit schema |

@@ -104,30 +104,3 @@ fn golden_file_validates_against_schema() {
     };
     assert_eq!(validate(&golden, &req), Ok(()));
 }
-
-/// Committed `obskit.bench.v1` baselines (pre-quantile, pre-allocation
-/// reports) must keep validating and must stay diffable against v2
-/// candidates — the perf gate's baseline can lag the writer's schema.
-#[test]
-fn v1_fixture_still_validates_and_diffs_against_v2() {
-    let fixture = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/BENCH_v1_fixture.json"
-    ))
-    .expect("v1 fixture present");
-    assert!(fixture.contains("obskit.bench.v1"));
-    assert_eq!(validate(&fixture, &Requirements::default()), Ok(()));
-
-    // The v2 golden is the same run re-reported under the new schema;
-    // diffing v1 baseline against v2 candidate must pass cleanly.
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/BENCH_golden.json"
-    ))
-    .expect("golden file present");
-    let baseline = obskit::json::parse(&fixture).expect("fixture parses");
-    let candidate = obskit::json::parse(&golden).expect("golden parses");
-    let diff = bench::diff::diff_reports(&baseline, &candidate, &bench::diff::Budgets::defaults())
-        .expect("diff runs");
-    assert!(diff.pass(), "{}", diff.render_human());
-}

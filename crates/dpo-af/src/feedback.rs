@@ -37,35 +37,17 @@ pub fn justice_for(d: &DrivingDomain, kind: ScenarioKind) -> Vec<Justice> {
     drivesim::formal::scenario_justice(d, kind)
 }
 
-/// Pre-flight static analysis of the rule book: runs the `speclint` spec
-/// analyzers (satisfiability, tautology, conflicts, subsumption) and
-/// returns the `Error`-severity findings, if any.
-///
-/// The pipeline refuses to start on a rule book that fails this gate: an
-/// unsatisfiable or pairwise-conflicting rule would silently cap every
-/// response's score, corrupting the preference signal rather than merely
-/// weakening it.
-pub fn preflight_rule_book(d: &DrivingDomain) -> Result<(), Vec<speclint::Diagnostic>> {
-    let diags = speclint::lint_specs(&driving_specs(d), &[], Some(&d.vocab));
-    let errors: Vec<speclint::Diagnostic> = diags
-        .into_iter()
-        .filter(|diag| diag.severity == speclint::Severity::Error)
-        .collect();
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Semantic pre-flight of the rule book (`SL3xx`): checks every spec's
-/// satisfiability and the pairwise conflicts under all five scenario
-/// worlds via the ltlcheck automaton machinery, and returns the
-/// `Error`-severity findings (`SL300` empty language, `SL303`
-/// conflict-under-world), if any. Note-class findings — per-world
-/// vacuity, subsumption — are expected in a healthy book and do not
+/// Pre-flight of the rule book: the `speclint` rule-book analysis of
+/// every spec under all five scenario worlds, returning the
+/// `Error`-severity findings (`SL300` empty language, `SL303` conflict
+/// under a world), if any. An unsatisfiable or conflicting rule would
+/// silently cap every response's score, corrupting the preference
+/// signal rather than merely weakening it. Warning- and Note-class
+/// findings — a tautology, per-world vacuity, subsumption — do not
 /// gate. Corpus discrimination (`SL305`) needs a response corpus the
-/// pipeline does not have yet, so the gate runs worlds-only.
+/// pipeline does not have yet, so the gate runs worlds-only. The worlds
+/// come from [`speclint::presets::driving_worlds`], the same ones the
+/// `speclint` CLI analyses.
 ///
 /// The verdict is memoized process-wide: the shipped rule book and
 /// scenario models are fixed at compile time, so every run after the
@@ -75,24 +57,13 @@ pub fn preflight_rule_book_semantic(d: &DrivingDomain) -> Result<(), Vec<speclin
     static VERDICT: OnceLock<Result<(), Vec<speclint::Diagnostic>>> = OnceLock::new();
     VERDICT
         .get_or_init(|| {
-            let free = speclint::presets::free_controller(
-                "free (driving)",
-                &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(autokit::ActSet::singleton),
-            );
-            let mut input = speclint::SemanticInput {
+            let input = speclint::SemanticInput {
                 specs: driving_specs(d),
+                worlds: speclint::presets::driving_worlds(d),
+                corpus: Vec::new(),
                 vocab: Some(d.vocab.clone()),
-                ..Default::default()
             };
-            for kind in ScenarioKind::all() {
-                input.worlds.push(speclint::SemanticWorld::from_parts(
-                    format!("{kind:?}"),
-                    &scenario_model(d, kind),
-                    &free,
-                    justice_for(d, kind),
-                ));
-            }
-            let errors: Vec<speclint::Diagnostic> = speclint::semantic::analyze(&input)
+            let errors: Vec<speclint::Diagnostic> = speclint::analyze(&input)
                 .into_iter()
                 .filter(|diag| diag.severity == speclint::Severity::Error)
                 .collect();
@@ -390,7 +361,7 @@ mod tests {
     #[test]
     fn preflight_accepts_shipped_rule_book() {
         let d = DrivingDomain::new();
-        assert!(preflight_rule_book(&d).is_ok());
+        assert!(preflight_rule_book_semantic(&d).is_ok());
     }
 
     #[test]

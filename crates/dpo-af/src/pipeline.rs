@@ -604,15 +604,9 @@ impl DpoAf {
     /// the policy snapshot entering that iteration.
     #[allow(clippy::expect_used, reason = "bundle tokens are in vocabulary")]
     pub fn run(&self) -> RunArtifacts {
-        // Pre-flight: a rule book with lint errors (unsatisfiable or
-        // pairwise-conflicting rules) would cap every response's score and
+        // Pre-flight: a rule book with an empty or conflicting rule under
+        // the scenario worlds would cap every response's score and
         // corrupt the preference signal, so refuse to train on one.
-        if let Err(errors) = crate::feedback::preflight_rule_book(&self.bundle.driving) {
-            panic!("driving rule book failed the speclint pre-flight gate: {errors:?}");
-        }
-        // Semantic pre-flight: the syntactic pass cannot see rules that
-        // are individually healthy but conflict (or are vacuous) under
-        // the scenario worlds verification actually runs in.
         if self.config.semantic_preflight {
             let _preflight = obskit::span("pipeline.semantic_preflight");
             if let Err(errors) = crate::feedback::preflight_rule_book_semantic(&self.bundle.driving)

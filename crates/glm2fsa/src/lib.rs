@@ -54,7 +54,10 @@ mod parse;
 pub use build::build_controller;
 pub use error::SynthesisError;
 pub use lexicon::Lexicon;
-pub use parse::{parse_step, ParsedStep, StepKind};
+pub use parse::{
+    parse_step, ParsedStep, StepKind, CONDITIONAL_MARKERS, CONSEQUENT_SEPARATORS,
+    LITERAL_SEPARATOR, NEGATION_WORDS, OBSERVE_VERBS,
+};
 
 use autokit::Controller;
 

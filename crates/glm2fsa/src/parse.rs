@@ -24,11 +24,22 @@ pub struct ParsedStep {
     pub kind: StepKind,
 }
 
-const CONDITIONAL_MARKERS: [&str; 2] = ["if", "when"];
-const OBSERVE_VERBS: [&str; 9] = [
+// The words the step grammar consumes. They are public so that tools
+// reasoning about step text (speclint's SL202 coverage lint) read the
+// grammar from here instead of keeping a copy.
+
+/// Words that open a guarded step.
+pub const CONDITIONAL_MARKERS: [&str; 2] = ["if", "when"];
+/// Words that end a step's condition and open its consequent clause.
+pub const CONSEQUENT_SEPARATORS: [&str; 2] = [",", "then"];
+/// The word that joins a condition's literals.
+pub const LITERAL_SEPARATOR: &str = "and";
+/// Verbs that make an action-free clause an observation.
+pub const OBSERVE_VERBS: [&str; 9] = [
     "observe", "check", "look", "watch", "verify", "monitor", "scan", "confirm", "approach",
 ];
-const NEGATION_WORDS: [&str; 7] = ["no", "not", "without", "clear", "free", "absent", "isnt"];
+/// Words that negate the propositions of their condition segment.
+pub const NEGATION_WORDS: [&str; 7] = ["no", "not", "without", "clear", "free", "absent", "isnt"];
 
 /// Parses one step of a response into a [`ParsedStep`].
 ///
@@ -58,9 +69,8 @@ pub fn parse_step(text: &str, lexicon: &Lexicon) -> Result<ParsedStep, String> {
         // Split condition from consequent at the first comma or `then`.
         let split = words
             .iter()
-            .position(|w| *w == "," || *w == "then")
+            .position(|w| CONSEQUENT_SEPARATORS.contains(w))
             .ok_or_else(|| "conditional step has no consequent clause".to_owned())?;
-        let condition = words[1..split].join(" ");
         let mut consequent_words = &words[split + 1..];
         if consequent_words.first() == Some(&"then") {
             consequent_words = &consequent_words[1..];
@@ -69,7 +79,7 @@ pub fn parse_step(text: &str, lexicon: &Lexicon) -> Result<ParsedStep, String> {
         if consequent.trim().is_empty() {
             return Err("conditional step has an empty consequent".to_owned());
         }
-        let guard = parse_condition(&condition, lexicon)?;
+        let guard = parse_condition(&words[1..split], lexicon)?;
         let kind = parse_clause(&consequent, lexicon)?;
         Ok(ParsedStep { guard, kind })
     } else {
@@ -95,19 +105,20 @@ fn strip_numbering(text: &str) -> &str {
     }
 }
 
-/// Parses an `and`-separated literal conjunction into a [`Guard`].
-fn parse_condition(condition: &str, lexicon: &Lexicon) -> Result<Guard, String> {
+/// Parses the words of an `and`-separated literal conjunction into a
+/// [`Guard`].
+fn parse_condition(condition: &[&str], lexicon: &Lexicon) -> Result<Guard, String> {
     let mut guard = Guard::always();
     let mut any = false;
-    for segment in condition.split(" and ") {
-        let props = lexicon.find_props(segment);
+    for segment in condition.split(|w| *w == LITERAL_SEPARATOR) {
+        let props = lexicon.find_props(&segment.join(" "));
         if props.is_empty() {
             // Segments without a proposition mention ("it is safe") add no
             // literal; a condition that mentions nothing at all is an
             // alignment failure.
             continue;
         }
-        let negated = segment.split(' ').any(|w| NEGATION_WORDS.contains(&w));
+        let negated = segment.iter().any(|w| NEGATION_WORDS.contains(w));
         for (_, p) in props {
             if negated {
                 guard = guard.forbids(p);
@@ -119,7 +130,8 @@ fn parse_condition(condition: &str, lexicon: &Lexicon) -> Result<Guard, String> 
     }
     if !any {
         return Err(format!(
-            "condition `{condition}` mentions no known proposition"
+            "condition `{}` mentions no known proposition",
+            condition.join(" ")
         ));
     }
     Ok(guard)

@@ -1,17 +1,18 @@
 //! Specification analysis: satisfiability, validity, equivalence and
-//! vacuity.
+//! trigger reachability.
 //!
 //! A rule book is only as good as its rules. These helpers catch the
 //! classic authoring mistakes before any controller is blamed:
 //!
 //! * an **unsatisfiable** specification fails every controller;
 //! * a **valid** (tautological) specification passes every controller;
-//! * an implication whose antecedent is unreachable in the world model
-//!   passes **vacuously** — the rule never actually constrains anything.
+//! * a `□(trigger → …)` rule whose trigger ([`trigger_of`]) is false on
+//!   every reachable label ([`reachable_labels`]) of a world model holds
+//!   **vacuously** there — the rule never actually constrains anything.
 
 use crate::buchi::Buchi;
 use crate::mc::{eval_bool, fair_cycle_exists, fair_cycle_in, is_propositional, LabelIndex};
-use crate::{check_graph_fair, Justice, Ltl};
+use crate::{Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -255,54 +256,16 @@ pub fn eval_propositional(phi: &Ltl, props: PropSet, acts: ActSet) -> Option<boo
     is_propositional(phi).then(|| eval_bool(phi, props, acts))
 }
 
-/// `true` iff some reachable node of `graph` satisfies the propositional
-/// condition `cond`; `None` when `cond` is not propositional.
-///
-/// Callers sweeping many conditions over one graph should precompute
-/// [`reachable_labels`] and evaluate with [`eval_propositional`] instead.
-pub fn condition_reachable(graph: &LabelGraph, cond: &Ltl) -> Option<bool> {
-    if !is_propositional(cond) {
-        return None;
-    }
-    Some(
-        reachable_labels(graph)
-            .iter()
-            .any(|&(p, a)| eval_bool(cond, p, a)),
-    )
-}
-
-/// How a specification can hold without constraining anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Vacuity {
-    /// The specification is a tautology — true of *any* system.
-    Tautology,
-    /// The specification has the shape `□(antecedent → …)` and the
-    /// antecedent never occurs on any path of the checked graph.
-    UnreachableAntecedent(Ltl),
-}
-
-/// Checks whether `phi` holds on `graph` only vacuously.
-///
-/// Returns `None` when the specification either fails, or holds for a
-/// non-vacuous reason. Detects two vacuity classes: tautologies, and
-/// `□(a → b)`-shaped specifications whose antecedent `a` is never true
-/// along any path of the graph.
-pub fn vacuous_pass(graph: &LabelGraph, phi: &Ltl) -> Option<Vacuity> {
-    if !check_graph_fair(graph, phi, &[]).holds() {
-        return None;
-    }
-    if valid(phi) {
-        return Some(Vacuity::Tautology);
-    }
-    // □(a → b) desugars to Release(False, Or(Not(a), b)).
+/// The trigger `a` of a `□(a → b)`-shaped rule, or `None` for any other
+/// shape. [`Ltl::always`] and [`Ltl::implies`] desugar `□(a → b)` to
+/// `Release(False, Or(Not(a), b))`; rule-book analyses match the shape
+/// here rather than on the tree themselves.
+pub fn trigger_of(phi: &Ltl) -> Option<&Ltl> {
     if let Ltl::Release(l, r) = phi {
         if **l == Ltl::False {
             if let Ltl::Or(not_a, _) = &**r {
                 if let Ltl::Not(a) = &**not_a {
-                    let never_a = Ltl::Release(Arc::new(Ltl::False), Arc::new(Ltl::Not(a.clone())));
-                    if check_graph_fair(graph, &never_a, &[]).holds() {
-                        return Some(Vacuity::UnreachableAntecedent((**a).clone()));
-                    }
+                    return Some(a);
                 }
             }
         }
@@ -313,7 +276,7 @@ pub fn vacuous_pass(graph: &LabelGraph, phi: &Ltl) -> Option<Vacuity> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::{check_graph_fair, parse};
     use autokit::{ActSet, ProductState, PropSet, Vocab};
     use proptest::prelude::*;
 
@@ -384,47 +347,21 @@ mod tests {
         ));
     }
 
-    fn single_state_graph(props: PropSet) -> LabelGraph {
-        LabelGraph {
-            labels: vec![(props, ActSet::empty())],
-            origin: vec![ProductState { model: 0, ctrl: 0 }],
-            succs: vec![vec![0]],
-            initial: vec![0],
-        }
-    }
-
     #[test]
-    fn vacuity_detects_unreachable_antecedent() {
+    fn trigger_of_matches_only_the_always_implies_shape() {
         let v = vocab();
         let a = v.prop("a").unwrap();
-        let b = v.prop("b").unwrap();
-        // Graph where `a` never holds.
-        let graph = single_state_graph(PropSet::singleton(b));
-        let spec = parse("G(a -> b)", &v).unwrap();
-        assert_eq!(
-            vacuous_pass(&graph, &spec),
-            Some(Vacuity::UnreachableAntecedent(Ltl::prop(a)))
-        );
-        // Graph where `a` does occur: the pass is genuine.
-        let graph = single_state_graph(PropSet::singleton(a).with(b));
-        assert_eq!(vacuous_pass(&graph, &spec), None);
-    }
-
-    #[test]
-    fn vacuity_detects_tautologies() {
-        let v = vocab();
-        let graph = single_state_graph(PropSet::empty());
-        let spec = parse("G(a -> a)", &v).unwrap();
-        // `G(a → a)` is a tautology wherever it is checked.
-        assert_eq!(vacuous_pass(&graph, &spec), Some(Vacuity::Tautology));
-    }
-
-    #[test]
-    fn failing_specs_are_not_vacuous() {
-        let v = vocab();
-        let graph = single_state_graph(PropSet::empty());
-        let spec = parse("G a", &v).unwrap();
-        assert_eq!(vacuous_pass(&graph, &spec), None);
+        for (src, trigger) in [
+            ("G(a -> b)", Some(Ltl::prop(a))),
+            ("G(a -> F b)", Some(Ltl::prop(a))),
+            ("G(!a | b)", Some(Ltl::prop(a))),
+            ("G a", None),
+            ("F(a -> b)", None),
+            ("a -> b", None),
+        ] {
+            let phi = parse(src, &v).unwrap();
+            assert_eq!(trigger_of(&phi), trigger.as_ref(), "{src}");
+        }
     }
 
     /// Two-node graph: node 0 labels `{a}`, node 1 labels `{b}` with act
@@ -526,15 +463,17 @@ mod tests {
         assert_eq!(labels.len(), 2);
         assert!(!labels.contains(&(PropSet::singleton(a).with(b), ActSet::empty())));
 
-        let reach_b = condition_reachable(&graph, &parse("b", &v).unwrap());
-        assert_eq!(reach_b, Some(true));
-        let reach_ab = condition_reachable(&graph, &parse("a & b", &v).unwrap());
-        assert_eq!(reach_ab, Some(false));
+        let reachable = |src: &str| -> Option<bool> {
+            let cond = parse(src, &v).unwrap();
+            labels
+                .iter()
+                .map(|&(p, acts)| eval_propositional(&cond, p, acts))
+                .try_fold(false, |any, hit| Some(any || hit?))
+        };
+        assert_eq!(reachable("b"), Some(true));
+        assert_eq!(reachable("a & b"), Some(false));
         // Temporal conditions are not propositional.
-        assert_eq!(
-            condition_reachable(&graph, &parse("F a", &v).unwrap()),
-            None
-        );
+        assert_eq!(reachable("F a"), None);
     }
 
     #[test]

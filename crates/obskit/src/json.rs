@@ -676,7 +676,7 @@ mod tests {
     #[test]
     fn round_trips_a_report_like_document() {
         let v = Value::Obj(vec![
-            ("schema".into(), Value::Str("obskit.bench.v1".into())),
+            ("schema".into(), Value::Str("obskit.bench.v2".into())),
             ("wall_ms".into(), Value::Num(12.5)),
             (
                 "counters".into(),

@@ -4,9 +4,8 @@
 //! perf trajectory and the `bench_diff` regression gate consume them.
 //! The schema is versioned through the `"schema"` marker — additive
 //! changes keep the marker, anything that breaks a reader bumps it.
-//! The current writer emits `obskit.bench.v2`; the validator still
-//! accepts committed `obskit.bench.v1` baselines (v1 lacks the
-//! histogram quantiles and the per-span allocation columns).
+//! The writer emits `obskit.bench.v2` and the validator accepts only
+//! that marker.
 //!
 //! ```json
 //! {
@@ -38,10 +37,6 @@ use crate::Snapshot;
 
 /// The schema marker the report writer currently emits.
 pub const SCHEMA: &str = "obskit.bench.v2";
-
-/// The previous schema marker; committed v1 baselines must keep
-/// validating and diffing.
-pub const SCHEMA_V1: &str = "obskit.bench.v1";
 
 /// A complete bench report, ready to serialize.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,10 +158,8 @@ pub struct Requirements {
     pub spans: Vec<String>,
 }
 
-/// Validates a serialized report against the bench-report schema (the
-/// current `obskit.bench.v2` or the legacy `obskit.bench.v1` — v2-only
-/// fields are required exactly when the marker says v2) plus the given
-/// requirements.
+/// Validates a serialized report against the `obskit.bench.v2` schema
+/// plus the given requirements.
 ///
 /// # Errors
 ///
@@ -179,10 +172,8 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
         Err(e) => return Err(vec![e.to_string()]),
     };
 
-    let mut v2 = true;
     match doc.get("schema").and_then(Value::as_str) {
         Some(SCHEMA) => {}
-        Some(SCHEMA_V1) => v2 = false,
         Some(other) => problems.push(format!("unknown schema marker `{other}`")),
         None => problems.push("missing string field `schema`".into()),
     }
@@ -221,7 +212,7 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
         None => problems.push("missing object field `histograms`".into()),
         Some(fields) => {
             for (name, h) in fields {
-                validate_histogram(name, h, v2, &mut problems);
+                validate_histogram(name, h, &mut problems);
             }
         }
     }
@@ -230,7 +221,7 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
         None => problems.push("missing array field `spans`".into()),
         Some(nodes) => {
             for node in nodes {
-                validate_span(node, v2, &mut problems);
+                validate_span(node, &mut problems);
             }
         }
     }
@@ -257,15 +248,15 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
     }
 }
 
-fn validate_histogram(name: &str, h: &Value, v2: bool, problems: &mut Vec<String>) {
+fn validate_histogram(name: &str, h: &Value, problems: &mut Vec<String>) {
     let count = h.get("count").and_then(Value::as_num);
     if count.is_none() || h.get("sum").and_then(Value::as_num).is_none() {
         problems.push(format!("histogram `{name}` lacks numeric count/sum"));
         return;
     }
-    // v2 histograms with observations carry interpolated quantiles and
+    // Histograms with observations carry interpolated quantiles and
     // they must be ordered.
-    if v2 && count.is_some_and(|c| c > 0.0) {
+    if count.is_some_and(|c| c > 0.0) {
         let q = |f: &str| h.get(f).and_then(Value::as_num);
         match (q("p50"), q("p90"), q("p99")) {
             (Some(p50), Some(p90), Some(p99)) => {
@@ -306,29 +297,29 @@ fn validate_histogram(name: &str, h: &Value, v2: bool, problems: &mut Vec<String
     }
 }
 
-fn validate_span(node: &Value, v2: bool, problems: &mut Vec<String>) {
+fn validate_span(node: &Value, problems: &mut Vec<String>) {
     let name = node.get("name").and_then(Value::as_str);
     if name.is_none() {
         problems.push("span node lacks a string `name`".into());
     }
     let label = name.unwrap_or("?");
-    for field in ["count", "total_ms", "max_ms", "self_ms"] {
+    for field in [
+        "count",
+        "total_ms",
+        "max_ms",
+        "self_ms",
+        "alloc_count",
+        "alloc_bytes",
+    ] {
         if node.get(field).and_then(Value::as_num).is_none() {
             problems.push(format!("span `{label}` lacks numeric `{field}`"));
-        }
-    }
-    if v2 {
-        for field in ["alloc_count", "alloc_bytes"] {
-            if node.get(field).and_then(Value::as_num).is_none() {
-                problems.push(format!("span `{label}` lacks numeric `{field}`"));
-            }
         }
     }
     match node.get("children").and_then(Value::as_arr) {
         None => problems.push(format!("span `{label}` lacks a `children` array")),
         Some(children) => {
             for child in children {
-                validate_span(child, v2, problems);
+                validate_span(child, problems);
             }
         }
     }

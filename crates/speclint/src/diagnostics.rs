@@ -2,7 +2,7 @@
 //! and human / JSON rendering.
 //!
 //! Every analyzer in this crate reports through [`Diagnostic`]. Codes are
-//! stable identifiers (`SL001`, `SL101`, ...) that tools and tests may
+//! stable identifiers (`SL101`, `SL300`, ...) that tools and tests may
 //! match on; messages are for humans and carry no stability guarantee.
 
 use obskit::json::{DecodeError, FromJson, ToJson, Value};
@@ -35,27 +35,15 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The catalog of lints. `SL0xx` are specification lints, `SL1xx` are
-/// controller/automaton lints, `SL2xx` are parsed-step lints, and
-/// `SL3xx` are **semantic** rule-book findings (they reason about the
-/// rule's language under the shipped world models and controller corpus,
-/// not just about its syntax — see [`crate::semantic`]).
+/// The catalog of lints. `SL002` and `SL3xx` are rule-book findings
+/// (they reason about each rule's language on its own and under the
+/// shipped world models and controller corpus — see [`crate::semantic`]),
+/// `SL1xx` are controller/automaton lints, and `SL2xx` are parsed-step
+/// lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
-    /// SL001 — the formula has no satisfying trace; it fails every
-    /// controller.
-    UnsatisfiableSpec,
     /// SL002 — the formula is a tautology; it passes every controller.
     TautologicalSpec,
-    /// SL003 — the formula passes a world vacuously (its antecedent is
-    /// unreachable there, or it is a tautology over that graph).
-    VacuousPass,
-    /// SL004 — two individually satisfiable rules have an unsatisfiable
-    /// conjunction; no controller can pass both.
-    ConflictingSpecs,
-    /// SL005 — one rule implies another, making the implied rule
-    /// redundant in the rule book.
-    SubsumedSpec,
     /// SL101 — a controller state is unreachable from the initial state.
     UnreachableState,
     /// SL102 — a transition can never fire (its guard requires and
@@ -108,12 +96,8 @@ pub enum LintCode {
 
 impl LintCode {
     /// Every lint in the catalog, in code order.
-    pub const ALL: [LintCode; 20] = [
-        LintCode::UnsatisfiableSpec,
+    pub const ALL: [LintCode; 16] = [
         LintCode::TautologicalSpec,
-        LintCode::VacuousPass,
-        LintCode::ConflictingSpecs,
-        LintCode::SubsumedSpec,
         LintCode::UnreachableState,
         LintCode::DeadTransition,
         LintCode::NondeterministicState,
@@ -134,11 +118,7 @@ impl LintCode {
     /// The stable identifier tools may match on.
     pub fn code(self) -> &'static str {
         match self {
-            LintCode::UnsatisfiableSpec => "SL001",
             LintCode::TautologicalSpec => "SL002",
-            LintCode::VacuousPass => "SL003",
-            LintCode::ConflictingSpecs => "SL004",
-            LintCode::SubsumedSpec => "SL005",
             LintCode::UnreachableState => "SL101",
             LintCode::DeadTransition => "SL102",
             LintCode::NondeterministicState => "SL103",
@@ -165,27 +145,24 @@ impl LintCode {
     /// The severity this lint reports at.
     pub fn severity(self) -> Severity {
         match self {
-            LintCode::UnsatisfiableSpec
-            | LintCode::ConflictingSpecs
-            | LintCode::UnparseableStep
-            | LintCode::SemUnsatisfiable
-            | LintCode::SemWorldConflict => Severity::Error,
+            LintCode::UnparseableStep | LintCode::SemUnsatisfiable | LintCode::SemWorldConflict => {
+                Severity::Error
+            }
             LintCode::TautologicalSpec
             | LintCode::UnreachableState
             | LintCode::DeadTransition
             | LintCode::UnknownToken => Severity::Warning,
             // Note, not Warning: the paper's own rule book contains
-            // subsuming pairs (e.g. phi_5 ⇒ phi_11) — redundancy does not
-            // corrupt the feedback signal, it only adds no discrimination.
-            // The per-world and per-corpus semantic findings (SL301/302/
-            // 304/305) are Note for the same reason: a healthy rule book
-            // legitimately carries scenario-specific rules that bind in
-            // one world and are vacuous in another, and rules every
-            // template controller satisfies — advisory signal-power
-            // findings, not defects that corrupt the ranking.
-            LintCode::SubsumedSpec
-            | LintCode::VacuousPass
-            | LintCode::NondeterministicState
+            // subsuming pairs (e.g. phi_5 ⇒ phi_11) — redundancy (SL304)
+            // does not corrupt the feedback signal, it only adds no
+            // discrimination. The per-world and per-corpus findings
+            // (SL301/302/305) are Note for the same reason: a healthy
+            // rule book legitimately carries scenario-specific rules that
+            // bind in one world and are vacuous in another, and rules
+            // every template controller satisfies — advisory
+            // signal-power findings, not defects that corrupt the
+            // ranking.
+            LintCode::NondeterministicState
             | LintCode::IncompleteState
             | LintCode::SinkState
             | LintCode::UnusedAtom
@@ -200,11 +177,7 @@ impl LintCode {
     /// One-line description of what the lint checks.
     pub fn summary(self) -> &'static str {
         match self {
-            LintCode::UnsatisfiableSpec => "specification is unsatisfiable",
             LintCode::TautologicalSpec => "specification is a tautology",
-            LintCode::VacuousPass => "specification passes vacuously",
-            LintCode::ConflictingSpecs => "specifications conflict",
-            LintCode::SubsumedSpec => "specification is subsumed by another",
             LintCode::UnreachableState => "controller state is unreachable",
             LintCode::DeadTransition => "transition can never fire",
             LintCode::NondeterministicState => "state resolves by transition order",
@@ -413,11 +386,11 @@ mod tests {
 
     #[test]
     fn render_is_compiler_style() {
-        let d = Diagnostic::new(LintCode::UnsatisfiableSpec, "spec phi_1", "no model exists")
+        let d = Diagnostic::new(LintCode::SemUnsatisfiable, "spec phi_1", "no model exists")
             .element("conjunct 2");
         assert_eq!(
             d.render(),
-            "error[SL001]: spec phi_1, conjunct 2: no model exists"
+            "error[SL300]: spec phi_1, conjunct 2: no model exists"
         );
     }
 
@@ -470,7 +443,7 @@ mod tests {
         };
         let mut diags = vec![
             mk(LintCode::SemWorldVacuous, "spec phi_2", Some("world B")),
-            mk(LintCode::UnsatisfiableSpec, "spec phi_2", None),
+            mk(LintCode::TautologicalSpec, "spec phi_2", None),
             mk(LintCode::SemWorldVacuous, "spec phi_2", Some("world A")),
             mk(LintCode::SinkState, "controller x", Some("state 1")),
             mk(LintCode::SemUnsatisfiable, "spec phi_1", None),
@@ -485,7 +458,7 @@ mod tests {
             vec![
                 ("controller x", "SL105"),
                 ("spec phi_1", "SL300"),
-                ("spec phi_2", "SL001"),
+                ("spec phi_2", "SL002"),
                 ("spec phi_2", "SL301"),
                 ("spec phi_2", "SL301"),
             ]

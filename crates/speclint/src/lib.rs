@@ -8,17 +8,15 @@
 //! a vacuously-passing rule produces no counterexample at all). This crate
 //! lints all three up front:
 //!
-//! * **Spec lints (`SL0xx`)** — satisfiability, tautology, vacuity,
-//!   pairwise conflict, subsumption ([`lint_specs`]).
+//! * **Rule-book analysis (`SL002`, `SL3xx`)** — satisfiability,
+//!   tautology, world-model vacuity, pairwise conflict under the world,
+//!   subsumption, and corpus discrimination, via the ltlcheck automaton
+//!   machinery ([`semantic::analyze`]).
 //! * **Controller lints (`SL1xx`)** — unreachable states, dead
 //!   transitions, nondeterminism, incompleteness, sinks, unused vocabulary
 //!   ([`lint_controller`]).
 //! * **Step lints (`SL2xx`)** — unparseable steps, lexicon-coverage gaps,
 //!   ambiguous steps ([`lint_steps`]).
-//! * **Semantic spec analysis (`SL3xx`)** — satisfiability, world-model
-//!   vacuity, pairwise conflict under the world, subsumption, and corpus
-//!   discrimination, via the ltlcheck automaton machinery
-//!   ([`semantic::analyze`]).
 //!
 //! Findings are [`Diagnostic`]s with stable codes, suitable for both human
 //! output and the JSON schema the `speclint` CLI emits. [`run`] lints a
@@ -28,18 +26,15 @@ pub mod controller;
 pub mod diagnostics;
 pub mod presets;
 pub mod semantic;
-pub mod spec;
 pub mod steps;
 
 pub use controller::{lint_controller, ControllerContext};
 pub use diagnostics::{sort_diagnostics, Diagnostic, LintCode, Location, Severity, Tally};
 pub use semantic::{analyze, CorpusController, SemanticInput, SemanticWorld};
-pub use spec::lint_specs;
 pub use steps::lint_steps;
 
-use autokit::{Controller, LabelGraph, PropSet, Vocab};
+use autokit::{Controller, PropSet, Vocab};
 use glm2fsa::Lexicon;
-use ltlcheck::specs::Spec;
 
 /// A controller plus the optional context that sharpens its lints.
 #[derive(Debug, Clone)]
@@ -71,21 +66,18 @@ pub struct StepListInput {
 /// Everything [`run`] lints in one pass.
 #[derive(Debug, Clone, Default)]
 pub struct LintInput {
-    /// The rule book.
-    pub specs: Vec<Spec>,
-    /// Named label graphs for vacuity analysis of the rule book.
-    pub spec_graphs: Vec<(String, LabelGraph)>,
-    /// Vocabulary for rendering formulas in spec findings.
-    pub spec_vocab: Option<Vocab>,
+    /// The rule book with the worlds and corpus it is analyzed under.
+    pub book: SemanticInput,
     /// Controllers to lint.
     pub controllers: Vec<ControllerInput>,
     /// Step lists to lint.
     pub step_lists: Vec<StepListInput>,
 }
 
-/// Lints an input bundle: specs first, then controllers, then step lists.
+/// Lints an input bundle: the rule book first, then controllers, then
+/// step lists.
 pub fn run(input: &LintInput) -> Vec<Diagnostic> {
-    let mut diags = lint_specs(&input.specs, &input.spec_graphs, input.spec_vocab.as_ref());
+    let mut diags = analyze(&input.book);
     for c in &input.controllers {
         diags.extend(lint_controller(
             &c.controller,
@@ -106,6 +98,7 @@ mod tests {
     use super::*;
     use autokit::{ActSet, ControllerBuilder, Guard};
     use ltlcheck::parse;
+    use ltlcheck::specs::Spec;
 
     #[test]
     fn run_covers_all_three_analyzer_families() {
@@ -125,8 +118,11 @@ mod tests {
         let driving = autokit::presets::DrivingDomain::new();
         let lexicon = Lexicon::driving(&driving);
         let input = LintInput {
-            specs,
-            spec_vocab: Some(vocab.clone()),
+            book: SemanticInput {
+                specs,
+                vocab: Some(vocab.clone()),
+                ..Default::default()
+            },
             controllers: vec![ControllerInput {
                 controller,
                 vocab: None,
@@ -138,11 +134,10 @@ mod tests {
                 lexicon,
                 vocab: driving.vocab.clone(),
             }],
-            ..Default::default()
         };
         let diags = run(&input);
         let codes: Vec<&str> = diags.iter().map(|d| d.code.code()).collect();
-        assert!(codes.contains(&"SL001"), "{codes:?}");
+        assert!(codes.contains(&"SL300"), "{codes:?}");
         assert!(codes.contains(&"SL101"), "{codes:?}");
         assert!(codes.contains(&"SL201"), "{codes:?}");
     }

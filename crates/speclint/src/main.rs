@@ -2,17 +2,17 @@
 //! paper's demonstration controllers, and their step lists.
 //!
 //! ```text
-//! speclint [--format human|json] [--deny-warnings] [--semantic]
+//! speclint [--format human|json] [--deny-warnings]
 //!          [--book driving|warehouse|all|conflict-demo]
 //! ```
 //!
-//! The default pass is the syntactic one (`SL0xx`–`SL2xx`). With
-//! `--semantic` the CLI instead runs the semantic rule-book analysis
-//! (`SL3xx`): satisfiability, world-model vacuity, pairwise conflict,
-//! subsumption, and corpus discrimination over the selected books.
-//! `--book conflict-demo` selects a deliberately conflicting rule book
-//! (never part of `all`) used to demonstrate — and test — that the
-//! semantic gate rejects what the syntactic pass cannot see.
+//! One pass per book: the rule-book analysis (`SL002`, `SL3xx`:
+//! satisfiability, tautology, world-model vacuity, pairwise conflict,
+//! subsumption, and corpus discrimination), then the controller
+//! (`SL1xx`) and step-list (`SL2xx`) lints. `--book conflict-demo`
+//! selects a deliberately conflicting rule book (never part of `all`)
+//! used to demonstrate — and test — that a book whose rules are each
+//! satisfiable but share no fair path under the world is rejected.
 //!
 //! Diagnostics are emitted in a canonical order (subject, code, element,
 //! message), so output is deterministic across runs and suitable for
@@ -25,11 +25,8 @@
 //! "message"}, ...], "tally": {"errors", "warnings", "notes"}}`.
 
 use obskit::json::{ToJson, Value};
-use speclint::presets::{
-    conflicting_semantic_input, driving_input, driving_semantic_input, warehouse_input,
-    warehouse_semantic_input,
-};
-use speclint::{sort_diagnostics, Diagnostic, LintInput, Tally};
+use speclint::presets::{conflicting_semantic_input, driving_input, warehouse_input};
+use speclint::{sort_diagnostics, Diagnostic, Tally};
 use std::process::ExitCode;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -49,18 +46,16 @@ enum Book {
 struct Options {
     format: Format,
     deny_warnings: bool,
-    semantic: bool,
     book: Book,
 }
 
-const USAGE: &str = "usage: speclint [--format human|json] [--deny-warnings] [--semantic] \
+const USAGE: &str = "usage: speclint [--format human|json] [--deny-warnings] \
                      [--book driving|warehouse|all|conflict-demo]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         format: Format::Human,
         deny_warnings: false,
-        semantic: false,
         book: Book::All,
     };
     let mut args = std::env::args().skip(1);
@@ -75,7 +70,6 @@ fn parse_args() -> Result<Options, String> {
                 };
             }
             "--deny-warnings" => opts.deny_warnings = true,
-            "--semantic" => opts.semantic = true,
             "--book" => {
                 let value = args.next().ok_or("--book needs a value")?;
                 opts.book = match value.as_str() {
@@ -93,7 +87,7 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn syntactic_diags(book: Book) -> Vec<Diagnostic> {
+fn diagnostics(book: Book) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if matches!(book, Book::Driving | Book::All) {
         diags.extend(speclint::run(&driving_input()));
@@ -102,26 +96,7 @@ fn syntactic_diags(book: Book) -> Vec<Diagnostic> {
         diags.extend(speclint::run(&warehouse_input()));
     }
     if book == Book::ConflictDemo {
-        let semantic = conflicting_semantic_input();
-        diags.extend(speclint::run(&LintInput {
-            specs: semantic.specs,
-            spec_vocab: semantic.vocab,
-            ..Default::default()
-        }));
-    }
-    diags
-}
-
-fn semantic_diags(book: Book) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if matches!(book, Book::Driving | Book::All) {
-        diags.extend(speclint::semantic::analyze(&driving_semantic_input()));
-    }
-    if matches!(book, Book::Warehouse | Book::All) {
-        diags.extend(speclint::semantic::analyze(&warehouse_semantic_input()));
-    }
-    if book == Book::ConflictDemo {
-        diags.extend(speclint::semantic::analyze(&conflicting_semantic_input()));
+        diags.extend(speclint::analyze(&conflicting_semantic_input()));
     }
     diags
 }
@@ -153,11 +128,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut diags = if opts.semantic {
-        semantic_diags(opts.book)
-    } else {
-        syntactic_diags(opts.book)
-    };
+    let mut diags = diagnostics(opts.book);
     sort_diagnostics(&mut diags);
     let tally = Tally::of(&diags);
 

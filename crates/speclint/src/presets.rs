@@ -1,16 +1,15 @@
 //! Ready-made [`LintInput`]s for the shipped content: the driving and
-//! warehouse rule books, the paper's demonstration controllers, and
-//! their step lists. The `speclint` CLI and the `bench` rule-book tool
-//! are thin wrappers over these.
+//! warehouse rule books with their worlds and controller corpus, the
+//! paper's demonstration controllers, and their step lists. The
+//! `speclint` CLI, the `specsem` bench and the `dpo-af` rule-book gate
+//! build their inputs here.
 
 #![allow(clippy::expect_used, reason = "built from compile-time constants")]
 
 use crate::semantic::{CorpusController, SemanticInput, SemanticWorld};
 use crate::{ControllerInput, LintInput, StepListInput};
 use autokit::presets::DrivingDomain;
-use autokit::{
-    ActSet, Controller, ControllerBuilder, Guard, LabelGraph, Product, PropSet, Vocab, WorldModel,
-};
+use autokit::{ActSet, Controller, ControllerBuilder, Guard, PropSet, Vocab, WorldModel};
 use drivesim::formal::scenario_justice;
 use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, Lexicon};
@@ -86,10 +85,6 @@ pub fn free_controller(name: &str, acts: &[ActSet]) -> Controller {
     builder.build().expect("one state, all endpoints in range")
 }
 
-fn graph_under(model: &WorldModel, free: &Controller) -> LabelGraph {
-    Product::build(model, free).label_graph()
-}
-
 fn labels_of(model: &WorldModel) -> Vec<PropSet> {
     model.states().map(|s| model.label(s)).collect()
 }
@@ -99,27 +94,59 @@ fn labels_of(model: &WorldModel) -> Vec<PropSet> {
 /// shared with `dpo-af` and `certkit`.
 pub use drivesim::formal::scenario_model;
 
-/// Lint input for the driving domain: the 15-rule book with per-scenario
-/// vacuity graphs, the four paper demonstration controllers (with their
-/// scenario observations), the free controller, and the demo step lists.
+/// The maximally permissive driving controller: any one action per step.
+fn driving_free_controller(d: &DrivingDomain) -> Controller {
+    free_controller(
+        "free (driving)",
+        &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(ActSet::singleton),
+    )
+}
+
+/// The five scenario worlds the driving book is verified in: each
+/// scenario's model under the free controller, with its justice.
+pub fn driving_worlds(d: &DrivingDomain) -> Vec<SemanticWorld> {
+    let free = driving_free_controller(d);
+    ScenarioKind::all()
+        .into_iter()
+        .map(|kind| {
+            SemanticWorld::from_parts(
+                format!("{kind:?}"),
+                &scenario_model(d, kind),
+                &free,
+                scenario_justice(d, kind),
+            )
+        })
+        .collect()
+}
+
+/// Lint input for the driving domain: the 15-rule book deployed against
+/// the five scenario worlds ([`driving_worlds`]) and ranked over a corpus
+/// of the free controller in each world plus the four paper
+/// demonstration controllers; those controllers (with their scenario
+/// observations) and the free controller for the controller lints; and
+/// the demo step lists.
 pub fn driving_input() -> LintInput {
     let d = DrivingDomain::new();
     let lexicon = Lexicon::driving(&d);
-    let free = free_controller(
-        "free (driving)",
-        &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(ActSet::singleton),
-    );
+    let free = driving_free_controller(&d);
 
     let mut input = LintInput {
-        specs: driving_specs(&d),
-        spec_vocab: Some(d.vocab.clone()),
+        book: SemanticInput {
+            specs: driving_specs(&d),
+            worlds: driving_worlds(&d),
+            corpus: Vec::new(),
+            vocab: Some(d.vocab.clone()),
+        },
         ..Default::default()
     };
     for kind in ScenarioKind::all() {
-        let model = scenario_model(&d, kind);
-        input
-            .spec_graphs
-            .push((format!("{kind:?}"), graph_under(&model, &free)));
+        input.book.corpus.push(CorpusController::from_parts(
+            format!("free (driving) @ {kind:?}"),
+            format!("{kind:?}"),
+            &scenario_model(&d, kind),
+            &free,
+            scenario_justice(&d, kind),
+        ));
     }
 
     let demos: [(&str, &[&str], ScenarioKind); 4] = [
@@ -146,10 +173,18 @@ pub fn driving_input() -> LintInput {
     ];
     for (name, steps, kind) in demos {
         let ctrl = synthesize(name, steps, &lexicon).expect("paper demo steps align");
+        let model = scenario_model(&d, kind);
+        input.book.corpus.push(CorpusController::from_parts(
+            name,
+            format!("{kind:?}"),
+            &model,
+            &ctrl,
+            scenario_justice(&d, kind),
+        ));
         input.controllers.push(ControllerInput {
             controller: ctrl,
             vocab: Some(d.vocab.clone()),
-            observations: Some(labels_of(&scenario_model(&d, kind))),
+            observations: Some(labels_of(&model)),
         });
         input.step_lists.push(StepListInput {
             name: name.to_owned(),
@@ -166,9 +201,10 @@ pub fn driving_input() -> LintInput {
     input
 }
 
-/// Lint input for the warehouse domain: the 8-rule book with its floor
-/// vacuity graph, one synthesized controller per task, the free
-/// controller, and the canonical step lists.
+/// Lint input for the warehouse domain: the 8-rule book deployed against
+/// the floor world and ranked over the free controller plus one
+/// synthesized controller per task; those controllers for the controller
+/// lints; and the canonical step lists.
 pub fn warehouse_input() -> LintInput {
     let w = WarehouseDomain::new();
     let free = free_controller(
@@ -176,15 +212,37 @@ pub fn warehouse_input() -> LintInput {
         &[w.move_forward, w.pick, w.place, w.wait, w.dock].map(ActSet::singleton),
     );
     let floor = w.floor_model();
+    let justice = warehouse_justice(&w);
 
     let mut input = LintInput {
-        specs: warehouse_specs(&w),
-        spec_vocab: Some(w.vocab.clone()),
-        spec_graphs: vec![("WarehouseFloor".to_owned(), graph_under(&floor, &free))],
+        book: SemanticInput {
+            specs: warehouse_specs(&w),
+            worlds: vec![SemanticWorld::from_parts(
+                "WarehouseFloor",
+                &floor,
+                &free,
+                justice.clone(),
+            )],
+            corpus: vec![CorpusController::from_parts(
+                "free (warehouse)",
+                "WarehouseFloor",
+                &floor,
+                &free,
+                justice.clone(),
+            )],
+            vocab: Some(w.vocab.clone()),
+        },
         ..Default::default()
     };
     for (name, steps) in WAREHOUSE_STEPS {
         let ctrl = synthesize(name, steps, &w.lexicon).expect("canonical warehouse steps align");
+        input.book.corpus.push(CorpusController::from_parts(
+            name,
+            "WarehouseFloor",
+            &floor,
+            &ctrl,
+            justice.clone(),
+        ));
         input.controllers.push(ControllerInput {
             controller: ctrl,
             vocab: Some(w.vocab.clone()),
@@ -205,125 +263,10 @@ pub fn warehouse_input() -> LintInput {
     input
 }
 
-/// Semantic-analysis input for the driving domain: the 15-rule book
-/// deployed against all five scenario worlds (free product, scenario
-/// justice), with the four paper demonstration controllers plus the free
-/// controller as the discrimination corpus.
-pub fn driving_semantic_input() -> SemanticInput {
-    let d = DrivingDomain::new();
-    let lexicon = Lexicon::driving(&d);
-    let free = free_controller(
-        "free (driving)",
-        &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(ActSet::singleton),
-    );
-
-    let mut input = SemanticInput {
-        specs: driving_specs(&d),
-        vocab: Some(d.vocab.clone()),
-        ..Default::default()
-    };
-    for kind in ScenarioKind::all() {
-        let model = scenario_model(&d, kind);
-        let justice = scenario_justice(&d, kind);
-        input.worlds.push(SemanticWorld::from_parts(
-            format!("{kind:?}"),
-            &model,
-            &free,
-            justice.clone(),
-        ));
-        input.corpus.push(CorpusController::from_parts(
-            format!("free (driving) @ {kind:?}"),
-            format!("{kind:?}"),
-            &model,
-            &free,
-            justice,
-        ));
-    }
-
-    let demos: [(&str, &[&str], ScenarioKind); 4] = [
-        (
-            "turn right (before fine-tuning)",
-            &RIGHT_TURN_BEFORE,
-            ScenarioKind::TrafficLight,
-        ),
-        (
-            "turn right (after fine-tuning)",
-            &RIGHT_TURN_AFTER,
-            ScenarioKind::TrafficLight,
-        ),
-        (
-            "turn left (before fine-tuning)",
-            &LEFT_TURN_BEFORE,
-            ScenarioKind::LeftTurnSignal,
-        ),
-        (
-            "turn left (after fine-tuning)",
-            &LEFT_TURN_AFTER,
-            ScenarioKind::LeftTurnSignal,
-        ),
-    ];
-    for (name, steps, kind) in demos {
-        let ctrl = synthesize(name, steps, &lexicon).expect("paper demo steps align");
-        input.corpus.push(CorpusController::from_parts(
-            name,
-            format!("{kind:?}"),
-            &scenario_model(&d, kind),
-            &ctrl,
-            scenario_justice(&d, kind),
-        ));
-    }
-    input
-}
-
-/// Semantic-analysis input for the warehouse domain: the 8-rule book
-/// deployed against the floor world, with the four task controllers plus
-/// the free controller as the discrimination corpus.
-pub fn warehouse_semantic_input() -> SemanticInput {
-    let w = WarehouseDomain::new();
-    let free = free_controller(
-        "free (warehouse)",
-        &[w.move_forward, w.pick, w.place, w.wait, w.dock].map(ActSet::singleton),
-    );
-    let floor = w.floor_model();
-    let justice = warehouse_justice(&w);
-
-    let mut input = SemanticInput {
-        specs: warehouse_specs(&w),
-        vocab: Some(w.vocab.clone()),
-        worlds: vec![SemanticWorld::from_parts(
-            "WarehouseFloor",
-            &floor,
-            &free,
-            justice.clone(),
-        )],
-        ..Default::default()
-    };
-    input.corpus.push(CorpusController::from_parts(
-        "free (warehouse)",
-        "WarehouseFloor",
-        &floor,
-        &free,
-        justice.clone(),
-    ));
-    for (name, steps) in WAREHOUSE_STEPS {
-        let ctrl = synthesize(name, steps, &w.lexicon).expect("canonical warehouse steps align");
-        input.corpus.push(CorpusController::from_parts(
-            name,
-            "WarehouseFloor",
-            &floor,
-            &ctrl,
-            justice.clone(),
-        ));
-    }
-    input
-}
-
-/// A deliberately broken rule book the semantic gate must reject: both
-/// rules are individually satisfiable (the syntactic pass stays silent)
-/// but they share no fair path under the world model, so every controller
-/// is capped below a perfect score (`SL303`). Used by the CLI exit-code
-/// test and as a living example of what the semantic pass adds over the
-/// syntactic one.
+/// A deliberately broken rule book the analysis must reject: both rules
+/// are individually satisfiable but they share no fair path under the
+/// world model, so every controller is capped below a perfect score
+/// (`SL303`). Used by the CLI exit-code test.
 pub fn conflicting_semantic_input() -> SemanticInput {
     let mut vocab = Vocab::new();
     let at_junction = vocab.add_prop("at junction").expect("fresh vocab");
@@ -369,40 +312,12 @@ mod tests {
     use crate::Severity;
 
     /// The acceptance bar: shipped rule books, controllers and step lists
-    /// produce **no** `Error` diagnostics.
+    /// produce no `Error` or `Warning` diagnostics, so `speclint
+    /// --deny-warnings` (the CI gate) passes on shipped content.
     #[test]
-    fn shipped_content_has_no_errors() {
+    fn shipped_content_has_no_errors_or_warnings() {
         for input in [driving_input(), warehouse_input()] {
             let diags = crate::run(&input);
-            let errors: Vec<_> = diags
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect();
-            assert!(errors.is_empty(), "{errors:?}");
-        }
-    }
-
-    /// Warnings are also absent, so `speclint --deny-warnings` (the CI
-    /// gate) passes on shipped content.
-    #[test]
-    fn shipped_content_has_no_warnings() {
-        for input in [driving_input(), warehouse_input()] {
-            let diags = crate::run(&input);
-            let warnings: Vec<_> = diags
-                .iter()
-                .filter(|d| d.severity == Severity::Warning)
-                .collect();
-            assert!(warnings.is_empty(), "{warnings:?}");
-        }
-    }
-
-    /// The semantic acceptance bar: shipped rule books are free of
-    /// `SL30x` errors and warnings under their deployed worlds and
-    /// corpus, so the `--semantic --deny-warnings` CI gate passes.
-    #[test]
-    fn shipped_rule_books_are_semantically_clean() {
-        for input in [driving_semantic_input(), warehouse_semantic_input()] {
-            let diags = crate::semantic::analyze(&input);
             let loud: Vec<_> = diags
                 .iter()
                 .filter(|d| d.severity != Severity::Note)
@@ -411,23 +326,16 @@ mod tests {
         }
     }
 
-    /// The conflict demo is rejected by the semantic pass (`SL303`
-    /// error) but is invisible to the syntactic one — the motivating
-    /// example for the whole `SL3xx` family.
+    /// The conflict demo is rejected with an `SL303` error: the
+    /// motivating example for analysing a book under its worlds.
     #[test]
-    fn conflict_demo_is_rejected_semantically_but_not_syntactically() {
-        let input = conflicting_semantic_input();
-        let diags = crate::semantic::analyze(&input);
+    fn conflict_demo_is_rejected() {
+        let diags = crate::semantic::analyze(&conflicting_semantic_input());
         assert!(
             diags
                 .iter()
                 .any(|d| d.code.code() == "SL303" && d.severity == Severity::Error),
             "{diags:?}"
-        );
-        let syntactic = crate::lint_specs(&input.specs, &[], input.vocab.as_ref());
-        assert!(
-            !syntactic.iter().any(|d| d.severity == Severity::Error),
-            "{syntactic:?}"
         );
     }
 }

@@ -1,8 +1,8 @@
-//! Semantic rule-book analysis (`SL3xx`): satisfiability, world-model
-//! vacuity, pairwise conflict, subsumption, and corpus discrimination.
+//! Rule-book analysis (`SL002`, `SL3xx`): satisfiability, tautology,
+//! world-model vacuity, pairwise conflict, subsumption, and corpus
+//! discrimination.
 //!
-//! The syntactic spec lints ([`crate::spec`]) reason about each rule's
-//! *language* in isolation. This module asks the question that actually
+//! This is the one analysis of a rule book. It asks the question that
 //! matters for DPO-AF: **does the rule carry ranking signal** once it is
 //! deployed against the shipped world models and checked over real
 //! controllers? A rule can be perfectly well-formed and still contribute
@@ -11,6 +11,12 @@
 //! * **SL300** — the rule's language is empty (Büchi emptiness on the
 //!   spec-only automaton): it fails every controller, uniformly
 //!   depressing every score. `Error`.
+//! * **SL002** — the rule is a tautology (its negation's language is
+//!   empty): it passes every controller in every world. `Warning`.
+//!
+//! A rule flagged SL300 or SL002 skips the checks below, which would
+//! only restate the finding.
+//!
 //! * **SL301** — in some world the rule has the same verdict for every
 //!   controller: it holds with the controller left unconstrained (the
 //!   maximally permissive controller satisfies it on all fair paths), or
@@ -46,14 +52,20 @@
 //! `speclint.semantic_notes`.
 
 use crate::diagnostics::{Diagnostic, LintCode};
-use crate::spec::PAIRWISE_SIZE_BUDGET;
 use autokit::{ActSet, Controller, LabelGraph, Product, PropSet, Vocab, WorldModel};
 use ltlcheck::analysis::{
     eval_propositional, exists_fair_path, holds_all_fair, reachable_labels, satisfiable,
+    trigger_of, valid,
 };
 use ltlcheck::specs::Spec;
 use ltlcheck::{Justice, Ltl};
 use std::time::{Duration, Instant};
+
+/// Pairwise checks build the Büchi automaton of a conjunction, which is
+/// worst-case exponential in formula size. Pairs whose combined
+/// [`Ltl::size`] exceeds this budget are skipped and reported via a
+/// single note so the omission is visible rather than silent.
+pub const PAIRWISE_SIZE_BUDGET: usize = 96;
 
 /// A world a rule book is deployed against: the product of a scenario's
 /// world model with a maximally permissive controller, plus the justice
@@ -165,21 +177,6 @@ pub struct SemanticReport {
     pub checks: usize,
 }
 
-/// The trigger of a `□(a → b)`-shaped rule. `□(a → b)` desugars to
-/// `Release(False, Or(Not(a), b))`.
-fn trigger_of(phi: &Ltl) -> Option<&Ltl> {
-    if let Ltl::Release(l, r) = phi {
-        if **l == Ltl::False {
-            if let Ltl::Or(not_a, _) = &**r {
-                if let Ltl::Not(a) = &**not_a {
-                    return Some(a);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Runs the semantic pass and returns just the findings.
 pub fn analyze(input: &SemanticInput) -> Vec<Diagnostic> {
     analyze_timed(input).diagnostics
@@ -227,7 +224,9 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
         }
     }
 
-    let mut sat = Vec::with_capacity(input.specs.len());
+    // contingent[i]: rule `i` is neither empty nor a tautology, so the
+    // world, pairwise and corpus checks can say something new about it.
+    let mut contingent = Vec::with_capacity(input.specs.len());
     // realizable[i][w]: some fair path of live world `w` satisfies rule `i`.
     let mut realizable: Vec<Vec<bool>> = Vec::with_capacity(input.specs.len());
     // A rule "discriminates" in a world when it is realizable there but
@@ -239,13 +238,16 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
     let mut discriminating: Vec<bool> = Vec::with_capacity(input.specs.len());
     let mut timings: Vec<RuleTiming> = Vec::with_capacity(input.specs.len());
 
-    // Per-rule checks: SL300 (emptiness), SL301/SL302 (world vacuity).
+    // Per-rule checks: SL300 (emptiness), SL002 (tautology), SL301/SL302
+    // (world vacuity).
     for spec in &input.specs {
         let started = Instant::now();
         let subject = format!("spec {}", spec.name);
         let is_sat = satisfiable(&spec.formula);
         checks += 1;
-        sat.push(is_sat);
+        let is_taut = is_sat && valid(&spec.formula);
+        checks += usize::from(is_sat);
+        contingent.push(is_sat && !is_taut);
         let mut real = vec![false; live_worlds.len()];
         let mut discriminates_somewhere = false;
         if !is_sat {
@@ -255,6 +257,15 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                 format!(
                     "`{}` has an empty language (Büchi emptiness on the spec-only automaton); \
                      it fails every controller in every world",
+                    render(&spec.formula)
+                ),
+            ));
+        } else if is_taut {
+            diags.push(Diagnostic::new(
+                LintCode::TautologicalSpec,
+                &subject,
+                format!(
+                    "`{}` holds on every trace; it passes every controller in every world",
                     render(&spec.formula)
                 ),
             ));
@@ -333,12 +344,12 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
     }
 
     // Pairwise checks: SL303 (conflict under a world), SL304 (containment
-    // under every world). Only pairs of satisfiable rules are
+    // under every world). Only pairs of contingent rules are
     // interesting; oversized pairs are skipped loudly.
     let mut skipped_pairs = 0usize;
     for i in 0..input.specs.len() {
         for j in (i + 1)..input.specs.len() {
-            if !sat[i] || !sat[j] || live_worlds.is_empty() {
+            if !contingent[i] || !contingent[j] || live_worlds.is_empty() {
                 continue;
             }
             let (a, b) = (&input.specs[i], &input.specs[j]);
@@ -459,7 +470,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
     // Corpus discrimination: SL305.
     if !input.corpus.is_empty() {
         for (i, spec) in input.specs.iter().enumerate() {
-            if !sat[i] {
+            if !contingent[i] {
                 continue;
             }
             let started = Instant::now();
@@ -658,14 +669,49 @@ mod tests {
     #[test]
     fn sl302_negative_reachable_trigger_reports_plain_vacuity() {
         let v = vocab();
-        // Holds everywhere, but the trigger `a` is reachable — SL301,
+        // Holds in the world, but the trigger `a` is reachable — SL301,
         // not SL302.
         let diags = analyze(&input(
             &v,
-            vec![spec("tautological", &v, "G (a -> a)")],
+            vec![spec("persistent", &v, "G (a -> X a)")],
             vec![always_a_world(&v)],
         ));
         assert_eq!(codes(&diags), vec!["SL301"], "{diags:?}");
+    }
+
+    #[test]
+    fn sl002_flags_tautology_and_skips_the_checks_that_restate_it() {
+        let v = vocab();
+        let model = always_a_model(&v);
+        let corpus = vec![CorpusController::from_parts(
+            "waiter",
+            "always-a",
+            &model,
+            &fixed_controller("waiter", &v, "wait"),
+            Vec::new(),
+        )];
+        let diags = analyze(&SemanticInput {
+            specs: vec![spec("trivial", &v, "G (a | !a)"), spec("ok", &v, "G F go")],
+            worlds: vec![always_a_world(&v)],
+            corpus,
+            vocab: Some(v.clone()),
+        });
+        // No SL301 in the world, no pairing with `ok`, no SL305 for the
+        // tautology: only `ok`'s own zero-discrimination count remains.
+        assert_eq!(codes(&diags), vec!["SL002", "SL305"], "{diags:?}");
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(diags[0].location.subject, "spec trivial");
+    }
+
+    #[test]
+    fn sl002_negative_on_contingent_spec() {
+        let v = vocab();
+        let diags = analyze(&input(
+            &v,
+            vec![spec("contingent", &v, "G (a -> X b)")],
+            Vec::new(),
+        ));
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -7,23 +7,28 @@
 
 use crate::diagnostics::{Diagnostic, LintCode};
 use autokit::Vocab;
-use glm2fsa::{parse_step, Lexicon};
+use glm2fsa::{
+    parse_step, Lexicon, CONDITIONAL_MARKERS, CONSEQUENT_SEPARATORS, LITERAL_SEPARATOR,
+    NEGATION_WORDS, OBSERVE_VERBS,
+};
 use std::collections::BTreeSet;
 
-/// Words the step grammar itself consumes: conditional markers, clause
-/// separators, negations, and observation verbs (mirrors the constant
-/// lists in `glm2fsa::parse`).
-const STRUCTURAL_WORDS: &[&str] = &[
-    "if", "when", "then", "and", "or", ",", // grammar
-    "no", "not", "without", "clear", "free", "absent", "isnt", // negation
-    "observe", "check", "look", "watch", "verify", "monitor", "scan", "confirm",
-    "approach", // observation verbs
-];
+/// Whether the step grammar itself consumes `word`: conditional markers,
+/// clause and literal separators, negations, and observation verbs, as
+/// `glm2fsa`'s parser defines them.
+fn is_grammar_word(word: &str) -> bool {
+    word == LITERAL_SEPARATOR
+        || CONDITIONAL_MARKERS.contains(&word)
+        || CONSEQUENT_SEPARATORS.contains(&word)
+        || NEGATION_WORDS.contains(&word)
+        || OBSERVE_VERBS.contains(&word)
+}
 
 /// Filler words that carry no propositional content. The parser skips
 /// unmatched words silently; this list keeps SL202 from flagging ordinary
 /// connective prose so it only reports genuinely foreign tokens.
 const STOPWORDS: &[&str] = &[
+    "or",
     "the",
     "a",
     "an",
@@ -189,8 +194,8 @@ pub fn lint_steps<S: AsRef<str>>(
             let word = words[i].as_str();
             let stemmed = stem(word);
             let known = word.chars().all(|c| c.is_ascii_digit())
-                || STRUCTURAL_WORDS.contains(&word)
-                || STRUCTURAL_WORDS.contains(&stemmed)
+                || is_grammar_word(word)
+                || is_grammar_word(stemmed)
                 || STOPWORDS.contains(&word)
                 || STOPWORDS.contains(&stemmed)
                 || vocab_word_stems.contains(stemmed);

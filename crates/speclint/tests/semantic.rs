@@ -1,11 +1,14 @@
-//! Integration tests of the semantic rule-book analysis: a pathological
-//! book exercising every `SL30x` code pinned to a golden JSON report,
-//! and a property test that `SL300` (empty language) never misfires —
-//! every flagged formula is confirmed unsatisfiable on a live product.
+//! Integration tests of the rule-book analysis: a pathological book
+//! exercising every `SL002`/`SL30x` code pinned to a golden JSON report,
+//! and property tests that `SL300` (empty language) never misfires, that
+//! a pair whose conjunction has no model is always caught as an `SL303`
+//! conflict, and that a `□(t → x)` rule whose trigger never fires is
+//! always caught as `SL302`.
 
 #![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 
 use autokit::{ActSet, Controller, ControllerBuilder, Guard, PropSet, Vocab, WorldModel};
+use ltlcheck::analysis::{exists_fair_path, reachable_labels, satisfiable, valid};
 use ltlcheck::specs::Spec;
 use ltlcheck::{parse, Ltl};
 use obskit::json::ToJson;
@@ -50,11 +53,12 @@ fn spec(name: &str, v: &Vocab, src: &str) -> Spec {
     }
 }
 
-/// A rule book built to trip every semantic code at once: an empty
-/// language (SL300), a rule holding with the controller unconstrained
-/// (SL301), a rule whose trigger is unreachable (SL302), a conflicting
-/// pair (SL303), a subsumed pair (SL304), and — with a single-controller
-/// corpus — zero-discrimination findings (SL305).
+/// A rule book built to trip every rule-book code at once: an empty
+/// language (SL300), a tautology (SL002), a rule holding with the
+/// controller unconstrained (SL301), a rule whose trigger is unreachable
+/// (SL302), a conflicting pair (SL303), a subsumed pair (SL304), and —
+/// with a single-controller corpus — zero-discrimination findings
+/// (SL305).
 fn pathological_input() -> SemanticInput {
     let v = vocab();
     let model = always_a_model(&v);
@@ -71,6 +75,7 @@ fn pathological_input() -> SemanticInput {
     SemanticInput {
         specs: vec![
             spec("empty", &v, "F (a & !a)"),
+            spec("tautology", &v, "G (a | !a)"),
             spec("trivial", &v, "F a"),
             spec("dormant", &v, "G (b -> !go)"),
             spec("progress", &v, "G F go"),
@@ -109,13 +114,15 @@ fn check_golden(file: &str, got: &str) {
     );
 }
 
-/// Every `SL30x` code fires on the pathological book and the full sorted
-/// report is byte-stable against the golden file.
+/// Every `SL002`/`SL30x` code fires on the pathological book and the
+/// full sorted report is byte-stable against the golden file.
 #[test]
 fn pathological_book_trips_every_code_and_matches_golden() {
     let mut diags = analyze(&pathological_input());
     sort_diagnostics(&mut diags);
-    for code in ["SL300", "SL301", "SL302", "SL303", "SL304", "SL305"] {
+    for code in [
+        "SL002", "SL300", "SL301", "SL302", "SL303", "SL304", "SL305",
+    ] {
         assert!(
             diags.iter().any(|d| d.code.code() == code),
             "{code} missing from {diags:?}"
@@ -135,6 +142,41 @@ fn analysis_is_deterministic_across_runs() {
         diags.to_json().to_json_pretty()
     };
     assert_eq!(render(), render());
+}
+
+fn always_a_world(v: &Vocab) -> SemanticWorld {
+    SemanticWorld::from_parts("always-a", &always_a_model(v), &free(v), Vec::new())
+}
+
+fn rule(name: &str, formula: Ltl) -> Spec {
+    Spec {
+        name: name.to_owned(),
+        description: String::new(),
+        formula,
+    }
+}
+
+/// Propositional conditions over `a`, `b` and `go`: the triggers of
+/// `□(t → …)` rules.
+fn arb_condition() -> impl Strategy<Value = Ltl> {
+    let v = vocab();
+    let a = v.prop("a").expect("registered");
+    let b = v.prop("b").expect("registered");
+    let go = v.act("go").expect("registered");
+    let leaf = prop_oneof![
+        Just(Ltl::True),
+        Just(Ltl::False),
+        Just(Ltl::prop(a)),
+        Just(Ltl::prop(b)),
+        Just(Ltl::act(go)),
+    ];
+    leaf.prop_recursive(3, 8, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(Ltl::not),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Ltl::and(l, r)),
+            (inner.clone(), inner).prop_map(|(l, r)| Ltl::or(l, r)),
+        ]
+    })
 }
 
 fn arb_ltl() -> impl Strategy<Value = Ltl> {
@@ -171,8 +213,7 @@ proptest! {
     #[test]
     fn sl300_flagged_specs_are_unsatisfiable_on_live_product(phi in arb_ltl()) {
         let v = vocab();
-        let model = always_a_model(&v);
-        let world = SemanticWorld::from_parts("always-a", &model, &free(&v), Vec::new());
+        let world = always_a_world(&v);
         let graph = world.graph.clone();
         let input = SemanticInput {
             specs: vec![Spec {
@@ -187,9 +228,64 @@ proptest! {
         let diags = analyze(&input);
         if diags.iter().any(|d| d.code.code() == "SL300") {
             prop_assert!(
-                !ltlcheck::analysis::exists_fair_path(&graph, &phi, &[]),
+                !exists_fair_path(&graph, &phi, &[]),
                 "SL300 fired but the live product satisfies {phi:?}"
             );
         }
+    }
+
+    /// Pairwise conflict under a world never misses a conflict over all
+    /// traces: when `a` and `b` each have a model but `a ∧ b` has none,
+    /// and both are realizable in the world, the pair gets `SL303`.
+    #[test]
+    fn unsatisfiable_conjunction_of_realizable_rules_is_sl303(
+        a in arb_ltl(),
+        c in arb_ltl(),
+        negate in any::<bool>(),
+    ) {
+        // `b = ¬a ∧ c` makes the conjunction empty in most cases; the
+        // other half draws `b` freely.
+        let b = if negate { Ltl::and(Ltl::not(a.clone()), c) } else { c };
+        let world = always_a_world(&vocab());
+        prop_assume!(satisfiable(&a) && satisfiable(&b));
+        prop_assume!(!satisfiable(&Ltl::and(a.clone(), b.clone())));
+        prop_assume!(exists_fair_path(&world.graph, &a, &world.justice));
+        prop_assume!(exists_fair_path(&world.graph, &b, &world.justice));
+        let diags = analyze(&SemanticInput {
+            specs: vec![rule("a", a.clone()), rule("b", b.clone())],
+            worlds: vec![world],
+            corpus: Vec::new(),
+            vocab: Some(vocab()),
+        });
+        prop_assert!(
+            diags.iter().any(|d| d.code.code() == "SL303"
+                && d.location.subject == "spec a"
+                && d.location.element.as_deref() == Some("spec b")),
+            "no SL303 for {a:?} and {b:?}: {diags:?}"
+        );
+    }
+
+    /// Trigger reachability never misses a dormant rule: every
+    /// `□(t → x)` whose propositional `t` is false on all reachable
+    /// labels of the world gets `SL302` there — or `SL002`, which skips
+    /// the world checks, when the rule holds on every trace.
+    #[test]
+    fn unreachable_trigger_is_sl302(t in arb_condition(), x in arb_ltl()) {
+        let world = always_a_world(&vocab());
+        prop_assume!(reachable_labels(&world.graph)
+            .iter()
+            .all(|&(p, acts)| ltlcheck::analysis::eval_propositional(&t, p, acts) == Some(false)));
+        let formula = Ltl::always(Ltl::implies(t, x));
+        let expected = if valid(&formula) { "SL002" } else { "SL302" };
+        let diags = analyze(&SemanticInput {
+            specs: vec![rule("dormant", formula.clone())],
+            worlds: vec![world],
+            corpus: Vec::new(),
+            vocab: Some(vocab()),
+        });
+        prop_assert!(
+            diags.iter().any(|d| d.code.code() == expected),
+            "no {expected} for {formula:?}: {diags:?}"
+        );
     }
 }

@@ -4,7 +4,9 @@
 //! Run with: `cargo run --example spec_analysis`
 
 use autokit::{presets::DrivingDomain, ActSet, ControllerBuilder, Guard, Product};
-use ltlcheck::analysis::{equivalent, satisfiable, vacuous_pass, Vacuity};
+use ltlcheck::analysis::{
+    equivalent, eval_propositional, reachable_labels, satisfiable, trigger_of,
+};
 use ltlcheck::specs::driving_specs;
 use ltlcheck::{parse, Ltl};
 
@@ -41,15 +43,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let free = builder.build()?;
     let model = d.wide_median_model();
     let graph = Product::build(&model, &free).label_graph();
+    // A `□(trigger → …)` rule whose trigger is false on every reachable
+    // label can never fire here.
+    let labels = reachable_labels(&graph);
     for s in &specs {
-        match vacuous_pass(&graph, &s.formula) {
-            Some(Vacuity::UnreachableAntecedent(ant)) => println!(
+        let Some(trigger) = trigger_of(&s.formula) else {
+            continue;
+        };
+        if labels
+            .iter()
+            .all(|&(p, a)| eval_propositional(trigger, p, a) == Some(false))
+        {
+            println!(
                 "   {:>7}: vacuous — antecedent `{}` never occurs here",
                 s.name,
-                ant.to_string(&d.vocab)
-            ),
-            Some(Vacuity::Tautology) => println!("   {:>7}: tautology", s.name),
-            None => {}
+                trigger.to_string(&d.vocab)
+            );
         }
     }
     println!("\n(rules not listed above genuinely constrain this scenario)");
