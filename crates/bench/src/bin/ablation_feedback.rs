@@ -33,6 +33,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(pipeline.config.seed);
     progress!("pretraining the language model …");
     let lm = pipeline.pretrained_lm(&mut rng);
+    let lm = lm.merged();
     let bundle: &DomainBundle = &pipeline.bundle;
 
     let opts = SampleOptions {

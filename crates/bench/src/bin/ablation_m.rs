@@ -24,6 +24,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(pipeline.config.seed);
     progress!("pretraining the language model …");
     let lm = pipeline.pretrained_lm(&mut rng);
+    let lm = lm.merged();
     let opts = SampleOptions {
         temperature: 1.1,
         max_len: 60,

@@ -76,6 +76,7 @@ fn collect_traces(
         max_len: 60,
         ..SampleOptions::default()
     };
+    let lm = lm.merged();
     let mut traces = Vec::new();
     for task in &bundle.tasks {
         for _ in 0..cfg.samples_per_task {

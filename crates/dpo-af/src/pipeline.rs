@@ -627,6 +627,7 @@ impl DpoAf {
             "dpo.ref_cache_hits",
             "tape.nodes",
             "tape.grad_buffer_reuses",
+            "tinylm.packed_floats",
             "speclint.semantic_rules",
             "speclint.semantic_checks",
             "speclint.semantic_errors",

@@ -1,42 +1,67 @@
 //! The hot numeric kernels behind the tape's sequence-batched ops.
 //!
-//! PR 5 fixed the *graph shape* (one tape node per layer per sequence);
-//! this module fixes the *kernels*: every inner loop the training fast
-//! path spends its time in — the forward matmul dots, the backward
-//! rank-1 updates, the fused bias+log-softmax — lives here as a plain
-//! function over slices, written so the compiler can keep the work in
-//! registers and vector lanes instead of bouncing through
-//! `Vec<Vec<f32>>` double indexing.
+//! Every inner loop the language model spends its time in lives here as
+//! a plain function over slices: the forward matmul, the backward
+//! rank-1 updates, the fused bias+log-softmax. Each is written so the
+//! compiler keeps the work in registers and vector lanes.
 //!
 //! # One contract: bit-identical to the scalar loops
 //!
-//! Every kernel here is **bit-identical** to the scalar loops it
+//! Every kernel here is **bit-identical** to the scalar loop it
 //! replaced. The speedup comes only from transformations that leave
 //! every output element's f32 operation sequence unchanged: blocking
-//! across *independent* output elements (8 forward dots advance
-//! together, each still a left-to-right fold), splitting interleaved
+//! across *independent* output elements, splitting interleaved
 //! accumulations into per-buffer passes (different destinations never
-//! interact), and replacing indexed `Vec<Vec<f32>>` walks with slice
-//! iteration the compiler can bounds-check once and vectorize. The
-//! existing byte-equality CI gates and the proptests in this module
-//! (blocked vs. retained naive kernels, ragged shapes included) enforce
-//! the contract.
+//! interact), and slice iteration the compiler can bounds-check once and
+//! vectorize. Rust never contracts a multiply and an add into an FMA, so
+//! vector lanes compute exactly what scalar code would. The byte-equality
+//! CI gates and the proptests in this module (packed/split kernels vs.
+//! retained naive loops, ragged shapes included) enforce the contract.
+//!
+//! # The forward matmul reads packed panels
+//!
+//! [`matmul_forward`] reads its matrix in one packed layout, built by
+//! [`Packed::pack`] (the packing idea of Goto & van de Geijn, *Anatomy of
+//! High-Performance Matrix Multiplication*, TOMS 2008, restricted to
+//! transformations that keep each output's fold):
+//!
+//! - rows in 8-row panels, column-interleaved:
+//!   `panel[c·8 + j] = M[r0 + j][c]`, so one contiguous load feeds the 8
+//!   row dots of a column;
+//! - then at most one 4-row panel in the same layout (`c·4 + j`), which
+//!   covers the rank-4 LoRA factors;
+//! - then the last `rows % 4` rows, row-major, each a scalar [`dot`].
+//!
+//! A panel advances 4 positions together, so each panel load serves 4
+//! independent accumulator sets. Every output is still the left-to-right
+//! fold from `+0.0` that [`dot`] computes. Packing is a permutation of
+//! the matrix, so a packed matrix is exactly `rows · cols` floats.
+//! Whoever owns a matrix that many calls read packs it once:
+//! `Merged` per model version, the tape once per matmul call.
 
-/// The sequential dot product every matrix op on the tape is built from:
-/// a left-to-right fold starting at `0.0`. Centralizing it pins the
+/// The sequential dot product every matrix op is built from: a
+/// left-to-right fold starting at `+0.0`. Centralizing it pins the
 /// accumulation order, which is what makes the batched `Tape::matmul`
-/// bit-identical to per-position `Tape::matvec` calls (and the packed
-/// LoRA-merge kernel in `model.rs` bit-identical to the naive triple
-/// loop it replaced).
+/// bit-identical to per-position `Tape::matvec` calls (and the LoRA
+/// merge in `model.rs` bit-identical to the naive triple loop it
+/// replaced). The explicit `fold` pins the sign of zero too:
+/// `Iterator::sum` starts from `-0.0`, which an all-`-0.0` sum (or an
+/// empty one) would keep, while every packed panel lane starts from
+/// `+0.0`.
 #[inline]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
 
-/// Number of independent accumulator lanes the blocked kernels run:
-/// eight in-flight f32 chains hide the 4-cycle add latency on every
-/// current x86/ARM core without spilling registers.
+/// Rows per full panel: eight in-flight f32 chains hide the add latency
+/// and fill one 256-bit vector.
 const LANES: usize = 8;
+
+/// Rows of the one narrow panel after the full ones.
+const HALF: usize = 4;
+
+/// Positions a panel advances together, sharing each panel load.
+const POSITIONS: usize = 4;
 
 /// `out += s · a`, the rank-1-update inner loop of every backward
 /// matmul. Element-independent, so it vectorizes without reassociating
@@ -56,63 +81,126 @@ pub(crate) fn add_assign(out: &mut [f32], a: &[f32]) {
     }
 }
 
-/// Eight forward dots advanced together: `rows` packs 8 row slices, and
-/// each lane's accumulator sees the exact left-to-right [`dot`] fold —
-/// blocking is across *independent* outputs, so the result stays
-/// bit-identical while the 8 chains fill the FPU pipeline.
-#[inline]
-fn dot_block8(rows: [&[f32]; LANES], x: &[f32]) -> [f32; LANES] {
-    // Pin every lane to x's length so the indexing below is provably in
-    // bounds and the checks vanish.
-    let rows = rows.map(|r| &r[..x.len()]);
-    let mut acc = [0.0f32; LANES];
-    for (c, &xv) in x.iter().enumerate() {
-        for j in 0..LANES {
-            acc[j] += rows[j][c] * xv;
-        }
-    }
-    acc
-}
-
-/// Forward matmul: `out[p·rows + r] = dot(M_r, x_p)` for `n` packed
-/// column-vectors, walking rows in blocks of [`LANES`] with a scalar
-/// [`dot`] remainder.
-pub(crate) fn matmul_forward(
-    out: &mut [f32],
-    m: &[f32],
-    x: &[f32],
+/// A `rows×cols` matrix in the forward kernel's packed layout (see the
+/// module docs). The buffer is reused across [`Packed::pack`] calls.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Packed {
+    data: Vec<f32>,
     rows: usize,
     cols: usize,
+}
+
+impl Packed {
+    /// `m` (`rows×cols`, row-major) packed into a new buffer.
+    pub(crate) fn new(m: &[f32], rows: usize, cols: usize) -> Self {
+        let mut packed = Packed::default();
+        packed.pack(m, rows, cols);
+        packed
+    }
+
+    /// Repacks this buffer with `m` (`rows×cols`, row-major), keeping
+    /// its capacity. Counts the floats packed in `tinylm.packed_floats`.
+    pub(crate) fn pack(&mut self, m: &[f32], rows: usize, cols: usize) {
+        assert_eq!(m.len(), rows * cols, "matrix size mismatch");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(m.len(), 0.0);
+        let mut r0 = 0;
+        while rows - r0 >= LANES {
+            let span = r0 * cols..(r0 + LANES) * cols;
+            pack_panel::<LANES>(&mut self.data[span.clone()], &m[span], cols);
+            r0 += LANES;
+        }
+        if rows - r0 >= HALF {
+            let span = r0 * cols..(r0 + HALF) * cols;
+            pack_panel::<HALF>(&mut self.data[span.clone()], &m[span], cols);
+            r0 += HALF;
+        }
+        self.data[r0 * cols..].copy_from_slice(&m[r0 * cols..]);
+        if obskit::enabled() {
+            obskit::counter_add("tinylm.packed_floats", m.len() as u64);
+        }
+    }
+}
+
+/// Interleaves `W` consecutive rows of `m` column by column into `dst`.
+#[inline]
+fn pack_panel<const W: usize>(dst: &mut [f32], m: &[f32], cols: usize) {
+    let rows: [&[f32]; W] = std::array::from_fn(|j| &m[j * cols..(j + 1) * cols]);
+    for (c, lane) in dst.as_chunks_mut::<W>().0.iter_mut().enumerate() {
+        for (l, row) in lane.iter_mut().zip(&rows) {
+            *l = row[c];
+        }
+    }
+}
+
+/// Forward matmul: `out[p·rows + r] = dot(M_r, x_p)` for the `n` packed
+/// column-vectors of `x`, with `M` in the packed layout.
+pub(crate) fn matmul_forward(out: &mut [f32], m: &Packed, x: &[f32], n: usize) {
+    let (rows, cols) = (m.rows, m.cols);
+    debug_assert_eq!(out.len(), n * rows);
+    debug_assert_eq!(x.len(), n * cols);
+    let mut r0 = 0;
+    while rows - r0 >= LANES {
+        let panel = &m.data[r0 * cols..(r0 + LANES) * cols];
+        panel_forward::<LANES>(out, panel.as_chunks().0, x, rows, r0, n);
+        r0 += LANES;
+    }
+    if rows - r0 >= HALF {
+        let panel = &m.data[r0 * cols..(r0 + HALF) * cols];
+        panel_forward::<HALF>(out, panel.as_chunks().0, x, rows, r0, n);
+        r0 += HALF;
+    }
+    for r in r0..rows {
+        let row = &m.data[r * cols..(r + 1) * cols];
+        for p in 0..n {
+            out[p * rows + r] = dot(row, &x[p * cols..(p + 1) * cols]);
+        }
+    }
+}
+
+/// Output rows `r0..r0 + W` of every position from one `W`-row panel
+/// (one `[f32; W]` per column): [`POSITIONS`] positions at a time, then
+/// one at a time. Each lane is its own left-to-right fold from `+0.0`.
+#[inline]
+fn panel_forward<const W: usize>(
+    out: &mut [f32],
+    panel: &[[f32; W]],
+    x: &[f32],
+    rows: usize,
+    r0: usize,
     n: usize,
 ) {
-    debug_assert_eq!(out.len(), n * rows);
-    debug_assert_eq!(m.len(), rows * cols);
-    debug_assert_eq!(x.len(), n * cols);
-    let full = rows - rows % LANES;
-    for p in 0..n {
-        let xp = &x[p * cols..(p + 1) * cols];
-        let op = &mut out[p * rows..(p + 1) * rows];
-        let mut r = 0;
-        while r < full {
-            let block = dot_block8(
-                [
-                    &m[r * cols..(r + 1) * cols],
-                    &m[(r + 1) * cols..(r + 2) * cols],
-                    &m[(r + 2) * cols..(r + 3) * cols],
-                    &m[(r + 3) * cols..(r + 4) * cols],
-                    &m[(r + 4) * cols..(r + 5) * cols],
-                    &m[(r + 5) * cols..(r + 6) * cols],
-                    &m[(r + 6) * cols..(r + 7) * cols],
-                    &m[(r + 7) * cols..(r + 8) * cols],
-                ],
-                xp,
-            );
-            op[r..r + LANES].copy_from_slice(&block);
-            r += LANES;
+    let cols = panel.len();
+    let mut p = 0;
+    while p + POSITIONS <= n {
+        let xs: [&[f32]; POSITIONS] =
+            std::array::from_fn(|q| &x[(p + q) * cols..(p + q + 1) * cols]);
+        let mut acc = [[0.0f32; W]; POSITIONS];
+        for (c, lane) in panel.iter().enumerate() {
+            for (acc, xq) in acc.iter_mut().zip(&xs) {
+                let xv = xq[c];
+                for (a, &m) in acc.iter_mut().zip(lane) {
+                    *a += m * xv;
+                }
+            }
         }
-        for (rr, o) in op.iter_mut().enumerate().skip(full) {
-            *o = dot(&m[rr * cols..(rr + 1) * cols], xp);
+        for (q, acc) in acc.iter().enumerate() {
+            let at = (p + q) * rows + r0;
+            out[at..at + W].copy_from_slice(acc);
         }
+        p += POSITIONS;
+    }
+    for p in p..n {
+        let mut acc = [0.0f32; W];
+        for (lane, &xv) in panel.iter().zip(&x[p * cols..(p + 1) * cols]) {
+            for (a, &m) in acc.iter_mut().zip(lane) {
+                *a += m * xv;
+            }
+        }
+        let at = p * rows + r0;
+        out[at..at + W].copy_from_slice(&acc);
     }
 }
 
@@ -299,14 +387,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The retained naive forward kernel: one scalar fold per output,
-    /// rows-outer — exactly the pre-kernels `Tape::matmul` loop.
+    /// The naive forward kernel: one scalar fold from `+0.0` per output,
+    /// rows-outer, on the row-major matrix.
     fn naive_matmul_forward(m: &[f32], x: &[f32], rows: usize, cols: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n * rows];
         for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
             for p in 0..n {
-                out[p * rows + r] = dot(row, &x[p * cols..(p + 1) * cols]);
+                let mut acc = 0.0f32;
+                for c in 0..cols {
+                    acc += m[r * cols + c] * x[p * cols + c];
+                }
+                out[p * rows + r] = acc;
             }
         }
         out
@@ -348,26 +439,69 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Every forward path starts its fold at `+0.0`: the 8-row and 4-row
+    /// panels, the scalar tail rows and [`dot`] itself give `+0.0` when
+    /// every product is `-0.0`, and so does an empty fold.
+    #[test]
+    fn zero_input_gives_positive_zero_on_every_path() {
+        assert_eq!(dot(&[], &[]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(dot(&[-1.0, -2.0], &[0.0, 0.0]).to_bits(), 0.0f32.to_bits());
+        // 15 rows: one 8-row panel, one 4-row panel, three tail rows.
+        for (rows, cols) in [(15, 3), (15, 0)] {
+            let m = vec![-1.5f32; rows * cols];
+            for n in [1, 4, 5] {
+                let x = vec![0.0f32; n * cols];
+                let mut out = vec![f32::NAN; n * rows];
+                matmul_forward(&mut out, &Packed::new(&m, rows, cols), &x, n);
+                assert_eq!(bits(&out), vec![0u32; n * rows], "{rows}x{cols}, n = {n}");
+            }
+        }
+    }
+
+    /// One buffer repacked for matrices of other shapes forwards each
+    /// exactly as a fresh pack does.
+    #[test]
+    fn repacking_reuses_the_buffer_exactly() {
+        let mut packed = Packed::default();
+        for (rows, cols) in [(21, 7), (4, 68), (3, 2), (48, 4)] {
+            let m = wave(rows * cols, 0.29);
+            let x = wave(5 * cols, 0.53);
+            packed.pack(&m, rows, cols);
+            assert_eq!(packed, Packed::new(&m, rows, cols));
+            let mut out = vec![0.0f32; 5 * rows];
+            matmul_forward(&mut out, &packed, &x, 5);
+            assert_eq!(
+                bits(&out),
+                bits(&naive_matmul_forward(&m, &x, rows, cols, 5))
+            );
+        }
+    }
+
     proptest! {
-        /// Blocked forward is bit-identical to the naive kernel across
-        /// ragged shapes: rows below/at/above the lane width, zero-length
-        /// packs, single positions.
+        /// The packed forward is bit-identical to the naive kernel across
+        /// ragged shapes: rows crossing both panel widths, zero columns,
+        /// zero-length packs, single positions, and an all-zero input
+        /// against a negative matrix (every product `-0.0`, so only the
+        /// fold's `+0.0` start decides the sign).
         #[test]
         fn blocked_forward_is_bit_identical(
-            rows in 1usize..21,
-            cols in 1usize..19,
-            n in 0usize..5,
+            rows in 1usize..=21,
+            cols in 0usize..19,
+            n in 0usize..7,
+            zero_input in 0u32..4,
             seed in 0u32..50,
         ) {
             let f = 0.13 + seed as f32 * 0.017;
-            let m = wave(rows * cols, f);
-            let x = wave(n * cols, f + 0.31);
-            let naive = naive_matmul_forward(&m, &x, rows, cols, n);
-            let mut blocked = vec![0.0f32; n * rows];
-            matmul_forward(&mut blocked, &m, &x, rows, cols, n);
-            for (i, (a, b)) in blocked.iter().zip(&naive).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "out[{}]: {} vs {}", i, a, b);
+            let mut m = wave(rows * cols, f);
+            let mut x = wave(n * cols, f + 0.31);
+            if zero_input == 0 {
+                m.iter_mut().for_each(|v| *v = -v.abs() - 0.5);
+                x.iter_mut().for_each(|v| *v = 0.0);
             }
+            let naive = naive_matmul_forward(&m, &x, rows, cols, n);
+            let mut packed = vec![f32::NAN; n * rows];
+            matmul_forward(&mut packed, &Packed::new(&m, rows, cols), &x, n);
+            prop_assert_eq!(bits(&packed), bits(&naive));
         }
 
         /// Split-pass backward is bit-identical to the naive interleaved

@@ -1,4 +1,4 @@
-use crate::kernels;
+use crate::kernels::{self, Packed};
 use crate::tape::{dot, GradArena, Tape};
 use crate::tokenizer::{Token, BOS, EOS};
 use obskit::json::{DecodeError, FromJson, ToJson, Value};
@@ -472,17 +472,19 @@ impl CondLm {
         Cow::Owned(w)
     }
 
-    /// The model with its LoRA adapters merged into `W1` and `W2` once,
-    /// for tape-free scoring and sampling. Build one per model version
-    /// and reuse it: every call on it skips the merge.
+    /// The model with its LoRA adapters merged into `W1` and `W2` and
+    /// both packed for the forward kernel, once, for tape-free scoring
+    /// and sampling. Build one per model version and reuse it: every
+    /// call on it skips the merge and the packing.
     pub fn merged(&self) -> Merged<'_> {
         let (cfg, seg) = (&self.cfg, &self.seg);
+        let (input, h, v) = (cfg.input_dim(), cfg.hidden, cfg.vocab_size);
         let lora1 = seg.lora.as_ref().map(|(a1, b1l, _, _)| (a1, b1l));
         let lora2 = seg.lora.as_ref().map(|(_, _, a2, b2l)| (a2, b2l));
         Merged {
             lm: self,
-            w1: self.w_eff(&seg.w1, lora1, cfg.hidden, cfg.input_dim()),
-            w2: self.w_eff(&seg.w2, lora2, cfg.vocab_size, cfg.hidden),
+            w1: Packed::new(&self.w_eff(&seg.w1, lora1, h, input), h, input),
+            w2: Packed::new(&self.w_eff(&seg.w2, lora2, v, h), v, h),
         }
     }
 
@@ -839,10 +841,11 @@ impl CondLm {
     ///
     /// Returns [`LmError`] for out-of-range ids.
     pub fn perplexity(&self, corpus: &[(usize, Vec<Token>)]) -> Result<f64, LmError> {
+        let merged = self.merged();
         let mut log_sum = 0.0f64;
         let mut tokens = 0usize;
         for (task, response) in corpus {
-            log_sum += f64::from(self.log_prob(*task, response)?);
+            log_sum += f64::from(merged.log_prob(*task, response)?);
             tokens += response.len() + 1;
         }
         if tokens == 0 {
@@ -886,14 +889,15 @@ impl CondLm {
 }
 
 /// A [`CondLm`] with its LoRA adapters merged into the effective `W1` and
-/// `W2` (see [`CondLm::merged`]). Scoring and sampling through it compute
-/// exactly what the model's own methods compute, bit for bit; they just
-/// skip the merge. Under [`AdaptMode::Full`] it borrows the weights.
+/// `W2`, which it owns packed for the forward kernel (see
+/// [`CondLm::merged`]). Scoring and sampling through it compute exactly
+/// what the model's own methods compute, bit for bit; they just skip the
+/// merge and the packing.
 #[derive(Debug, Clone)]
 pub struct Merged<'a> {
     lm: &'a CondLm,
-    w1: Cow<'a, [f32]>,
-    w2: Cow<'a, [f32]>,
+    w1: Packed,
+    w2: Packed,
 }
 
 impl Merged<'_> {
@@ -967,10 +971,11 @@ impl Merged<'_> {
     /// whose `context` token ids `windows` packs, one `vocab`-wide row
     /// each. Ids must be validated by the caller.
     ///
-    /// Both layers run through [`kernels::matmul_forward`], which folds
-    /// each output on its own with the sequential `dot`, and the fused
-    /// bias + log-softmax is the tape's own kernel. So a row's bits do
-    /// not depend on how many positions share the call.
+    /// Both layers run through [`kernels::matmul_forward`] on the packed
+    /// weights, which folds each output on its own, left to right from
+    /// `+0.0`, and the fused bias + log-softmax is the tape's own kernel.
+    /// So a row's bits do not depend on how many positions share the
+    /// call.
     fn log_softmax_rows(&self, task: usize, windows: &[usize]) -> Vec<f32> {
         let lm = self.lm;
         let cfg = &lm.cfg;
@@ -984,7 +989,7 @@ impl Merged<'_> {
             }
         }
         let mut hid = vec![0.0f32; n * h];
-        kernels::matmul_forward(&mut hid, &self.w1, &x, h, input, n);
+        kernels::matmul_forward(&mut hid, &self.w1, &x, n);
         let b1 = &lm.params[lm.seg.b1.clone()];
         for row in hid.chunks_mut(h) {
             for (o, &b) in row.iter_mut().zip(b1) {
@@ -992,7 +997,7 @@ impl Merged<'_> {
             }
         }
         let mut logits = vec![0.0f32; n * v];
-        kernels::matmul_forward(&mut logits, &self.w2, &hid, v, h, n);
+        kernels::matmul_forward(&mut logits, &self.w2, &hid, n);
         let mut out = vec![0.0f32; n * v];
         let b2 = &lm.params[lm.seg.b2.clone()];
         kernels::bias_log_softmax_forward(&mut out, &logits, b2, n);
@@ -1303,8 +1308,12 @@ mod tests {
         let m = model(AdaptMode::Lora { rank: 2 }, 7);
         // Effective weights equal base weights at init.
         let merged = m.merged();
-        assert_eq!(&*merged.w1, &m.params[m.seg.w1.clone()]);
-        assert_eq!(&*merged.w2, &m.params[m.seg.w2.clone()]);
+        let (input, h, v) = (m.cfg.input_dim(), m.cfg.hidden, m.cfg.vocab_size);
+        assert_eq!(
+            merged.w1,
+            Packed::new(&m.params[m.seg.w1.clone()], h, input)
+        );
+        assert_eq!(merged.w2, Packed::new(&m.params[m.seg.w2.clone()], v, h));
     }
 
     #[test]
@@ -1445,7 +1454,11 @@ mod tests {
                 naive[r * input + c] += m.cfg.lora_scale * dot;
             }
         }
-        assert_eq!(*m.merged().w1, naive, "blocked merge must be bit-identical");
+        assert_eq!(
+            m.merged().w1,
+            Packed::new(&naive, h, input),
+            "blocked merge must be bit-identical"
+        );
     }
 
     /// `Merged::log_prob` runs every position through one batched pass;
@@ -1514,6 +1527,93 @@ mod tests {
                 .sample(task, &mut StdRng::seed_from_u64(seed), opts)
                 .unwrap();
             assert_eq!(direct, want);
+        }
+    }
+
+    /// A model whose every weight matrix crosses the forward kernel's
+    /// panel kinds: `vocab = 23` and `hidden = 13` rows give 8-row
+    /// panels, a 4-row panel and scalar tail rows, and rank 6 gives the
+    /// LoRA factors a 4-row panel and tail rows too.
+    fn ragged_model(adapt: AdaptMode, seed: u64) -> CondLm {
+        let cfg = LmConfig {
+            vocab_size: 23,
+            hidden: 13,
+            ..tiny_cfg(adapt)
+        };
+        let mut m = CondLm::new(cfg, &mut StdRng::seed_from_u64(seed));
+        for (i, p) in m.params_mut().iter_mut().enumerate() {
+            *p += ((i as f32 * 0.377).sin()) * 0.05;
+        }
+        m
+    }
+
+    /// The scalar oracle of `Merged::log_prob`: row-major effective
+    /// weights and one fold from `+0.0` per output.
+    fn naive_log_prob(m: &CondLm, task: usize, response: &[Token]) -> f32 {
+        let cfg = &m.cfg;
+        let (input, h, v) = (cfg.input_dim(), cfg.hidden, cfg.vocab_size);
+        let lora1 = m.seg.lora.as_ref().map(|(a1, b1l, _, _)| (a1, b1l));
+        let lora2 = m.seg.lora.as_ref().map(|(_, _, a2, b2l)| (a2, b2l));
+        let w1 = m.w_eff(&m.seg.w1, lora1, h, input);
+        let w2 = m.w_eff(&m.seg.w2, lora2, v, h);
+        let matvec = |w: &[f32], x: &[f32], rows: usize| -> Vec<f32> {
+            (0..rows)
+                .map(|r| {
+                    let mut acc = 0.0f32;
+                    for (c, &xc) in x.iter().enumerate() {
+                        acc += w[r * x.len() + c] * xc;
+                    }
+                    acc
+                })
+                .collect()
+        };
+        let (b1, b2) = (&m.params[m.seg.b1.clone()], &m.params[m.seg.b2.clone()]);
+        let mut total = 0.0f32;
+        for (ctx, target) in m.positions(response) {
+            let mut x = m.task_row(task).to_vec();
+            for t in ctx {
+                x.extend_from_slice(m.tok_row(t));
+            }
+            let hid: Vec<f32> = matvec(&w1, &x, h)
+                .iter()
+                .zip(b1)
+                .map(|(o, b)| (o + b).tanh())
+                .collect();
+            let mut lp = vec![0.0f32; v];
+            kernels::bias_log_softmax_forward(&mut lp, &matvec(&w2, &hid, v), b2, 1);
+            total += lp[target as usize];
+        }
+        total
+    }
+
+    /// One `merged()` serves many calls with the bits of the per-call
+    /// `CondLm::log_prob`/`sample` and of the scalar oracle, under both
+    /// adapt modes and on shapes that run every panel kind.
+    #[test]
+    fn one_merged_matches_per_call_scoring_and_sampling() {
+        for adapt in [AdaptMode::Full, AdaptMode::Lora { rank: 6 }] {
+            let m = ragged_model(adapt, 41);
+            let merged = m.merged();
+            for (task, resp) in [
+                (0, vec![]),
+                (1, vec![3, 7, 1, 4]),
+                (2, vec![9, 22, 2, 5, 5, 6, 1, 17, 3]),
+            ] {
+                let once = merged.log_prob(task, &resp).unwrap();
+                assert_eq!(once.to_bits(), m.log_prob(task, &resp).unwrap().to_bits());
+                assert_eq!(once.to_bits(), naive_log_prob(&m, task, &resp).to_bits());
+            }
+            let opts = SampleOptions {
+                temperature: 1.5,
+                max_len: 12,
+                ..SampleOptions::default()
+            };
+            for seed in 0..6u64 {
+                let task = seed as usize % 3;
+                let once = merged.sample(task, &mut StdRng::seed_from_u64(seed), opts);
+                let per_call = m.sample(task, &mut StdRng::seed_from_u64(seed), opts);
+                assert_eq!(once.unwrap(), per_call.unwrap(), "{adapt:?} seed {seed}");
+            }
         }
     }
 

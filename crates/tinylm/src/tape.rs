@@ -32,8 +32,8 @@
 //! gradient that is still computed keeps its bits.
 //!
 //! The numeric inner loops live in the crate's `kernels` module:
-//! blocked, vectorizable forward/backward kernels, each bit-identical
-//! to the scalar loop it replaced.
+//! a packed-panel forward matmul and split-pass backward kernels, each
+//! bit-identical to the scalar loop it replaced.
 //!
 //! # Example
 //!
@@ -145,6 +145,9 @@ pub struct Tape {
     /// Value buffers recycled by [`Tape::reset`]; [`Tape::alloc`] pops
     /// from here before touching the allocator.
     spare: Vec<Vec<f32>>,
+    /// The forward kernel's packed copy of the matrix of the matmul being
+    /// recorded; reused by every matmul on this tape.
+    packed: kernels::Packed,
 }
 
 /// A reusable gradient arena for [`Tape::backward_into`]: one buffer per
@@ -345,11 +348,8 @@ impl Tape {
     ///
     /// Panics if dimensions do not match the operand lengths.
     pub fn matvec(&mut self, m: VarId, rows: usize, cols: usize, x: VarId) -> VarId {
-        assert_eq!(self.vals[m.0].len(), rows * cols, "matrix size mismatch");
         assert_eq!(self.vals[x.0].len(), cols, "vector size mismatch");
-        let mut out = self.alloc();
-        out.resize(rows, 0.0);
-        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, 1);
+        let out = self.matmul_value(m, rows, cols, x, 1);
         self.push(out, Op::MatVec { m, rows, cols, x })
     }
 
@@ -359,20 +359,18 @@ impl Tape {
     ///
     /// Bit-exactness: output `p·rows + r` is [`dot`] of matrix row `r`
     /// with chunk `p` — the same left-to-right fold `matvec` computes —
-    /// so the values equal `n` separate `matvec` calls exactly. The loop
-    /// kernel advances eight row dots together (each still the exact
-    /// [`dot`] fold — see the `kernels` module), filling the FPU pipeline
-    /// without changing any output's bits.
+    /// so the values equal `n` separate `matvec` calls exactly. The
+    /// forward kernel reads the matrix as column-interleaved panels (see
+    /// the `kernels` module); the tape packs the node's matrix once per
+    /// call into a recycled buffer, so the cost is shared by the `n`
+    /// positions, and backward reads the row-major node value untouched.
     ///
     /// # Panics
     ///
     /// Panics if dimensions do not match the operand lengths.
     pub fn matmul(&mut self, m: VarId, rows: usize, cols: usize, x: VarId, n: usize) -> VarId {
-        assert_eq!(self.vals[m.0].len(), rows * cols, "matrix size mismatch");
         assert_eq!(self.vals[x.0].len(), n * cols, "packed operand mismatch");
-        let mut out = self.alloc();
-        out.resize(n * rows, 0.0);
-        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, n);
+        let out = self.matmul_value(m, rows, cols, x, n);
         self.push(
             out,
             Op::MatMul {
@@ -383,6 +381,16 @@ impl Tape {
                 n,
             },
         )
+    }
+
+    /// The forward value of `M · x_p` for `n` packed positions.
+    fn matmul_value(&mut self, m: VarId, rows: usize, cols: usize, x: VarId, n: usize) -> Vec<f32> {
+        assert_eq!(self.vals[m.0].len(), rows * cols, "matrix size mismatch");
+        self.packed.pack(&self.vals[m.0], rows, cols);
+        let mut out = self.alloc();
+        out.resize(n * rows, 0.0);
+        kernels::matmul_forward(&mut out, &self.packed, &self.vals[x.0], n);
+        out
     }
 
     /// Chunk-wise `a + b`: `a` packs `n` chunks of `b`'s length, and `b`

@@ -7,7 +7,7 @@ use crate::feedback::score_warehouse_response;
 use dpo::{DpoTrainer, PreferenceDataset, TrainOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
+use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, Merged, PretrainOptions, SampleOptions};
 
 /// Configuration for [`run_mini`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ pub struct MiniOutcome {
 }
 
 #[allow(clippy::expect_used, reason = "domain-made ids are in range")]
-fn evaluate(d: &WarehouseDomain, lm: &CondLm, samples: usize, rng: &mut impl Rng) -> f64 {
+fn evaluate(d: &WarehouseDomain, lm: &Merged<'_>, samples: usize, rng: &mut impl Rng) -> f64 {
     let opts = SampleOptions {
         temperature: 0.6,
         max_len: 40,
@@ -119,6 +119,7 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
         &mut rng,
     );
     let reference = base.convert_adapt(AdaptMode::Lora { rank: 4 }, &mut rng);
+    let reference_lm = reference.merged();
 
     // 2. Collect verification-ranked preferences.
     let opts = SampleOptions {
@@ -131,7 +132,9 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
         for task in &domain.tasks {
             let scored: Vec<(Vec<tinylm::Token>, usize)> = (0..config.responses_per_task)
                 .map(|_| {
-                    let tokens = reference.sample(task.id, &mut rng, opts).expect("in range");
+                    let tokens = reference_lm
+                        .sample(task.id, &mut rng, opts)
+                        .expect("in range");
                     let score =
                         score_warehouse_response(&domain, task, &domain.tokenizer.decode(&tokens));
                     (tokens, score)
@@ -158,8 +161,9 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
 
     // 4. Evaluate.
     let mut eval_rng = StdRng::seed_from_u64(config.seed ^ 0xbeef);
-    let before = evaluate(&domain, &reference, config.eval_samples, &mut eval_rng);
-    let after = evaluate(&domain, &policy, config.eval_samples, &mut eval_rng);
+    let policy_lm = policy.merged();
+    let before = evaluate(&domain, &reference_lm, config.eval_samples, &mut eval_rng);
+    let after = evaluate(&domain, &policy_lm, config.eval_samples, &mut eval_rng);
 
     let sample_opts = SampleOptions {
         temperature: 0.5,
@@ -168,12 +172,12 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
     };
     let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0xcafe);
     let sample_before = domain.tokenizer.decode(
-        &reference
+        &reference_lm
             .sample(0, &mut sample_rng, sample_opts)
             .expect("task 0"),
     );
     let sample_after = domain.tokenizer.decode(
-        &policy
+        &policy_lm
             .sample(0, &mut sample_rng, sample_opts)
             .expect("task 0"),
     );
