@@ -80,10 +80,17 @@ echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
 smoke_art1="$(mktemp -t headline_t1.XXXXXX.json)"
 smoke_art2="$(mktemp -t headline_t2.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2"' EXIT
+smoke_trace="$(mktemp -t headline_trace.XXXXXX.json)"
+smoke_flame="$(mktemp -t headline_flame.XXXXXX.folded)"
+trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
+    --trace-out "$smoke_trace" --flame-out "$smoke_flame" \
     --artifacts-out "$smoke_art2" > /dev/null
+# Both exporters read the recorder of a real run: the flamegraph the
+# span tree, the Chrome trace the span timeline.
+grep -q '^pipeline.run;pipeline.train;dpo.epoch;dpo.forward ' "$smoke_flame"
+grep -q '"traceEvents"' "$smoke_trace"
 cargo run -q --release -p bench --bin metrics_check -- "$smoke_report" \
     --require pipeline.pairs_formed,pipeline.responses_scored,ltlcheck.checks,ltlcheck.automaton_cache_hits,ltlcheck.product_states,pretrain.tokens,dpo.pairs_trained,pool.tasks,verify.cache_hits,verify.cache_misses,verify.cache_entries,verify.cache_evictions,verify.cache_hit_rate,dpo.ref_cache_hits,dpo.tokens_per_sec,tape.nodes,tape.grad_buffer_reuses,tinylm.packed_floats,speclint.semantic_rules,speclint.semantic_checks,speclint.semantic_errors,speclint.semantic_notes,alloc.allocs,alloc.bytes_allocated,alloc.bytes_freed,alloc.frees,alloc.current_bytes,alloc.peak_bytes \
     --require-span pipeline.run,pipeline.pretrain,pipeline.collect,pipeline.sample,pipeline.parse,pipeline.verify,pipeline.rank,pipeline.train,pipeline.eval,pipeline.score_batch,pipeline.score,dpo.ref,dpo.epoch,dpo.forward,dpo.backward
@@ -105,7 +112,7 @@ sha256sum -c results/headline_fast_artifacts.sha256 < "$smoke_art1"
 
 echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
 smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4"' EXIT
+trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame" "$smoke_art4"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
     --artifacts-out "$smoke_art4" > /dev/null
@@ -113,7 +120,7 @@ cmp "$smoke_art1" "$smoke_art4"
 
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
 perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$perf_report"' EXIT
+trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame" "$smoke_art4" "$perf_report"' EXIT
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 1 --alloc --metrics-out "$perf_report" > /dev/null
 cargo run -q --release -p bench --bin bench_diff -- \
@@ -138,7 +145,7 @@ cargo run -q --release -p bench --bin bench_diff -- \
 # the fast baseline's wall (DESIGN.md §10), so the gate sees training.
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
 seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art4" "$perf_report" "$seeded_out"' EXIT
+trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame" "$smoke_art4" "$perf_report" "$seeded_out"' EXIT
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json > /dev/null

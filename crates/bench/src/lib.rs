@@ -178,8 +178,8 @@ impl BenchCli {
             eprintln!("metrics report written to {}", path.display());
         }
         if let Some(path) = &self.trace_out {
-            let trace = obskit::chrome::chrome_trace_full(
-                &snapshot.span_records,
+            let trace = obskit::chrome::chrome_trace(
+                &obskit::timeline(),
                 &snapshot.events,
                 &snapshot.thread_names,
                 &snapshot.samples,
@@ -193,7 +193,7 @@ impl BenchCli {
             );
         }
         if let Some(path) = &self.flame_out {
-            let flame = obskit::flame::folded(&snapshot.span_records);
+            let flame = obskit::flame::folded(&snapshot.spans);
             std::fs::write(path, flame)
                 .unwrap_or_else(|e| panic!("writing {} failed: {e}", path.display()));
             eprintln!("folded flamegraph written to {}", path.display());

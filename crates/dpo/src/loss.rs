@@ -83,7 +83,7 @@ pub fn dpo_loss_grad_with_ref(
 
 /// Opens a span under an explicit cross-thread parent when one is given,
 /// or under the ambient thread-local parent otherwise.
-fn maybe_span_under(name: &str, under: Option<obskit::Handoff>) -> obskit::Span {
+fn maybe_span_under(name: &'static str, under: Option<obskit::Handoff>) -> obskit::Span {
     match under {
         Some(h) => obskit::span_under(name, h),
         None => obskit::span(name),

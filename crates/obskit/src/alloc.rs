@@ -20,12 +20,14 @@
 //!
 //! ## Attribution model
 //!
-//! Each thread keeps a `Cell<u32>` with the id of its innermost open
-//! span (maintained by `span`/`span_under`/`Span::drop` in the crate
-//! root; `u32::MAX` = none). On allocation the id is read — a plain
-//! `Cell`, never a `RefCell`, because the allocator can run while the
-//! span stack itself is mid-mutation — and the size is added to a
-//! global table indexed by span id. Frees are *not* attributed:
+//! Each thread keeps a `Cell<u32>` with the span-tree node of its
+//! innermost open span (maintained by `span`/`span_under`/`Span::drop`
+//! in the crate root; `u32::MAX` = none). On allocation the node is
+//! read — a plain `Cell`, never a `RefCell`, because the allocator can
+//! run while the span stack itself is mid-mutation — and the size is
+//! added to a global table indexed by node id, so the table has one
+//! entry per distinct span name path however many spans a run opens.
+//! Frees are *not* attributed:
 //! ownership routinely crosses spans (a buffer allocated in
 //! `pipeline.collect` dies in `pipeline.train`), so per-span numbers
 //! are gross allocation pressure, not live bytes. Global totals do
@@ -61,7 +63,7 @@ static BYTES_FREED: AtomicU64 = AtomicU64::new(0);
 static CURRENT_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
-/// Per-span gross allocation totals, indexed by span id.
+/// Per-span gross allocation totals, indexed by span-tree node id.
 static PER_SPAN: Mutex<Vec<SpanAlloc>> = Mutex::new(Vec::new());
 
 thread_local! {
@@ -69,10 +71,10 @@ thread_local! {
     static IN_TRACKING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Gross allocation totals attributed to one span.
+/// Gross allocation totals attributed to one span-tree node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanAlloc {
-    /// Number of allocations made while the span was innermost.
+    /// Number of allocations made while a span of the node was innermost.
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub bytes: u64,
@@ -167,7 +169,7 @@ pub fn totals() -> AllocTotals {
     }
 }
 
-/// A copy of the per-span attribution table (index = span id).
+/// A copy of the per-span attribution table (index = span-tree node id).
 pub fn per_span() -> Vec<SpanAlloc> {
     with_table(|t| t.clone()).unwrap_or_default()
 }

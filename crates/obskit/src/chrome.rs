@@ -1,39 +1,29 @@
 //! Chrome `trace_event` export.
 //!
-//! Renders a snapshot's spans and events in the Trace Event Format
-//! accepted by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
-//! each span becomes a complete (`"ph": "X"`) event with microsecond
+//! Renders the recorder's span timeline ([`crate::timeline`]) and a
+//! snapshot's events in the Trace Event Format accepted by
+//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): each
+//! closed span becomes a complete (`"ph": "X"`) event with microsecond
 //! timestamps, each structured event an instant (`"ph": "i"`) with its
 //! fields attached under `args`, and each flight-recorder sample a set
 //! of counter (`"ph": "C"`) points — one track per counter/gauge name,
 //! so cache hit-rate and tokens/sec are visible *evolving over time*
-//! alongside the span rows.
+//! alongside the span rows. Per-thread track labels come from
+//! `thread_names` (`thread_name` metadata), so pool workers show up as
+//! e.g. `parkit-worker-2` instead of a bare tid.
+//!
+//! This is the timeline's only reader: reports and flamegraphs read the
+//! aggregated span tree instead.
 
 use crate::event::Event;
 use crate::json::Value;
 use crate::recorder::FlightSample;
 use crate::span::SpanRecord;
 
-/// Renders spans and events as a Trace Event Format JSON document.
-pub fn chrome_trace(spans: &[SpanRecord], events: &[Event]) -> String {
-    chrome_trace_named(spans, events, &[])
-}
-
-/// [`chrome_trace`] with per-thread track labels: each `(tid, name)`
-/// pair becomes a `thread_name` metadata record, so pool workers show up
-/// as e.g. `parkit-worker-2` instead of a bare tid.
-pub fn chrome_trace_named(
-    spans: &[SpanRecord],
-    events: &[Event],
-    thread_names: &[(u64, String)],
-) -> String {
-    chrome_trace_full(spans, events, thread_names, &[], None)
-}
-
-/// The full exporter: [`chrome_trace_named`] plus counter tracks built
-/// from flight-recorder samples and a `process_name` metadata record
-/// (named parkit workers already arrive via `thread_names`).
-pub fn chrome_trace_full(
+/// Renders spans, events, thread labels (one `thread_name` record per
+/// `(tid, name)`), flight-recorder counter tracks and an optional
+/// `process_name` record as a Trace Event Format JSON document.
+pub fn chrome_trace(
     spans: &[SpanRecord],
     events: &[Event],
     thread_names: &[(u64, String)],
@@ -68,7 +58,7 @@ pub fn chrome_trace_full(
     }
     for span in spans {
         trace_events.push(Value::Obj(vec![
-            ("name".into(), Value::Str(span.name.clone())),
+            ("name".into(), Value::Str(span.name.to_owned())),
             ("cat".into(), Value::Str("span".into())),
             ("ph".into(), Value::Str("X".into())),
             ("ts".into(), Value::Num(span.start_us as f64)),
@@ -137,24 +127,16 @@ mod tests {
     fn trace_is_valid_json_with_one_entry_per_span_and_event() {
         let spans = vec![
             SpanRecord {
-                name: "pipeline.verify".into(),
+                name: "pipeline.verify",
                 start_us: 100,
                 dur_us: 50,
-                parent: None,
                 thread: 3,
-                depth: 0,
-                alloc_count: 0,
-                alloc_bytes: 0,
             },
             SpanRecord {
-                name: "pipeline.parse".into(),
+                name: "pipeline.parse",
                 start_us: 160,
                 dur_us: 5,
-                parent: None,
                 thread: 3,
-                depth: 0,
-                alloc_count: 0,
-                alloc_bytes: 0,
             },
         ];
         let events = vec![Event {
@@ -163,7 +145,7 @@ mod tests {
             thread: 3,
             fields: vec![("msg".into(), FieldValue::Str("hi \"there\"".into()))],
         }];
-        let rendered = chrome_trace(&spans, &events);
+        let rendered = chrome_trace(&spans, &events, &[], &[], None);
         let doc = json::parse(&rendered).expect("chrome trace parses");
         let entries = doc
             .get("traceEvents")
@@ -209,7 +191,7 @@ mod tests {
                 gauges: vec![("verify.cache_hit_rate".into(), 0.5)],
             },
         ];
-        let rendered = chrome_trace_full(
+        let rendered = chrome_trace(
             &[],
             &[],
             &[(7, "parkit-worker-0".into())],

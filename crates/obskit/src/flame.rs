@@ -1,49 +1,39 @@
 //! Collapsed-stack ("folded") flamegraph export.
 //!
-//! Renders flat span records in the format `flamegraph.pl` /
+//! Renders the aggregated span tree in the format `flamegraph.pl` /
 //! [inferno](https://github.com/jonhoo/inferno) / speedscope consume:
-//! one line per distinct span-name path, `root;child;leaf <value>`,
-//! where the value is the path's **exclusive self-time in
-//! microseconds** — each record's duration minus the duration of its
-//! direct children, folded across all records sharing the name path.
-//! Summing a subtree of the flamegraph therefore reproduces the
-//! subtree root's inclusive time, which is what makes "where does the
-//! wall actually go inside `dpo.backward`" readable at a glance.
+//! one line per tree node, `root;child;leaf <value>`, where the value is
+//! the node's **exclusive self-time in microseconds**,
+//! [`SpanNode::self_us`] — the same number the report's `self_ms`
+//! comes from. Summing a subtree of the flamegraph therefore reproduces
+//! the subtree root's inclusive time, which is what makes "where does
+//! the wall actually go inside `dpo.backward`" readable at a glance.
 //!
 //! Lines are emitted in lexicographic path order so the output is
 //! byte-stable for a deterministic run.
 
-use crate::span::SpanRecord;
+use crate::span::SpanNode;
 use std::collections::BTreeMap;
 
-/// Folds span records into collapsed-stack lines weighted by exclusive
-/// self-time (µs). Records with zero self-time still appear when the
-/// path has no other weight, so the hierarchy stays connected.
-pub fn folded(records: &[SpanRecord]) -> String {
-    // Per-record sum of direct-child durations, via parent links.
-    let mut child_us = vec![0u64; records.len()];
-    for r in records {
-        if let Some(p) = r.parent {
-            if let Some(slot) = child_us.get_mut(p as usize) {
-                *slot = slot.saturating_add(r.dur_us);
-            }
+/// Renders a span forest as collapsed-stack lines weighted by exclusive
+/// self-time (µs). Nodes with zero self-time still appear, so the
+/// hierarchy stays connected.
+pub fn folded(forest: &[SpanNode]) -> String {
+    fn walk(nodes: &[SpanNode], prefix: &str, lines: &mut BTreeMap<String, u64>) {
+        for node in nodes {
+            let path = if prefix.is_empty() {
+                node.name.clone()
+            } else {
+                format!("{prefix};{}", node.name)
+            };
+            walk(&node.children, &path, lines);
+            *lines.entry(path).or_insert(0) += node.self_us();
         }
     }
-    // Name path per record (parents always precede children in the
-    // store, same invariant `span::aggregate` relies on).
-    let mut paths: Vec<String> = Vec::with_capacity(records.len());
-    let mut folds: BTreeMap<String, u64> = BTreeMap::new();
-    for (i, r) in records.iter().enumerate() {
-        let path = match r.parent {
-            Some(p) if (p as usize) < i => format!("{};{}", paths[p as usize], r.name),
-            _ => r.name.clone(),
-        };
-        let self_us = r.dur_us.saturating_sub(child_us[i]);
-        *folds.entry(path.clone()).or_insert(0) += self_us;
-        paths.push(path);
-    }
+    let mut lines = BTreeMap::new();
+    walk(forest, "", &mut lines);
     let mut out = String::new();
-    for (path, us) in &folds {
+    for (path, us) in &lines {
         out.push_str(path);
         out.push(' ');
         out.push_str(&us.to_string());
@@ -56,30 +46,28 @@ pub fn folded(records: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
 
-    fn rec(name: &str, dur: u64, parent: Option<u32>) -> SpanRecord {
-        SpanRecord {
+    fn node(name: &str, total: u64, children: Vec<SpanNode>) -> SpanNode {
+        SpanNode {
             name: name.into(),
-            start_us: 0,
-            dur_us: dur,
-            parent,
-            thread: 0,
-            depth: 0,
+            count: 1,
+            total_us: total,
+            max_us: total,
             alloc_count: 0,
             alloc_bytes: 0,
+            children,
         }
     }
 
     #[test]
     fn folds_self_time_along_name_paths() {
-        // run(100) { train(60) { backward(45) } train(20) } — the two
-        // train spans fold; self-times: run 20, train 35, backward 45.
-        let records = vec![
-            rec("run", 100, None),
-            rec("train", 60, Some(0)),
-            rec("backward", 45, Some(1)),
-            rec("train", 20, Some(0)),
-        ];
-        let out = folded(&records);
+        // run(100) { train(80) { backward(45) } } — self-times: run 20,
+        // train 35, backward 45.
+        let forest = vec![node(
+            "run",
+            100,
+            vec![node("train", 80, vec![node("backward", 45, vec![])])],
+        )];
+        let out = folded(&forest);
         assert_eq!(out, "run 20\nrun;train 35\nrun;train;backward 45\n");
         // Folded self-times sum back to the root's inclusive time.
         let total: u64 = out
@@ -92,8 +80,8 @@ mod tests {
 
     #[test]
     fn separate_roots_stay_separate_and_sorted() {
-        let records = vec![rec("b", 5, None), rec("a", 3, None)];
-        assert_eq!(folded(&records), "a 3\nb 5\n");
+        let forest = vec![node("b", 5, vec![]), node("a", 3, vec![])];
+        assert_eq!(folded(&forest), "a 3\nb 5\n");
         assert_eq!(folded(&[]), "");
     }
 
@@ -101,7 +89,7 @@ mod tests {
     fn child_longer_than_parent_clamps_at_zero() {
         // Cross-thread children can outlive the parent's measured wall;
         // self-time saturates instead of wrapping.
-        let records = vec![rec("p", 10, None), rec("c", 25, Some(0))];
-        assert_eq!(folded(&records), "p 0\np;c 25\n");
+        let forest = vec![node("p", 10, vec![node("c", 25, vec![])])];
+        assert_eq!(folded(&forest), "p 0\np;c 25\n");
     }
 }

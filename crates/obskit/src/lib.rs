@@ -1,7 +1,8 @@
 //! # obskit — zero-dependency tracing + metrics for the DPO-AF pipeline
 //!
 //! A from-scratch observability layer shared by every crate in the
-//! workspace: hierarchical wall-clock **spans**, a thread-safe **metrics
+//! workspace: hierarchical wall-clock **spans** (folded into one
+//! name-path tree as they close; see [`mod@span`]), a thread-safe **metrics
 //! registry** (counters, gauges, log-scale histograms), structured
 //! **events** with a human-readable console sink, a **Chrome-trace**
 //! exporter (open in `chrome://tracing` or Perfetto), and the stable
@@ -45,7 +46,7 @@ pub use event::{Event, EventLog, FieldValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use recorder::FlightSample;
 pub use report::{BenchReport, Requirements};
-pub use span::{SpanNode, SpanRecord, SpanStore};
+pub use span::{SpanNode, SpanRecord};
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +65,7 @@ static ENABLED_AT_US: AtomicU64 = AtomicU64::new(0);
 
 struct Global {
     registry: Registry,
-    spans: SpanStore,
+    spans: Mutex<span::Tree>,
     events: EventLog,
     /// Human-readable names for trace threads, one per trace id.
     thread_names: Mutex<Vec<NamedTrack>>,
@@ -85,12 +86,20 @@ fn named_tracks() -> std::sync::MutexGuard<'static, Vec<NamedTrack>> {
     }
 }
 
+/// The span tree. Held only for a find-or-insert or a close.
+fn tree() -> std::sync::MutexGuard<'static, span::Tree> {
+    match global().spans.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 static GLOBAL: OnceLock<Global> = OnceLock::new();
 
 fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         registry: Registry::new(),
-        spans: SpanStore::default(),
+        spans: Mutex::new(span::Tree::default()),
         events: EventLog::default(),
         thread_names: Mutex::new(Vec::new()),
     })
@@ -151,9 +160,9 @@ fn thread_id() -> u64 {
 }
 
 thread_local! {
-    /// Stack of open span ids on this thread (for parent links).
+    /// Tree nodes of the spans open on this thread, outermost first.
     static SPAN_STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// The innermost open span id on this thread, mirrored out of
+    /// The innermost open span's node on this thread, mirrored out of
     /// `SPAN_STACK` into a plain `Cell` so the tracking allocator can
     /// read it mid-allocation (the `RefCell` may legitimately be
     /// borrowed while its `Vec` reallocates, which *is* an allocation).
@@ -161,7 +170,8 @@ thread_local! {
     static CURRENT_SPAN: Cell<u32> = const { Cell::new(u32::MAX) };
 }
 
-/// Innermost open span on this thread, for allocation attribution.
+/// Tree node of the innermost open span on this thread, for allocation
+/// attribution.
 /// `try_with` so allocations during thread teardown degrade to
 /// unattributed instead of aborting.
 pub(crate) fn current_span_for_alloc() -> Option<u32> {
@@ -186,17 +196,20 @@ pub fn current_span_stack() -> Vec<String> {
     let ids = SPAN_STACK
         .try_with(|s| s.try_borrow().map(|s| s.clone()).unwrap_or_default())
         .unwrap_or_default();
-    global().spans.names(&ids)
+    let tree = tree();
+    ids.iter()
+        .filter_map(|&id| tree.name(id).map(str::to_owned))
+        .collect()
 }
 
 /// Turns the global recorder on, clearing all previously recorded data.
 ///
-/// Must not be called while spans are open (ids would dangle into the
-/// cleared store); binaries call it once at startup.
+/// Must not be called while spans are open (their nodes would dangle
+/// into the cleared tree); binaries call it once at startup.
 pub fn enable() {
     let g = global();
     g.registry.clear();
-    g.spans.clear();
+    tree().clear();
     g.events.clear();
     alloc::reset();
     recorder::clear();
@@ -246,14 +259,19 @@ pub fn observe(name: &str, v: u64) {
 #[must_use = "a span measures the scope of its guard; drop closes it"]
 #[derive(Debug)]
 pub struct Span {
-    id: Option<u32>,
+    /// The span's tree node; `None` for a guard that records nothing.
+    node: Option<u32>,
+    start_us: u64,
 }
 
 impl Span {
     /// A guard that records nothing (what [`span`] returns while the
     /// recorder is disabled).
     pub fn noop() -> Span {
-        Span { id: None }
+        Span {
+            node: None,
+            start_us: 0,
+        }
     }
 
     /// Captures this span's identity as a [`Handoff`] token that can be
@@ -262,7 +280,7 @@ impl Span {
     /// aggregates under the stage that spawned it instead of forming
     /// per-worker root spans.
     pub fn handoff(&self) -> Handoff {
-        Handoff { parent: self.id }
+        Handoff { parent: self.node }
     }
 }
 
@@ -280,19 +298,14 @@ pub struct Handoff {
 /// even when that span lives on another thread. The new span is pushed
 /// onto *this* thread's span stack, so further nested [`span`] calls on
 /// this thread chain under it.
-pub fn span_under(name: &str, handoff: Handoff) -> Span {
+pub fn span_under(name: &'static str, handoff: Handoff) -> Span {
     if !enabled() {
         return Span::noop();
     }
-    let Some(parent) = handoff.parent else {
-        return span(name);
-    };
-    let id = global()
-        .spans
-        .open_under(name, now_us(), parent, thread_id());
-    SPAN_STACK.with(|s| s.borrow_mut().push(id));
-    set_current_span(Some(id));
-    Span { id: Some(id) }
+    match handoff.parent {
+        Some(parent) => open(name, Some(parent)),
+        None => span(name),
+    }
 }
 
 /// Names the current thread for trace attribution (e.g. Chrome-trace
@@ -336,35 +349,41 @@ pub fn set_thread_name(name: &str) {
 
 /// Opens a span named `name` on the current thread. While the recorder
 /// is disabled this is one atomic load and no allocation.
-pub fn span(name: &str) -> Span {
+pub fn span(name: &'static str) -> Span {
     if !enabled() {
         return Span::noop();
     }
-    let (parent, depth) = SPAN_STACK.with(|s| {
-        let s = s.borrow();
-        (s.last().copied(), s.len() as u16)
-    });
-    let id = global()
-        .spans
-        .open(name, now_us(), parent, thread_id(), depth);
-    SPAN_STACK.with(|s| s.borrow_mut().push(id));
-    set_current_span(Some(id));
-    Span { id: Some(id) }
+    let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
+    open(name, parent)
+}
+
+/// Resolves the node named `name` under `parent` and pushes it onto this
+/// thread's span stack.
+fn open(name: &'static str, parent: Option<u32>) -> Span {
+    let node = tree().node(parent, name);
+    SPAN_STACK.with(|s| s.borrow_mut().push(node));
+    set_current_span(Some(node));
+    Span {
+        node: Some(node),
+        start_us: now_us(),
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            global().spans.close(id, now_us());
-            let top = SPAN_STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                if let Some(pos) = s.iter().rposition(|&open| open == id) {
-                    s.remove(pos);
-                }
-                s.last().copied()
-            });
-            set_current_span(top);
-        }
+        let Some(node) = self.node else {
+            return;
+        };
+        let dur_us = now_us().saturating_sub(self.start_us);
+        tree().close(node, self.start_us, dur_us, thread_id());
+        let top = SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            if let Some(pos) = s.iter().rposition(|&open| open == node) {
+                s.remove(pos);
+            }
+            s.last().copied()
+        });
+        set_current_span(top);
     }
 }
 
@@ -415,9 +434,8 @@ pub struct Snapshot {
     pub wall_ms: f64,
     /// All metric values.
     pub metrics: MetricsSnapshot,
-    /// Flat span records (open spans closed at snapshot time).
-    pub span_records: Vec<SpanRecord>,
-    /// The aggregated span-timing forest.
+    /// The aggregated span-timing forest (spans still open contribute
+    /// nothing until they close).
     pub spans: Vec<SpanNode>,
     /// All structured events.
     pub events: Vec<Event>,
@@ -436,27 +454,22 @@ pub struct Snapshot {
 pub fn snapshot() -> Snapshot {
     let g = global();
     let now = now_us();
-    let mut span_records = g.spans.snapshot(now);
     let mut metrics = g.registry.snapshot();
-    // Fold allocation data in: per-span attribution onto the records
-    // (span id = record index), totals as `alloc.*` metrics so reports,
-    // requirements and the perf gate see them like any other metric.
+    // Fold allocation data in: per-node attribution onto the span tree,
+    // totals as `alloc.*` metrics so reports, requirements and the perf
+    // gate see them like any other metric.
     let alloc = alloc::tracked_any().then(alloc::totals);
-    if alloc.is_some() {
-        let per_span = alloc::per_span();
-        for (record, stats) in span_records.iter_mut().zip(&per_span) {
-            record.alloc_count = stats.allocs;
-            record.alloc_bytes = stats.bytes;
+    let per_node = match &alloc {
+        Some(totals) => {
+            fold_alloc_metrics(&mut metrics, totals);
+            alloc::per_span()
         }
-    }
-    if let Some(totals) = &alloc {
-        fold_alloc_metrics(&mut metrics, totals);
-    }
-    let spans = span::aggregate(&span_records);
+        None => Vec::new(),
+    };
+    let spans = tree().forest(&per_node);
     Snapshot {
         wall_ms: now.saturating_sub(ENABLED_AT_US.load(Ordering::Relaxed)) as f64 / 1e3,
         metrics,
-        span_records,
         spans,
         events: g.events.snapshot(),
         thread_names: named_tracks()
@@ -466,6 +479,12 @@ pub fn snapshot() -> Snapshot {
         samples: recorder::samples(),
         alloc,
     }
+}
+
+/// The closed spans since the last [`enable`], in close order — the
+/// Chrome exporter's input ([`chrome::chrome_trace`]).
+pub fn timeline() -> Vec<SpanRecord> {
+    tree().timeline()
 }
 
 /// Merges allocation totals into a metrics snapshot under the `alloc.*`

@@ -7,23 +7,21 @@
 //! it died. The flight recorder covers both with zero background
 //! threads: instrumented code calls [`tick`] at natural beats (pipeline
 //! iterations, training epochs, scored batches) and the recorder keeps
-//! a sample — every counter and gauge, timestamped — whenever the
-//! configured minimum interval has elapsed, in a bounded ring that
-//! forgets the oldest sample first. The samples surface as
-//! counter/gauge tracks in the Chrome trace and as the `samples` field
-//! of [`crate::Snapshot`].
+//! a sample — every counter and gauge, timestamped — whenever
+//! [`DEFAULT_MIN_INTERVAL_US`] has elapsed, in a ring of
+//! [`DEFAULT_CAPACITY`] samples that forgets the oldest sample first.
+//! The samples surface as counter/gauge tracks in the Chrome trace and
+//! as the `samples` field of [`crate::Snapshot`].
 //!
 //! [`install_panic_hook`] chains a hook that, on panic with the
-//! recorder enabled, writes a JSON black box to stderr (and to a file
-//! when [`set_panic_dump_path`] was given one): the panic message and
-//! location, the panicking thread's open span stack, the ring of
-//! recent samples, and the final metric values. The previous hook runs
-//! afterwards, so default backtraces are preserved.
+//! recorder enabled, writes a JSON black box to stderr: the panic
+//! message and location, the panicking thread's open span stack, the
+//! ring of recent samples, and the final metric values. The previous
+//! hook runs afterwards, so default backtraces are preserved.
 
 use crate::json::Value;
 use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One timestamped metric sample.
@@ -37,30 +35,20 @@ pub struct FlightSample {
     pub gauges: Vec<(String, f64)>,
 }
 
-/// Default ring capacity (samples kept).
+/// Ring capacity (samples kept).
 pub const DEFAULT_CAPACITY: usize = 240;
-/// Default minimum microseconds between kept samples.
+/// Minimum microseconds between samples kept by [`tick`].
 pub const DEFAULT_MIN_INTERVAL_US: u64 = 250_000;
 
 static RING: Mutex<VecDeque<FlightSample>> = Mutex::new(VecDeque::new());
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static MIN_INTERVAL_US: AtomicU64 = AtomicU64::new(DEFAULT_MIN_INTERVAL_US);
 static LAST_SAMPLE_US: AtomicU64 = AtomicU64::new(0);
 static HOOK_INSTALLED: AtomicBool = AtomicBool::new(false);
-static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 fn ring() -> std::sync::MutexGuard<'static, VecDeque<FlightSample>> {
     match RING.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// Sets the ring capacity and the minimum interval between kept
-/// samples. A capacity of 0 disables sampling entirely.
-pub fn configure(capacity: usize, min_interval_us: u64) {
-    CAPACITY.store(capacity, Ordering::Relaxed);
-    MIN_INTERVAL_US.store(min_interval_us, Ordering::Relaxed);
 }
 
 /// Drops all samples and resets the throttle (called by
@@ -76,12 +64,12 @@ pub fn clear() {
 /// one metrics snapshot is pushed into the ring (evicting the oldest
 /// sample when full).
 pub fn tick() {
-    if !crate::enabled() || CAPACITY.load(Ordering::Relaxed) == 0 {
+    if !crate::enabled() {
         return;
     }
     let now = crate::now_us();
     let last = LAST_SAMPLE_US.load(Ordering::Relaxed);
-    if now.saturating_sub(last) < MIN_INTERVAL_US.load(Ordering::Relaxed) && last != 0 {
+    if now.saturating_sub(last) < DEFAULT_MIN_INTERVAL_US && last != 0 {
         return;
     }
     // A racing tick may double-sample; harmless for telemetry.
@@ -92,7 +80,7 @@ pub fn tick() {
 /// Takes a sample unconditionally (recorder permitting) — stage
 /// boundaries use this so the ring always has the interesting edges.
 pub fn force_tick() {
-    if !crate::enabled() || CAPACITY.load(Ordering::Relaxed) == 0 {
+    if !crate::enabled() {
         return;
     }
     let mut metrics = crate::global_registry_snapshot();
@@ -107,9 +95,13 @@ pub fn force_tick() {
         counters: metrics.counters,
         gauges: metrics.gauges,
     };
-    let mut ring = ring();
-    let cap = CAPACITY.load(Ordering::Relaxed);
-    while ring.len() >= cap {
+    push_bounded(&mut ring(), sample);
+}
+
+/// Appends `sample`, evicting the oldest samples so at most
+/// [`DEFAULT_CAPACITY`] remain.
+fn push_bounded(ring: &mut VecDeque<FlightSample>, sample: FlightSample) {
+    while ring.len() >= DEFAULT_CAPACITY {
         ring.pop_front();
     }
     ring.push_back(sample);
@@ -118,16 +110,6 @@ pub fn force_tick() {
 /// A copy of the ring, oldest sample first.
 pub fn samples() -> Vec<FlightSample> {
     ring().iter().cloned().collect()
-}
-
-/// Where the panic hook should additionally write its JSON dump (on
-/// top of stderr). `None` (the default) keeps stderr only.
-pub fn set_panic_dump_path(path: Option<PathBuf>) {
-    let mut slot = match DUMP_PATH.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *slot = path;
 }
 
 /// The black-box JSON document the panic hook dumps.
@@ -224,17 +206,6 @@ pub fn install_panic_hook() {
                 .unwrap_or_else(|| "<unknown>".to_owned());
             let dump = render_black_box(&msg, &location);
             eprintln!("== obskit flight recorder (panic black box) ==\n{dump}");
-            let path = match DUMP_PATH.lock() {
-                Ok(g) => g.clone(),
-                Err(poisoned) => poisoned.into_inner().clone(),
-            };
-            if let Some(path) = path {
-                if let Err(e) = std::fs::write(&path, &dump) {
-                    eprintln!("flight recorder: writing {} failed: {e}", path.display());
-                } else {
-                    eprintln!("flight recorder: black box written to {}", path.display());
-                }
-            }
         }
         previous(info);
     }));
@@ -246,27 +217,23 @@ mod tests {
 
     /// Ring mechanics without the global recorder: capacity bound and
     /// eviction order (FIFO) are pure data-structure behavior, tested
-    /// here by direct pushes.
+    /// on a local ring through the same push `force_tick` uses.
     #[test]
     fn ring_is_bounded_fifo() {
-        clear();
-        configure(3, 0);
-        let mut r = ring();
-        for i in 0..5u64 {
-            while r.len() >= 3 {
-                r.pop_front();
-            }
-            r.push_back(FlightSample {
-                t_us: i,
-                counters: Vec::new(),
-                gauges: Vec::new(),
-            });
+        let mut ring = VecDeque::new();
+        for i in 0..DEFAULT_CAPACITY as u64 + 2 {
+            push_bounded(
+                &mut ring,
+                FlightSample {
+                    t_us: i,
+                    counters: Vec::new(),
+                    gauges: Vec::new(),
+                },
+            );
         }
-        drop(r);
-        let kept: Vec<u64> = samples().iter().map(|s| s.t_us).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-        clear();
-        configure(DEFAULT_CAPACITY, DEFAULT_MIN_INTERVAL_US);
+        let kept: Vec<u64> = ring.iter().map(|s| s.t_us).collect();
+        let expected: Vec<u64> = (2..DEFAULT_CAPACITY as u64 + 2).collect();
+        assert_eq!(kept, expected);
     }
 
     #[test]

@@ -1,152 +1,143 @@
-//! Hierarchical wall-clock spans.
+//! Hierarchical wall-clock spans, folded into one aggregate tree as they
+//! close.
 //!
-//! A span is opened with [`crate::span`] and closed when its guard
-//! drops; the store records `(name, start, duration, parent, thread)`
-//! per span. Parentage comes from a per-thread stack, so nesting follows
-//! lexical scope on each thread. [`aggregate`] folds the flat record
-//! list into a name-keyed timing tree for reports.
+//! A span is opened with [`crate::span`] (or [`crate::span_under`]) and
+//! closed when its guard drops. Opening resolves the span's node in the
+//! recorder's tree: the child named like the span under the
+//! enclosing span's node, inserted on first use. Two spans therefore
+//! share a node iff the name chains from their roots match, so the tree
+//! holds one node per distinct name path however long the run is.
+//! Closing adds the span's count, duration and maximum to its node.
+//! Parentage comes from a per-thread stack of open nodes, so nesting
+//! follows lexical scope on each thread; [`crate::Span::handoff`] carries
+//! a node across threads.
+//!
+//! Each close also appends one [`SpanRecord`] to the timeline. Only the
+//! Chrome exporter ([`crate::chrome`]) reads it; reports and flamegraphs
+//! read the tree through [`SpanNode`].
 
-use std::sync::Mutex;
+use crate::alloc::SpanAlloc;
 
-/// One recorded (possibly still open) span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One closed span on the timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name (dot-separated, e.g. `pipeline.verify`).
-    pub name: String,
-    /// Start time in microseconds since the recorder was enabled.
+    pub name: &'static str,
+    /// Start time in microseconds since the process time anchor.
     pub start_us: u64,
-    /// Duration in microseconds; [`OPEN`] while the span is running.
+    /// Duration in microseconds.
     pub dur_us: u64,
-    /// Index of the enclosing span on the same thread, if any.
-    pub parent: Option<u32>,
-    /// Small dense id of the recording thread.
+    /// Small dense id of the thread that closed the span.
     pub thread: u64,
-    /// Nesting depth on its thread (0 = root).
-    pub depth: u16,
-    /// Heap allocations attributed to this span (0 unless the tracking
-    /// allocator was on; filled in at snapshot time).
-    pub alloc_count: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
 }
 
-/// Sentinel duration of a span that has not finished yet.
-pub const OPEN: u64 = u64::MAX;
-
-impl SpanRecord {
-    /// `true` once the span has closed.
-    pub fn is_closed(&self) -> bool {
-        self.dur_us != OPEN
-    }
+/// One node of the recorder's tree, stored flat: node ids index
+/// `Tree::nodes`.
+#[derive(Debug)]
+struct Node {
+    name: &'static str,
+    children: Vec<u32>,
+    count: u64,
+    total_us: u64,
+    max_us: u64,
 }
 
-/// Append-only store of span records.
+/// The recorder's span aggregate plus its timeline.
 #[derive(Debug, Default)]
-pub struct SpanStore {
-    records: Mutex<Vec<SpanRecord>>,
+pub(crate) struct Tree {
+    nodes: Vec<Node>,
+    roots: Vec<u32>,
+    timeline: Vec<SpanRecord>,
 }
 
-fn lock(store: &Mutex<Vec<SpanRecord>>) -> std::sync::MutexGuard<'_, Vec<SpanRecord>> {
-    match store.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-impl SpanStore {
-    /// Opens a span and returns its id.
-    pub fn open(
-        &self,
-        name: &str,
-        start_us: u64,
-        parent: Option<u32>,
-        thread: u64,
-        depth: u16,
-    ) -> u32 {
-        let mut records = lock(&self.records);
-        let id = records.len() as u32;
-        records.push(SpanRecord {
-            name: name.to_owned(),
-            start_us,
-            dur_us: OPEN,
-            parent,
-            thread,
-            depth,
-            alloc_count: 0,
-            alloc_bytes: 0,
+impl Tree {
+    /// The id of the node named `name` under node `parent` (a root when
+    /// `parent` is `None` or unknown), inserted on first use.
+    pub(crate) fn node(&mut self, parent: Option<u32>, name: &'static str) -> u32 {
+        let parent = parent.filter(|&p| (p as usize) < self.nodes.len());
+        let siblings = match parent {
+            Some(p) => &self.nodes[p as usize].children,
+            None => &self.roots,
+        };
+        if let Some(&id) = siblings
+            .iter()
+            .find(|&&id| self.nodes[id as usize].name == name)
+        {
+            return id;
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            name,
+            children: Vec::new(),
+            count: 0,
+            total_us: 0,
+            max_us: 0,
         });
+        match parent {
+            Some(p) => self.nodes[p as usize].children.push(id),
+            None => self.roots.push(id),
+        }
         id
     }
 
-    /// Opens a span under an explicit parent id — the cross-thread
-    /// variant behind [`crate::span_under`]. The child's depth is
-    /// derived from the parent record under the same lock, so handoff
-    /// chains nest correctly in the aggregated forest.
-    pub fn open_under(&self, name: &str, start_us: u64, parent: u32, thread: u64) -> u32 {
-        let mut records = lock(&self.records);
-        let depth = records
-            .get(parent as usize)
-            .map_or(0, |p| p.depth.saturating_add(1));
-        let id = records.len() as u32;
-        records.push(SpanRecord {
-            name: name.to_owned(),
+    /// Folds one closed span of node `id` into the tree and appends it to
+    /// the timeline. Unknown ids (a guard that outlived a clear) are
+    /// dropped.
+    pub(crate) fn close(&mut self, id: u32, start_us: u64, dur_us: u64, thread: u64) {
+        let Some(node) = self.nodes.get_mut(id as usize) else {
+            return;
+        };
+        node.count += 1;
+        node.total_us += dur_us;
+        node.max_us = node.max_us.max(dur_us);
+        self.timeline.push(SpanRecord {
+            name: node.name,
             start_us,
-            dur_us: OPEN,
-            parent: Some(parent),
+            dur_us,
             thread,
-            depth,
-            alloc_count: 0,
-            alloc_bytes: 0,
         });
-        id
     }
 
-    /// The names of the given span ids, in order (unknown ids are
-    /// skipped) — used by the flight recorder's panic dump to render
-    /// the panicking thread's open span stack.
-    pub fn names(&self, ids: &[u32]) -> Vec<String> {
-        let records = lock(&self.records);
-        ids.iter()
-            .filter_map(|&id| records.get(id as usize).map(|r| r.name.clone()))
+    /// The name of node `id`, if it exists.
+    pub(crate) fn name(&self, id: u32) -> Option<&'static str> {
+        self.nodes.get(id as usize).map(|n| n.name)
+    }
+
+    /// A copy of the timeline, in close order.
+    pub(crate) fn timeline(&self) -> Vec<SpanRecord> {
+        self.timeline.clone()
+    }
+
+    /// The tree as a forest of [`SpanNode`]s, roots and children in
+    /// first-opened order, with `per_node[id]` as node `id`'s allocations.
+    pub(crate) fn forest(&self, per_node: &[SpanAlloc]) -> Vec<SpanNode> {
+        self.roots
+            .iter()
+            .map(|&id| self.span_node(id, per_node))
             .collect()
     }
 
-    /// Closes span `id` at `end_us`.
-    pub fn close(&self, id: u32, end_us: u64) {
-        let mut records = lock(&self.records);
-        if let Some(r) = records.get_mut(id as usize) {
-            r.dur_us = end_us.saturating_sub(r.start_us);
+    fn span_node(&self, id: u32, per_node: &[SpanAlloc]) -> SpanNode {
+        let node = &self.nodes[id as usize];
+        let alloc = per_node.get(id as usize).copied().unwrap_or_default();
+        SpanNode {
+            name: node.name.to_owned(),
+            count: node.count,
+            total_us: node.total_us,
+            max_us: node.max_us,
+            alloc_count: alloc.allocs,
+            alloc_bytes: alloc.bytes,
+            children: node
+                .children
+                .iter()
+                .map(|&c| self.span_node(c, per_node))
+                .collect(),
         }
     }
 
-    /// Copies out every record; spans still open are closed *in the
-    /// copy* at `now_us` so snapshots taken mid-run stay meaningful.
-    pub fn snapshot(&self, now_us: u64) -> Vec<SpanRecord> {
-        lock(&self.records)
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                if !r.is_closed() {
-                    r.dur_us = now_us.saturating_sub(r.start_us);
-                }
-                r
-            })
-            .collect()
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        lock(&self.records).len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all records.
-    pub fn clear(&self) {
-        lock(&self.records).clear();
+    /// Drops every node and timeline record.
+    pub(crate) fn clear(&mut self) {
+        *self = Tree::default();
     }
 }
 
@@ -172,27 +163,6 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    fn new(name: &str) -> SpanNode {
-        SpanNode {
-            name: name.to_owned(),
-            count: 0,
-            total_us: 0,
-            max_us: 0,
-            alloc_count: 0,
-            alloc_bytes: 0,
-            children: Vec::new(),
-        }
-    }
-
-    fn child_mut(&mut self, name: &str) -> &mut SpanNode {
-        if let Some(i) = self.children.iter().position(|c| c.name == name) {
-            return &mut self.children[i];
-        }
-        self.children.push(SpanNode::new(name));
-        let last = self.children.len() - 1;
-        &mut self.children[last]
-    }
-
     /// Microseconds not accounted for by children (clamped at 0).
     pub fn self_us(&self) -> u64 {
         self.total_us
@@ -208,75 +178,31 @@ impl SpanNode {
     }
 }
 
-/// Folds flat span records into a forest keyed by name paths: two spans
-/// aggregate into the same node iff the name chains from their roots
-/// match. Roots appear in first-seen order.
-pub fn aggregate(records: &[SpanRecord]) -> Vec<SpanNode> {
-    // Name path per record, computed via parent links.
-    let mut paths: Vec<Vec<&str>> = Vec::with_capacity(records.len());
-    for (i, r) in records.iter().enumerate() {
-        let mut path = match r.parent {
-            // Parents always precede children in the store.
-            Some(p) if (p as usize) < i => paths[p as usize].clone(),
-            _ => Vec::new(),
-        };
-        path.push(r.name.as_str());
-        paths.push(path);
-    }
-
-    let mut forest: Vec<SpanNode> = Vec::new();
-    for (r, path) in records.iter().zip(&paths) {
-        let mut segments = path.iter();
-        let Some(&root_name) = segments.next() else {
-            continue;
-        };
-        let root = match forest.iter().position(|n| n.name == root_name) {
-            Some(i) => &mut forest[i],
-            None => {
-                forest.push(SpanNode::new(root_name));
-                let last = forest.len() - 1;
-                &mut forest[last]
-            }
-        };
-        let node = segments.fold(root, |node, seg| node.child_mut(seg));
-        node.count += 1;
-        node.total_us += r.dur_us;
-        node.max_us = node.max_us.max(r.dur_us);
-        node.alloc_count += r.alloc_count;
-        node.alloc_bytes += r.alloc_bytes;
-    }
-    forest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(name: &str, start: u64, dur: u64, parent: Option<u32>, depth: u16) -> SpanRecord {
-        SpanRecord {
-            name: name.into(),
-            start_us: start,
-            dur_us: dur,
-            parent,
-            thread: 0,
-            depth,
-            alloc_count: 0,
-            alloc_bytes: 0,
-        }
+    /// Opens `name` under `parent` and closes it after `dur` µs.
+    fn run(tree: &mut Tree, parent: Option<u32>, name: &'static str, dur: u64) -> u32 {
+        let id = tree.node(parent, name);
+        tree.close(id, 0, dur, 0);
+        id
     }
 
     #[test]
-    fn aggregate_folds_same_path_and_keeps_hierarchy() {
+    fn closes_fold_same_path_and_keep_hierarchy() {
         // run { sample { verify } sample { verify } } — two sample spans
         // fold into one node, as do their verify children.
-        let records = vec![
-            rec("run", 0, 100, None, 0),
-            rec("sample", 5, 30, Some(0), 1),
-            rec("verify", 10, 20, Some(1), 2),
-            rec("sample", 40, 50, Some(0), 1),
-            rec("verify", 45, 40, Some(3), 2),
-        ];
-        let forest = aggregate(&records);
+        let mut tree = Tree::default();
+        let root = tree.node(None, "run");
+        let sample = run(&mut tree, Some(root), "sample", 30);
+        run(&mut tree, Some(sample), "verify", 20);
+        let again = run(&mut tree, Some(root), "sample", 50);
+        assert_eq!(again, sample);
+        run(&mut tree, Some(sample), "verify", 40);
+        tree.close(root, 0, 100, 0);
+
+        let forest = tree.forest(&[]);
         assert_eq!(forest.len(), 1);
         let run = &forest[0];
         assert_eq!((run.count, run.total_us), (1, 100));
@@ -295,35 +221,50 @@ mod tests {
         // find() reaches nested nodes.
         assert_eq!(run.find("verify").map(|n| n.count), Some(2));
         assert_eq!(run.find("missing"), None);
+        // One timeline record per close, in close order.
+        let durs: Vec<u64> = tree.timeline().iter().map(|r| r.dur_us).collect();
+        assert_eq!(durs, vec![30, 20, 50, 40, 100]);
     }
 
     #[test]
     fn same_name_different_parent_stays_separate() {
-        let records = vec![
-            rec("a", 0, 10, None, 0),
-            rec("x", 1, 2, Some(0), 1),
-            rec("b", 20, 10, None, 0),
-            rec("x", 21, 3, Some(2), 1),
-        ];
-        let forest = aggregate(&records);
+        let mut tree = Tree::default();
+        let a = run(&mut tree, None, "a", 10);
+        run(&mut tree, Some(a), "x", 2);
+        let b = run(&mut tree, None, "b", 10);
+        run(&mut tree, Some(b), "x", 3);
+        let forest = tree.forest(&[]);
         assert_eq!(forest.len(), 2);
         assert_eq!(forest[0].children[0].total_us, 2);
         assert_eq!(forest[1].children[0].total_us, 3);
     }
 
     #[test]
-    fn store_open_close_snapshot() {
-        let store = SpanStore::default();
-        let a = store.open("a", 100, None, 0, 0);
-        let b = store.open("b", 150, Some(a), 0, 1);
-        store.close(b, 250);
-        // `a` is still open: the snapshot closes it at `now`.
-        let snap = store.snapshot(1_100);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].dur_us, 1_000);
-        assert_eq!(snap[1].dur_us, 100);
-        assert!(!store.is_empty());
-        store.clear();
-        assert!(store.is_empty());
+    fn allocations_join_by_node_and_unknown_ids_are_ignored() {
+        let mut tree = Tree::default();
+        let a = run(&mut tree, None, "a", 5);
+        let b = run(&mut tree, Some(a), "b", 1);
+        // An unknown parent opens a root; an unknown close is dropped.
+        assert_eq!(tree.node(Some(99), "a"), a);
+        tree.close(99, 0, 7, 0);
+        let per_node = [
+            SpanAlloc {
+                allocs: 1,
+                bytes: 8,
+            },
+            SpanAlloc {
+                allocs: 2,
+                bytes: 64,
+            },
+        ];
+        let forest = tree.forest(&per_node);
+        assert_eq!((forest[0].alloc_count, forest[0].alloc_bytes), (1, 8));
+        let child = &forest[0].children[0];
+        assert_eq!((child.alloc_count, child.alloc_bytes), (2, 64));
+        assert_eq!(tree.name(b), Some("b"));
+        assert_eq!(tree.timeline().len(), 2);
+        tree.clear();
+        assert!(tree.forest(&[]).is_empty());
+        assert_eq!(tree.name(a), None);
     }
 }

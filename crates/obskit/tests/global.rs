@@ -4,7 +4,33 @@
 //! in ONE test function — the test harness runs separate `#[test]`s in
 //! parallel threads and interleaved enable/disable would race.
 
-use obskit::FieldValue;
+use obskit::{FieldValue, SpanNode, SpanRecord};
+
+/// The threads that closed spans named `name`, in close order.
+fn threads_of(timeline: &[SpanRecord], name: &str) -> Vec<u64> {
+    timeline
+        .iter()
+        .filter(|r| r.name == name)
+        .map(|r| r.thread)
+        .collect()
+}
+
+/// The number of nodes in `forest`.
+fn node_count(forest: &[SpanNode]) -> usize {
+    forest.iter().map(|n| 1 + node_count(&n.children)).sum()
+}
+
+/// The node at the `;`-separated name `path` of `forest`.
+fn node_at<'a>(forest: &'a [SpanNode], path: &str) -> Option<&'a SpanNode> {
+    let mut nodes = forest;
+    let mut found = None;
+    for name in path.split(';') {
+        let node = nodes.iter().find(|n| n.name == name)?;
+        nodes = &node.children;
+        found = Some(node);
+    }
+    found
+}
 
 #[test]
 fn global_recorder_end_to_end() {
@@ -17,7 +43,8 @@ fn global_recorder_end_to_end() {
     }
     let before = obskit::snapshot();
     assert!(before.metrics.counters.is_empty());
-    assert!(before.span_records.is_empty());
+    assert!(before.spans.is_empty());
+    assert!(obskit::timeline().is_empty());
 
     // Enabled: spans nest via the per-thread stack, metrics accumulate,
     // events carry typed fields.
@@ -85,6 +112,7 @@ fn global_recorder_end_to_end() {
         assert!(outer.join().is_ok());
     });
     let snap = obskit::snapshot();
+    let timeline = obskit::timeline();
     obskit::disable();
     obskit::set_console(true);
 
@@ -105,26 +133,12 @@ fn global_recorder_end_to_end() {
     assert!(outer.total_us >= outer.children[0].total_us);
     assert!(snap.spans.iter().any(|n| n.name == "test.thread"));
 
-    // Flat records keep parent links and per-thread depth.
-    let outer_rec = snap
-        .span_records
-        .iter()
-        .position(|r| r.name == "test.outer")
-        .expect("outer record");
-    let inner_rec = snap
-        .span_records
-        .iter()
-        .find(|r| r.name == "test.inner")
-        .expect("inner record");
-    assert_eq!(inner_rec.parent, Some(outer_rec as u32));
-    assert_eq!(inner_rec.depth, 1);
-    let thread_rec = snap
-        .span_records
-        .iter()
-        .find(|r| r.name == "test.thread")
-        .expect("thread record");
-    assert_eq!(thread_rec.parent, None);
-    assert_ne!(thread_rec.thread, inner_rec.thread);
+    // The timeline has one record per closed span, on its thread.
+    let main_thread = threads_of(&timeline, "test.inner");
+    assert_eq!(threads_of(&timeline, "test.outer"), main_thread);
+    let other_thread = threads_of(&timeline, "test.thread");
+    assert_eq!((main_thread.len(), other_thread.len()), (1, 1));
+    assert_ne!(other_thread, main_thread);
 
     // Handoff parentage: test.fanout > test.task > test.leaf in the
     // aggregated forest even though task/leaf ran on another thread.
@@ -135,21 +149,21 @@ fn global_recorder_end_to_end() {
         .expect("fanout span aggregated");
     let task = fanout.find("test.task").expect("task under fanout");
     assert_eq!(task.count, 1);
+    assert_eq!(
+        fanout.children[0].name, "test.task",
+        "task is a direct child"
+    );
     assert!(task.find("test.leaf").is_some(), "leaf chains under task");
-    let fanout_rec = snap
-        .span_records
-        .iter()
-        .position(|r| r.name == "test.fanout")
-        .expect("fanout record");
-    let task_rec = snap
-        .span_records
-        .iter()
-        .find(|r| r.name == "test.task")
-        .expect("task record");
-    assert_eq!(task_rec.parent, Some(fanout_rec as u32));
-    assert_eq!(task_rec.depth, 1);
+    assert!(
+        !snap.spans.iter().any(|n| n.name == "test.task"),
+        "task is no root"
+    );
+    let task_thread = threads_of(&timeline, "test.task");
+    assert_eq!(threads_of(&timeline, "test.leaf"), task_thread);
+    assert_eq!(task_thread.len(), 1);
     assert_ne!(
-        task_rec.thread, snap.span_records[fanout_rec].thread,
+        task_thread,
+        threads_of(&timeline, "test.fanout"),
         "handoff crossed a thread boundary"
     );
 
@@ -158,18 +172,18 @@ fn global_recorder_end_to_end() {
     assert!(snap
         .thread_names
         .iter()
-        .any(|(tid, name)| *tid == task_rec.thread && name == "test-worker"));
-    let trace =
-        obskit::chrome::chrome_trace_named(&snap.span_records, &snap.events, &snap.thread_names);
+        .any(|(tid, name)| *tid == task_thread[0] && name == "test-worker"));
+    let trace = obskit::chrome::chrome_trace(
+        &timeline,
+        &snap.events,
+        &snap.thread_names,
+        &snap.samples,
+        None,
+    );
     assert!(trace.contains("thread_name"), "{trace}");
     assert!(trace.contains("test-worker"), "{trace}");
 
-    let slot_threads: Vec<u64> = snap
-        .span_records
-        .iter()
-        .filter(|r| r.name == "test.slot")
-        .map(|r| r.thread)
-        .collect();
+    let slot_threads = threads_of(&timeline, "test.slot");
     assert_eq!(slot_threads.len(), 2);
     assert_eq!(slot_threads[0], slot_threads[1], "one track per name");
     let slot_names: Vec<u64> = snap
@@ -179,12 +193,7 @@ fn global_recorder_end_to_end() {
         .map(|&(tid, _)| tid)
         .collect();
     assert_eq!(slot_names, vec![slot_threads[0]]);
-    let nested_threads: Vec<u64> = snap
-        .span_records
-        .iter()
-        .filter(|r| r.name == "test.nested")
-        .map(|r| r.thread)
-        .collect();
+    let nested_threads = threads_of(&timeline, "test.nested");
     assert_eq!(nested_threads.len(), 2);
     assert_ne!(
         nested_threads[0], nested_threads[1],
@@ -196,6 +205,22 @@ fn global_recorder_end_to_end() {
         .filter(|(_, name)| name == "test-nested")
         .count();
     assert_eq!(nested_names, 2);
+
+    // The flamegraph and the report share one self time: every folded
+    // line's value is its node's `self_us()`, and every node has a line.
+    let folded = obskit::flame::folded(&snap.spans);
+    let mut lines = 0;
+    for line in folded.lines() {
+        let (path, value) = line.rsplit_once(' ').expect("`path value` line");
+        let node = node_at(&snap.spans, path).expect("folded path is a tree node");
+        assert_eq!(value.parse::<u64>().ok(), Some(node.self_us()), "{line}");
+        lines += 1;
+    }
+    assert_eq!(lines, node_count(&snap.spans));
+    assert!(
+        folded.contains("test.fanout;test.task;test.leaf "),
+        "{folded}"
+    );
 
     // Events: the progress! line and the explicit event, in order.
     let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
@@ -217,7 +242,8 @@ fn global_recorder_end_to_end() {
     obskit::enable();
     let clean = obskit::snapshot();
     assert!(clean.metrics.counters.is_empty());
-    assert!(clean.span_records.is_empty());
+    assert!(clean.spans.is_empty());
+    assert!(obskit::timeline().is_empty());
     assert!(clean.events.is_empty());
     obskit::disable();
 }
