@@ -52,7 +52,7 @@ static ALLOC: obskit::alloc::TrackingAlloc = obskit::alloc::TrackingAlloc::new()
 /// |----------------------|--------|
 /// | `--fast`             | reduced configuration (seconds instead of minutes) |
 /// | `--metrics-out <p>`  | write a `BENCH_<name>.json` report ([`obskit::report`] schema) |
-/// | `--trace-out <p>`    | write a Chrome trace (open in `chrome://tracing` / Perfetto) |
+/// | `--trace-out <p>`    | write a Chrome trace (open in `chrome://tracing` / Perfetto); only then is the span timeline kept |
 /// | `--flame-out <p>`    | write a collapsed-stack flamegraph (self-time µs, `flamegraph.pl` format) |
 /// | `--alloc`            | turn on allocation accounting (per-span counts/bytes in the report) |
 /// | `--no-obs`           | keep the no-op recorder (overhead baseline; also silences progress) |
@@ -153,6 +153,9 @@ impl BenchCli {
             obskit::recorder::install_panic_hook();
             if cli.alloc {
                 obskit::alloc::set_tracking(true);
+            }
+            if cli.trace_out.is_some() {
+                obskit::set_timeline(true);
             }
         }
         Ok(cli)

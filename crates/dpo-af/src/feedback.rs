@@ -37,36 +37,36 @@ pub fn justice_for(d: &DrivingDomain, kind: ScenarioKind) -> Vec<Justice> {
     drivesim::formal::scenario_justice(d, kind)
 }
 
-/// Pre-flight of the rule book: the `speclint` rule-book analysis of
-/// every spec under all five scenario worlds, returning the
-/// `Error`-severity findings (`SL300` empty language, `SL303` conflict
-/// under a world), if any. An unsatisfiable or conflicting rule would
-/// silently cap every response's score, corrupting the preference
-/// signal rather than merely weakening it. Warning- and Note-class
-/// findings — a tautology, per-world vacuity, subsumption — do not
-/// gate. Corpus discrimination (`SL305`) needs a response corpus the
-/// pipeline does not have yet, so the gate runs worlds-only. The worlds
-/// come from [`speclint::presets::driving_worlds`], the same ones the
-/// `speclint` CLI analyses.
+/// Pre-flight of the rule book: the `Error`-severity findings of the
+/// `speclint` rule-book analysis of every spec under all five scenario
+/// worlds (`SL300` empty language, `SL303` conflict under a world), if
+/// any. An unsatisfiable or conflicting rule would silently cap every
+/// response's score, corrupting the preference signal rather than
+/// merely weakening it. Warning- and Note-class findings — a tautology,
+/// per-world vacuity, subsumption — do not gate, so the gate does not
+/// compute them: [`speclint::analyze_errors`] decides only the facts
+/// the two `Error` codes rest on and returns exactly the `Error`s the
+/// full pass would (about 40% fewer queries on the shipped book, and
+/// none of the containment queries that dominate the full pass). The
+/// worlds come from [`speclint::presets::driving_worlds`], the same
+/// ones the `speclint` CLI analyses.
 ///
 /// The verdict is memoized process-wide: the shipped rule book and
 /// scenario models are fixed at compile time, so every run after the
 /// first returns the cached result. The first run's model-checking
-/// queries are counted in the obskit `speclint.semantic_*` metrics.
+/// queries are counted in the obskit `speclint.semantic_*` metrics
+/// (warnings and notes at zero).
 pub fn preflight_rule_book_semantic(d: &DrivingDomain) -> Result<(), Vec<speclint::Diagnostic>> {
     static VERDICT: OnceLock<Result<(), Vec<speclint::Diagnostic>>> = OnceLock::new();
     VERDICT
         .get_or_init(|| {
-            let input = speclint::SemanticInput {
+            let errors = speclint::analyze_errors(&speclint::SemanticInput {
                 specs: driving_specs(d),
                 worlds: speclint::presets::driving_worlds(d),
                 corpus: Vec::new(),
                 vocab: Some(d.vocab.clone()),
-            };
-            let errors: Vec<speclint::Diagnostic> = speclint::analyze(&input)
-                .into_iter()
-                .filter(|diag| diag.severity == speclint::Severity::Error)
-                .collect();
+            })
+            .diagnostics;
             if errors.is_empty() {
                 Ok(())
             } else {

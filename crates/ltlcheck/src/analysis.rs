@@ -82,6 +82,13 @@ pub fn automaton_cache_len() -> usize {
     lock_cache().len()
 }
 
+/// Empties the [`spec_automaton`] cache, so that the next pass pays its
+/// own translations: for cost measurements that compare two passes in
+/// one process. Verdicts never depend on the cache.
+pub fn clear_automaton_cache() {
+    lock_cache().clear();
+}
+
 /// Decides whether some infinite word over `2^{P ∪ P_A}` satisfies `phi`.
 ///
 /// Runs a Büchi-emptiness check on the spec-only automaton (via

@@ -13,7 +13,9 @@
 //! e.g. `parkit-worker-2` instead of a bare tid.
 //!
 //! This is the timeline's only reader: reports and flamegraphs read the
-//! aggregated span tree instead.
+//! aggregated span tree instead. The recorder keeps the timeline only
+//! while [`crate::set_timeline`] is on, so a binary that writes a trace
+//! turns it on first.
 
 use crate::event::Event;
 use crate::json::Value;

@@ -481,10 +481,21 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// The closed spans since the last [`enable`], in close order — the
-/// Chrome exporter's input ([`chrome::chrome_trace`]).
+/// The spans closed since the last [`enable`] while the timeline was on
+/// ([`set_timeline`]), in close order — the Chrome exporter's input
+/// ([`chrome::chrome_trace`]).
 pub fn timeline() -> Vec<SpanRecord> {
     tree().timeline()
+}
+
+/// Turns the span timeline on or off. Off (the default), a closing span
+/// only folds into the aggregate tree; on, it also appends one
+/// [`SpanRecord`], so the timeline grows with the run. Only a Chrome
+/// trace reads it, so a binary turns it on when a trace was asked for,
+/// as it turns on [`alloc::set_tracking`] for allocation accounting.
+/// The setting survives [`enable`].
+pub fn set_timeline(on: bool) {
+    tree().set_timeline(on);
 }
 
 /// Merges allocation totals into a metrics snapshot under the `alloc.*`

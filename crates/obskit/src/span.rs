@@ -12,9 +12,11 @@
 //! follows lexical scope on each thread; [`crate::Span::handoff`] carries
 //! a node across threads.
 //!
-//! Each close also appends one [`SpanRecord`] to the timeline. Only the
-//! Chrome exporter ([`crate::chrome`]) reads it; reports and flamegraphs
-//! read the tree through [`SpanNode`].
+//! While the timeline is on ([`crate::set_timeline`]), each close also
+//! appends one [`SpanRecord`] to it. Only the Chrome exporter
+//! ([`crate::chrome`]) reads the timeline, so it is off by default and
+//! a run that writes no trace keeps no per-span record; reports and
+//! flamegraphs read the tree through [`SpanNode`].
 
 use crate::alloc::SpanAlloc;
 
@@ -48,6 +50,8 @@ pub(crate) struct Tree {
     nodes: Vec<Node>,
     roots: Vec<u32>,
     timeline: Vec<SpanRecord>,
+    /// Whether closes append to `timeline`; survives [`Tree::clear`].
+    keep_timeline: bool,
 }
 
 impl Tree {
@@ -80,9 +84,9 @@ impl Tree {
         id
     }
 
-    /// Folds one closed span of node `id` into the tree and appends it to
-    /// the timeline. Unknown ids (a guard that outlived a clear) are
-    /// dropped.
+    /// Folds one closed span of node `id` into the tree and, while the
+    /// timeline is on, appends it to the timeline. Unknown ids (a guard
+    /// that outlived a clear) are dropped.
     pub(crate) fn close(&mut self, id: u32, start_us: u64, dur_us: u64, thread: u64) {
         let Some(node) = self.nodes.get_mut(id as usize) else {
             return;
@@ -90,12 +94,19 @@ impl Tree {
         node.count += 1;
         node.total_us += dur_us;
         node.max_us = node.max_us.max(dur_us);
-        self.timeline.push(SpanRecord {
-            name: node.name,
-            start_us,
-            dur_us,
-            thread,
-        });
+        if self.keep_timeline {
+            self.timeline.push(SpanRecord {
+                name: node.name,
+                start_us,
+                dur_us,
+                thread,
+            });
+        }
+    }
+
+    /// Turns the timeline on or off; records already kept stay.
+    pub(crate) fn set_timeline(&mut self, on: bool) {
+        self.keep_timeline = on;
     }
 
     /// The name of node `id`, if it exists.
@@ -135,9 +146,13 @@ impl Tree {
         }
     }
 
-    /// Drops every node and timeline record.
+    /// Drops every node and timeline record; the timeline stays on or
+    /// off as it was.
     pub(crate) fn clear(&mut self) {
-        *self = Tree::default();
+        *self = Tree {
+            keep_timeline: self.keep_timeline,
+            ..Tree::default()
+        };
     }
 }
 
@@ -194,6 +209,7 @@ mod tests {
         // run { sample { verify } sample { verify } } — two sample spans
         // fold into one node, as do their verify children.
         let mut tree = Tree::default();
+        tree.set_timeline(true);
         let root = tree.node(None, "run");
         let sample = run(&mut tree, Some(root), "sample", 30);
         run(&mut tree, Some(sample), "verify", 20);
@@ -240,8 +256,30 @@ mod tests {
     }
 
     #[test]
+    fn timeline_keeps_records_only_while_on() {
+        let mut tree = Tree::default();
+        let a = run(&mut tree, None, "a", 5);
+        assert!(tree.timeline().is_empty());
+        tree.set_timeline(true);
+        run(&mut tree, Some(a), "b", 1);
+        tree.set_timeline(false);
+        run(&mut tree, Some(a), "b", 2);
+        // The aggregate sees every close; the timeline only the one
+        // made while it was on, and clearing keeps the setting.
+        assert_eq!(tree.forest(&[])[0].children[0].count, 2);
+        let durs: Vec<u64> = tree.timeline().iter().map(|r| r.dur_us).collect();
+        assert_eq!(durs, vec![1]);
+        tree.set_timeline(true);
+        tree.clear();
+        assert!(tree.timeline().is_empty());
+        run(&mut tree, None, "a", 3);
+        assert_eq!(tree.timeline().len(), 1);
+    }
+
+    #[test]
     fn allocations_join_by_node_and_unknown_ids_are_ignored() {
         let mut tree = Tree::default();
+        tree.set_timeline(true);
         let a = run(&mut tree, None, "a", 5);
         let b = run(&mut tree, Some(a), "b", 1);
         // An unknown parent opens a root; an unknown close is dropped.

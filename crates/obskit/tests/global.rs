@@ -51,6 +51,7 @@ fn global_recorder_end_to_end() {
     obskit::enable();
     assert!(obskit::enabled());
     obskit::set_console(false); // keep test output clean
+    obskit::set_timeline(true); // the Chrome-trace checks below read it
     {
         let _outer = obskit::span("test.outer");
         obskit::counter_add("test.counter", 2);

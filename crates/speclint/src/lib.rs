@@ -11,7 +11,8 @@
 //! * **Rule-book analysis (`SL002`, `SL3xx`)** — satisfiability,
 //!   tautology, world-model vacuity, pairwise conflict under the world,
 //!   subsumption, and corpus discrimination, via the ltlcheck automaton
-//!   machinery ([`semantic::analyze`]).
+//!   machinery ([`semantic::analyze`]); [`semantic::analyze_errors`] runs
+//!   only the checks behind its `Error`s, for gates.
 //! * **Controller lints (`SL1xx`)** — unreachable states, dead
 //!   transitions, nondeterminism, incompleteness, sinks, unused vocabulary
 //!   ([`lint_controller`]).
@@ -30,7 +31,7 @@ pub mod steps;
 
 pub use controller::{lint_controller, ControllerContext};
 pub use diagnostics::{sort_diagnostics, Diagnostic, LintCode, Location, Severity, Tally};
-pub use semantic::{analyze, CorpusController, SemanticInput, SemanticWorld};
+pub use semantic::{analyze, analyze_errors, CorpusController, SemanticInput, SemanticWorld};
 pub use steps::lint_steps;
 
 use autokit::{Controller, PropSet, Vocab};

@@ -326,6 +326,23 @@ mod tests {
         }
     }
 
+    /// The pipeline's gate on the driving book skips the queries that can
+    /// only yield notes: fewer checks than the worlds-only full pass's
+    /// 1 026, pinned so that a change putting SL301's unconstrained
+    /// queries or SL304 back into the gate fails here.
+    #[test]
+    fn driving_gate_runs_fewer_checks_than_the_full_pass() {
+        let d = DrivingDomain::new();
+        let book = SemanticInput {
+            specs: driving_specs(&d),
+            worlds: driving_worlds(&d),
+            corpus: Vec::new(),
+            vocab: Some(d.vocab.clone()),
+        };
+        assert_eq!(crate::semantic::analyze_timed(&book).checks, 1026);
+        assert_eq!(crate::semantic::analyze_errors(&book).checks, 635);
+    }
+
     /// The conflict demo is rejected with an `SL303` error: the
     /// motivating example for analysing a book under its worlds.
     #[test]

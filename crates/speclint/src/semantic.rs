@@ -38,6 +38,17 @@
 //!   the diagnostic. A rule that cannot split the corpus contributes
 //!   zero DPO ranking power. `Note`.
 //!
+//! Both `Error` codes rest on one set of facts: which worlds are live,
+//! which rules are satisfiable (and which are tautologies, since those
+//! skip the pairwise checks), where each rule is realizable, and which
+//! realizable pairs share no fair path. [`analyze_errors`] decides only
+//! those facts and reports SL300/SL303; [`analyze`] decides the same
+//! facts the same way and then runs every other check on top. A gate
+//! that only refuses `Error`s (the DPO-AF pre-flight) calls
+//! [`analyze_errors`] and skips the SL301/SL302 queries and all of
+//! SL304, whose containment queries translate a fresh `A ∧ ¬B`
+//! automaton per pair and dominate the full pass.
+//!
 //! All checks reduce to existential or universal model checking through
 //! [`ltlcheck::analysis`]'s cached spec-automaton API
 //! ([`ltlcheck::analysis::exists_fair_path`] /
@@ -51,8 +62,8 @@
 //! `speclint.semantic_errors`, `speclint.semantic_warnings`,
 //! `speclint.semantic_notes`.
 
-use crate::diagnostics::{Diagnostic, LintCode};
-use autokit::{ActSet, Controller, LabelGraph, Product, PropSet, Vocab, WorldModel};
+use crate::diagnostics::{Diagnostic, LintCode, Tally};
+use autokit::{Controller, LabelGraph, Product, Vocab, WorldModel};
 use ltlcheck::analysis::{
     eval_propositional, exists_fair_path, holds_all_fair, reachable_labels, satisfiable,
     trigger_of, valid,
@@ -182,98 +193,238 @@ pub fn analyze(input: &SemanticInput) -> Vec<Diagnostic> {
     analyze_timed(input).diagnostics
 }
 
-/// Runs the semantic pass with per-rule timings and check counts.
-pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
-    // Register the counters up front so instrumented runs always report
-    // them, even when everything stays at zero.
-    for name in [
-        "speclint.semantic_rules",
-        "speclint.semantic_checks",
-        "speclint.semantic_errors",
-        "speclint.semantic_warnings",
-        "speclint.semantic_notes",
-    ] {
-        obskit::counter_add(name, 0);
+/// What a rule's `Error` findings rest on.
+struct RuleFacts {
+    /// Some word satisfies the rule; `false` is SL300.
+    satisfiable: bool,
+    /// Every word satisfies it (SL002). Decided for satisfiable rules.
+    tautology: bool,
+    /// `realizable[w]`: some fair path of live world `w` satisfies the
+    /// rule. Decided for contingent rules, `false` for the others.
+    realizable: Vec<bool>,
+    /// Wall time of the queries above.
+    cost: Duration,
+}
+
+impl RuleFacts {
+    /// Neither empty nor a tautology, so the world, pairwise and corpus
+    /// checks can say something new about the rule.
+    fn contingent(&self) -> bool {
+        self.satisfiable && !self.tautology
     }
+}
 
-    let render = |phi: &Ltl| -> String {
-        match &input.vocab {
-            Some(v) => phi.to_string(v),
-            None => format!("{phi:?}"),
-        }
-    };
+/// One pair of contingent rules within [`PAIRWISE_SIZE_BUDGET`].
+struct PairFacts {
+    i: usize,
+    j: usize,
+    /// Live worlds (indices) where both rules are realizable but share
+    /// no fair path; non-empty is SL303.
+    conflicts: Vec<usize>,
+    /// Wall time of the conflict queries.
+    cost: Duration,
+}
 
-    let mut diags = Vec::new();
+/// The facts SL300 and SL303 are decided from, shared by
+/// [`analyze_errors`] and [`analyze_timed`].
+struct Facts<'a> {
+    /// Worlds with some justice-fair behavior, in input order.
+    live: Vec<&'a SemanticWorld>,
+    /// Worlds with none: every universal check holds vacuously there
+    /// and every existential one fails, so they are excluded.
+    dead: Vec<&'a SemanticWorld>,
+    /// One entry per rule, in rule-book order.
+    rules: Vec<RuleFacts>,
+    /// Every checked pair, in `(i, j)` order.
+    pairs: Vec<PairFacts>,
+    /// Pairs of contingent rules over [`PAIRWISE_SIZE_BUDGET`].
+    skipped_pairs: usize,
+    /// Model-checking queries issued.
+    checks: usize,
+}
+
+/// Decides which worlds are live, which rules are satisfiable,
+/// tautological and realizable where, and which realizable pairs have
+/// no common fair path — the one code path behind SL300 and SL303.
+fn decide(input: &SemanticInput) -> Facts<'_> {
     let mut checks = 0usize;
-
-    // Worlds with no justice-fair behavior make every universal check
-    // vacuously true and every existential check false — report them
-    // once and exclude them from per-rule analysis.
-    let mut live_worlds: Vec<(&SemanticWorld, Vec<(PropSet, ActSet)>)> = Vec::new();
+    let (mut live, mut dead) = (Vec::new(), Vec::new());
     for world in &input.worlds {
         checks += 1;
         if exists_fair_path(&world.graph, &Ltl::True, &world.justice) {
-            live_worlds.push((world, reachable_labels(&world.graph)));
+            live.push(world);
         } else {
-            diags.push(Diagnostic::new(
+            dead.push(world);
+        }
+    }
+
+    let mut rules = Vec::with_capacity(input.specs.len());
+    for spec in &input.specs {
+        let started = Instant::now();
+        let is_sat = satisfiable(&spec.formula);
+        checks += 1;
+        let is_taut = is_sat && valid(&spec.formula);
+        checks += usize::from(is_sat);
+        let mut realizable = vec![false; live.len()];
+        if is_sat && !is_taut {
+            for (real, world) in realizable.iter_mut().zip(&live) {
+                checks += 1;
+                *real = exists_fair_path(&world.graph, &spec.formula, &world.justice);
+            }
+        }
+        rules.push(RuleFacts {
+            satisfiable: is_sat,
+            tautology: is_taut,
+            realizable,
+            cost: started.elapsed(),
+        });
+    }
+
+    // Only pairs of contingent rules are interesting; oversized pairs
+    // are skipped loudly.
+    let mut pairs = Vec::new();
+    let mut skipped_pairs = 0usize;
+    for i in 0..input.specs.len() {
+        for j in (i + 1)..input.specs.len() {
+            if !rules[i].contingent() || !rules[j].contingent() || live.is_empty() {
+                continue;
+            }
+            let (a, b) = (&input.specs[i].formula, &input.specs[j].formula);
+            if a.size() + b.size() > PAIRWISE_SIZE_BUDGET {
+                skipped_pairs += 1;
+                continue;
+            }
+            let started = Instant::now();
+            let both = Ltl::and(a.clone(), b.clone());
+            let mut conflicts = Vec::new();
+            for (w, world) in live.iter().enumerate() {
+                // A conflict needs both rules individually realizable —
+                // an unrealizable rule already carries SL301.
+                if !(rules[i].realizable[w] && rules[j].realizable[w]) {
+                    continue;
+                }
+                checks += 1;
+                if !exists_fair_path(&world.graph, &both, &world.justice) {
+                    conflicts.push(w);
+                }
+            }
+            pairs.push(PairFacts {
+                i,
+                j,
+                conflicts,
+                cost: started.elapsed(),
+            });
+        }
+    }
+
+    Facts {
+        live,
+        dead,
+        rules,
+        pairs,
+        skipped_pairs,
+        checks,
+    }
+}
+
+impl Facts<'_> {
+    /// Per-rule cost of the decided facts: the rule's own queries, plus
+    /// each of its pairs' conflict queries.
+    fn timings(&self, input: &SemanticInput) -> Vec<RuleTiming> {
+        let mut timings: Vec<RuleTiming> = input
+            .specs
+            .iter()
+            .zip(&self.rules)
+            .map(|(spec, rule)| RuleTiming {
+                rule: spec.name.clone(),
+                solo: rule.cost,
+                pairwise: Duration::ZERO,
+                corpus: Duration::ZERO,
+            })
+            .collect();
+        for pair in &self.pairs {
+            timings[pair.i].pairwise += pair.cost;
+            timings[pair.j].pairwise += pair.cost;
+        }
+        timings
+    }
+}
+
+/// Runs only the checks an `Error` finding can come from and returns
+/// exactly the `Error`s of [`analyze_timed`] on the same input (SL300 in
+/// rule-book order, then SL303 in pair order), with the queries' check
+/// count and per-rule cost. The SL301 unconstrained-controller queries,
+/// the SL302 trigger scan, SL304 containment and the SL305 corpus are
+/// skipped: none of them can produce an `Error`.
+pub fn analyze_errors(input: &SemanticInput) -> SemanticReport {
+    let facts = decide(input);
+    let mut diags: Vec<Diagnostic> = input
+        .specs
+        .iter()
+        .zip(&facts.rules)
+        .filter(|(_, rule)| !rule.satisfiable)
+        .map(|(spec, _)| unsatisfiable(input, spec))
+        .collect();
+    diags.extend(
+        facts
+            .pairs
+            .iter()
+            .filter(|pair| !pair.conflicts.is_empty())
+            .map(|pair| conflict(input, &facts, pair)),
+    );
+    report(input, diags, facts.timings(input), facts.checks)
+}
+
+/// Runs the semantic pass with per-rule timings and check counts.
+pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
+    let facts = decide(input);
+    let mut timings = facts.timings(input);
+    let mut checks = facts.checks;
+    let mut diags: Vec<Diagnostic> = facts
+        .dead
+        .iter()
+        .map(|world| {
+            Diagnostic::new(
                 LintCode::SemWorldVacuous,
                 format!("world {}", world.name),
                 "the world has no justice-fair behavior; every rule holds vacuously there \
                  and none can rank controllers",
-            ));
-        }
-    }
+            )
+        })
+        .collect();
+    let labels: Vec<_> = facts
+        .live
+        .iter()
+        .map(|world| reachable_labels(&world.graph))
+        .collect();
 
-    // contingent[i]: rule `i` is neither empty nor a tautology, so the
-    // world, pairwise and corpus checks can say something new about it.
-    let mut contingent = Vec::with_capacity(input.specs.len());
-    // realizable[i][w]: some fair path of live world `w` satisfies rule `i`.
-    let mut realizable: Vec<Vec<bool>> = Vec::with_capacity(input.specs.len());
     // A rule "discriminates" in a world when it is realizable there but
     // does not hold with the controller unconstrained — i.e. it can
     // actually split controllers. Rules vacuous in *every* world already
     // carry SL301/SL302; reporting that everything subsumes them (or
     // that they subsume nothing) would only restate the vacuity, so
     // SL304 is restricted to pairs of somewhere-discriminating rules.
-    let mut discriminating: Vec<bool> = Vec::with_capacity(input.specs.len());
-    let mut timings: Vec<RuleTiming> = Vec::with_capacity(input.specs.len());
+    let mut discriminating = vec![false; input.specs.len()];
 
-    // Per-rule checks: SL300 (emptiness), SL002 (tautology), SL301/SL302
-    // (world vacuity).
-    for spec in &input.specs {
+    // Per-rule findings: SL300 (emptiness), SL002 (tautology),
+    // SL301/SL302 (world vacuity).
+    for (i, (spec, rule)) in input.specs.iter().zip(&facts.rules).enumerate() {
         let started = Instant::now();
         let subject = format!("spec {}", spec.name);
-        let is_sat = satisfiable(&spec.formula);
-        checks += 1;
-        let is_taut = is_sat && valid(&spec.formula);
-        checks += usize::from(is_sat);
-        contingent.push(is_sat && !is_taut);
-        let mut real = vec![false; live_worlds.len()];
-        let mut discriminates_somewhere = false;
-        if !is_sat {
-            diags.push(Diagnostic::new(
-                LintCode::SemUnsatisfiable,
-                &subject,
-                format!(
-                    "`{}` has an empty language (Büchi emptiness on the spec-only automaton); \
-                     it fails every controller in every world",
-                    render(&spec.formula)
-                ),
-            ));
-        } else if is_taut {
+        if !rule.satisfiable {
+            diags.push(unsatisfiable(input, spec));
+        } else if rule.tautology {
             diags.push(Diagnostic::new(
                 LintCode::TautologicalSpec,
                 &subject,
                 format!(
                     "`{}` holds on every trace; it passes every controller in every world",
-                    render(&spec.formula)
+                    render(input, &spec.formula)
                 ),
             ));
         } else {
-            for (w, (world, labels)) in live_worlds.iter().enumerate() {
-                checks += 1;
-                real[w] = exists_fair_path(&world.graph, &spec.formula, &world.justice);
-                if !real[w] {
+            for (w, world) in facts.live.iter().enumerate() {
+                if !rule.realizable[w] {
                     diags.push(
                         Diagnostic::new(
                             LintCode::SemWorldVacuous,
@@ -282,7 +433,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                                 "no fair path of `{}` satisfies `{}`; every controller fails \
                                  it there, so it cannot rank controllers in that world",
                                 world.name,
-                                render(&spec.formula)
+                                render(input, &spec.formula)
                             ),
                         )
                         .element(format!("world {}", world.name)),
@@ -291,14 +442,14 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                 }
                 checks += 1;
                 if !holds_all_fair(&world.graph, [&spec.formula], &world.justice)[0] {
-                    discriminates_somewhere = true;
+                    discriminating[i] = true;
                     continue;
                 }
                 // The rule holds with the controller unconstrained. Is
                 // that because its trigger can never fire?
                 let unreachable_trigger = trigger_of(&spec.formula).filter(|trigger| {
-                    !labels.is_empty()
-                        && labels
+                    !labels[w].is_empty()
+                        && labels[w]
                             .iter()
                             .all(|&(p, a)| eval_propositional(trigger, p, a) == Some(false))
                 });
@@ -310,7 +461,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                             format!(
                                 "trigger `{}` is false on every reachable label of `{}`; \
                                  the rule can never fire there",
-                                render(trigger),
+                                render(input, trigger),
                                 world.name
                             ),
                         )
@@ -324,7 +475,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                                 "`{}` holds in `{}` with the controller unconstrained; every \
                                  controller passes it there, so it adds no ranking power in \
                                  that world",
-                                render(&spec.formula),
+                                render(input, &spec.formula),
                                 world.name
                             ),
                         )
@@ -333,136 +484,93 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
                 }
             }
         }
-        realizable.push(real);
-        discriminating.push(discriminates_somewhere);
-        timings.push(RuleTiming {
-            rule: spec.name.clone(),
-            solo: started.elapsed(),
-            pairwise: Duration::ZERO,
-            corpus: Duration::ZERO,
-        });
+        timings[i].solo += started.elapsed();
     }
 
-    // Pairwise checks: SL303 (conflict under a world), SL304 (containment
-    // under every world). Only pairs of contingent rules are
-    // interesting; oversized pairs are skipped loudly.
-    let mut skipped_pairs = 0usize;
-    for i in 0..input.specs.len() {
-        for j in (i + 1)..input.specs.len() {
-            if !contingent[i] || !contingent[j] || live_worlds.is_empty() {
-                continue;
-            }
-            let (a, b) = (&input.specs[i], &input.specs[j]);
-            if a.formula.size() + b.formula.size() > PAIRWISE_SIZE_BUDGET {
-                skipped_pairs += 1;
-                continue;
-            }
-            let started = Instant::now();
-            let mut conflict_worlds: Vec<&str> = Vec::new();
-            for (w, (world, _)) in live_worlds.iter().enumerate() {
-                // A conflict needs both rules individually realizable —
-                // an unrealizable rule already carries SL301.
-                if !(realizable[i][w] && realizable[j][w]) {
-                    continue;
-                }
-                let both = Ltl::and(a.formula.clone(), b.formula.clone());
-                checks += 1;
-                if !exists_fair_path(&world.graph, &both, &world.justice) {
-                    conflict_worlds.push(&world.name);
-                }
-            }
-            if !conflict_worlds.is_empty() {
-                diags.push(
-                    Diagnostic::new(
-                        LintCode::SemWorldConflict,
-                        format!("spec {}", a.name),
-                        format!(
-                            "`{}` and `{}` have no common fair path in {}; no controller \
-                             can pass both there",
-                            a.name,
-                            b.name,
-                            conflict_worlds
-                                .iter()
-                                .map(|w| format!("`{w}`"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    )
-                    .element(format!("spec {}", b.name)),
-                );
-            } else if discriminating[i] && discriminating[j] {
-                // Containment under every world: ∃ fair path ⊨ A ∧ ¬B
-                // anywhere defeats A ⇒ B.
-                let mut a_implies_b = true;
-                let mut b_implies_a = true;
-                for (world, _) in &live_worlds {
-                    if a_implies_b {
-                        let witness = Ltl::and(a.formula.clone(), Ltl::not(b.formula.clone()));
-                        checks += 1;
-                        a_implies_b = !exists_fair_path(&world.graph, &witness, &world.justice);
-                    }
-                    if b_implies_a {
-                        let witness = Ltl::and(b.formula.clone(), Ltl::not(a.formula.clone()));
-                        checks += 1;
-                        b_implies_a = !exists_fair_path(&world.graph, &witness, &world.justice);
-                    }
-                    if !a_implies_b && !b_implies_a {
-                        break;
-                    }
-                }
-                match (a_implies_b, b_implies_a) {
-                    (true, true) => diags.push(
-                        Diagnostic::new(
-                            LintCode::SemWorldSubsumed,
-                            format!("spec {}", b.name),
-                            format!(
-                                "`{}` and `{}` are equivalent under every provided world \
-                                 model; one is redundant",
-                                a.name, b.name
-                            ),
-                        )
-                        .element(format!("spec {}", a.name)),
-                    ),
-                    (true, false) => diags.push(
-                        Diagnostic::new(
-                            LintCode::SemWorldSubsumed,
-                            format!("spec {}", b.name),
-                            format!(
-                                "`{}` implies `{}` under every provided world model; the \
-                                 weaker rule adds no discrimination",
-                                a.name, b.name
-                            ),
-                        )
-                        .element(format!("spec {}", a.name)),
-                    ),
-                    (false, true) => diags.push(
-                        Diagnostic::new(
-                            LintCode::SemWorldSubsumed,
-                            format!("spec {}", a.name),
-                            format!(
-                                "`{}` implies `{}` under every provided world model; the \
-                                 weaker rule adds no discrimination",
-                                b.name, a.name
-                            ),
-                        )
-                        .element(format!("spec {}", b.name)),
-                    ),
-                    (false, false) => {}
-                }
-            }
-            let elapsed = started.elapsed();
-            timings[i].pairwise += elapsed;
-            timings[j].pairwise += elapsed;
+    // Pairwise findings: SL303 (conflict under a world), else SL304
+    // (containment under every world).
+    for pair in &facts.pairs {
+        let (i, j) = (pair.i, pair.j);
+        if !pair.conflicts.is_empty() {
+            diags.push(conflict(input, &facts, pair));
+            continue;
         }
+        if !(discriminating[i] && discriminating[j]) {
+            continue;
+        }
+        let started = Instant::now();
+        let (a, b) = (&input.specs[i], &input.specs[j]);
+        // Containment under every world: ∃ fair path ⊨ A ∧ ¬B anywhere
+        // defeats A ⇒ B.
+        let mut a_implies_b = true;
+        let mut b_implies_a = true;
+        for world in &facts.live {
+            if a_implies_b {
+                let witness = Ltl::and(a.formula.clone(), Ltl::not(b.formula.clone()));
+                checks += 1;
+                a_implies_b = !exists_fair_path(&world.graph, &witness, &world.justice);
+            }
+            if b_implies_a {
+                let witness = Ltl::and(b.formula.clone(), Ltl::not(a.formula.clone()));
+                checks += 1;
+                b_implies_a = !exists_fair_path(&world.graph, &witness, &world.justice);
+            }
+            if !a_implies_b && !b_implies_a {
+                break;
+            }
+        }
+        match (a_implies_b, b_implies_a) {
+            (true, true) => diags.push(
+                Diagnostic::new(
+                    LintCode::SemWorldSubsumed,
+                    format!("spec {}", b.name),
+                    format!(
+                        "`{}` and `{}` are equivalent under every provided world \
+                         model; one is redundant",
+                        a.name, b.name
+                    ),
+                )
+                .element(format!("spec {}", a.name)),
+            ),
+            (true, false) => diags.push(
+                Diagnostic::new(
+                    LintCode::SemWorldSubsumed,
+                    format!("spec {}", b.name),
+                    format!(
+                        "`{}` implies `{}` under every provided world model; the \
+                         weaker rule adds no discrimination",
+                        a.name, b.name
+                    ),
+                )
+                .element(format!("spec {}", a.name)),
+            ),
+            (false, true) => diags.push(
+                Diagnostic::new(
+                    LintCode::SemWorldSubsumed,
+                    format!("spec {}", a.name),
+                    format!(
+                        "`{}` implies `{}` under every provided world model; the \
+                         weaker rule adds no discrimination",
+                        b.name, a.name
+                    ),
+                )
+                .element(format!("spec {}", b.name)),
+            ),
+            (false, false) => {}
+        }
+        let elapsed = started.elapsed();
+        timings[i].pairwise += elapsed;
+        timings[j].pairwise += elapsed;
     }
-    if skipped_pairs > 0 {
+    if facts.skipped_pairs > 0 {
         diags.push(Diagnostic::new(
             LintCode::SemWorldSubsumed,
             "rule book",
             format!(
-                "{skipped_pairs} spec pair(s) exceeded the pairwise size budget \
+                "{} spec pair(s) exceeded the pairwise size budget \
                  ({PAIRWISE_SIZE_BUDGET}) and were not checked for semantic \
-                 conflict/subsumption"
+                 conflict/subsumption",
+                facts.skipped_pairs
             ),
         ));
     }
@@ -470,7 +578,7 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
     // Corpus discrimination: SL305.
     if !input.corpus.is_empty() {
         for (i, spec) in input.specs.iter().enumerate() {
-            if !contingent[i] {
+            if !facts.rules[i].contingent() {
                 continue;
             }
             let started = Instant::now();
@@ -498,15 +606,68 @@ pub fn analyze_timed(input: &SemanticInput) -> SemanticReport {
         }
     }
 
-    let tally = crate::diagnostics::Tally::of(&diags);
+    report(input, diags, timings, checks)
+}
+
+/// Renders a formula with the input's vocabulary, if it has one.
+fn render(input: &SemanticInput, phi: &Ltl) -> String {
+    match &input.vocab {
+        Some(v) => phi.to_string(v),
+        None => format!("{phi:?}"),
+    }
+}
+
+/// The SL300 finding for an unsatisfiable rule.
+fn unsatisfiable(input: &SemanticInput, spec: &Spec) -> Diagnostic {
+    Diagnostic::new(
+        LintCode::SemUnsatisfiable,
+        format!("spec {}", spec.name),
+        format!(
+            "`{}` has an empty language (Büchi emptiness on the spec-only automaton); \
+             it fails every controller in every world",
+            render(input, &spec.formula)
+        ),
+    )
+}
+
+/// The SL303 finding for a pair with conflict worlds.
+fn conflict(input: &SemanticInput, facts: &Facts<'_>, pair: &PairFacts) -> Diagnostic {
+    let (a, b) = (&input.specs[pair.i], &input.specs[pair.j]);
+    Diagnostic::new(
+        LintCode::SemWorldConflict,
+        format!("spec {}", a.name),
+        format!(
+            "`{}` and `{}` have no common fair path in {}; no controller \
+             can pass both there",
+            a.name,
+            b.name,
+            pair.conflicts
+                .iter()
+                .map(|&w| format!("`{}`", facts.live[w].name))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+    )
+    .element(format!("spec {}", b.name))
+}
+
+/// Mirrors a pass's counts to the obskit counters (registering them at
+/// zero, so instrumented runs always report them) and bundles the
+/// report.
+fn report(
+    input: &SemanticInput,
+    diagnostics: Vec<Diagnostic>,
+    timings: Vec<RuleTiming>,
+    checks: usize,
+) -> SemanticReport {
+    let tally = Tally::of(&diagnostics);
     obskit::counter_add("speclint.semantic_rules", input.specs.len() as u64);
     obskit::counter_add("speclint.semantic_checks", checks as u64);
     obskit::counter_add("speclint.semantic_errors", tally.errors as u64);
     obskit::counter_add("speclint.semantic_warnings", tally.warnings as u64);
     obskit::counter_add("speclint.semantic_notes", tally.notes as u64);
-
     SemanticReport {
-        diagnostics: diags,
+        diagnostics,
         timings,
         checks,
     }
@@ -517,8 +678,7 @@ mod tests {
     use super::*;
     use crate::diagnostics::Severity;
     use crate::presets::free_controller;
-    use autokit::ControllerBuilder;
-    use autokit::Guard;
+    use autokit::{ActSet, ControllerBuilder, Guard, PropSet};
     use ltlcheck::parse;
 
     fn vocab() -> Vocab {
@@ -869,6 +1029,111 @@ mod tests {
         // Only the emptiness finding and `ok`'s zero-discrimination
         // count; no conflict/subsumption against the empty language.
         assert_eq!(codes(&diags), vec!["SL300", "SL305"], "{diags:?}");
+    }
+
+    /// The errors-only pass returns the full pass's `Error`s, in order.
+    fn assert_gate_matches(input: &SemanticInput) -> SemanticReport {
+        let full = analyze_timed(input);
+        let gate = analyze_errors(input);
+        let errors: Vec<Diagnostic> = full
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert_eq!(gate.diagnostics, errors);
+        assert!(
+            gate.checks <= full.checks,
+            "{} > {}",
+            gate.checks,
+            full.checks
+        );
+        gate
+    }
+
+    #[test]
+    fn gate_equals_full_pass_errors_on_every_fixture() {
+        let v = vocab();
+        let mut dead = always_a_world(&v);
+        dead.justice =
+            vec![Justice::new("b clears", parse("b", &v).expect("parses")).expect("propositional")];
+        let mut big = parse("F go", &v).expect("parses");
+        for _ in 0..40 {
+            big = Ltl::and(big, parse("F go", &v).expect("parses"));
+        }
+        let oversized = |name: &str| Spec {
+            name: name.to_string(),
+            description: String::new(),
+            formula: big.clone(),
+        };
+        let fixtures: Vec<(&str, SemanticInput, Vec<&str>)> = vec![
+            (
+                "empty language",
+                input(
+                    &v,
+                    vec![spec("bad", &v, "F (a & !a)")],
+                    vec![always_a_world(&v)],
+                ),
+                vec!["SL300"],
+            ),
+            (
+                "conflict",
+                input(
+                    &v,
+                    vec![
+                        spec("liveness", &v, "G F go"),
+                        spec("safety", &v, "G (a -> !go)"),
+                    ],
+                    vec![always_a_world(&v)],
+                ),
+                vec!["SL303"],
+            ),
+            (
+                "both error codes, two conflicting pairs",
+                input(
+                    &v,
+                    vec![
+                        spec("liveness", &v, "G F go"),
+                        spec("bad", &v, "F (a & !a)"),
+                        spec("safety", &v, "G (a -> !go)"),
+                        spec("strong", &v, "G !go"),
+                    ],
+                    vec![always_a_world(&v)],
+                ),
+                vec!["SL300", "SL303", "SL303"],
+            ),
+            (
+                "dead world",
+                input(&v, vec![spec("any", &v, "G a")], vec![dead]),
+                vec![],
+            ),
+            (
+                "tautology",
+                input(
+                    &v,
+                    vec![spec("trivial", &v, "G (a | !a)"), spec("ok", &v, "G F go")],
+                    vec![always_a_world(&v)],
+                ),
+                vec![],
+            ),
+            (
+                "oversized pair",
+                input(
+                    &v,
+                    vec![oversized("big_a"), oversized("big_b")],
+                    vec![always_a_world(&v)],
+                ),
+                vec![],
+            ),
+            (
+                "conflict demo",
+                crate::presets::conflicting_semantic_input(),
+                vec!["SL303"],
+            ),
+        ];
+        for (name, fixture, want) in fixtures {
+            let gate = assert_gate_matches(&fixture);
+            assert_eq!(codes(&gate.diagnostics), want, "{name}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! and property tests that `SL300` (empty language) never misfires, that
 //! a pair whose conjunction has no model is always caught as an `SL303`
 //! conflict, and that a `□(t → x)` rule whose trigger never fires is
-//! always caught as `SL302`.
+//! always caught as `SL302`; and that the errors-only pass the pipeline
+//! gates on returns exactly the full pass's `Error`s, on the shipped
+//! books and on random books.
 
 #![allow(clippy::expect_used, reason = "test helpers assert by panicking")]
 
@@ -13,9 +15,9 @@ use ltlcheck::specs::Spec;
 use ltlcheck::{parse, Ltl};
 use obskit::json::ToJson;
 use proptest::prelude::*;
-use speclint::presets::free_controller;
-use speclint::semantic::{analyze, CorpusController, SemanticInput, SemanticWorld};
-use speclint::sort_diagnostics;
+use speclint::presets::{driving_input, free_controller, warehouse_input};
+use speclint::semantic::{analyze, analyze_errors, CorpusController, SemanticInput, SemanticWorld};
+use speclint::{sort_diagnostics, Diagnostic, Severity};
 
 fn vocab() -> Vocab {
     let mut v = Vocab::new();
@@ -144,6 +146,37 @@ fn analysis_is_deterministic_across_runs() {
     assert_eq!(render(), render());
 }
 
+/// The full pass's `Error` findings, in emission order.
+fn full_pass_errors(input: &SemanticInput) -> Vec<Diagnostic> {
+    analyze(input)
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect()
+}
+
+/// On both shipped books the gate returns the full pass's `Error`s (none)
+/// from fewer queries.
+#[test]
+fn gate_equals_full_pass_errors_on_shipped_books() {
+    for input in [driving_input().book, warehouse_input().book] {
+        let gate = analyze_errors(&input);
+        assert_eq!(gate.diagnostics, full_pass_errors(&input));
+        assert!(gate.diagnostics.is_empty(), "{:?}", gate.diagnostics);
+    }
+}
+
+/// The pathological book's `Error`s survive the gate, in order.
+#[test]
+fn gate_equals_full_pass_errors_on_pathological_book() {
+    let input = pathological_input();
+    let errors = full_pass_errors(&input);
+    assert_eq!(
+        errors.iter().map(|d| d.code.code()).collect::<Vec<_>>(),
+        vec!["SL300", "SL303", "SL303"]
+    );
+    assert_eq!(analyze_errors(&input).diagnostics, errors);
+}
+
 fn always_a_world(v: &Vocab) -> SemanticWorld {
     SemanticWorld::from_parts("always-a", &always_a_model(v), &free(v), Vec::new())
 }
@@ -263,6 +296,33 @@ proptest! {
                 && d.location.element.as_deref() == Some("spec b")),
             "no SL303 for {a:?} and {b:?}: {diags:?}"
         );
+    }
+
+    /// The errors-only pass agrees with the full pass on random books:
+    /// same `Error`s in the same order, from no more queries.
+    #[test]
+    fn gate_equals_full_pass_errors_on_random_books(
+        formulas in proptest::collection::vec(arb_ltl(), 2..=4),
+    ) {
+        let input = SemanticInput {
+            specs: formulas
+                .into_iter()
+                .enumerate()
+                .map(|(i, phi)| rule(&format!("r{i}"), phi))
+                .collect(),
+            worlds: vec![always_a_world(&vocab())],
+            corpus: Vec::new(),
+            vocab: Some(vocab()),
+        };
+        let full = speclint::semantic::analyze_timed(&input);
+        let gate = analyze_errors(&input);
+        let errors: Vec<Diagnostic> = full
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        prop_assert_eq!(gate.diagnostics, errors);
+        prop_assert!(gate.checks <= full.checks);
     }
 
     /// Trigger reachability never misses a dormant rule: every
