@@ -39,7 +39,6 @@ fn main() {
     let opts = SampleOptions {
         temperature: 1.1,
         max_len: 60,
-        ..SampleOptions::default()
     };
     let mut rows = Vec::new();
     let mut concordant = 0usize;

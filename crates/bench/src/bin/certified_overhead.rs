@@ -1,14 +1,14 @@
-//! Certified-mode overhead on the preset verification matrix.
+//! Certified-scoring overhead on the preset verification matrix.
 //!
-//! Certified mode makes every verdict carry machine-checkable evidence
-//! and pays for an independent validation pass. This binary prices that
-//! safety margin: the full preset scenario × rule-book matrix is checked
-//! three ways — plain (`holds_all_fair` per case, the yes/no path that
-//! plain scoring runs), certificate-emitting
+//! Certified scoring makes every verdict carry machine-checkable
+//! evidence and pays for an independent validation pass. This binary
+//! prices that safety margin: the full preset scenario × rule-book
+//! matrix is checked three ways — plain (`holds_all_fair` per case, the
+//! yes/no path that plain scoring runs), certificate-emitting
 //! (`check_graph_fair_certified`), and certificate-emitting plus
 //! `certkit` validation — and the wall-clock cost of each is reported.
-//! The last column is what `PipelineConfig::certified` costs per
-//! verification call.
+//! The last column is what `dpo_af::feedback::score_response_certified`
+//! costs per check over `score_response`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 
@@ -99,7 +99,7 @@ fn main() {
     println!(
         "{}",
         table(
-            &format!("certified-mode overhead ({checks} checks, mean of {REPS} passes)"),
+            &format!("certified-scoring overhead ({checks} checks, mean of {REPS} passes)"),
             &["mode", "ms/pass", "× plain"],
             &rows,
         )

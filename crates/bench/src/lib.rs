@@ -18,7 +18,7 @@
 //! | `ablation_conservative` | A4: pruned vs conservative world-model construction (Algorithm 1) |
 //! | `ablation_ipo`    | A5: DPO vs IPO objective on the same dataset |
 //! | `specsem`         | rule-book analysis (`SL002`, `SL3xx`) cost, per rule and phase |
-//! | `certified_overhead` | cost of certified model checking vs decide-only scoring |
+//! | `certified_overhead` | cost of certified scoring vs decide-only scoring |
 //! | `obs_overhead`    | cost of the observability recorder and the tracking allocator |
 //! | `metrics_check`   | validates a `BENCH_<name>.json` report against the obskit schema |
 //! | `bench_diff`      | noise-aware perf-regression gate: a fresh report vs a committed baseline |

@@ -6,18 +6,18 @@
 //! evaluations. Formal scoring is a pure function of the decoded
 //! response text and the scenario it is checked in (the task prompt only
 //! labels the controller and diagnostics; it never reaches the product
-//! automaton), so the pipeline caches verdicts keyed by
-//! `(scenario kind, response text)`.
+//! automaton), so the pipeline caches scores — the number of satisfied
+//! specifications — keyed by `(scenario kind, response text)`.
 //!
 //! **One lock.** The table, its recency list and its hit/miss/eviction
 //! counts live in one `Lru` behind one [`Mutex`], and the `Lru` is
 //! reachable only through the guard. Each critical section is one hash
-//! probe plus O(1) list relinking, so a torn verdict, a bound overrun or
-//! a list/map mismatch cannot arise from any interleaving, and `len()`
-//! and the `verify.cache_entries` gauge are exact. The obskit mirror is
-//! the `verify.cache_hits` / `verify.cache_misses` /
-//! `verify.cache_evictions` counters and the `verify.cache_entries`
-//! gauge.
+//! probe plus O(1) list relinking, so a score served from the wrong
+//! entry, a bound overrun or a list/map mismatch cannot arise from any
+//! interleaving, and `len()` and the `verify.cache_entries` gauge are
+//! exact. The obskit mirror is the `verify.cache_hits` /
+//! `verify.cache_misses` / `verify.cache_evictions` counters and the
+//! `verify.cache_entries` gauge.
 //!
 //! **Bounded, least-recently-used.** The pipeline's cache holds at most
 //! 65 536 verdicts. Inserting a fresh key into a full cache evicts the
@@ -34,7 +34,6 @@
 //! therefore never go stale. Changing the domain means building a new
 //! pipeline — which starts with an empty cache.
 
-use crate::feedback::CertCounters;
 use drivesim::ScenarioKind;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -43,30 +42,16 @@ use std::sync::{Mutex, MutexGuard};
 /// long-running service's cache a working set, not a leak.
 pub(crate) const CAPACITY: usize = 1 << 16;
 
-/// One memoized verdict: the ranking score, plus the certificate
-/// counters the certified path accumulated when the verdict was first
-/// computed (all zeros in plain mode). Re-adding the counters on a hit
-/// keeps a certified run's totals identical with and without the cache:
-/// every verdict that ranks a response is accounted once per use, and
-/// was independently validated when first produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedScore {
-    /// Number of satisfied specifications — the ranking key.
-    pub num_satisfied: usize,
-    /// Certificate-validation counters from the original computation.
-    pub cert: CertCounters,
-}
-
 type Key = (ScenarioKind, String);
 
 /// Sentinel slot index terminating the recency list.
 const NIL: usize = usize::MAX;
 
-/// One resident verdict plus its recency-list links.
+/// One resident score plus its recency-list links.
 #[derive(Debug)]
 struct Entry {
     key: Key,
-    val: CachedScore,
+    val: usize,
     prev: usize,
     next: usize,
 }
@@ -124,7 +109,7 @@ impl Lru {
     }
 }
 
-/// A bounded `(scenario, text) → verdict` memo table behind one lock.
+/// A bounded `(scenario, text) → score` memo table behind one lock.
 #[derive(Debug)]
 pub struct VerifyCache {
     lru: Mutex<Lru>,
@@ -159,9 +144,9 @@ impl VerifyCache {
         }
     }
 
-    /// Looks up a memoized verdict, marking it most recently used and
+    /// Looks up a memoized score, marking it most recently used and
     /// updating the hit/miss counters.
-    pub fn lookup(&self, scenario: ScenarioKind, text: &str) -> Option<CachedScore> {
+    pub fn lookup(&self, scenario: ScenarioKind, text: &str) -> Option<usize> {
         let key = (scenario, text.to_owned());
         let mut lru = self.lock();
         match lru.map.get(&key) {
@@ -179,13 +164,13 @@ impl VerifyCache {
         }
     }
 
-    /// Memoizes a freshly computed verdict, marking it most recently
-    /// used. Verdicts are deterministic, so a racing double-insert of
+    /// Memoizes a freshly computed score, marking it most recently
+    /// used. Scores are deterministic, so a racing double-insert of
     /// the same key is an idempotent overwrite. A fresh key sets the
     /// `verify.cache_entries` gauge; one that lands in a full cache
     /// evicts the least-recently-used entry and bumps the
     /// `verify.cache_evictions` counter.
-    pub fn insert(&self, scenario: ScenarioKind, text: &str, score: CachedScore) {
+    pub fn insert(&self, scenario: ScenarioKind, text: &str, score: usize) {
         let key = (scenario, text.to_owned());
         let mut guard = self.lock();
         let lru = &mut *guard;
@@ -255,21 +240,12 @@ mod tests {
 
     const S: ScenarioKind = ScenarioKind::TrafficLight;
 
-    /// A verdict whose certificate counters are a function of its score,
-    /// so a value mixed from two writes is detectable.
-    fn score(n: usize) -> CachedScore {
-        CachedScore {
-            num_satisfied: n,
-            cert: CertCounters {
-                checks: 2 * n,
-                holds: n,
-                fails: n,
-            },
-        }
-    }
-
-    fn assert_untorn(v: CachedScore) {
-        assert_eq!(v, score(v.num_satisfied), "torn verdict");
+    /// The score the racing tests write for key `n`: a function of the
+    /// key that differs from every other key's score and from `n`
+    /// itself, so a slot that serves another entry's value is
+    /// detectable.
+    fn score(n: usize) -> usize {
+        31 * n + 17
     }
 
     fn key(n: usize) -> String {
@@ -277,20 +253,17 @@ mod tests {
     }
 
     fn insert(cache: &VerifyCache, n: usize, v: usize) {
-        cache.insert(S, &key(n), score(v));
+        cache.insert(S, &key(n), v);
     }
 
     fn get(cache: &VerifyCache, n: usize) -> Option<usize> {
-        cache.lookup(S, &key(n)).map(|v| v.num_satisfied)
+        cache.lookup(S, &key(n))
     }
 
     #[test]
     fn lookup_insert_roundtrip_and_stats() {
         let cache = VerifyCache::new(CAPACITY);
-        let score = CachedScore {
-            num_satisfied: 12,
-            cert: CertCounters::default(),
-        };
+        let score = 12;
         assert_eq!(cache.lookup(ScenarioKind::TrafficLight, "stop ."), None);
         cache.insert(ScenarioKind::TrafficLight, "stop .", score);
         assert_eq!(
@@ -314,20 +287,17 @@ mod tests {
     #[test]
     fn concurrent_access_stays_consistent() {
         let cache = VerifyCache::new(CAPACITY);
-        let texts: Vec<String> = (0..200).map(|i| format!("step list {i} .")).collect();
+        let texts: Vec<(usize, String)> =
+            (0..200).map(|i| (i, format!("step list {i} ."))).collect();
         std::thread::scope(|s| {
             let cache = &cache;
             for chunk in texts.chunks(50) {
                 s.spawn(move || {
-                    for t in chunk {
-                        let score = CachedScore {
-                            num_satisfied: t.len() % 16,
-                            cert: CertCounters::default(),
-                        };
-                        cache.insert(ScenarioKind::WideMedian, t, score);
+                    for (i, t) in chunk {
+                        cache.insert(ScenarioKind::WideMedian, t, score(*i));
                         assert_eq!(
                             cache.lookup(ScenarioKind::WideMedian, t),
-                            Some(score),
+                            Some(score(*i)),
                             "{t}"
                         );
                     }
@@ -440,9 +410,9 @@ mod tests {
     }
 
     /// Two threads insert different keys into a capacity-1 cache and
-    /// read back, released together by a barrier in every round: no
-    /// read is torn, the bound holds exactly, and one intact verdict
-    /// survives.
+    /// read back, released together by a barrier in every round: every
+    /// read returns its own key's score, the bound holds exactly, and
+    /// one intact entry survives.
     #[test]
     fn racing_inserts_never_tear_or_exceed_capacity() {
         for _ in 0..500 {
@@ -453,10 +423,10 @@ mod tests {
                 let writer = |n: usize| {
                     move || {
                         start.wait();
-                        insert(cache, n, n);
+                        insert(cache, n, score(n));
                         for k in [1, 2] {
-                            if let Some(v) = cache.lookup(S, &key(k)) {
-                                assert_eq!(v, score(k));
+                            if let Some(v) = get(cache, k) {
+                                assert_eq!(v, score(k), "key {k}");
                             }
                         }
                     }
@@ -466,8 +436,8 @@ mod tests {
             });
             assert_eq!(cache.len(), 1);
             assert_eq!(cache.evictions(), 1);
-            match (1..=2).find_map(|k| cache.lookup(S, &key(k))) {
-                Some(v) => assert_untorn(v),
+            match (1..=2).find_map(|k| get(&cache, k).map(|v| (k, v))) {
+                Some((k, v)) => assert_eq!(v, score(k), "key {k}"),
                 None => panic!("a capacity-1 cache lost both entries"),
             }
         }
@@ -481,25 +451,25 @@ mod tests {
     fn touch_racing_evicting_insert_keeps_exactly_one_seed() {
         for _ in 0..500 {
             let cache = VerifyCache::new(2);
-            insert(&cache, 1, 1);
-            insert(&cache, 2, 2);
+            insert(&cache, 1, score(1));
+            insert(&cache, 2, score(2));
             let start = Barrier::new(2);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     start.wait();
-                    if let Some(v) = cache.lookup(S, &key(1)) {
+                    if let Some(v) = get(&cache, 1) {
                         assert_eq!(v, score(1));
                     }
                 });
                 s.spawn(|| {
                     start.wait();
-                    insert(&cache, 3, 3);
+                    insert(&cache, 3, score(3));
                 });
             });
             assert_eq!(cache.len(), 2);
-            assert_eq!(cache.lookup(S, &key(3)), Some(score(3)));
-            let seed1 = cache.lookup(S, &key(1)).inspect(|&v| assert_untorn(v));
-            let seed2 = cache.lookup(S, &key(2)).inspect(|&v| assert_untorn(v));
+            assert_eq!(get(&cache, 3), Some(score(3)));
+            let seed1 = get(&cache, 1).inspect(|&v| assert_eq!(v, score(1)));
+            let seed2 = get(&cache, 2).inspect(|&v| assert_eq!(v, score(2)));
             assert!(
                 seed1.is_some() != seed2.is_some(),
                 "survivors {seed1:?}/{seed2:?} admit no serial order"

@@ -74,7 +74,6 @@ fn collect_traces(
     let opts = SampleOptions {
         temperature: cfg.temperature,
         max_len: 60,
-        ..SampleOptions::default()
     };
     let lm = lm.merged();
     let mut traces = Vec::new();

@@ -76,8 +76,8 @@ pub fn preflight_rule_book_semantic(d: &DrivingDomain) -> Result<(), Vec<speclin
         .clone()
 }
 
-/// Counters from certified-mode verification: how many verdicts were
-/// produced and independently validated, by polarity.
+/// Counters from certified scoring ([`score_response_certified`]): how
+/// many verdicts were produced and independently validated, by polarity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertCounters {
     /// Verdicts produced and certificate-checked.
@@ -87,17 +87,6 @@ pub struct CertCounters {
     /// `Fails` verdicts whose counterexample validated.
     pub fails: usize,
 }
-
-impl CertCounters {
-    /// Accumulates another batch of counters into this one.
-    pub fn add(&mut self, other: CertCounters) {
-        self.checks += other.checks;
-        self.holds += other.holds;
-        self.fails += other.fails;
-    }
-}
-
-obskit::json_struct!(CertCounters, [checks, holds, fails]);
 
 /// A response with its verification outcome.
 ///
@@ -144,7 +133,7 @@ pub fn score_response(bundle: &DomainBundle, task: &TaskSpec, text: &str) -> Sco
     score_response_impl(bundle, task, text, None)
 }
 
-/// [`score_response`] in certified mode: every model-checking verdict's
+/// [`score_response`] with certification: every model-checking verdict's
 /// evidence is validated by `certkit` before it contributes to the
 /// score, and the validation counters are returned alongside.
 ///
@@ -249,8 +238,10 @@ pub fn empirical_rates(
 mod tests {
     use super::*;
     use crate::domain::{render_response, Style};
+    use crate::pipeline::{DpoAf, PipelineConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn justice_is_realizable_in_every_scenario() {
@@ -323,6 +314,40 @@ mod tests {
                 "{style:?}"
             );
         }
+    }
+
+    /// Certification is a check on the pipeline's own samples: every
+    /// distinct winner and loser a smoke collection ranks re-scores, with
+    /// certkit validating the evidence behind each verdict (a rejection
+    /// panics), to the score [`DpoAf::score_formal`] serves from its
+    /// cache.
+    #[test]
+    fn certified_rescoring_matches_collected_scores() {
+        let mut cfg = PipelineConfig::smoke();
+        cfg.threads = 1;
+        let pipeline = DpoAf::new(cfg);
+        let mut rng = StdRng::seed_from_u64(7);
+        let lm = pipeline.pretrained_lm(&mut rng);
+        let dataset = pipeline.collect_dataset(&lm, &mut rng);
+        assert!(!dataset.is_empty());
+        let (hits, misses) = pipeline.cache_stats();
+        let mut distinct = HashSet::new();
+        for pair in &dataset.pairs {
+            let task = &pipeline.bundle.tasks[pair.task];
+            for tokens in [&pair.winner, &pair.loser] {
+                let text = pipeline.bundle.decode(tokens);
+                if !distinct.insert((pair.task, text.clone())) {
+                    continue;
+                }
+                let (certified, _) = score_response_certified(&pipeline.bundle, task, &text);
+                let cached = pipeline.score_formal(task, &text);
+                assert_eq!(certified.num_satisfied, cached, "`{text}`");
+            }
+        }
+        // Every collected text was scored during collection, so each
+        // score compared above came from the cache.
+        let n = distinct.len() as u64;
+        assert_eq!(pipeline.cache_stats(), (hits + n, misses));
     }
 
     /// The decide-only verdicts of the plain path equal the verdicts of

@@ -40,7 +40,7 @@ pub mod experiments;
 pub mod feedback;
 pub mod pipeline;
 
-pub use cache::{CachedScore, VerifyCache};
+pub use cache::VerifyCache;
 pub use domain::{DomainBundle, Style, TaskSpec};
 pub use feedback::{score_response, ScoredResponse};
 pub use pipeline::{DpoAf, FeedbackSource, PipelineConfig, RunArtifacts};

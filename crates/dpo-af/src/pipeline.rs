@@ -12,16 +12,15 @@
 //! 3. DPO fine-tuning with per-epoch metrics (Figure 8) and a checkpoint
 //!    evaluation every `checkpoint_every` epochs (Figure 9).
 
-use crate::cache::{CachedScore, VerifyCache};
+use crate::cache::VerifyCache;
 use crate::domain::DomainBundle;
 use crate::domain::TaskSpec;
-use crate::feedback::{empirical_rates, score_response, score_response_certified, CertCounters};
+use crate::feedback::{empirical_rates, score_response};
 use dpo::{DpoTrainer, EpochStats, PreferenceDataset, TrainOptions};
 use obskit::json::{FromJson, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::Mutex;
 use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
 
 /// Pipeline hyperparameters.
@@ -69,14 +68,6 @@ pub struct PipelineConfig {
     /// verification, or empirical evaluation in the simulator when no
     /// world model is available).
     pub feedback: FeedbackSource,
-    /// Certified mode: every model-checking verdict behind a score is
-    /// accompanied by evidence (an emptiness certificate or a lasso
-    /// counterexample) that `certkit`'s independent checker validates
-    /// before the verdict may rank responses. A rejected certificate
-    /// aborts the run — a silent model-checker bug would otherwise poison
-    /// every preference pair. Off by default (it roughly doubles
-    /// verification cost; see EXPERIMENTS.md).
-    pub certified: bool,
     /// Worker threads for the formal-scoring fan-out (0 = resolve from
     /// `PARKIT_THREADS`, falling back to the machine's available
     /// parallelism). Purely a scheduling knob: artifacts are
@@ -141,7 +132,6 @@ impl Default for PipelineConfig {
             lm_hidden: 64,
             lm_context: 5,
             feedback: FeedbackSource::Formal,
-            certified: false,
             threads: 0,
             semantic_preflight: true,
         }
@@ -205,9 +195,6 @@ pub struct RunArtifacts {
     pub checkpoint_evals: Vec<CheckpointEval>,
     /// Number of preference pairs collected.
     pub dataset_size: usize,
-    /// Certificate-validation counters accumulated over the whole run.
-    /// All zeros unless [`PipelineConfig::certified`] was set.
-    pub cert: CertCounters,
 }
 
 impl RunArtifacts {
@@ -246,8 +233,7 @@ obskit::json_struct!(
         policy,
         epoch_stats,
         checkpoint_evals,
-        dataset_size,
-        cert
+        dataset_size
     ]
 );
 
@@ -258,12 +244,7 @@ pub struct DpoAf {
     pub bundle: DomainBundle,
     /// Hyperparameters.
     pub config: PipelineConfig,
-    /// Accumulated certificate-validation counters (certified mode).
-    /// Interior mutability because scoring happens behind `&self` in
-    /// sampling and evaluation closures; a mutex (not a `RefCell`)
-    /// because those closures run on pool workers.
-    cert_counters: Mutex<CertCounters>,
-    /// Memoized formal verdicts, shared across rounds, iterations and
+    /// Memoized formal scores, shared across rounds, iterations and
     /// checkpoint evaluations.
     cache: VerifyCache,
     /// The pool behind the scoring and DPO gradient fan-outs.
@@ -275,24 +256,10 @@ impl DpoAf {
     pub fn new(config: PipelineConfig) -> Self {
         DpoAf {
             bundle: DomainBundle::new(),
-            cert_counters: Mutex::new(CertCounters::default()),
             cache: VerifyCache::new(crate::cache::CAPACITY),
             pool: parkit::ThreadPool::with_threads(config.threads),
             config,
         }
-    }
-
-    fn lock_cert(&self) -> std::sync::MutexGuard<'_, CertCounters> {
-        match self.cert_counters.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The certificate-validation counters accumulated so far (all zeros
-    /// unless [`PipelineConfig::certified`] is set).
-    pub fn cert_counters(&self) -> CertCounters {
-        *self.lock_cert()
     }
 
     /// The pool the scoring fan-out runs on.
@@ -361,41 +328,16 @@ impl DpoAf {
         }
     }
 
-    /// Formal scoring: deterministic, RNG-free, memoized.
-    ///
-    /// On a cache hit the stored verdict is returned without re-running
-    /// synthesis or model checking; in certified mode the hit also
-    /// re-accounts the stored certificate counters, so a run's totals are
-    /// identical at any cache capacity — every verdict that ranks a
-    /// response is counted once per use, and was independently validated
-    /// when first produced.
+    /// Formal scoring: deterministic, RNG-free, memoized. On a cache hit
+    /// the stored score is returned without re-running synthesis or
+    /// model checking.
     pub fn score_formal(&self, task: &TaskSpec, text: &str) -> usize {
         obskit::counter_add("pipeline.responses_scored", 1);
         if let Some(hit) = self.cache.lookup(task.scenario, text) {
-            if self.config.certified {
-                self.lock_cert().add(hit.cert);
-            }
-            return hit.num_satisfied;
+            return hit;
         }
-        let (num_satisfied, cert) = if self.config.certified {
-            let (scored, counters) = score_response_certified(&self.bundle, task, text);
-            obskit::counter_add("pipeline.certificates_validated", counters.checks as u64);
-            self.lock_cert().add(counters);
-            (scored.num_satisfied, counters)
-        } else {
-            (
-                score_response(&self.bundle, task, text).num_satisfied,
-                CertCounters::default(),
-            )
-        };
-        self.cache.insert(
-            task.scenario,
-            text,
-            CachedScore {
-                num_satisfied,
-                cert,
-            },
-        );
+        let num_satisfied = score_response(&self.bundle, task, text).num_satisfied;
+        self.cache.insert(task.scenario, text, num_satisfied);
         num_satisfied
     }
 
@@ -411,15 +353,7 @@ impl DpoAf {
         rng: &mut impl Rng,
     ) -> usize {
         obskit::counter_add("pipeline.responses_scored", 1);
-        let text = self.bundle.decode(tokens);
-        let scored = if self.config.certified {
-            let (scored, counters) = score_response_certified(&self.bundle, task, &text);
-            obskit::counter_add("pipeline.certificates_validated", counters.checks as u64);
-            self.lock_cert().add(counters);
-            scored
-        } else {
-            score_response(&self.bundle, task, &text)
-        };
+        let scored = score_response(&self.bundle, task, &self.bundle.decode(tokens));
         match &scored.controller {
             None => 0,
             Some(ctrl) => {
@@ -486,7 +420,6 @@ impl DpoAf {
         let opts = SampleOptions {
             temperature: self.config.temperature,
             max_len: 60,
-            ..SampleOptions::default()
         };
         let mut dataset = PreferenceDataset::new();
         for _ in 0..self.config.rounds {
@@ -550,7 +483,6 @@ impl DpoAf {
         let opts = SampleOptions {
             temperature: self.config.eval_temperature,
             max_len: 60,
-            ..SampleOptions::default()
         };
         let (total, count) = match self.config.feedback {
             FeedbackSource::Formal => {
@@ -726,7 +658,6 @@ impl DpoAf {
             epoch_stats,
             checkpoint_evals: evals,
             dataset_size,
-            cert: self.cert_counters(),
         }
     }
 }
@@ -750,9 +681,6 @@ mod tests {
         let pipeline = DpoAf::new(PipelineConfig::smoke());
         let artifacts = pipeline.run();
         assert!(artifacts.dataset_size > 0);
-        // Certified mode is opt-in: the default smoke run never touches
-        // the certificate checker.
-        assert_eq!(artifacts.cert, CertCounters::default());
         assert_eq!(artifacts.epoch_stats.len(), 4);
         // Epoch 0 plus epochs 2 and 4.
         assert_eq!(artifacts.checkpoint_evals.len(), 3);
@@ -764,8 +692,18 @@ mod tests {
         artifacts.save(&path).expect("writable temp dir");
         let back = RunArtifacts::load(&path).expect("readable file");
         assert_eq!(back, artifacts);
-        let written = std::fs::read_to_string(&path).ok();
-        assert_eq!(written, Some(back.to_json().to_json()));
+        let written = std::fs::read_to_string(&path).expect("readable file");
+        assert_eq!(written, back.to_json().to_json());
+
+        // A file written while the artifacts still carried a trailing
+        // `cert` member loads to the same run: unknown members are
+        // ignored.
+        let legacy = format!(
+            "{},\"cert\":{{\"checks\":0,\"holds\":0,\"fails\":0}}}}",
+            written.strip_suffix('}').expect("a JSON object")
+        );
+        std::fs::write(&path, legacy).expect("writable temp dir");
+        assert_eq!(RunArtifacts::load(&path).expect("readable file"), artifacts);
         let _ = std::fs::remove_file(path);
     }
 
@@ -781,7 +719,6 @@ mod tests {
             epoch_stats: Vec::new(),
             checkpoint_evals: Vec::new(),
             dataset_size: 0,
-            cert: CertCounters::default(),
         };
         let path = std::env::temp_dir().join("dpo_af_truncated_params_test.json");
         artifacts.save(&path).expect("writable temp dir");
@@ -796,30 +733,6 @@ mod tests {
         let err = RunArtifacts::load(&path).expect_err("truncated params must not load");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         let _ = std::fs::remove_file(path);
-    }
-
-    /// A certified run validates the evidence behind every verdict it
-    /// ranks with: the counters in the artifacts account for each
-    /// synthesized response's full 15-specification sweep.
-    #[test]
-    fn certified_run_counts_every_verdict() {
-        let mut cfg = PipelineConfig::smoke();
-        cfg.certified = true;
-        cfg.responses_per_task = 2;
-        cfg.train.epochs = 2;
-        cfg.train.pairs_per_epoch = Some(4);
-        cfg.checkpoint_every = 100;
-        let pipeline = DpoAf::new(cfg);
-        let artifacts = pipeline.run();
-        assert!(artifacts.cert.checks > 0);
-        // Rejected responses skip verification entirely; every verified
-        // one is checked against the whole 15-rule book.
-        assert_eq!(artifacts.cert.checks % 15, 0, "{:?}", artifacts.cert);
-        assert_eq!(
-            artifacts.cert.holds + artifacts.cert.fails,
-            artifacts.cert.checks
-        );
-        assert_eq!(artifacts.cert, pipeline.cert_counters());
     }
 
     /// The scoring fan-out and the memo-cache are pure performance
@@ -884,57 +797,6 @@ mod tests {
         assert_eq!(scores[0], scores[1]);
         assert_eq!(scores[2], scores[3]);
         assert_eq!(pipeline.cache_stats(), (2, 2));
-    }
-
-    /// In certified mode a cache hit re-accounts the stored certificate
-    /// counters, so totals stay exact: two scorings of the same response
-    /// count its 15 verdicts twice even though only the first validated
-    /// certificates.
-    #[test]
-    fn certified_cache_hits_keep_counters_exact() {
-        let mut cfg = PipelineConfig::smoke();
-        cfg.certified = true;
-        cfg.threads = 1;
-        let pipeline = DpoAf::new(cfg);
-        let mut rng = StdRng::seed_from_u64(3);
-        let task = &pipeline.bundle.tasks[0];
-        let text = crate::domain::render_response(
-            &pipeline.bundle.driving,
-            task,
-            crate::domain::Style::Careful,
-            &mut rng,
-        );
-        let tokens = pipeline.bundle.tokenizer.encode(&text);
-        let first = pipeline.score(task, &tokens, &mut rng);
-        let again = pipeline.score(task, &tokens, &mut rng);
-        assert_eq!(first, again);
-        assert_eq!(pipeline.cache_stats(), (1, 1));
-        let counters = pipeline.cert_counters();
-        assert_eq!(counters.checks, 30, "{counters:?}");
-        assert_eq!(counters.holds, 2 * first, "{counters:?}");
-        assert_eq!(counters.holds + counters.fails, counters.checks);
-    }
-
-    /// Certified artifacts — including the accumulated certificate
-    /// counters — are identical with the default cache (and a pooled
-    /// fan-out) and with a one-entry cache that recomputes almost every
-    /// verdict.
-    #[test]
-    fn certified_artifacts_identical_with_and_without_cache() {
-        let mut cfg = PipelineConfig::smoke();
-        cfg.certified = true;
-        cfg.responses_per_task = 2;
-        cfg.train.epochs = 2;
-        cfg.train.pairs_per_epoch = Some(4);
-        cfg.checkpoint_every = 100;
-        cfg.threads = 1;
-        let mut af = DpoAf::new(cfg.clone());
-        af.cache = VerifyCache::new(1);
-        let fresh = af.run();
-        cfg.threads = 2;
-        let cached = DpoAf::new(cfg).run();
-        assert_eq!(fresh.cert, cached.cert);
-        assert_eq!(fresh.to_json().to_json(), cached.to_json().to_json());
     }
 
     #[test]

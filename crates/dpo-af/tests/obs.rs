@@ -20,6 +20,9 @@ fn counter(snap: &obskit::Snapshot, name: &str) -> u64 {
 fn recorded_run(threads: usize) -> (RunArtifacts, obskit::Snapshot) {
     obskit::enable();
     obskit::set_console(false);
+    // Events are kept only while the timeline is on, as for a run that
+    // writes a Chrome trace; the event checks below read them.
+    obskit::set_timeline(true);
     let artifacts = DpoAf::new(PipelineConfig {
         threads,
         responses_per_task: 6,

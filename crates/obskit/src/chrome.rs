@@ -12,10 +12,10 @@
 //! `thread_names` (`thread_name` metadata), so pool workers show up as
 //! e.g. `parkit-worker-2` instead of a bare tid.
 //!
-//! This is the timeline's only reader: reports and flamegraphs read the
-//! aggregated span tree instead. The recorder keeps the timeline only
-//! while [`crate::set_timeline`] is on, so a binary that writes a trace
-//! turns it on first.
+//! This is the only reader of the timeline and of the events: reports
+//! and flamegraphs read the aggregated span tree instead. The recorder
+//! keeps both only while [`crate::set_timeline`] is on, so a binary that
+//! writes a trace turns it on first.
 
 use crate::event::Event;
 use crate::json::Value;

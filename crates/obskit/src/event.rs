@@ -1,8 +1,9 @@
 //! Structured events: named points in time with typed fields.
 //!
 //! Events replace ad-hoc `eprintln!` progress lines: the human-readable
-//! line still reaches stderr by default (the *console sink*), and the
-//! structured form lands in the event log for JSON export.
+//! line still reaches stderr by default (the *console sink*), and, while
+//! the timeline is on ([`crate::set_timeline`]), the structured form
+//! lands in the event log for the Chrome trace.
 
 use std::sync::Mutex;
 

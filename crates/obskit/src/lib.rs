@@ -387,9 +387,11 @@ impl Drop for Span {
     }
 }
 
-/// Records a structured event (no-op while disabled).
+/// Records a structured event. Kept only while the recorder and the
+/// timeline ([`set_timeline`]) are both on: the Chrome exporter is the
+/// events' one reader, so a run that writes no trace keeps none.
 pub fn event(name: &str, fields: Vec<(&str, FieldValue)>) {
-    if !enabled() {
+    if !enabled() || !tree().keeps_timeline() {
         return;
     }
     global().events.push(Event {
@@ -409,6 +411,9 @@ pub fn progress_args(args: std::fmt::Arguments<'_>) {
     if CONSOLE.load(Ordering::Relaxed) {
         eprintln!("{msg}");
     }
+    if !tree().keeps_timeline() {
+        return;
+    }
     global().events.push(Event {
         name: "progress".to_owned(),
         t_us: now_us(),
@@ -418,8 +423,9 @@ pub fn progress_args(args: std::fmt::Arguments<'_>) {
 }
 
 /// A progress line: human-readable on stderr (the default console sink)
-/// *and* a structured `progress` event in the log. Replaces the ad-hoc
-/// `eprintln!` progress reporting; silent while the recorder is off.
+/// and, while the timeline is on, a structured `progress` event in the
+/// log. Replaces the ad-hoc `eprintln!` progress reporting; silent while
+/// the recorder is off.
 #[macro_export]
 macro_rules! progress {
     ($($arg:tt)*) => {
@@ -437,7 +443,7 @@ pub struct Snapshot {
     /// The aggregated span-timing forest (spans still open contribute
     /// nothing until they close).
     pub spans: Vec<SpanNode>,
-    /// All structured events.
+    /// The structured events recorded while the timeline was on.
     pub events: Vec<Event>,
     /// Human-readable thread names (`thread id → name`), in
     /// registration order.
@@ -489,9 +495,10 @@ pub fn timeline() -> Vec<SpanRecord> {
 }
 
 /// Turns the span timeline on or off. Off (the default), a closing span
-/// only folds into the aggregate tree; on, it also appends one
-/// [`SpanRecord`], so the timeline grows with the run. Only a Chrome
-/// trace reads it, so a binary turns it on when a trace was asked for,
+/// only folds into the aggregate tree and [`event`] and [`progress!`]
+/// keep no [`Event`]; on, each close also appends one [`SpanRecord`]
+/// and each event is logged, so both grow with the run. Only a Chrome
+/// trace reads them, so a binary turns it on when a trace was asked for,
 /// as it turns on [`alloc::set_tracking`] for allocation accounting.
 /// The setting survives [`enable`].
 pub fn set_timeline(on: bool) {

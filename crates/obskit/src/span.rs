@@ -109,6 +109,11 @@ impl Tree {
         self.keep_timeline = on;
     }
 
+    /// Whether closes append to the timeline.
+    pub(crate) fn keeps_timeline(&self) -> bool {
+        self.keep_timeline
+    }
+
     /// The name of node `id`, if it exists.
     pub(crate) fn name(&self, id: u32) -> Option<&'static str> {
         self.nodes.get(id as usize).map(|n| n.name)

@@ -236,12 +236,6 @@ pub struct SampleOptions {
     pub temperature: f32,
     /// Hard cap on generated tokens (`EOS` not counted).
     pub max_len: usize,
-    /// Keep only the `k` most likely tokens before sampling
-    /// (`None` = no truncation).
-    pub top_k: Option<usize>,
-    /// Nucleus sampling: keep the smallest prefix of tokens whose
-    /// cumulative probability reaches `p` (`None` = no truncation).
-    pub top_p: Option<f32>,
 }
 
 impl Default for SampleOptions {
@@ -249,8 +243,6 @@ impl Default for SampleOptions {
         SampleOptions {
             temperature: 1.0,
             max_len: 80,
-            top_k: None,
-            top_p: None,
         }
     }
 }
@@ -1096,45 +1088,12 @@ impl FromJson for CondLm {
     }
 }
 
-/// Samples an index from tempered log-probabilities with optional top-k
-/// and nucleus truncation.
+/// Samples an index from tempered log-probabilities.
 fn sample_from_log_probs(log_probs: &[f32], options: SampleOptions, rng: &mut impl Rng) -> Token {
     let temp = options.temperature.max(1e-4);
     let scaled: Vec<f32> = log_probs.iter().map(|&l| l / temp).collect();
     let max = scaled.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut weights: Vec<f32> = scaled.iter().map(|&l| (l - max).exp()).collect();
-
-    if options.top_k.is_some() || options.top_p.is_some() {
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
-        let total: f32 = weights.iter().sum();
-        let mut keep = vec![false; weights.len()];
-        let mut cumulative = 0.0f32;
-        for (rank, &i) in order.iter().enumerate() {
-            if let Some(k) = options.top_k {
-                if rank >= k {
-                    break;
-                }
-            }
-            // Always keep at least the most likely token; stop once the
-            // nucleus mass is reached.
-            if rank > 0 {
-                if let Some(p) = options.top_p {
-                    if cumulative >= p * total {
-                        break;
-                    }
-                }
-            }
-            keep[i] = true;
-            cumulative += weights[i];
-        }
-        for (w, k) in weights.iter_mut().zip(keep) {
-            if !k {
-                *w = 0.0;
-            }
-        }
-    }
-
+    let weights: Vec<f32> = scaled.iter().map(|&l| (l - max).exp()).collect();
     let total: f32 = weights.iter().sum();
     let mut draw = rng.gen::<f32>() * total;
     for (i, w) in weights.iter().enumerate() {
@@ -1143,7 +1102,7 @@ fn sample_from_log_probs(log_probs: &[f32], options: SampleOptions, rng: &mut im
             return i as Token;
         }
     }
-    // Fall back to the most likely kept token.
+    // Fall back to the most likely token.
     weights
         .iter()
         .enumerate()
@@ -1317,46 +1276,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_restricts_support() {
-        let m = model(AdaptMode::Full, 15);
-        let lp = m.next_log_probs(0, &[BOS, BOS]).unwrap();
-        // The two most likely tokens.
-        let mut order: Vec<usize> = (0..lp.len()).collect();
-        order.sort_by(|&a, &b| lp[b].partial_cmp(&lp[a]).unwrap());
-        let allowed: Vec<Token> = order[..2].iter().map(|&i| i as Token).collect();
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..200 {
-            let opts = SampleOptions {
-                top_k: Some(2),
-                max_len: 1,
-                ..SampleOptions::default()
-            };
-            let out = m.sample(0, &mut rng, opts).unwrap();
-            if let Some(&t) = out.first() {
-                assert!(allowed.contains(&t), "token {t} outside top-2 {allowed:?}");
-            } else {
-                // EOS sampled — must itself be in the top-2.
-                assert!(allowed.contains(&EOS));
-            }
-        }
-    }
-
-    #[test]
-    fn top_p_one_keeps_full_support_and_tiny_p_is_greedy() {
-        let m = model(AdaptMode::Full, 16);
-        let mut rng = StdRng::seed_from_u64(1);
-        // p → 0 degenerates to greedy decoding: deterministic output.
-        let greedy = SampleOptions {
-            top_p: Some(1e-6),
-            max_len: 8,
-            ..SampleOptions::default()
-        };
-        let a = m.sample(1, &mut rng, greedy).unwrap();
-        let b = m.sample(1, &mut rng, greedy).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn perplexity_positive_and_improves_with_fit() {
         let m = model(AdaptMode::Full, 17);
         let corpus = vec![(0usize, vec![3, 4, 5]), (1usize, vec![5, 4])];
@@ -1372,7 +1291,6 @@ mod tests {
         let opts = SampleOptions {
             temperature: 1.2,
             max_len: 12,
-            ..SampleOptions::default()
         };
         let mut r1 = StdRng::seed_from_u64(99);
         let mut r2 = StdRng::seed_from_u64(99);
@@ -1502,8 +1420,6 @@ mod tests {
         let opts = SampleOptions {
             temperature: 1.3,
             max_len: 15,
-            top_p: Some(0.95),
-            ..SampleOptions::default()
         };
         for (task, seed) in [(0, 1u64), (1, 2), (2, 3), (1, 4)] {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1606,7 +1522,6 @@ mod tests {
             let opts = SampleOptions {
                 temperature: 1.5,
                 max_len: 12,
-                ..SampleOptions::default()
             };
             for seed in 0..6u64 {
                 let task = seed as usize % 3;

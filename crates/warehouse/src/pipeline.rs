@@ -77,7 +77,6 @@ fn evaluate(d: &WarehouseDomain, lm: &Merged<'_>, samples: usize, rng: &mut impl
     let opts = SampleOptions {
         temperature: 0.6,
         max_len: 40,
-        ..SampleOptions::default()
     };
     let mut total = 0usize;
     let mut count = 0usize;
@@ -125,7 +124,6 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
     let opts = SampleOptions {
         temperature: 1.1,
         max_len: 40,
-        ..SampleOptions::default()
     };
     let mut dataset = PreferenceDataset::new();
     for _ in 0..config.rounds {
@@ -168,7 +166,6 @@ pub fn run_mini(config: MiniConfig) -> MiniOutcome {
     let sample_opts = SampleOptions {
         temperature: 0.5,
         max_len: 40,
-        ..SampleOptions::default()
     };
     let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0xcafe);
     let sample_before = domain.tokenizer.decode(

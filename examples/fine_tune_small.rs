@@ -41,7 +41,6 @@ fn main() {
     let opts = SampleOptions {
         temperature: 0.6,
         max_len: 60,
-        ..SampleOptions::default()
     };
     let task = &pipeline.bundle.tasks[0];
     let before = artifacts
