@@ -94,6 +94,7 @@ grep -q '^pipeline.run;pipeline.train;dpo.epoch;dpo.forward ' "$smoke_flame"
 grep -q '"traceEvents"' "$smoke_trace"
 grep -q '"name":"pipeline.run","cat":"span"' "$smoke_trace"
 grep -q '"name":"dpo.epoch","cat":"event"' "$smoke_trace"
+grep -q '"cache_hits":' "$smoke_trace"
 cargo run -q --release -p bench --bin metrics_check -- "$smoke_report" \
     --require pipeline.pairs_formed,pipeline.responses_scored,ltlcheck.checks,ltlcheck.automaton_cache_hits,ltlcheck.product_states,pretrain.tokens,dpo.pairs_trained,pool.tasks,verify.cache_hits,verify.cache_misses,verify.cache_entries,verify.cache_evictions,verify.cache_hit_rate,dpo.ref_cache_hits,dpo.tokens_per_sec,tape.nodes,tape.grad_buffer_reuses,tinylm.packed_floats,speclint.semantic_rules,speclint.semantic_checks,speclint.semantic_errors,speclint.semantic_notes,alloc.allocs,alloc.bytes_allocated,alloc.bytes_freed,alloc.frees,alloc.current_bytes,alloc.peak_bytes \
     --require-span pipeline.run,pipeline.pretrain,pipeline.collect,pipeline.sample,pipeline.parse,pipeline.verify,pipeline.rank,pipeline.train,pipeline.eval,pipeline.score_batch,pipeline.score,dpo.ref,dpo.epoch,dpo.forward,dpo.backward

@@ -66,11 +66,6 @@ impl Guard {
         !self.pos.is_disjoint(self.neg)
     }
 
-    /// `true` iff this guard matches every symbol.
-    pub fn is_always(self) -> bool {
-        self.pos.is_empty() && self.neg.is_empty()
-    }
-
     /// The negation of this guard as a disjunction of literal guards.
     ///
     /// `¬(a ∧ b ∧ ¬c)` = `¬a ∨ ¬b ∨ c`; each disjunct is returned as its own

@@ -1,6 +1,7 @@
 //! Ablation A2 — LoRA rank sweep (paper Appendix E motivates low-rank
 //! adaptation): DPO quality and cost as a function of adapter rank,
-//! against full fine-tuning.
+//! against full fine-tuning. The quality table on stdout depends only on
+//! the seeds; the wall times go to stderr.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "experiment binary")]
 #![allow(clippy::field_reassign_with_default, reason = "configs tweak Default")]
@@ -35,6 +36,7 @@ fn main() {
 
     let trainer = DpoTrainer::new(pipeline.config.train);
     let mut rows = Vec::new();
+    let mut timings = Vec::new();
     for rank in [0usize, 1, 2, 4, 8] {
         let reference = if rank == 0 {
             base.clone()
@@ -49,17 +51,18 @@ fn main() {
             .expect("dataset in vocabulary");
         let elapsed = t0.elapsed();
         let last = stats.last().expect("at least one epoch");
+        let mode = if rank == 0 {
+            "full".to_owned()
+        } else {
+            format!("lora r={rank}")
+        };
+        timings.push(vec![mode.clone(), format!("{elapsed:.2?}")]);
         rows.push(vec![
-            if rank == 0 {
-                "full".to_owned()
-            } else {
-                format!("lora r={rank}")
-            },
+            mode,
             policy.num_trainable().to_string(),
             format!("{:.4}", last.loss),
             format!("{:.3}", last.accuracy),
             format!("{:.2}", last.margin),
-            format!("{:.2?}", elapsed),
         ]);
     }
     println!(
@@ -71,11 +74,14 @@ fn main() {
                 "trainable params",
                 "final loss",
                 "final accuracy",
-                "final margin",
-                "wall time"
+                "final margin"
             ],
             &rows
         )
+    );
+    eprintln!(
+        "{}",
+        table("A2 — DPO wall time", &["mode", "wall time"], &timings)
     );
     cli.finish();
 }

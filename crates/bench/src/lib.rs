@@ -150,7 +150,6 @@ impl BenchCli {
         if !cli.no_obs {
             obskit::enable();
             obskit::set_console(!quiet);
-            obskit::recorder::install_panic_hook();
             if cli.alloc {
                 obskit::alloc::set_tracking(true);
             }
@@ -185,7 +184,6 @@ impl BenchCli {
                 &obskit::timeline(),
                 &snapshot.events,
                 &snapshot.thread_names,
-                &snapshot.samples,
                 Some(&format!("bench_{}", self.bench)),
             );
             std::fs::write(path, trace)

@@ -51,7 +51,6 @@ fn alloc_tracking_attributes_to_spans_and_lands_in_artifacts() {
             let _inner = obskit::span("test.inner");
             let small: Vec<u8> = Vec::with_capacity(1 << 12);
             std::hint::black_box(&small);
-            obskit::recorder::force_tick();
         }
     }
 
@@ -82,14 +81,12 @@ fn alloc_tracking_attributes_to_spans_and_lands_in_artifacts() {
         "inner allocation must not be billed to outer: {outer:?}"
     );
 
-    // The allocator's metrics surface as counters/gauges, the flight
-    // recorder's forced sample as a snapshot entry.
+    // The allocator's metrics surface as counters/gauges.
     assert!(snapshot
         .metrics
         .counters
         .iter()
         .any(|(k, v)| k == "alloc.allocs" && *v > 0));
-    assert!(!snapshot.samples.is_empty());
 
     // Written artifacts: a valid v2 report carrying the alloc metrics…
     let report = std::fs::read_to_string(&metrics).expect("report written");
@@ -108,16 +105,17 @@ fn alloc_tracking_attributes_to_spans_and_lands_in_artifacts() {
     let folded = std::fs::read_to_string(&flame).expect("flame written");
     assert!(folded.contains("test.outer;test.inner "), "{folded}");
 
-    // …and a Chrome trace with counter tracks from the forced sample.
+    // …and a Chrome trace holding the inner span's timeline entry.
     let trace_text = std::fs::read_to_string(&trace).expect("trace written");
     let doc = obskit::json::parse(&trace_text).expect("trace parses");
     let entries = doc
         .get("traceEvents")
         .and_then(obskit::json::Value::as_arr)
         .expect("traceEvents");
-    assert!(entries
-        .iter()
-        .any(|e| e.get("ph").and_then(obskit::json::Value::as_str) == Some("C")));
+    assert!(entries.iter().any(|e| {
+        e.get("ph").and_then(obskit::json::Value::as_str) == Some("X")
+            && e.get("name").and_then(obskit::json::Value::as_str) == Some("test.inner")
+    }));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -392,14 +392,11 @@ impl DpoAf {
         let fanned = self
             .pool
             .map(items, |i, item| first[i].then(|| score(item)));
-        let scores = fanned
+        fanned
             .into_iter()
             .zip(items)
             .map(|(fanned, item)| fanned.unwrap_or_else(|| score(item)))
-            .collect();
-        // Scored batches are a natural flight-recorder beat (throttled).
-        obskit::recorder::tick();
-        scores
+            .collect()
     }
 
     /// Samples `m` responses per training task per round, scores each by
@@ -610,11 +607,10 @@ impl DpoAf {
                     ("iteration", iteration.into()),
                     ("pairs", dataset.len().into()),
                     ("total_pairs", dataset_size.into()),
+                    ("cache_hits", hits.into()),
+                    ("cache_misses", misses.into()),
                 ],
             );
-            // Iteration boundaries are the flight recorder's interesting
-            // edges; sample unconditionally.
-            obskit::recorder::force_tick();
             obskit::progress!(
                 "iteration {iteration}: {} preference pairs collected ({dataset_size} total)",
                 dataset.len()

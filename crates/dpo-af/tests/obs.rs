@@ -16,7 +16,8 @@ fn counter(snap: &obskit::Snapshot, name: &str) -> u64 {
 
 /// Runs the smoke pipeline at `threads` with the recorder on. Six
 /// near-greedy samples per task repeat responses, so some scoring
-/// batches hold copies that must hit the verdict cache.
+/// batches hold copies that must hit the verdict cache. Two iterations,
+/// so the `pipeline.iteration` events form a series.
 fn recorded_run(threads: usize) -> (RunArtifacts, obskit::Snapshot) {
     obskit::enable();
     obskit::set_console(false);
@@ -28,6 +29,7 @@ fn recorded_run(threads: usize) -> (RunArtifacts, obskit::Snapshot) {
         responses_per_task: 6,
         temperature: 0.05,
         eval_temperature: 0.05,
+        iterations: 2,
         ..PipelineConfig::smoke()
     })
     .run();
@@ -140,9 +142,49 @@ fn assert_spans_and_counters(threads: usize, artifacts: &RunArtifacts, snap: &ob
         snap.events.iter().any(|e| e.name == "dpo.epoch"),
         "threads {threads}: dpo.epoch events missing"
     );
+    assert_iteration_cache_series(threads, snap);
+}
+
+/// Every `pipeline.iteration` event carries the verdict cache's
+/// cumulative hits and misses: non-decreasing from one iteration to the
+/// next, and never past the run's final counters (evaluation after the
+/// last iteration still looks verdicts up).
+fn assert_iteration_cache_series(threads: usize, snap: &obskit::Snapshot) {
+    let field = |event: &obskit::Event, name: &str| {
+        event
+            .fields
+            .iter()
+            .find_map(|(k, v)| match v {
+                obskit::FieldValue::U64(n) if k == name => Some(*n),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("threads {threads}: iteration event lacks `{name}`"))
+    };
+    let series: Vec<(u64, u64)> = snap
+        .events
+        .iter()
+        .filter(|e| e.name == "pipeline.iteration")
+        .map(|e| (field(e, "cache_hits"), field(e, "cache_misses")))
+        .collect();
+    assert_eq!(
+        series.len(),
+        2,
+        "threads {threads}: one event per iteration"
+    );
+    for pair in series.windows(2) {
+        assert!(
+            pair[0].0 <= pair[1].0 && pair[0].1 <= pair[1].1,
+            "threads {threads}: cache counts went backwards: {series:?}"
+        );
+    }
+    let &(hits, misses) = series.last().unwrap_or(&(0, 0));
     assert!(
-        snap.events.iter().any(|e| e.name == "pipeline.iteration"),
-        "threads {threads}: pipeline.iteration event missing"
+        hits <= counter(snap, "verify.cache_hits"),
+        "threads {threads}"
+    );
+    assert!(
+        misses <= counter(snap, "verify.cache_misses"),
+        "threads {threads}"
     );
 }
 

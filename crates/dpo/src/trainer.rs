@@ -218,8 +218,6 @@ impl DpoTrainer {
             );
             stats.push(epoch_stats);
             checkpoint(epoch, policy);
-            // Training epochs are a flight-recorder beat (throttled).
-            obskit::recorder::tick();
         }
         if obskit::enabled() {
             let secs = started.elapsed().as_secs_f64();

@@ -78,7 +78,6 @@ pub fn ground_with_policy(
         obskit::counter_add("drivesim.episodes", 1);
         obskit::counter_add("drivesim.ticks", steps as u64);
         obskit::counter_add("drivesim.epsilon_ticks", epsilon_ticks);
-        obskit::observe("drivesim.episode_ticks", steps as u64);
     }
     trace
 }

@@ -116,7 +116,7 @@ pub fn satisfiable(phi: &Ltl) -> bool {
 
 /// Büchi emptiness on a formula automaton over the unconstrained
 /// alphabet: `true` iff the automaton accepts some infinite word.
-pub fn language_nonempty(buchi: &Buchi) -> bool {
+fn language_nonempty(buchi: &Buchi) -> bool {
     let n = buchi.num_states();
     let consistent: Vec<bool> = buchi
         .states()

@@ -4,13 +4,12 @@
 //! snapshot's events in the Trace Event Format accepted by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): each
 //! closed span becomes a complete (`"ph": "X"`) event with microsecond
-//! timestamps, each structured event an instant (`"ph": "i"`) with its
-//! fields attached under `args`, and each flight-recorder sample a set
-//! of counter (`"ph": "C"`) points — one track per counter/gauge name,
-//! so cache hit-rate and tokens/sec are visible *evolving over time*
-//! alongside the span rows. Per-thread track labels come from
-//! `thread_names` (`thread_name` metadata), so pool workers show up as
-//! e.g. `parkit-worker-2` instead of a bare tid.
+//! timestamps, and each structured event an instant (`"ph": "i"`) with
+//! its fields attached under `args`. The events are the trace's time
+//! series: `pipeline.iteration` carries the cumulative verdict-cache
+//! hits and misses, `dpo.epoch` the loss and accuracy. Per-thread track
+//! labels come from `thread_names` (`thread_name` metadata), so pool
+//! workers show up as e.g. `parkit-worker-2` instead of a bare tid.
 //!
 //! This is the only reader of the timeline and of the events: reports
 //! and flamegraphs read the aggregated span tree instead. The recorder
@@ -19,17 +18,15 @@
 
 use crate::event::Event;
 use crate::json::Value;
-use crate::recorder::FlightSample;
 use crate::span::SpanRecord;
 
 /// Renders spans, events, thread labels (one `thread_name` record per
-/// `(tid, name)`), flight-recorder counter tracks and an optional
-/// `process_name` record as a Trace Event Format JSON document.
+/// `(tid, name)`) and an optional `process_name` record as a Trace
+/// Event Format JSON document.
 pub fn chrome_trace(
     spans: &[SpanRecord],
     events: &[Event],
     thread_names: &[(u64, String)],
-    samples: &[FlightSample],
     process_name: Option<&str>,
 ) -> String {
     let mut trace_events: Vec<Value> =
@@ -87,36 +84,11 @@ pub fn chrome_trace(
             ("args".into(), Value::Obj(args)),
         ]));
     }
-    // One counter ("ph": "C") point per metric per flight sample.
-    // Perfetto groups points sharing a name into a single track, so
-    // each counter/gauge renders as a stepped time series.
-    for sample in samples {
-        for (name, v) in &sample.counters {
-            trace_events.push(counter_point(name, sample.t_us, *v as f64));
-        }
-        for (name, v) in &sample.gauges {
-            trace_events.push(counter_point(name, sample.t_us, *v));
-        }
-    }
     Value::Obj(vec![
         ("displayTimeUnit".into(), Value::Str("ms".into())),
         ("traceEvents".into(), Value::Arr(trace_events)),
     ])
     .to_json()
-}
-
-fn counter_point(name: &str, t_us: u64, value: f64) -> Value {
-    Value::Obj(vec![
-        ("name".into(), Value::Str(name.to_owned())),
-        ("cat".into(), Value::Str("metric".into())),
-        ("ph".into(), Value::Str("C".into())),
-        ("ts".into(), Value::Num(t_us as f64)),
-        ("pid".into(), Value::Num(1.0)),
-        (
-            "args".into(),
-            Value::Obj(vec![("value".into(), Value::Num(value))]),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -147,7 +119,7 @@ mod tests {
             thread: 3,
             fields: vec![("msg".into(), FieldValue::Str("hi \"there\"".into()))],
         }];
-        let rendered = chrome_trace(&spans, &events, &[], &[], None);
+        let rendered = chrome_trace(&spans, &events, &[], None);
         let doc = json::parse(&rendered).expect("chrome trace parses");
         let entries = doc
             .get("traceEvents")
@@ -180,24 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn full_trace_emits_process_name_and_counter_tracks() {
-        let samples = vec![
-            FlightSample {
-                t_us: 1_000,
-                counters: vec![("verify.cache_hits".into(), 4)],
-                gauges: vec![("verify.cache_hit_rate".into(), 0.25)],
-            },
-            FlightSample {
-                t_us: 2_000,
-                counters: vec![("verify.cache_hits".into(), 9)],
-                gauges: vec![("verify.cache_hit_rate".into(), 0.5)],
-            },
-        ];
+    fn full_trace_emits_process_and_thread_names() {
         let rendered = chrome_trace(
             &[],
             &[],
             &[(7, "parkit-worker-0".into())],
-            &samples,
             Some("bench_headline"),
         );
         let doc = json::parse(&rendered).expect("chrome trace parses");
@@ -205,34 +164,29 @@ mod tests {
             .get("traceEvents")
             .and_then(json::Value::as_arr)
             .expect("traceEvents array");
-        // process_name + thread_name metadata, then 2 metrics × 2 samples.
-        assert_eq!(entries.len(), 6);
+        // process_name + thread_name metadata.
+        assert_eq!(entries.len(), 2);
+        let meta = |i: usize| {
+            (
+                entries[i].get("name").and_then(json::Value::as_str),
+                entries[i].get("ph").and_then(json::Value::as_str),
+                entries[i]
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(json::Value::as_str),
+            )
+        };
         assert_eq!(
-            entries[0].get("ph").and_then(json::Value::as_str),
-            Some("M")
+            meta(0),
+            (Some("process_name"), Some("M"), Some("bench_headline"))
         );
         assert_eq!(
-            entries[0]
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(json::Value::as_str),
-            Some("bench_headline")
-        );
-        let counters: Vec<&json::Value> = entries
-            .iter()
-            .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("C"))
-            .collect();
-        assert_eq!(counters.len(), 4);
-        assert_eq!(
-            counters[0].get("name").and_then(json::Value::as_str),
-            Some("verify.cache_hits")
+            meta(1),
+            (Some("thread_name"), Some("M"), Some("parkit-worker-0"))
         );
         assert_eq!(
-            counters[1]
-                .get("args")
-                .and_then(|a| a.get("value"))
-                .and_then(json::Value::as_num),
-            Some(0.25)
+            entries[1].get("tid").and_then(json::Value::as_num),
+            Some(7.0)
         );
     }
 }

@@ -38,13 +38,11 @@ pub mod event;
 pub mod flame;
 pub mod json;
 pub mod metrics;
-pub mod recorder;
 pub mod report;
 pub mod span;
 
 pub use event::{Event, EventLog, FieldValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use recorder::FlightSample;
 pub use report::{BenchReport, Requirements};
 pub use span::{SpanNode, SpanRecord};
 
@@ -116,12 +114,6 @@ pub(crate) fn now_us() -> u64 {
     anchor().elapsed().as_micros() as u64
 }
 
-/// A metrics snapshot of the global registry (flight-recorder /
-/// panic-hook plumbing).
-pub(crate) fn global_registry_snapshot() -> MetricsSnapshot {
-    global().registry.snapshot()
-}
-
 thread_local! {
     /// This thread's trace id, `u64::MAX` until first use. Settable, so
     /// [`set_thread_name`] can hand a thread the id of an exited namesake.
@@ -188,20 +180,6 @@ fn set_current_span(id: Option<u32>) {
     let _ = CURRENT_SPAN.try_with(|c| c.set(id.unwrap_or(u32::MAX)));
 }
 
-/// Names of the spans currently open on this thread, outermost first —
-/// what the flight recorder's panic dump reports as the span stack.
-pub fn current_span_stack() -> Vec<String> {
-    // try_with + try_borrow: callable from a panic hook even if the
-    // panic interrupted a span-stack mutation.
-    let ids = SPAN_STACK
-        .try_with(|s| s.try_borrow().map(|s| s.clone()).unwrap_or_default())
-        .unwrap_or_default();
-    let tree = tree();
-    ids.iter()
-        .filter_map(|&id| tree.name(id).map(str::to_owned))
-        .collect()
-}
-
 /// Turns the global recorder on, clearing all previously recorded data.
 ///
 /// Must not be called while spans are open (their nodes would dangle
@@ -212,7 +190,6 @@ pub fn enable() {
     tree().clear();
     g.events.clear();
     alloc::reset();
-    recorder::clear();
     ENABLED_AT_US.store(now_us(), Ordering::Relaxed);
     ENABLED.store(true, Ordering::Relaxed);
 }
@@ -448,8 +425,6 @@ pub struct Snapshot {
     /// Human-readable thread names (`thread id → name`), in
     /// registration order.
     pub thread_names: Vec<(u64, String)>,
-    /// Flight-recorder ring contents, oldest first.
-    pub samples: Vec<FlightSample>,
     /// Process-wide allocation totals, when the tracking allocator was
     /// on at any point since [`enable`].
     pub alloc: Option<alloc::AllocTotals>,
@@ -467,7 +442,21 @@ pub fn snapshot() -> Snapshot {
     let alloc = alloc::tracked_any().then(alloc::totals);
     let per_node = match &alloc {
         Some(totals) => {
-            fold_alloc_metrics(&mut metrics, totals);
+            metrics.counters.extend([
+                ("alloc.allocs".to_owned(), totals.allocs),
+                ("alloc.bytes_allocated".to_owned(), totals.bytes_allocated),
+                ("alloc.bytes_freed".to_owned(), totals.bytes_freed),
+                ("alloc.frees".to_owned(), totals.frees),
+            ]);
+            metrics.counters.sort();
+            metrics.gauges.extend([
+                (
+                    "alloc.current_bytes".to_owned(),
+                    totals.current_bytes as f64,
+                ),
+                ("alloc.peak_bytes".to_owned(), totals.peak_bytes as f64),
+            ]);
+            metrics.gauges.sort_by(|a, b| a.0.cmp(&b.0));
             alloc::per_span()
         }
         None => Vec::new(),
@@ -482,7 +471,6 @@ pub fn snapshot() -> Snapshot {
             .iter()
             .map(|t| (t.tid, t.name.clone()))
             .collect(),
-        samples: recorder::samples(),
         alloc,
     }
 }
@@ -503,29 +491,4 @@ pub fn timeline() -> Vec<SpanRecord> {
 /// The setting survives [`enable`].
 pub fn set_timeline(on: bool) {
     tree().set_timeline(on);
-}
-
-/// Merges allocation totals into a metrics snapshot under the `alloc.*`
-/// names, keeping both metric lists name-sorted. Shared by [`snapshot`]
-/// and the flight recorder so final reports and periodic samples agree
-/// on naming.
-pub(crate) fn fold_alloc_metrics(
-    metrics: &mut metrics::MetricsSnapshot,
-    totals: &alloc::AllocTotals,
-) {
-    metrics.counters.extend([
-        ("alloc.allocs".to_owned(), totals.allocs),
-        ("alloc.bytes_allocated".to_owned(), totals.bytes_allocated),
-        ("alloc.bytes_freed".to_owned(), totals.bytes_freed),
-        ("alloc.frees".to_owned(), totals.frees),
-    ]);
-    metrics.counters.sort();
-    metrics.gauges.extend([
-        (
-            "alloc.current_bytes".to_owned(),
-            totals.current_bytes as f64,
-        ),
-        ("alloc.peak_bytes".to_owned(), totals.peak_bytes as f64),
-    ]);
-    metrics.gauges.sort_by(|a, b| a.0.cmp(&b.0));
 }

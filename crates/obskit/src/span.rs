@@ -114,11 +114,6 @@ impl Tree {
         self.keep_timeline
     }
 
-    /// The name of node `id`, if it exists.
-    pub(crate) fn name(&self, id: u32) -> Option<&'static str> {
-        self.nodes.get(id as usize).map(|n| n.name)
-    }
-
     /// A copy of the timeline, in close order.
     pub(crate) fn timeline(&self) -> Vec<SpanRecord> {
         self.timeline.clone()
@@ -286,7 +281,7 @@ mod tests {
         let mut tree = Tree::default();
         tree.set_timeline(true);
         let a = run(&mut tree, None, "a", 5);
-        let b = run(&mut tree, Some(a), "b", 1);
+        run(&mut tree, Some(a), "b", 1);
         // An unknown parent opens a root; an unknown close is dropped.
         assert_eq!(tree.node(Some(99), "a"), a);
         tree.close(99, 0, 7, 0);
@@ -304,10 +299,9 @@ mod tests {
         assert_eq!((forest[0].alloc_count, forest[0].alloc_bytes), (1, 8));
         let child = &forest[0].children[0];
         assert_eq!((child.alloc_count, child.alloc_bytes), (2, 64));
-        assert_eq!(tree.name(b), Some("b"));
+        assert_eq!(child.name, "b");
         assert_eq!(tree.timeline().len(), 2);
         tree.clear();
         assert!(tree.forest(&[]).is_empty());
-        assert_eq!(tree.name(a), None);
     }
 }

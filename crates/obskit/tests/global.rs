@@ -174,13 +174,7 @@ fn global_recorder_end_to_end() {
         .thread_names
         .iter()
         .any(|(tid, name)| *tid == task_thread[0] && name == "test-worker"));
-    let trace = obskit::chrome::chrome_trace(
-        &timeline,
-        &snap.events,
-        &snap.thread_names,
-        &snap.samples,
-        None,
-    );
+    let trace = obskit::chrome::chrome_trace(&timeline, &snap.events, &snap.thread_names, None);
     assert!(trace.contains("thread_name"), "{trace}");
     assert!(trace.contains("test-worker"), "{trace}");
 

@@ -87,8 +87,6 @@ pub fn pretrain(
             "pretrain.epoch",
             vec![("epoch", epoch.into()), ("nll", nll.into())],
         );
-        // Pretraining epochs are a flight-recorder beat (throttled).
-        obskit::recorder::tick();
     }
     if obskit::enabled() {
         obskit::counter_add("pretrain.tokens", tokens_seen);

@@ -45,7 +45,7 @@
 //! let w = tape.leaf(vec![0.5, -0.5, 1.0, 1.5]); // 2×2 row-major
 //! let y = tape.matvec(w, 2, 2, x);
 //! let h = tape.tanh(y);
-//! let s = tape.sum(h);
+//! let s = tape.gather_sum(h, 1, vec![0; 2]); // Σ h
 //! let grads = tape.backward(s);
 //! assert_eq!(grads[x.index()].len(), 2);
 //! assert_eq!(grads[w.index()].len(), 4);
@@ -71,10 +71,6 @@ enum Op {
     Leaf,
     /// Elementwise addition.
     Add(VarId, VarId),
-    /// Elementwise subtraction `a - b`.
-    Sub(VarId, VarId),
-    /// Elementwise multiplication.
-    Mul(VarId, VarId),
     /// Scalar scale.
     Scale(VarId, f32),
     /// Matrix(rows×cols, row-major) × vector(cols).
@@ -127,12 +123,8 @@ enum Op {
     LogSoftmax(VarId),
     /// Scalar: the `i`-th component of a vector.
     Index(VarId, usize),
-    /// Scalar: sum of components.
-    Sum(VarId),
     /// Concatenation of several vectors.
     Concat(Vec<VarId>),
-    /// Scalar: log σ(x) of a 1-element vector.
-    LogSigmoid(VarId),
 }
 
 /// A reverse-mode autodiff tape.
@@ -209,7 +201,7 @@ impl Tape {
     fn push(&mut self, val: Vec<f32>, op: Op) -> VarId {
         let needs = match &op {
             Op::Leaf => unreachable!("leaves are recorded through push_node"),
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => self.needs[a.0] || self.needs[b.0],
+            Op::Add(a, b) => self.needs[a.0] || self.needs[b.0],
             Op::MatVec { m, x, .. } | Op::MatMul { m, x, .. } => self.needs[m.0] || self.needs[x.0],
             Op::BroadcastAdd { a, b, .. } | Op::BiasLogSoftmax { a, b, .. } => {
                 self.needs[a.0] || self.needs[b.0]
@@ -219,9 +211,7 @@ impl Tape {
             | Op::GatherSum { a, .. }
             | Op::Tanh(a)
             | Op::LogSoftmax(a)
-            | Op::Index(a, _)
-            | Op::Sum(a)
-            | Op::LogSigmoid(a) => self.needs[a.0],
+            | Op::Index(a, _) => self.needs[a.0],
             Op::Concat(parts) => parts.iter().any(|p| self.needs[p.0]),
         };
         self.push_node(val, op, needs)
@@ -299,40 +289,6 @@ impl Tape {
                 .map(|(x, y)| x + y),
         );
         self.push(val, Op::Add(a, b))
-    }
-
-    /// Elementwise `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        assert_eq!(self.vals[a.0].len(), self.vals[b.0].len());
-        let mut val = self.alloc();
-        val.extend(
-            self.vals[a.0]
-                .iter()
-                .zip(&self.vals[b.0])
-                .map(|(x, y)| x - y),
-        );
-        self.push(val, Op::Sub(a, b))
-    }
-
-    /// Elementwise `a ⊙ b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        assert_eq!(self.vals[a.0].len(), self.vals[b.0].len());
-        let mut val = self.alloc();
-        val.extend(
-            self.vals[a.0]
-                .iter()
-                .zip(&self.vals[b.0])
-                .map(|(x, y)| x * y),
-        );
-        self.push(val, Op::Mul(a, b))
     }
 
     /// `c · a`.
@@ -551,14 +507,6 @@ impl Tape {
         self.push(val, Op::Index(a, i))
     }
 
-    /// The scalar `Σ a`.
-    pub fn sum(&mut self, a: VarId) -> VarId {
-        let s = self.vals[a.0].iter().sum();
-        let mut val = self.alloc();
-        val.push(s);
-        self.push(val, Op::Sum(a))
-    }
-
     /// Concatenation of vectors.
     pub fn concat(&mut self, parts: &[VarId]) -> VarId {
         let mut val = self.alloc();
@@ -566,21 +514,6 @@ impl Tape {
             val.extend_from_slice(&self.vals[p.0]);
         }
         self.push(val, Op::Concat(parts.to_vec()))
-    }
-
-    /// Numerically stable `log σ(x)` of a scalar node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not scalar.
-    pub fn log_sigmoid(&mut self, a: VarId) -> VarId {
-        assert_eq!(self.vals[a.0].len(), 1, "log_sigmoid takes a scalar");
-        let x = self.vals[a.0][0];
-        // log σ(x) = -log(1 + e^{-x}) = min(x, 0) - ln(1 + e^{-|x|})
-        let v = x.min(0.0) - (-x.abs()).exp().ln_1p();
-        let mut val = self.alloc();
-        val.push(v);
-        self.push(val, Op::LogSigmoid(a))
     }
 
     /// Runs backpropagation from a scalar node; returns one gradient
@@ -662,33 +595,6 @@ impl Tape {
                 // (indexing by k is intentional throughout: gradient
                 // slices alias multiple nodes, so zip-style iteration
                 // would fight the borrow checker for no clarity gain)
-                Op::Sub(a, b) => {
-                    let (na, nb) = (needs[a.0], needs[b.0]);
-                    dirty[a.0] |= na;
-                    dirty[b.0] |= nb;
-                    for (k, &gk) in g.iter().enumerate() {
-                        if na {
-                            grads[a.0][k] += gk;
-                        }
-                        if nb {
-                            grads[b.0][k] -= gk;
-                        }
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let (na, nb) = (needs[a.0], needs[b.0]);
-                    dirty[a.0] |= na;
-                    dirty[b.0] |= nb;
-                    for (k, &gk) in g.iter().enumerate() {
-                        let (av, bv) = (self.vals[a.0][k], self.vals[b.0][k]);
-                        if na {
-                            grads[a.0][k] += gk * bv;
-                        }
-                        if nb {
-                            grads[b.0][k] += gk * av;
-                        }
-                    }
-                }
                 Op::Scale(a, c) => {
                     dirty[a.0] = true;
                     for (k, &gk) in g.iter().enumerate() {
@@ -868,12 +774,6 @@ impl Tape {
                     dirty[a.0] = true;
                     grads[a.0][*idx] += g[0];
                 }
-                Op::Sum(a) => {
-                    dirty[a.0] = true;
-                    for gk in grads[a.0].iter_mut() {
-                        *gk += g[0];
-                    }
-                }
                 Op::Concat(parts) => {
                     let mut offset = 0;
                     for p in parts {
@@ -886,13 +786,6 @@ impl Tape {
                         }
                         offset += len;
                     }
-                }
-                Op::LogSigmoid(a) => {
-                    // d/dx log σ(x) = 1 - σ(x) = σ(-x)
-                    dirty[a.0] = true;
-                    let x = self.vals[a.0][0];
-                    let sig_neg = 1.0 / (1.0 + x.exp());
-                    grads[a.0][0] += g[0] * sig_neg;
                 }
             }
             grads[i] = g;
@@ -957,17 +850,27 @@ mod tests {
         (f(&xp) - f(&xm)) / (2.0 * h)
     }
 
+    /// The scalar `Σ a`, as a gather of every width-1 chunk's only
+    /// component (left to right, as `Iterator::sum` adds).
+    fn sum_all(tape: &mut Tape, a: VarId) -> VarId {
+        let len = tape.value(a).len();
+        tape.gather_sum(a, 1, vec![0; len])
+    }
+
     #[test]
-    fn add_mul_grads() {
+    fn add_grads() {
         let mut tape = Tape::new();
         let a = tape.leaf(vec![1.0, 2.0]);
         let b = tape.leaf(vec![3.0, -1.0]);
-        let prod = tape.mul(a, b);
-        let s = tape.sum(prod);
-        assert!((tape.scalar(s) - 1.0).abs() < 1e-6);
+        let sum = tape.add(a, b);
+        assert_eq!(tape.value(sum), &[4.0, 1.0]);
+        // An aliased operand collects both halves of the gradient.
+        let twice = tape.add(sum, a);
+        let s = sum_all(&mut tape, twice);
+        assert_eq!(tape.scalar(s), 8.0);
         let grads = tape.backward(s);
-        assert_eq!(grads[a.index()], vec![3.0, -1.0]);
-        assert_eq!(grads[b.index()], vec![1.0, 2.0]);
+        assert_eq!(grads[a.index()], vec![2.0, 2.0]);
+        assert_eq!(grads[b.index()], vec![1.0, 1.0]);
     }
 
     #[test]
@@ -979,7 +882,7 @@ mod tests {
         let xv = tape.leaf(x.clone());
         let y = tape.matvec(mv, 2, 2, xv);
         assert_eq!(tape.value(y), &[17.0, 39.0]);
-        let s = tape.sum(y);
+        let s = sum_all(&mut tape, y);
         let grads = tape.backward(s);
         // d(sum(Mx))/dM = [x; x], d/dx = column sums of M.
         assert_eq!(grads[mv.index()], vec![5.0, 6.0, 5.0, 6.0]);
@@ -1001,22 +904,6 @@ mod tests {
         let x = tape.leaf(vec![1000.0, 999.0]);
         let ls = tape.log_softmax(x);
         assert!(tape.value(ls).iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn log_sigmoid_matches_reference() {
-        for x in [-20.0f32, -1.0, 0.0, 1.0, 20.0] {
-            let mut tape = Tape::new();
-            let v = tape.leaf(vec![x]);
-            let ls = tape.log_sigmoid(v);
-            let expected = (1.0 / (1.0 + (-f64::from(x)).exp())).ln() as f32;
-            assert!(
-                (tape.scalar(ls) - expected).abs() < 1e-5,
-                "x={x}: {} vs {}",
-                tape.scalar(ls),
-                expected
-            );
-        }
     }
 
     #[test]
@@ -1080,7 +967,7 @@ mod tests {
             let x = ref_tape.leaf(xs[p * cols..(p + 1) * cols].to_vec());
             let y = ref_tape.matvec(mv, rows, cols, x);
             outs.push((x, y));
-            let s = ref_tape.sum(y);
+            let s = sum_all(&mut ref_tape, y);
             total = Some(match total {
                 None => s,
                 Some(acc) => ref_tape.add(acc, s),
@@ -1093,7 +980,7 @@ mod tests {
         let mv2 = tape.leaf(m.clone());
         let xv2 = tape.leaf(xs.clone());
         let y = tape.matmul(mv2, rows, cols, xv2, n);
-        let s = tape.sum(y);
+        let s = sum_all(&mut tape, y);
         let grads = tape.backward(s);
 
         for p in 0..n {
@@ -1124,7 +1011,7 @@ mod tests {
             let xv = tape.leaf(xs.clone());
             let y = tape.matmul(mv, rows, cols, xv, n);
             let t = tape.tanh(y);
-            let s = tape.sum(t);
+            let s = sum_all(&mut tape, t);
             tape.scalar(s)
         };
         let mut tape = Tape::new();
@@ -1132,7 +1019,7 @@ mod tests {
         let xv = tape.leaf(xs.clone());
         let y = tape.matmul(mv, rows, cols, xv, n);
         let t = tape.tanh(y);
-        let s = tape.sum(t);
+        let s = sum_all(&mut tape, t);
         let grads = tape.backward(s);
         for i in 0..m.len() {
             let num = numeric_grad(f_of_m, &m, i);
@@ -1148,7 +1035,7 @@ mod tests {
             let xv = tape.leaf(x.to_vec());
             let y = tape.matmul(mv, rows, cols, xv, n);
             let t = tape.tanh(y);
-            let s = tape.sum(t);
+            let s = sum_all(&mut tape, t);
             tape.scalar(s)
         };
         for i in 0..xs.len() {
@@ -1236,7 +1123,7 @@ mod tests {
         let bv = tape.leaf(b.clone());
         let sum = tape.broadcast_add(av, bv, n);
         let t = tape.tanh(sum);
-        let s = tape.sum(t);
+        let s = sum_all(&mut tape, t);
         let grads = tape.backward(s);
         let mut bgrad = vec![0.0f32; len];
         // Reverse chunk order, matching the op's backward walk.
@@ -1298,7 +1185,7 @@ mod tests {
             tape.value(x),
             &[9.0, 8.0, 20.0, 21.0, 0.0, 1.0, 9.0, 8.0, 10.0, 11.0, 20.0, 21.0]
         );
-        let s = tape.sum(x);
+        let s = sum_all(&mut tape, x);
         let grads = tape.backward(s);
         // Shared row appears once per position.
         assert_eq!(grads[sh.index()], vec![2.0, 2.0]);
@@ -1318,9 +1205,9 @@ mod tests {
             let scale = 1.0 + round as f32;
             let a = tape.leaf(vec![0.3 * scale, -0.7, 0.2 * scale]);
             let b = tape.leaf(vec![1.0, 2.0, -1.0]);
-            let m = tape.mul(a, b);
+            let m = tape.add(a, b);
             let t = tape.tanh(m);
-            let s = tape.sum(t);
+            let s = sum_all(&mut tape, t);
             tape.backward_into(s, &mut arena);
             fresh_results.push((tape.scalar(s), arena.grad(a).to_vec()));
 
@@ -1328,9 +1215,9 @@ mod tests {
             let mut f = Tape::new();
             let a2 = f.leaf(vec![0.3 * scale, -0.7, 0.2 * scale]);
             let b2 = f.leaf(vec![1.0, 2.0, -1.0]);
-            let m2 = f.mul(a2, b2);
+            let m2 = f.add(a2, b2);
             let t2 = f.tanh(m2);
-            let s2 = f.sum(t2);
+            let s2 = sum_all(&mut f, t2);
             let grads = f.backward(s2);
             assert_eq!(f.scalar(s2), fresh_results[round].0);
             assert_eq!(grads[a2.index()], fresh_results[round].1);
@@ -1351,7 +1238,7 @@ mod tests {
         let w = tape.leaf(vec![0.1, 0.7, -0.4, 0.9, 0.3, -0.6]); // 3×2
         let y = tape.matvec(w, 3, 2, cx);
         let t = tape.tanh(y);
-        let s = tape.sum(t);
+        let s = sum_all(tape, t);
         (c, x, cx, w, s)
     }
 
@@ -1386,14 +1273,14 @@ mod tests {
         // A root fed by constants alone has no gradient to propagate.
         let mut tape = Tape::new();
         let a = tape.constant_from(&[1.0, 2.0]);
-        let r = tape.sum(a);
+        let r = sum_all(&mut tape, a);
         assert!(!tape.needs_grad(r));
         assert!(tape.backward(r).iter().all(Vec::is_empty));
     }
 
     proptest! {
         /// Every op's gradient matches central finite differences on a
-        /// random composite expression g(a) = sum(tanh(a ⊙ a + c·a)).
+        /// random composite expression g(a) = Σ tanh(tanh(a) + c·a).
         #[test]
         fn composite_grad_matches_numeric(
             vals in proptest::collection::vec(-2.0f32..2.0, 2..6),
@@ -1402,20 +1289,20 @@ mod tests {
             let f = |a: &[f32]| -> f32 {
                 let mut tape = Tape::new();
                 let av = tape.leaf(a.to_vec());
-                let sq = tape.mul(av, av);
+                let sq = tape.tanh(av);
                 let sc = tape.scale(av, c);
                 let s = tape.add(sq, sc);
                 let t = tape.tanh(s);
-                let out = tape.sum(t);
+                let out = sum_all(&mut tape, t);
                 tape.scalar(out)
             };
             let mut tape = Tape::new();
             let av = tape.leaf(vals.clone());
-            let sq = tape.mul(av, av);
+            let sq = tape.tanh(av);
             let sc = tape.scale(av, c);
             let s = tape.add(sq, sc);
             let t = tape.tanh(s);
-            let out = tape.sum(t);
+            let out = sum_all(&mut tape, t);
             let grads = tape.backward(out);
             for i in 0..vals.len() {
                 let num = numeric_grad(f, &vals, i);
@@ -1434,7 +1321,7 @@ mod tests {
             let av = tape.leaf(a.clone());
             let bv = tape.leaf(b.clone());
             let cat = tape.concat(&[av, bv]);
-            let s = tape.sum(cat);
+            let s = sum_all(&mut tape, cat);
             let grads = tape.backward(s);
             prop_assert!(grads[av.index()].iter().all(|&g| (g - 1.0).abs() < 1e-6));
             prop_assert!(grads[bv.index()].iter().all(|&g| (g - 1.0).abs() < 1e-6));

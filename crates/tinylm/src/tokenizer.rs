@@ -122,11 +122,6 @@ impl Tokenizer {
             .map(String::as_str)
             .unwrap_or(UNK_WORD)
     }
-
-    /// Looks up a single word's token id, if present.
-    pub fn token_of(&self, word: &str) -> Option<Token> {
-        self.index.get(word).copied()
-    }
 }
 
 #[cfg(test)]
