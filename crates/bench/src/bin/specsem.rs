@@ -83,9 +83,6 @@ fn main() {
              full pass {} checks in {full_us} µs",
             report.checks
         );
-        for t in &report.timings {
-            obskit::observe("specsem.rule_us", t.total().as_micros() as u64);
-        }
         diags.extend(report.diagnostics);
     }
 

@@ -479,7 +479,6 @@ mod tests {
               "bench": "t", "args": [], "wall_ms": {wall},
               "counters": {{"dpo.pairs_trained": {pairs}, "alloc.allocs": 7}},
               "gauges": {{"headline.after_pct": 90.45, "tinylm.pretrain_tokens_per_sec": 81000.0}},
-              "histograms": {{}},
               "spans": [
                 {{"name": "pipeline.run", "count": 1, "total_ms": {wall},
                   "max_ms": {wall}, "self_ms": 0, "alloc_count": 0, "alloc_bytes": 0,
@@ -555,7 +554,6 @@ mod tests {
               "gauges": {"headline.after_pct": 90.45,
                          "tinylm.pretrain_tokens_per_sec": 55000.0,
                          "alloc.peak_bytes": 123456.0},
-              "histograms": {},
               "spans": [
                 {"name": "pipeline.run", "count": 1, "total_ms": 100,
                   "max_ms": 100, "self_ms": 0, "alloc_count": 9, "alloc_bytes": 512,
@@ -586,7 +584,6 @@ mod tests {
               "counters": {"alloc.allocs": 7},
               "gauges": {"headline.after_pct": 90.45,
                          "tinylm.pretrain_tokens_per_sec": 81000.0},
-              "histograms": {},
               "spans": [
                 {"name": "pipeline.run", "count": 1, "total_ms": 100,
                   "max_ms": 100, "self_ms": 0, "alloc_count": 0, "alloc_bytes": 0,

@@ -998,7 +998,6 @@ fn extract_lasso(
         .map(|&v| to_step(v))
         .collect();
     let cycle: Vec<CexStep> = full_cycle.into_iter().map(to_step).collect();
-    obskit::observe("ltlcheck.lasso_len", (stem.len() + cycle.len()) as u64);
     Counterexample { stem, cycle }
 }
 

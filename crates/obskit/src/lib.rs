@@ -2,11 +2,11 @@
 //!
 //! A from-scratch observability layer shared by every crate in the
 //! workspace: hierarchical wall-clock **spans** (folded into one
-//! name-path tree as they close; see [`mod@span`]), a thread-safe **metrics
-//! registry** (counters, gauges, log-scale histograms), structured
-//! **events** with a human-readable console sink, a **Chrome-trace**
-//! exporter (open in `chrome://tracing` or Perfetto), and the stable
-//! [`report`] schema behind every `BENCH_<name>.json` artifact.
+//! name-path tree as they close; see [`mod@span`]), a thread-safe
+//! **metrics registry** of counters and gauges, structured **events**
+//! with a human-readable console sink, a **Chrome-trace** exporter (open
+//! in `chrome://tracing` or Perfetto), and the stable [`report`] schema
+//! behind every `BENCH_<name>.json` artifact.
 //!
 //! ## The recorder is runtime-selected and off by default
 //!
@@ -42,7 +42,7 @@ pub mod report;
 pub mod span;
 
 pub use event::{Event, EventLog, FieldValue};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{MetricsSnapshot, Registry};
 pub use report::{BenchReport, Requirements};
 pub use span::{SpanNode, SpanRecord};
 
@@ -222,13 +222,6 @@ pub fn counter_add(name: &str, v: u64) {
 pub fn gauge_set(name: &str, v: f64) {
     if enabled() {
         global().registry.gauge_set(name, v);
-    }
-}
-
-/// Records `v` into the global histogram `name` (no-op while disabled).
-pub fn observe(name: &str, v: u64) {
-    if enabled() {
-        global().registry.observe(name, v);
     }
 }
 

@@ -1,210 +1,14 @@
-//! Thread-safe metrics: counters, gauges and log-scale histograms behind
-//! a name-keyed [`Registry`].
+//! Thread-safe metrics: counters and gauges behind a name-keyed
+//! [`Registry`].
 //!
-//! All primitives are lock-free once obtained (relaxed atomics); the
-//! registry itself takes a read lock per name lookup. Naming convention:
-//! `<crate>.<noun>` in `snake_case`, e.g. `ltlcheck.product_states`,
-//! `pipeline.pairs_formed` (see DESIGN.md §7).
+//! Each metric is one relaxed atomic; the registry takes a read lock per
+//! name lookup and a write lock only to insert a new name. Naming
+//! convention: `<crate>.<noun>` in `snake_case`, e.g.
+//! `ltlcheck.product_states`, `pipeline.pairs_formed` (see DESIGN.md §7).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// A monotone event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `v` to the counter.
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge (stored as `f64` bits).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// Number of histogram buckets: one for zero plus one per power of two.
-pub const NUM_BUCKETS: usize = 65;
-
-/// A histogram over `u64` observations with fixed log-scale (power-of-two)
-/// buckets: bucket 0 holds exact zeros, bucket `i ≥ 1` holds values in
-/// `[2^(i-1), 2^i)`. Also tracks exact count, sum, min and max.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The bucket index for an observation.
-pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// The half-open `[lo, hi)` range of bucket `i` (bucket 64's upper bound
-/// saturates at `u64::MAX`).
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
-    match i {
-        0 => (0, 1),
-        64 => (1 << 63, u64::MAX),
-        _ => (1 << (i - 1), 1 << i),
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A consistent-enough copy for reporting (individual fields are read
-    /// atomically; cross-field skew is possible under concurrent writes
-    /// and acceptable for telemetry).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: (count > 0).then(|| self.min.load(Ordering::Relaxed)),
-            max: (count > 0).then(|| self.max.load(Ordering::Relaxed)),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let c = b.load(Ordering::Relaxed);
-                    (c > 0).then(|| {
-                        let (lo, hi) = bucket_bounds(i);
-                        BucketCount { lo, hi, count: c }
-                    })
-                })
-                .collect(),
-        }
-    }
-}
-
-/// One non-empty bucket in a [`HistogramSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketCount {
-    /// Inclusive lower bound.
-    pub lo: u64,
-    /// Exclusive upper bound.
-    pub hi: u64,
-    /// Observations that fell in `[lo, hi)`.
-    pub count: u64,
-}
-
-/// Point-in-time view of a [`Histogram`] (only non-empty buckets).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all observations (wrapping on overflow).
-    pub sum: u64,
-    /// Smallest observation, if any.
-    pub min: Option<u64>,
-    /// Largest observation, if any.
-    pub max: Option<u64>,
-    /// Non-empty buckets in ascending range order.
-    pub buckets: Vec<BucketCount>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) estimated from the log₂
-    /// buckets with linear interpolation inside the containing bucket —
-    /// the Prometheus `histogram_quantile` construction, tightened by
-    /// the exact `min`/`max` the histogram also tracks: results are
-    /// clamped to `[min, max]`, so the p0/p100 ends are exact and
-    /// single-observation histograms report that observation at every
-    /// quantile. Returns `None` when the histogram is empty.
-    ///
-    /// Monotone in `q` by construction (cumulative rank walk over
-    /// ascending buckets), so `p50 ≤ p90 ≤ p99` always holds.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let (min, max) = (self.min? as f64, self.max? as f64);
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut seen = 0.0;
-        for b in &self.buckets {
-            let c = b.count as f64;
-            if seen + c >= rank {
-                // Interpolate inside [lo, hi) by the rank fraction
-                // covered within this bucket (rank 0 ⇒ lo).
-                let frac = if c > 0.0 { (rank - seen) / c } else { 0.0 };
-                let est = b.lo as f64 + (b.hi as f64 - b.lo as f64) * frac;
-                return Some(est.clamp(min, max));
-            }
-            seen += c;
-        }
-        Some(max)
-    }
-
-    /// The (p50, p90, p99) triple reports carry, or `None` when empty.
-    pub fn percentiles(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.90)?,
-            self.quantile(0.99)?,
-        ))
-    }
-}
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Point-in-time view of a whole [`Registry`], with stable (sorted)
 /// iteration order.
@@ -214,17 +18,14 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values by name.
     pub gauges: Vec<(String, f64)>,
-    /// Histogram snapshots by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// A name-keyed collection of metrics. Handles are `Arc`s, so call sites
-/// may cache them to skip the lookup on very hot paths.
+/// A name-keyed collection of monotone counters and last-value-wins
+/// gauges (a gauge holds its `f64` as bits).
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<HashMap<String, Arc<Counter>>>,
-    gauges: RwLock<HashMap<String, Arc<Gauge>>>,
-    histograms: RwLock<HashMap<String, Arc<Histogram>>>,
+    counters: RwLock<HashMap<String, AtomicU64>>,
+    gauges: RwLock<HashMap<String, AtomicU64>>,
 }
 
 /// Lock helper: a poisoned metrics lock only means another thread
@@ -244,11 +45,23 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     }
 }
 
-fn get_or_insert<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(existing) = read(map).get(name) {
-        return Arc::clone(existing);
+/// Applies `f` to the atomic named `name`, inserting a zero first if the
+/// name is new.
+fn with_slot(map: &RwLock<HashMap<String, AtomicU64>>, name: &str, f: impl Fn(&AtomicU64)) {
+    if let Some(slot) = read(map).get(name) {
+        return f(slot);
     }
-    Arc::clone(write(map).entry(name.to_owned()).or_default())
+    f(write(map).entry(name.to_owned()).or_default());
+}
+
+/// The entries of `map`, read with `f` and sorted by name.
+fn sorted<T>(map: &RwLock<HashMap<String, AtomicU64>>, f: impl Fn(u64) -> T) -> Vec<(String, T)> {
+    let mut entries: Vec<(String, T)> = read(map)
+        .iter()
+        .map(|(k, v)| (k.clone(), f(v.load(Ordering::Relaxed))))
+        .collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
 }
 
 impl Registry {
@@ -257,57 +70,25 @@ impl Registry {
         Registry::default()
     }
 
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_insert(&self.counters, name)
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_insert(&self.gauges, name)
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_insert(&self.histograms, name)
-    }
-
-    /// `counter(name).add(v)`.
+    /// Adds `v` to the counter `name`, created on first use.
     pub fn counter_add(&self, name: &str, v: u64) {
-        self.counter(name).add(v);
+        with_slot(&self.counters, name, |c| {
+            c.fetch_add(v, Ordering::Relaxed);
+        });
     }
 
-    /// `gauge(name).set(v)`.
+    /// Sets the gauge `name`, created on first use.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        self.gauge(name).set(v);
-    }
-
-    /// `histogram(name).observe(v)`.
-    pub fn observe(&self, name: &str, v: u64) {
-        self.histogram(name).observe(v);
+        with_slot(&self.gauges, name, |g| {
+            g.store(v.to_bits(), Ordering::Relaxed);
+        });
     }
 
     /// Snapshots every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = read(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        counters.sort();
-        let mut gauges: Vec<(String, f64)> = read(&self.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, HistogramSnapshot)> = read(&self.histograms)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: sorted(&self.counters, |v| v),
+            gauges: sorted(&self.gauges, f64::from_bits),
         }
     }
 
@@ -315,7 +96,6 @@ impl Registry {
     pub fn clear(&self) {
         write(&self.counters).clear();
         write(&self.gauges).clear();
-        write(&self.histograms).clear();
     }
 }
 
@@ -329,139 +109,18 @@ mod tests {
         r.counter_add("a", 2);
         r.counter_add("a", 3);
         r.gauge_set("g", 1.25);
-        assert_eq!(r.counter("a").get(), 5);
-        assert_eq!(r.gauge("g").get(), 1.25);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("a".to_owned(), 5)]);
         assert_eq!(snap.gauges, vec![("g".to_owned(), 1.25)]);
     }
 
     #[test]
-    fn histogram_bucket_boundaries_are_powers_of_two() {
-        // Exact boundary cases: each power of two starts a new bucket.
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 2 + 1);
-        assert_eq!(bucket_index(8), 4);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        for i in 1..NUM_BUCKETS {
-            let (lo, hi) = bucket_bounds(i);
-            assert_eq!(bucket_index(lo), i, "lower bound of bucket {i}");
-            if i < 64 {
-                assert_eq!(bucket_index(hi - 1), i, "upper bound of bucket {i}");
-                assert_eq!(bucket_index(hi), i + 1, "first value past bucket {i}");
-            }
-            assert!(lo < hi);
-        }
-    }
-
-    #[test]
-    fn histogram_snapshot_aggregates() {
-        let h = Histogram::default();
-        for v in [0u64, 1, 1, 3, 8, 100] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 113);
-        assert_eq!(s.min, Some(0));
-        assert_eq!(s.max, Some(100));
-        assert!((s.mean() - 113.0 / 6.0).abs() < 1e-12);
-        // Buckets: {0}, [1,2)×2, [2,4), [8,16), [64,128).
-        let counts: Vec<(u64, u64, u64)> =
-            s.buckets.iter().map(|b| (b.lo, b.hi, b.count)).collect();
-        assert_eq!(
-            counts,
-            vec![(0, 1, 1), (1, 2, 2), (2, 4, 1), (8, 16, 1), (64, 128, 1)]
-        );
-        assert_eq!(s.buckets.iter().map(|b| b.count).sum::<u64>(), s.count);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_extremes() {
-        let s = Histogram::default().snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.min, None);
-        assert_eq!(s.max, None);
-        assert_eq!(s.mean(), 0.0);
-        assert!(s.buckets.is_empty());
-        assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.percentiles(), None);
-    }
-
-    #[test]
-    fn quantiles_of_a_single_sample_are_that_sample() {
-        let h = Histogram::default();
-        h.observe(37);
-        let s = h.snapshot();
-        // The min/max clamp pins every quantile to the one observation,
-        // despite the [32, 64) bucket being 32 wide.
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(s.quantile(q), Some(37.0), "q={q}");
-        }
-        assert_eq!(s.percentiles(), Some((37.0, 37.0, 37.0)));
-    }
-
-    #[test]
-    fn quantiles_interpolate_and_respect_bucket_boundaries() {
-        let h = Histogram::default();
-        // 8 observations of 4 (bucket [4,8)), 2 of 16 (bucket [16,32)).
-        for _ in 0..8 {
-            h.observe(4);
-        }
-        h.observe(16);
-        h.observe(16);
-        let s = h.snapshot();
-        // p50: rank 5 of 8 inside [4,8) → 4 + 4·(5/8) = 6.5.
-        assert_eq!(s.quantile(0.5), Some(6.5));
-        // p80: rank 8 is exactly the [4,8) bucket's last observation —
-        // still interpolated inside that bucket, not the next one.
-        assert_eq!(s.quantile(0.8), Some(8.0));
-        // p90: rank 9, first of the [16,32) bucket: 16 + 16·(1/2) = 24,
-        // clamped to the observed max of 16.
-        assert_eq!(s.quantile(0.9), Some(16.0));
-        // Out-of-range q clamps rather than panicking.
-        assert_eq!(s.quantile(-1.0), Some(4.0));
-        assert_eq!(s.quantile(2.0), Some(16.0));
-    }
-
-    #[test]
-    fn quantiles_are_monotone() {
-        let h = Histogram::default();
-        let mut x: u64 = 0x9e37;
-        for _ in 0..500 {
-            // Cheap deterministic scatter across several buckets.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            h.observe(x >> 52);
-        }
-        let s = h.snapshot();
-        let qs: Vec<f64> = (0..=20)
-            .filter_map(|i| s.quantile(f64::from(i) / 20.0))
-            .collect();
-        assert_eq!(qs.len(), 21, "quantiles of a non-empty histogram exist");
-        for w in qs.windows(2) {
-            assert!(w[0] <= w[1], "quantiles must be monotone: {qs:?}");
-        }
-        let (p50, p90, p99) = s.percentiles().expect("non-empty");
-        assert!(p50 <= p90 && p90 <= p99);
-        assert!(p50 >= s.min.map(|m| m as f64).expect("min"));
-        assert!(p99 <= s.max.map(|m| m as f64).expect("max"));
-    }
-
-    #[test]
     fn clear_forgets_names() {
         let r = Registry::new();
         r.counter_add("x", 1);
-        r.observe("h", 5);
+        r.gauge_set("g", 2.0);
         r.clear();
-        let snap = r.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
+        assert_eq!(r.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -470,24 +129,18 @@ mod tests {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
         std::thread::scope(|scope| {
-            for t in 0..THREADS {
+            for _ in 0..THREADS {
                 let r = &r;
                 scope.spawn(move || {
-                    let cached = r.counter("hot");
-                    for i in 0..PER_THREAD {
-                        cached.add(1);
+                    for _ in 0..PER_THREAD {
                         r.counter_add("named", 1);
-                        r.observe("h", t * PER_THREAD + i);
                     }
                 });
             }
         });
-        assert_eq!(r.counter("hot").get(), THREADS * PER_THREAD);
-        assert_eq!(r.counter("named").get(), THREADS * PER_THREAD);
-        let h = r.histogram("h").snapshot();
-        assert_eq!(h.count, THREADS * PER_THREAD);
-        assert_eq!(h.min, Some(0));
-        assert_eq!(h.max, Some(THREADS * PER_THREAD - 1));
-        assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), h.count);
+        assert_eq!(
+            r.snapshot().counters,
+            vec![("named".to_owned(), THREADS * PER_THREAD)]
+        );
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! Every bench binary writes one of these via `--metrics-out`; CI, the
 //! perf trajectory and the `bench_diff` regression gate consume them.
-//! The schema is versioned through the `"schema"` marker — additive
-//! changes keep the marker, anything that breaks a reader bumps it.
-//! The writer emits `obskit.bench.v2` and the validator accepts only
-//! that marker.
+//! A report holds counters, gauges and the aggregated span tree. The
+//! schema is versioned through the `"schema"` marker: a change that
+//! breaks a reader bumps it; a change no reader sees keeps it. The
+//! writer emits `obskit.bench.v2` and the validator accepts only that
+//! marker. The validator and `bench_diff` ignore keys they do not know,
+//! so older v2 reports that still carry a `histograms` object (no
+//! longer written, and never read) keep validating.
 //!
 //! ```json
 //! {
@@ -14,14 +17,7 @@
 //!   "args": ["--fast"],
 //!   "wall_ms": 1234.5,
 //!   "counters": {"pipeline.pairs_formed": 96},
-//!   "gauges": {"tinylm.pretrain_tokens_per_sec": 81234.0},
-//!   "histograms": {
-//!     "ltlcheck.lasso_len": {
-//!       "count": 10, "sum": 55, "min": 2, "max": 9, "mean": 5.5,
-//!       "p50": 5.0, "p90": 8.2, "p99": 9.0,
-//!       "buckets": [{"lo": 2, "hi": 4, "count": 3}]
-//!     }
-//!   },
+//!   "gauges": {"pretrain.tokens_per_sec": 81234.0},
 //!   "spans": [
 //!     {"name": "pipeline.run", "count": 1, "total_ms": 1200.0,
 //!      "max_ms": 1200.0, "self_ms": 10.0,
@@ -79,40 +75,6 @@ impl BenchReport {
             .iter()
             .map(|(k, v)| (k.clone(), Value::Num(*v)))
             .collect();
-        let histograms = self
-            .metrics
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .map(|b| {
-                        Value::Obj(vec![
-                            ("lo".into(), Value::Num(b.lo as f64)),
-                            ("hi".into(), Value::Num(b.hi as f64)),
-                            ("count".into(), Value::Num(b.count as f64)),
-                        ])
-                    })
-                    .collect();
-                let mut fields = vec![
-                    ("count".into(), Value::Num(h.count as f64)),
-                    ("sum".into(), Value::Num(h.sum as f64)),
-                ];
-                if let (Some(min), Some(max)) = (h.min, h.max) {
-                    fields.push(("min".into(), Value::Num(min as f64)));
-                    fields.push(("max".into(), Value::Num(max as f64)));
-                }
-                fields.push(("mean".into(), Value::Num(h.mean())));
-                if let Some((p50, p90, p99)) = h.percentiles() {
-                    fields.push(("p50".into(), Value::Num(p50)));
-                    fields.push(("p90".into(), Value::Num(p90)));
-                    fields.push(("p99".into(), Value::Num(p99)));
-                }
-                fields.push(("buckets".into(), Value::Arr(buckets)));
-                (k.clone(), Value::Obj(fields))
-            })
-            .collect();
         Value::Obj(vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
             ("bench".into(), Value::Str(self.bench.clone())),
@@ -123,7 +85,6 @@ impl BenchReport {
             ("wall_ms".into(), Value::Num(self.wall_ms)),
             ("counters".into(), Value::Obj(counters)),
             ("gauges".into(), Value::Obj(gauges)),
-            ("histograms".into(), Value::Obj(histograms)),
             (
                 "spans".into(),
                 Value::Arr(self.spans.iter().map(span_to_json).collect()),
@@ -152,7 +113,7 @@ fn span_to_json(node: &SpanNode) -> Value {
 /// What a report must additionally contain to pass validation.
 #[derive(Debug, Clone, Default)]
 pub struct Requirements {
-    /// Metric names that must exist (in counters, gauges or histograms).
+    /// Metric names that must exist (in counters or gauges).
     pub metrics: Vec<String>,
     /// Span names that must appear somewhere in the span forest.
     pub spans: Vec<String>,
@@ -208,15 +169,6 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
         }
     }
 
-    match doc.get("histograms").and_then(Value::as_obj) {
-        None => problems.push("missing object field `histograms`".into()),
-        Some(fields) => {
-            for (name, h) in fields {
-                validate_histogram(name, h, &mut problems);
-            }
-        }
-    }
-
     match doc.get("spans").and_then(Value::as_arr) {
         None => problems.push("missing array field `spans`".into()),
         Some(nodes) => {
@@ -227,7 +179,7 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
     }
 
     for name in &req.metrics {
-        let found = ["counters", "gauges", "histograms"]
+        let found = ["counters", "gauges"]
             .iter()
             .any(|s| doc.get(s).map(|o| o.get(name).is_some()).unwrap_or(false));
         if !found {
@@ -245,55 +197,6 @@ pub fn validate(text: &str, req: &Requirements) -> Result<(), Vec<String>> {
         Ok(())
     } else {
         Err(problems)
-    }
-}
-
-fn validate_histogram(name: &str, h: &Value, problems: &mut Vec<String>) {
-    let count = h.get("count").and_then(Value::as_num);
-    if count.is_none() || h.get("sum").and_then(Value::as_num).is_none() {
-        problems.push(format!("histogram `{name}` lacks numeric count/sum"));
-        return;
-    }
-    // Histograms with observations carry interpolated quantiles and
-    // they must be ordered.
-    if count.is_some_and(|c| c > 0.0) {
-        let q = |f: &str| h.get(f).and_then(Value::as_num);
-        match (q("p50"), q("p90"), q("p99")) {
-            (Some(p50), Some(p90), Some(p99)) => {
-                if !(p50 <= p90 && p90 <= p99) {
-                    problems.push(format!(
-                        "histogram `{name}`: quantiles not monotone (p50 {p50}, p90 {p90}, p99 {p99})"
-                    ));
-                }
-            }
-            _ => problems.push(format!("histogram `{name}` lacks numeric p50/p90/p99")),
-        }
-    }
-    let Some(buckets) = h.get("buckets").and_then(Value::as_arr) else {
-        problems.push(format!("histogram `{name}` lacks a buckets array"));
-        return;
-    };
-    let mut bucket_total = 0.0;
-    for b in buckets {
-        let lo = b.get("lo").and_then(Value::as_num);
-        let hi = b.get("hi").and_then(Value::as_num);
-        let c = b.get("count").and_then(Value::as_num);
-        match (lo, hi, c) {
-            (Some(lo), Some(hi), Some(c)) => {
-                if lo >= hi {
-                    problems.push(format!("histogram `{name}` has bucket with lo >= hi"));
-                }
-                bucket_total += c;
-            }
-            _ => problems.push(format!("histogram `{name}` has a malformed bucket")),
-        }
-    }
-    if let Some(count) = count {
-        if bucket_total != count {
-            problems.push(format!(
-                "histogram `{name}`: bucket counts sum to {bucket_total}, count says {count}"
-            ));
-        }
     }
 }
 
@@ -337,98 +240,10 @@ fn span_forest_contains(node: &Value, name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{BucketCount, HistogramSnapshot};
-
-    /// A fully deterministic report, shared with the golden-file test in
-    /// the bench crate.
-    pub fn sample_report() -> BenchReport {
-        BenchReport {
-            bench: "golden".into(),
-            args: vec!["--fast".into()],
-            wall_ms: 125.5,
-            metrics: MetricsSnapshot {
-                counters: vec![
-                    ("ltlcheck.product_states".into(), 420),
-                    ("pipeline.pairs_formed".into(), 96),
-                ],
-                gauges: vec![("tinylm.pretrain_tokens_per_sec".into(), 81000.0)],
-                histograms: vec![(
-                    "ltlcheck.lasso_len".into(),
-                    HistogramSnapshot {
-                        count: 3,
-                        sum: 21,
-                        min: Some(3),
-                        max: Some(12),
-                        buckets: vec![
-                            BucketCount {
-                                lo: 2,
-                                hi: 4,
-                                count: 1,
-                            },
-                            BucketCount {
-                                lo: 4,
-                                hi: 8,
-                                count: 1,
-                            },
-                            BucketCount {
-                                lo: 8,
-                                hi: 16,
-                                count: 1,
-                            },
-                        ],
-                    },
-                )],
-            },
-            spans: vec![SpanNode {
-                name: "pipeline.run".into(),
-                count: 1,
-                total_us: 120_000,
-                max_us: 120_000,
-                alloc_count: 12,
-                alloc_bytes: 4_096,
-                children: vec![SpanNode {
-                    name: "pipeline.verify".into(),
-                    count: 30,
-                    total_us: 90_000,
-                    max_us: 9_000,
-                    alloc_count: 0,
-                    alloc_bytes: 0,
-                    children: Vec::new(),
-                }],
-            }],
-        }
-    }
-
-    #[test]
-    fn report_serializes_and_validates() {
-        let text = sample_report().to_json();
-        let req = Requirements {
-            metrics: vec![
-                "pipeline.pairs_formed".into(),
-                "ltlcheck.lasso_len".into(),
-                "tinylm.pretrain_tokens_per_sec".into(),
-            ],
-            spans: vec!["pipeline.verify".into()],
-        };
-        assert_eq!(validate(&text, &req), Ok(()));
-    }
-
-    #[test]
-    fn missing_requirements_are_reported() {
-        let text = sample_report().to_json();
-        let req = Requirements {
-            metrics: vec!["no.such.metric".into()],
-            spans: vec!["no.such.span".into()],
-        };
-        let problems = validate(&text, &req).expect_err("must fail");
-        assert_eq!(problems.len(), 2);
-        assert!(problems[0].contains("no.such.metric"));
-        assert!(problems[1].contains("no.such.span"));
-    }
 
     #[test]
     fn schema_violations_are_reported() {
-        // Wrong marker, fractional counter, inconsistent histogram.
+        // Wrong marker, fractional counter, span without children.
         let text = r#"{
             "schema": "obskit.bench.v0",
             "bench": "x",
@@ -436,17 +251,12 @@ mod tests {
             "wall_ms": 1,
             "counters": {"c": 1.5},
             "gauges": {},
-            "histograms": {"h": {"count": 5, "sum": 1, "buckets": [
-                {"lo": 4, "hi": 2, "count": 3}
-            ]}},
             "spans": [{"name": "s", "count": 1, "total_ms": 1, "max_ms": 1}]
         }"#;
         let problems = validate(text, &Requirements::default()).expect_err("must fail");
         let joined = problems.join("\n");
         assert!(joined.contains("unknown schema marker"), "{joined}");
         assert!(joined.contains("`counters.c`"), "{joined}");
-        assert!(joined.contains("lo >= hi"), "{joined}");
-        assert!(joined.contains("bucket counts sum"), "{joined}");
         assert!(joined.contains("`children`"), "{joined}");
     }
 

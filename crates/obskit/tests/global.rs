@@ -37,7 +37,6 @@ fn global_recorder_end_to_end() {
     // While disabled (the default), nothing records.
     assert!(!obskit::enabled());
     obskit::counter_add("noop.counter", 7);
-    obskit::observe("noop.hist", 1);
     {
         let _s = obskit::span("noop.span");
     }
@@ -57,7 +56,6 @@ fn global_recorder_end_to_end() {
         obskit::counter_add("test.counter", 2);
         obskit::counter_add("test.counter", 3);
         obskit::gauge_set("test.gauge", 1.5);
-        obskit::observe("test.hist", 10);
         {
             let _inner = obskit::span("test.inner");
             obskit::progress!("step {}", 1);
@@ -119,8 +117,6 @@ fn global_recorder_end_to_end() {
 
     assert_eq!(snap.metrics.counters, vec![("test.counter".to_string(), 5)]);
     assert_eq!(snap.metrics.gauges, vec![("test.gauge".to_string(), 1.5)]);
-    assert_eq!(snap.metrics.histograms.len(), 1);
-    assert_eq!(snap.metrics.histograms[0].1.count, 1);
 
     // Span forest: test.outer > test.inner, and test.thread as a root.
     let outer = snap

@@ -1,13 +1,20 @@
-//! Golden-file test for the `BENCH_<name>.json` schema.
+//! Golden-file tests for the `BENCH_<name>.json` schema.
 //!
 //! The serialized report is byte-compared against a committed golden
 //! file: any change to key order, number formatting, or structure is a
 //! schema change and must be deliberate (bump `obskit::report::SCHEMA`
-//! or regenerate the golden with `UPDATE_GOLDEN=1 cargo test -p bench`).
+//! or regenerate the golden with
+//! `UPDATE_GOLDEN=1 cargo test -p obskit --test golden`). The committed
+//! benchmark reports must keep validating under the current marker.
 
-use obskit::metrics::{BucketCount, HistogramSnapshot, MetricsSnapshot};
+use obskit::metrics::MetricsSnapshot;
 use obskit::report::{validate, Requirements};
 use obskit::{BenchReport, SpanNode};
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/BENCH_golden.json"
+);
 
 /// A fully deterministic report (no clocks, no registry).
 fn sample_report() -> BenchReport {
@@ -21,32 +28,6 @@ fn sample_report() -> BenchReport {
                 ("pipeline.pairs_formed".into(), 96),
             ],
             gauges: vec![("pretrain.tokens_per_sec".into(), 81000.0)],
-            histograms: vec![(
-                "ltlcheck.lasso_len".into(),
-                HistogramSnapshot {
-                    count: 3,
-                    sum: 21,
-                    min: Some(3),
-                    max: Some(12),
-                    buckets: vec![
-                        BucketCount {
-                            lo: 2,
-                            hi: 4,
-                            count: 1,
-                        },
-                        BucketCount {
-                            lo: 4,
-                            hi: 8,
-                            count: 1,
-                        },
-                        BucketCount {
-                            lo: 8,
-                            hi: 16,
-                            count: 1,
-                        },
-                    ],
-                },
-            )],
         },
         spans: vec![SpanNode {
             name: "pipeline.run".into(),
@@ -71,14 +52,10 @@ fn sample_report() -> BenchReport {
 #[test]
 fn report_matches_golden_file() {
     let rendered = sample_report().to_json();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/BENCH_golden.json"
-    );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("golden file writable");
+        std::fs::write(GOLDEN, &rendered).expect("golden file writable");
     }
-    let golden = std::fs::read_to_string(golden_path).expect("golden file present");
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden file present");
     assert_eq!(
         rendered, golden,
         "BENCH report serialization drifted from the golden file; if the \
@@ -89,18 +66,46 @@ fn report_matches_golden_file() {
 
 #[test]
 fn golden_file_validates_against_schema() {
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/BENCH_golden.json"
-    ))
-    .expect("golden file present");
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden file present");
     let req = Requirements {
         metrics: vec![
             "ltlcheck.product_states".into(),
             "pipeline.pairs_formed".into(),
-            "ltlcheck.lasso_len".into(),
+            "pretrain.tokens_per_sec".into(),
         ],
         spans: vec!["pipeline.run".into(), "pipeline.verify".into()],
     };
     assert_eq!(validate(&golden, &req), Ok(()));
+}
+
+#[test]
+fn missing_requirements_are_reported() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden file present");
+    let req = Requirements {
+        metrics: vec!["no.such.metric".into()],
+        spans: vec!["no.such.span".into()],
+    };
+    let problems = validate(&golden, &req).expect_err("must fail");
+    assert_eq!(problems.len(), 2);
+    assert!(problems[0].contains("no.such.metric"));
+    assert!(problems[1].contains("no.such.span"));
+}
+
+#[test]
+fn committed_reports_still_validate() {
+    for report in [
+        "results/BENCH_headline.json",
+        "results/BENCH_headline_fast.json",
+        "perfbench/results/BENCH_perf_pipeline.json",
+        "perfbench/results/BENCH_perf_feedback.json",
+        "perfbench/results/BENCH_perf_train.json",
+    ] {
+        let path = format!("{}/../../{report}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("committed report present");
+        assert_eq!(
+            validate(&text, &Requirements::default()),
+            Ok(()),
+            "{report}"
+        );
+    }
 }
