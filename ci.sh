@@ -19,9 +19,10 @@
 # perf-regression gate (bench_diff) that diffs a fresh fast headline run
 # against the committed baseline under results/PERF_BUDGETS.json; a
 # thread-parity gate (bench_diff under results/THREAD_PARITY_BUDGETS.json)
-# proving the work counters do not depend on the thread count; and a
+# proving the work counters do not depend on the thread count; a
 # seeded-regression self-test proving the perf gate really fails when
-# one span slows down.
+# one span slows down; and a manifest gate regenerating every committed
+# results/*.txt and checking it against results/ARTIFACTS.sha256.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -97,7 +98,7 @@ grep -q '"name":"dpo.epoch","cat":"event"' "$smoke_trace"
 grep -q '"cache_hits":' "$smoke_trace"
 cargo run -q --release -p bench --bin metrics_check -- "$smoke_report" \
     --require pipeline.pairs_formed,pipeline.responses_scored,ltlcheck.checks,ltlcheck.automaton_cache_hits,ltlcheck.product_states,pretrain.tokens,dpo.pairs_trained,pool.tasks,verify.cache_hits,verify.cache_misses,verify.cache_entries,verify.cache_evictions,verify.cache_hit_rate,dpo.ref_cache_hits,dpo.tokens_per_sec,tape.nodes,tape.grad_buffer_reuses,tinylm.packed_floats,speclint.semantic_rules,speclint.semantic_checks,speclint.semantic_errors,speclint.semantic_notes,alloc.allocs,alloc.bytes_allocated,alloc.bytes_freed,alloc.frees,alloc.current_bytes,alloc.peak_bytes \
-    --require-span pipeline.run,pipeline.pretrain,pipeline.collect,pipeline.sample,pipeline.parse,pipeline.verify,pipeline.rank,pipeline.train,pipeline.eval,pipeline.score_batch,pipeline.score,dpo.ref,dpo.epoch,dpo.forward,dpo.backward
+    --require-span pipeline.run,pipeline.pretrain,pipeline.collect,pipeline.sample,pipeline.parse,pipeline.verify,autokit.product,pipeline.rank,pipeline.train,pipeline.eval,pipeline.score_batch,pipeline.score,dpo.ref,dpo.epoch,dpo.forward,dpo.backward
 
 # smoke_art2 was produced at --threads 2 with --alloc; smoke_art1 is
 # --threads 1 --no-obs, so this one cmp also proves the tracking
@@ -163,5 +164,29 @@ if cargo run -q --release -p bench --bin bench_diff -- \
     exit 1
 fi
 grep -q "dpo.forward" "$seeded_out"
+
+# Every committed result file is pinned by results/ARTIFACTS.sha256: the
+# manifest must name exactly the committed results/*.txt, and each is
+# regenerated from source (the bench bin of the same name, --no-obs;
+# warehouse.txt from the warehouse_robot example) and must hash as
+# recorded. A change that moves a result on purpose re-records the file
+# and its manifest line, and says why.
+echo "==> results manifest gate (every results/*.txt regenerates byte for byte)"
+results_dir="$(mktemp -d -t results.XXXXXX)"
+trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame" "$smoke_art4" "$perf_report" "$seeded_out"; rm -rf "$results_dir"' EXIT
+diff <(ls results/*.txt | sort) <(awk '{print $2}' results/ARTIFACTS.sha256 | sort)
+sha256sum -c --quiet results/ARTIFACTS.sha256
+mkdir "$results_dir/results"
+while read -r _ path; do
+    name="$(basename "$path" .txt)"
+    if [ "$name" = warehouse ]; then
+        cargo run -q --release --example warehouse_robot \
+            > "$results_dir/$path" 2> "$results_dir/$name.log"
+    else
+        cargo run -q --release -p bench --bin "$name" -- --no-obs \
+            > "$results_dir/$path" 2> "$results_dir/$name.log"
+    fi
+done < results/ARTIFACTS.sha256
+(cd "$results_dir" && sha256sum -c --quiet) < results/ARTIFACTS.sha256
 
 echo "ci: all gates passed"

@@ -58,7 +58,6 @@
 mod controller;
 mod dot;
 mod error;
-mod minimize;
 pub mod presets;
 mod product;
 mod sets;

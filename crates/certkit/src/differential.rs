@@ -2,8 +2,9 @@
 //!
 //! Scoring ranks every response by
 //! [`ltlcheck::analysis::holds_all_fair`]: one on-the-fly emptiness
-//! search per spec, over a label index shared by the whole suite, that
-//! answers yes or no and emits no evidence. The certified checker
+//! search per temporal spec and one label scan per propositional
+//! invariant, over a label index shared by the whole suite, that answers
+//! yes or no and emits no evidence. The certified checker
 //! ([`ltlcheck::check_graph_fair_certified`]) decides the same question
 //! and attaches a lasso or an emptiness certificate, which
 //! [`check_certified`](crate::check_certified) re-validates from

@@ -9,7 +9,9 @@
 //! 1. **Preset certification** — every preset scenario × rule-book case.
 //! 2. **Randomized cases** — seeded random graphs and formulas
 //!    (mirroring the proptest generators), half of them under a justice
-//!    assumption.
+//!    assumption; then as many random propositional invariants `□p`,
+//!    which the decide-only side answers by its label scan, from a
+//!    second RNG seeded one above the first.
 //! 3. **Scaled models** — scaled-up world models (`drivesim::scaled`,
 //!    the warehouse grid corridor) against their domain rule books, whose
 //!    products are far larger than the presets'.
@@ -93,21 +95,42 @@ fn main() -> ExitCode {
         let graph = random_graph(&mut rng, &vocab);
         let phi = random_formula(&mut rng, &vocab, 3);
         let justice = &justice_pool[case % justice_pool.len()];
-        match differential(&graph, [&phi], justice) {
-            Ok(suite) => {
-                for (_, dis) in &suite.disagreements {
-                    report_disagreement(&format!("random case {case}"), dis, &mut repros);
-                }
-            }
-            Err((_, e)) => {
-                eprintln!("certkit: FAIL: random case {case}: evidence rejected: {e}");
-                cert_failures += 1;
-            }
+        let name = format!("random case {case}");
+        check_one(
+            &name,
+            &graph,
+            &phi,
+            justice,
+            &mut repros,
+            &mut cert_failures,
+        );
+    }
+    // Random propositional invariants `□p`, which `holds_all_fair`
+    // decides by its fair-live label scan rather than an automaton
+    // search, on graphs where one node may be a dead end. Their own RNG
+    // leaves the cases above as they are.
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
+    for case in 0..random_cases {
+        let mut graph = random_graph(&mut rng, &vocab);
+        if rng.gen_bool(0.5) {
+            let dead = rng.gen_range(0..graph.num_nodes());
+            graph.succs[dead].clear();
         }
+        let phi = Ltl::always(random_condition(&mut rng, &vocab, 3));
+        let justice = &justice_pool[case % justice_pool.len()];
+        let name = format!("random invariant {case}");
+        check_one(
+            &name,
+            &graph,
+            &phi,
+            justice,
+            &mut repros,
+            &mut cert_failures,
+        );
     }
     if repros == 0 && cert_failures == 0 {
         println!(
-            "certkit: ok: {random_cases} random cases, decide-only agrees with certified, all certified"
+            "certkit: ok: {random_cases} random cases and {random_cases} random invariants, decide-only agrees with certified, all certified"
         );
     }
 
@@ -147,6 +170,29 @@ fn main() -> ExitCode {
             "certkit: gate FAILED: {repros} decide-only disagreement(s), {cert_failures} rejected verdict(s)"
         );
         ExitCode::FAILURE
+    }
+}
+
+/// Runs one random case through [`differential`], reporting a
+/// disagreement or a rejected verdict under `name`.
+fn check_one(
+    name: &str,
+    graph: &LabelGraph,
+    phi: &Ltl,
+    justice: &[Justice],
+    repros: &mut usize,
+    cert_failures: &mut usize,
+) {
+    match differential(graph, [phi], justice) {
+        Ok(suite) => {
+            for (_, dis) in &suite.disagreements {
+                report_disagreement(name, dis, repros);
+            }
+        }
+        Err((_, e)) => {
+            eprintln!("certkit: FAIL: {name}: evidence rejected: {e}");
+            *cert_failures += 1;
+        }
     }
 }
 
@@ -277,6 +323,25 @@ fn random_graph(rng: &mut StdRng, v: &Vocab) -> LabelGraph {
         labels,
         succs,
         initial: vec![0],
+    }
+}
+
+/// A random propositional condition of bounded depth over the gate
+/// vocabulary.
+fn random_condition(rng: &mut StdRng, v: &Vocab, depth: usize) -> Ltl {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return random_formula(rng, v, 0);
+    }
+    match rng.gen_range(0u8..3) {
+        0 => Ltl::not(random_condition(rng, v, depth - 1)),
+        1 => Ltl::and(
+            random_condition(rng, v, depth - 1),
+            random_condition(rng, v, depth - 1),
+        ),
+        _ => Ltl::or(
+            random_condition(rng, v, depth - 1),
+            random_condition(rng, v, depth - 1),
+        ),
     }
 }
 

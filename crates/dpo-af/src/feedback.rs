@@ -177,7 +177,10 @@ fn score_response_impl(
     let specs = driving_specs(&bundle.driving);
     let holds: Vec<bool> = {
         let _stage = obskit::span("pipeline.verify");
-        let graph = Product::build(&model, &ctrl).label_graph();
+        let graph = {
+            let _build = obskit::span("autokit.product");
+            Product::build(&model, &ctrl).label_graph()
+        };
         match counters {
             Some(counters) => specs
                 .iter()

@@ -11,9 +11,12 @@
 //!   **vacuously** there — the rule never actually constrains anything.
 
 use crate::buchi::Buchi;
-use crate::mc::{eval_bool, fair_cycle_exists, fair_cycle_in, is_propositional, LabelIndex};
+use crate::mc::{
+    count_check, eval_bool, fair_cycle_exists, fair_cycle_in, is_propositional, LabelIndex,
+};
 use crate::{Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -213,7 +216,21 @@ pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> b
 /// * each `¬φ` automaton comes from the [`spec_automaton`] cache, so a
 ///   rule is translated once per process;
 /// * each spec runs the on-the-fly emptiness search, which stops at the
-///   first fair accepting cycle and builds no lasso.
+///   first fair accepting cycle and builds no lasso;
+/// * a propositional invariant `□p` ([`invariant_of`]) runs no automaton
+///   at all: it is a scan of the labels that lie on some fair path,
+///   found by one SCC pass that the whole suite shares and that runs
+///   only once the suite reaches its first invariant.
+///
+/// The invariant scan rests on one fact: every fair path satisfies `□p`
+/// iff `p` holds at every node that is reachable *and* can reach a fair
+/// SCC (a non-trivial SCC holding a witness of every justice condition).
+/// Such a node lies on a fair path: the stem to it, then a path into the
+/// fair SCC, then a cycle through all of that SCC's witnesses, forever.
+/// Conversely, each node of a fair path is reachable and, since the path
+/// visits every justice condition infinitely often within the one SCC it
+/// ends in, can reach a fair SCC. With more justice conditions than one
+/// `u64` mask holds, invariants take the automaton search too.
 ///
 /// Each spec counts one `ltlcheck.checks`.
 pub fn holds_all_fair<'a>(
@@ -222,9 +239,18 @@ pub fn holds_all_fair<'a>(
     justice: &[Justice],
 ) -> Vec<bool> {
     let index = LabelIndex::new(graph, justice);
+    let live = OnceCell::new();
     specs
         .into_iter()
-        .map(|phi| !fair_cycle_in(&index, &negation_automaton(phi)))
+        .map(|phi| {
+            if let Some(p) = invariant_of(phi) {
+                if let Some(live) = live.get_or_init(|| index.live_labels()) {
+                    count_check();
+                    return live.iter().all(|&(props, acts)| eval_bool(p, props, acts));
+                }
+            }
+            !fair_cycle_in(&index, &negation_automaton(phi))
+        })
         .collect()
 }
 
@@ -278,6 +304,15 @@ pub fn trigger_of(phi: &Ltl) -> Option<&Ltl> {
         }
     }
     None
+}
+
+/// The condition `p` of a propositional invariant `□p`, or `None` for
+/// any other shape. [`Ltl::always`] desugars `□p` to `Release(False, p)`.
+pub fn invariant_of(phi: &Ltl) -> Option<&Ltl> {
+    match phi {
+        Ltl::Release(l, p) if **l == Ltl::False && is_propositional(p) => Some(p),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -368,6 +403,29 @@ mod tests {
         ] {
             let phi = parse(src, &v).unwrap();
             assert_eq!(trigger_of(&phi), trigger.as_ref(), "{src}");
+        }
+    }
+
+    #[test]
+    fn invariant_of_matches_only_propositional_always() {
+        let v = vocab();
+        let a = v.prop("a").unwrap();
+        let b = v.prop("b").unwrap();
+        for (src, cond) in [
+            ("G a", Some(Ltl::prop(a))),
+            (
+                "G(a -> b)",
+                Some(Ltl::or(Ltl::not(Ltl::prop(a)), Ltl::prop(b))),
+            ),
+            ("false R b", Some(Ltl::prop(b))),
+            ("G(a -> F b)", None),
+            ("G X a", None),
+            ("a R b", None),
+            ("F a", None),
+            ("a", None),
+        ] {
+            let phi = parse(src, &v).unwrap();
+            assert_eq!(invariant_of(&phi), cond.as_ref(), "{src}");
         }
     }
 

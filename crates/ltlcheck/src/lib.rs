@@ -22,7 +22,11 @@
 //! * [`analysis::holds_all_fair`] / [`analysis::exists_fair_path`] —
 //!   yes/no universal and existential queries, answered by an on-the-fly
 //!   emptiness search (Couvreur's path-based SCC algorithm) that stops at
-//!   the first fair accepting cycle and builds no lasso.
+//!   the first fair accepting cycle and builds no lasso. A propositional
+//!   invariant `□p` needs no automaton: every fair path satisfies it iff
+//!   `p` holds at each node that is reachable and can reach a fair SCC,
+//!   so `holds_all_fair` finds those nodes in one SCC pass per graph and
+//!   scans their labels.
 //! * [`finite`] — LTL over *finite* traces (LTLf semantics), used for the
 //!   paper's empirical evaluation of simulator rollouts (its Eq. 2).
 //! * [`specs`] — the paper's 15 driving-rule specifications Φ₁..Φ₁₅

@@ -348,7 +348,7 @@ pub fn check_graph_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> V
 /// Every check entry point calls this exactly once per spec; automaton
 /// translations are counted apart, by
 /// [`spec_automaton`](crate::analysis::spec_automaton) on a miss.
-fn count_check() {
+pub(crate) fn count_check() {
     obskit::counter_add("ltlcheck.checks", 1);
 }
 
@@ -445,6 +445,119 @@ impl<'a> LabelIndex<'a> {
             label_of,
             marks,
         }
+    }
+
+    /// The distinct labels carried by *fair-live* nodes: nodes reachable
+    /// from an initial node that can reach a fair SCC, a non-trivial SCC
+    /// holding a witness of every justice condition. These are exactly the
+    /// nodes on some fair infinite path, so every fair path satisfies a
+    /// propositional invariant `□p` iff `p` holds on each returned label.
+    /// `None` when the justice masks do not fit one `u64`.
+    ///
+    /// One path-based SCC pass over `graph.succs` (the search of
+    /// [`fair_cycle_in`] without an automaton), with no reverse adjacency.
+    /// Components close in reverse topological order, so when one closes,
+    /// every component it has an edge out to is closed and marked already:
+    /// it is live iff it is fair or one of its members has an edge into a
+    /// live component.
+    pub(crate) fn live_labels(&self) -> Option<Vec<(PropSet, ActSet)>> {
+        if self.marks.len() != self.labels.len() {
+            return None;
+        }
+        let graph = self.graph;
+        let mark = |g: usize| self.marks[self.label_of[g] as usize];
+        // Bit 0 of a component's mask: it has a cycle; bit `1 + j`: it
+        // holds a witness of justice `j`.
+        let full = u64::MAX >> (63 - self.justice.len());
+        // DFS number per node: 0 = unvisited, LIVE/DEAD = its SCC is closed.
+        const LIVE: u32 = u32::MAX;
+        const DEAD: u32 = u32::MAX - 1;
+        let mut num = vec![0u32; graph.num_nodes()];
+        // Visited nodes whose SCC is still open, in DFS order.
+        let mut open: Vec<usize> = Vec::new();
+        // (DFS number of the root, mask of its partial SCC, whether it has
+        // an edge into a live SCC).
+        let mut roots: Vec<(u32, u64, bool)> = Vec::new();
+        // DFS frames: (node, successor cursor).
+        let mut call: Vec<(usize, usize)> = Vec::new();
+        let mut visits = 0u32;
+        for &g0 in &graph.initial {
+            if num[g0] != 0 {
+                continue;
+            }
+            visits += 1;
+            num[g0] = visits;
+            open.push(g0);
+            roots.push((visits, mark(g0), false));
+            call.push((g0, 0));
+            while let Some(&mut (g, ref mut cursor)) = call.last_mut() {
+                if let Some(&g2) = graph.succs[g].get(*cursor) {
+                    *cursor += 1;
+                    match num[g2] {
+                        0 => {
+                            visits += 1;
+                            num[g2] = visits;
+                            open.push(g2);
+                            roots.push((visits, mark(g2), false));
+                            call.push((g2, 0));
+                        }
+                        DEAD => {}
+                        LIVE => {
+                            if let Some(top) = roots.last_mut() {
+                                top.2 = true;
+                            }
+                        }
+                        target => {
+                            // Back edge into an open SCC: a cycle, and
+                            // everything from the target's root up to
+                            // here is one component.
+                            let (mut merged, mut reaches) = (1, false);
+                            while roots.last().is_some_and(|&(r, ..)| r > target) {
+                                if let Some((_, m, l)) = roots.pop() {
+                                    merged |= m;
+                                    reaches |= l;
+                                }
+                            }
+                            if let Some(top) = roots.last_mut() {
+                                top.1 |= merged;
+                                top.2 |= reaches;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                call.pop();
+                if roots.last().is_some_and(|&(r, ..)| r == num[g]) {
+                    let closed = match roots.pop() {
+                        Some((_, mask, reaches)) if mask == full || reaches => LIVE,
+                        _ => DEAD,
+                    };
+                    while let Some(w) = open.pop() {
+                        num[w] = closed;
+                        if w == g {
+                            break;
+                        }
+                    }
+                    // The tree edge into `g` leads into a live SCC.
+                    if let (LIVE, Some(top)) = (closed, roots.last_mut()) {
+                        top.2 = true;
+                    }
+                }
+            }
+        }
+        let mut live = vec![false; self.labels.len()];
+        for (g, &n) in num.iter().enumerate() {
+            if n == LIVE {
+                live[self.label_of[g] as usize] = true;
+            }
+        }
+        Some(
+            self.labels
+                .iter()
+                .zip(live)
+                .filter_map(|(&label, live)| live.then_some(label))
+                .collect(),
+        )
     }
 }
 
@@ -1109,6 +1222,7 @@ pub fn holds_on_lasso(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::holds_all_fair;
     use crate::parse;
     use autokit::{ControllerBuilder, Guard};
     use proptest::prelude::*;
@@ -1502,6 +1616,65 @@ mod tests {
         assert_emptiness(&graph, &green_and_ped_io(), true);
     }
 
+    /// `holds_all_fair` decides `□p` as the certified checker does, and
+    /// the common answer is `expected`.
+    fn assert_invariant(graph: &LabelGraph, p: &str, justice: &[Justice], expected: bool) {
+        let (v, _) = setup();
+        let phi = Ltl::always(parse(p, &v).unwrap());
+        assert!(crate::analysis::invariant_of(&phi).is_some());
+        assert_eq!(holds_all_fair(graph, [&phi], justice), [expected]);
+        assert_eq!(check_graph_fair(graph, &phi, justice).holds(), expected);
+    }
+
+    /// Node 1 violates `□¬ped` but is a dead end: no infinite path passes
+    /// through it, so the invariant holds, with or without justice. A
+    /// reachability-only scan sees node 1 and gets both assertions wrong.
+    #[test]
+    fn invariant_ignores_a_violation_on_a_dead_end_branch() {
+        let graph = tiny_graph(&[0b001, 0b010, 0b001], vec![vec![1, 2], vec![], vec![2]]);
+        assert_invariant(&graph, "!ped", &[], true);
+        assert_invariant(&graph, "!ped", &green_and_ped_io()[..1], true);
+    }
+
+    /// Node 1 violates `□¬ped` inside the cycle {1, 2}, which never sees
+    /// green: under "green infinitely often" no fair path enters it, so
+    /// the invariant holds; without justice the cycle is fair and the
+    /// invariant fails. A reachability-only scan gets the first assertion
+    /// wrong (it says fails).
+    #[test]
+    fn invariant_ignores_a_violation_on_an_unfair_cycle() {
+        let graph = tiny_graph(&[0b001, 0b010, 0b000], vec![vec![0, 1], vec![2], vec![1]]);
+        assert_invariant(&graph, "!ped", &green_and_ped_io()[..1], true);
+        assert_invariant(&graph, "!ped", &[], false);
+    }
+
+    /// Node 1 violates `□¬ped` on the only path into the fair green
+    /// self-loop 2, so the invariant fails. A reachability-only scan gets
+    /// this right; a scan of the fair SCCs' own nodes would miss node 1.
+    #[test]
+    fn invariant_fails_on_a_path_into_a_fair_cycle() {
+        let graph = tiny_graph(&[0b000, 0b010, 0b001], vec![vec![1], vec![2], vec![2]]);
+        assert_invariant(&graph, "!ped", &green_and_ped_io()[..1], false);
+    }
+
+    /// The graph of [`invariant_fails_on_a_path_into_a_fair_cycle`] with
+    /// no justice: the self-loop is fair by itself and the invariant
+    /// fails. A reachability-only scan gets this right too.
+    #[test]
+    fn invariant_fails_on_a_path_into_a_cycle_without_justice() {
+        let graph = tiny_graph(&[0b000, 0b010, 0b001], vec![vec![1], vec![2], vec![2]]);
+        assert_invariant(&graph, "!ped", &[], false);
+        // With more justice conditions than one mask holds, the invariant
+        // takes the automaton search, to the same verdict.
+        let many: Vec<Justice> = green_and_ped_io()[..1]
+            .iter()
+            .cycle()
+            .take(70)
+            .cloned()
+            .collect();
+        assert_invariant(&graph, "!ped", &many, false);
+    }
+
     /// Generator for random LTL formulas over two props and one action of
     /// the `setup()` vocabulary (ids are stable by insertion order).
     fn arb_ltl() -> impl Strategy<Value = Ltl> {
@@ -1672,26 +1845,8 @@ mod tests {
             phi in arb_ltl(),
             conditions in proptest::collection::vec(arb_condition(), 0..4),
         ) {
-            let (v, _) = setup();
-            let n = labels.len();
-            let succs: Vec<Vec<usize>> = raw_succs[..n]
-                .iter()
-                .map(|row| row.iter().map(|&t| t % n).collect())
-                .collect();
-            let mut initial: Vec<usize> = raw_initial.iter().map(|&i| i % n).collect();
-            initial.sort_unstable();
-            initial.dedup();
-            let graph = LabelGraph {
-                labels: decode(&labels, &v),
-                origin: vec![ProductState { model: 0, ctrl: 0 }; n],
-                succs,
-                initial,
-            };
-            let justice: Vec<Justice> = conditions
-                .into_iter()
-                .enumerate()
-                .map(|(j, c)| Justice::new(format!("j{j}"), c).unwrap())
-                .collect();
+            let graph = random_graph(&labels, &raw_succs, &raw_initial);
+            let justice = named_justice(conditions);
             let buchi = Arc::new(Buchi::from_ltl(&phi));
             prop_assert_eq!(
                 fair_cycle_exists(&graph, &buchi, &justice),
@@ -1700,5 +1855,67 @@ mod tests {
                 phi
             );
         }
+
+        /// `holds_all_fair` decides invariants `□p` by the fair-live label
+        /// scan and agrees with the certified checker on random label
+        /// graphs (dead ends, unreachable nodes) under zero to two random
+        /// justice conditions: alone, and in a mixed suite where a
+        /// temporal rule comes first and two invariants share one
+        /// live-label table.
+        #[test]
+        fn invariant_scan_agrees_with_check_graph_fair(
+            labels in proptest::collection::vec(0u8..8, 1..7),
+            raw_succs in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..4), 7),
+            raw_initial in proptest::collection::vec(0usize..7, 1..3),
+            p in arb_condition(),
+            q in arb_condition(),
+            phi in arb_ltl(),
+            conditions in proptest::collection::vec(arb_condition(), 0..3),
+        ) {
+            let graph = random_graph(&labels, &raw_succs, &raw_initial);
+            let justice = named_justice(conditions);
+            let always_p = Ltl::always(p);
+            prop_assert_eq!(
+                holds_all_fair(&graph, [&always_p], &justice),
+                [check_graph_fair(&graph, &always_p, &justice).holds()],
+                "p = {:?}",
+                always_p
+            );
+            let suite = [phi, always_p, Ltl::always(q)];
+            let expected: Vec<bool> = suite
+                .iter()
+                .map(|f| check_graph_fair(&graph, f, &justice).holds())
+                .collect();
+            prop_assert_eq!(holds_all_fair(&graph, &suite, &justice), expected, "suite = {:?}", suite);
+        }
+    }
+
+    /// A label graph from raw proptest draws: node `i` gets label bits
+    /// `labels[i]`, successor and initial indices wrap modulo the node
+    /// count, and nodes with no successors stay dead ends.
+    fn random_graph(labels: &[u8], raw_succs: &[Vec<usize>], raw_initial: &[usize]) -> LabelGraph {
+        let (v, _) = setup();
+        let n = labels.len();
+        let succs: Vec<Vec<usize>> = raw_succs[..n]
+            .iter()
+            .map(|row| row.iter().map(|&t| t % n).collect())
+            .collect();
+        let mut initial: Vec<usize> = raw_initial.iter().map(|&i| i % n).collect();
+        initial.sort_unstable();
+        initial.dedup();
+        LabelGraph {
+            labels: decode(labels, &v),
+            origin: vec![ProductState { model: 0, ctrl: 0 }; n],
+            succs,
+            initial,
+        }
+    }
+
+    fn named_justice(conditions: Vec<Ltl>) -> Vec<Justice> {
+        conditions
+            .into_iter()
+            .enumerate()
+            .map(|(j, c)| Justice::new(format!("j{j}"), c).unwrap())
+            .collect()
     }
 }
