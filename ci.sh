@@ -5,12 +5,12 @@
 # every unsafe declaration and every lint opt-out; see Cargo.toml's
 # [workspace.lints] and DESIGN.md); a clippy pass over the stand-alone
 # perfbench benchmark under the same unsafe-block and allow-reason
-# lints; docs; tests; a miri pass over parkit when the interpreter is
-# installed; the one speclint pass over the shipped rule books (analysed
-# under their world models), controllers and step lists; the certkit
-# certification + decide-only vs certified differential suite (including
-# the scaled drivesim/warehouse models); the paper demo controllers'
-# verdicts and counterexamples pinned to results/demo.txt; an
+# lints; docs; tests; the exhaustive check of tinylm's tanh kernel
+# against fdlibm and libm on every f32; a miri pass over parkit when the
+# interpreter is installed; the one speclint pass over the shipped rule
+# books (analysed under their world models), controllers and step lists;
+# the certkit certification + decide-only vs certified differential
+# suite (including the scaled drivesim/warehouse models); an
 # instrumented bench smoke run (allocation tracking on) validated against
 # the obskit.bench.v2 report schema (metrics_check); byte-equality gates
 # proving the performance and gating knobs (--threads, semantic
@@ -22,7 +22,9 @@
 # proving the work counters do not depend on the thread count; a
 # seeded-regression self-test proving the perf gate really fails when
 # one span slows down; and a manifest gate regenerating every committed
-# results/*.txt and checking it against results/ARTIFACTS.sha256.
+# results/*.txt (the paper demo controllers' verdicts and counterexamples
+# in results/demo.txt among them) and checking it against
+# results/ARTIFACTS.sha256.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -59,6 +61,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# kernels::tanh claims glibc tanhf's bits on every f32; the unit test
+# covers the branch thresholds and a 2^20-input sweep, this one all 2^32
+# inputs against the fdlibm transcription and f32::tanh (about a minute
+# on 2 vCPUs).
+echo "==> exhaustive tanh gate (tinylm's ignored tests, release)"
+cargo test -q --release -p tinylm -- --ignored
+
 echo "==> miri gate (parkit under the interpreter)"
 if cargo miri --version >/dev/null 2>&1; then
     cargo miri test -p parkit
@@ -71,11 +80,6 @@ cargo run -q --release -p speclint -- --deny-warnings
 
 echo "==> certkit gate (certification + differential suite, incl. scaled models)"
 cargo run -q -p certkit --release
-
-# The demo prints the paper's four demonstration controllers with their
-# verdicts and counterexamples; pin them across commits.
-echo "==> demo gate (paper demo verdicts and counterexamples match results/demo.txt)"
-cargo run -q --release -p bench --bin demo -- --no-obs | cmp - results/demo.txt
 
 echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)"
 smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
@@ -169,9 +173,11 @@ grep -q "dpo.forward" "$seeded_out"
 # manifest must name exactly the committed results/*.txt, and each is
 # regenerated from source (the bench bin of the same name, --no-obs;
 # warehouse.txt from the warehouse_robot example) and must hash as
-# recorded. A change that moves a result on purpose re-records the file
-# and its manifest line, and says why.
-echo "==> results manifest gate (every results/*.txt regenerates byte for byte)"
+# recorded. This also pins results/demo.txt, the paper's four
+# demonstration controllers with their verdicts and counterexamples. A
+# change that moves a result on purpose re-records the file and its
+# manifest line, and says why.
+echo "==> results manifest gate (every results/*.txt, demo.txt included, regenerates byte for byte)"
 results_dir="$(mktemp -d -t results.XXXXXX)"
 trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_trace" "$smoke_flame" "$smoke_art4" "$perf_report" "$seeded_out"; rm -rf "$results_dir"' EXIT
 diff <(ls results/*.txt | sort) <(awk '{print $2}' results/ARTIFACTS.sha256 | sort)

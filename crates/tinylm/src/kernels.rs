@@ -2,8 +2,8 @@
 //!
 //! Every inner loop the language model spends its time in lives here as
 //! a plain function over slices: the forward matmul, the backward
-//! rank-1 updates, the fused bias+log-softmax. Each is written so the
-//! compiler keeps the work in registers and vector lanes.
+//! rank-1 updates, the fused bias+log-softmax and `tanh`. Each is
+//! written so the compiler keeps the work in registers and vector lanes.
 //!
 //! # One contract: bit-identical to the scalar loops
 //!
@@ -38,6 +38,30 @@
 //! the matrix, so a packed matrix is exactly `rows · cols` floats.
 //! Whoever owns a matrix that many calls read packs it once:
 //! `Merged` per model version, the tape once per matmul call.
+//!
+//! # `tanh`: glibc's bits, without its branches
+//!
+//! [`tanh`] replaced the platform libm's `f32::tanh`, which cost 15–22
+//! ns per call on a 2-vCPU Xeon, 64 calls per position at the
+//! headline's shapes. It
+//! transcribes glibc 2.36's `s_tanhf.c` and the `s_expm1f.c` it calls
+//! (both fdlibm) operation for operation in `f32`, so it returns that
+//! libm's bits on every input whatever libm the platform has; `exp`
+//! and `ln` still come from the platform. Each `if` of the original
+//! became a per-lane select: every branch's value is computed from the
+//! same operands by the same operations and the one the input's range
+//! takes is kept. The values a lane throws away cannot reach its
+//! result, and IEEE operations do not trap, so the selected value has
+//! the scalar code's bits and the loop vectorizes. The transcription
+//! folds branches only where the IEEE operations agree exactly: the
+//! two ranges `|x| >= 1` and `|x| < 1` call `expm1f` on `±2|x|` and
+//! divide once; the `k = ±1` reduction is the general one at `t = ±1`
+//! (`x - (±1)·ln2_hi` is `x ∓ ln2_hi`); `(int)` truncation becomes
+//! `trunc`, whose integer the exponent arithmetic reads out of the
+//! mantissa. The unit tests compare the kernel with an in-test
+//! branch-for-branch transcription of fdlibm and with `f32::tanh` at
+//! every branch threshold and over a sweep; an ignored test does so on
+//! all 2^32 bit patterns.
 
 /// The sequential dot product every matrix op is built from: a
 /// left-to-right fold starting at `+0.0`. Centralizing it pins the
@@ -382,6 +406,135 @@ pub(crate) fn pack_inputs_backward(
     }
 }
 
+/// `v[i] = tanh(v[i])` in place, bit for bit what glibc 2.36's `tanhf`
+/// returns on every `f32` (NaN payloads included): a per-lane
+/// transcription of its `s_tanhf.c` and `s_expm1f.c` (fdlibm). See the
+/// module docs for how the branches became selects.
+pub(crate) fn tanh(v: &mut [f32]) {
+    for x in v {
+        *x = tanh_lane(*x);
+    }
+}
+
+/// One lane of [`tanh`]: `s_tanhf.c` with every branch computed and the
+/// one the input's range takes selected.
+#[inline(always)]
+fn tanh_lane(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let neg = x.is_sign_negative();
+    let ax = f32::from_bits(ix);
+    let sign = if neg { -1.0 } else { 1.0 };
+    // 2**-55 <= |x| < 22: both ranges share one expm1f, on ±2|x|, and
+    // one division, `1 - two/(t+two)` for |x| >= 1 and `-t/(t+two)`
+    // below. ±inf and NaN, `one/x ± one`, share the division too.
+    let big = ix >= 0x3f80_0000;
+    let t = expm1_lane(if big { 2.0 * ax } else { -2.0 * ax });
+    let special = ix >= 0x7f80_0000;
+    let (num, den) = if special {
+        (1.0, x)
+    } else if big {
+        (2.0, t + 2.0)
+    } else {
+        (-t, t + 2.0)
+    };
+    let q = num / den;
+    let z = if big { 1.0 - q } else { q };
+    // |x| >= 22: `one - tiny` rounds to 1.
+    let z = if ix < 0x41b0_0000 { z } else { 1.0 };
+    let z = if neg { -z } else { z };
+    // |x| < 2**-55, ±0 included: `x*(one+x)`.
+    let z = if ix < 0x2400_0000 { x * (1.0 + x) } else { z };
+    if special {
+        q + sign
+    } else {
+        z
+    }
+}
+
+/// `s_expm1f.c`'s constants, by bit pattern: `ln2` split in a high
+/// part with a short mantissa and the rest, `1/ln2`, and `Q1..Q5`.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+
+/// `1.5·2**23`: adding it to an integral `|t| < 2**22` puts `t` in the
+/// low mantissa bits of the sum.
+const KEY: f32 = 12_582_912.0;
+
+/// `s_expm1f.c` on the arguments [`tanh_lane`] passes it, `2|x|` for
+/// `1 <= |x| < 22` and `-2|x|` for `2**-55 <= |x| < 1`, as selects.
+/// There the reduction's `k` is `0`, `-1`, `-2`, `-3` or in `3..=63`,
+/// so the overflow, `-1` saturation and `k == 1` branches of the
+/// original are unreachable and left out. Lanes outside that domain
+/// compute garbage that `tanh_lane` never selects, without panicking.
+#[inline(always)]
+fn expm1_lane(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let neg = x.is_sign_negative();
+    // k = 0 up to ln2/2, ±1 up to 1.5·ln2, else `(int)(x/ln2 ± 0.5)`,
+    // kept as the float `t = k`: the `k = ±1` reduction `x ∓ ln2_hi`,
+    // `±ln2_lo` is the general one at `t = ±1`, and at `t = 0` the
+    // general one leaves x as it is. `trunc` instead of an `as i32`
+    // round trip keeps the lane in vector registers.
+    let t = if hx <= 0x3eb1_7218 {
+        0.0
+    } else if hx < 0x3f85_1592 {
+        if neg {
+            -1.0
+        } else {
+            1.0
+        }
+    } else {
+        (INVLN2 * x + if neg { -0.5 } else { 0.5 }).trunc()
+    };
+    // The integer k, read out of the sum's mantissa.
+    let k = (t + KEY).to_bits().wrapping_sub(KEY.to_bits()) as i32;
+    let hi = x - t * LN2_HI;
+    let lo = t * LN2_LO;
+    let r = hi - lo;
+    let c = (hi - r) - lo;
+    let hfx = 0.5 * r;
+    let hxs = r * hfx;
+    let r1 = 1.0 + hxs * (Q[0] + hxs * (Q[1] + hxs * (Q[2] + hxs * (Q[3] + hxs * Q[4]))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - r * t));
+    let at_k0 = r - (r * e - hxs);
+    let e = (r * (e - c) - c) - hxs;
+    let at_km1 = 0.5 * (r - e) - 0.5;
+    // `y` with `k` added to its exponent field.
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k as u32) << 23));
+    let at_far = scale(1.0 - (e - r)) - 1.0;
+    // `1 - 2**-k` and `2**-k`, each built from its bit pattern.
+    let one_less = f32::from_bits(0x3f80_0000 - 0x0100_0000u32.wrapping_shr(k as u32));
+    let below_23 = scale(one_less - (e - r));
+    let pow = f32::from_bits((0x7f_i32.wrapping_sub(k) as u32) << 23);
+    let from_23 = scale((r - (e + pow)) + 1.0);
+    let y = if k == 0 {
+        at_k0
+    } else if k == -1 {
+        at_km1
+    } else if k <= -2 || k > 56 {
+        at_far
+    } else if k < 23 {
+        below_23
+    } else {
+        from_23
+    };
+    // |x| < 2**-25 returns x itself.
+    if hx < 0x3300_0000 {
+        x
+    } else {
+        y
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,5 +740,261 @@ mod tests {
                 prop_assert_eq!(bits(&gb_only), bits(&gb));
             }
         }
+    }
+
+    /// glibc 2.36's `sysdeps/ieee754/flt-32/s_tanhf.c`, branch for
+    /// branch. The oracle that holds on any libm.
+    fn fdlibm_tanhf(x: f32) -> f32 {
+        let jx = x.to_bits() as i32;
+        let ix = jx & 0x7fff_ffff;
+        if ix >= 0x7f80_0000 {
+            return if jx >= 0 {
+                1.0 / x + 1.0
+            } else {
+                1.0 / x - 1.0
+            };
+        }
+        let z = if ix < 0x41b0_0000 {
+            if ix == 0 {
+                return x;
+            }
+            if ix < 0x2400_0000 {
+                return x * (1.0 + x);
+            }
+            if ix >= 0x3f80_0000 {
+                let t = fdlibm_expm1f(2.0 * x.abs());
+                1.0 - 2.0 / (t + 2.0)
+            } else {
+                let t = fdlibm_expm1f(-2.0 * x.abs());
+                -t / (t + 2.0)
+            }
+        } else {
+            1.0 - 1.0e-30
+        };
+        if jx >= 0 {
+            z
+        } else {
+            -z
+        }
+    }
+
+    /// glibc 2.36's `sysdeps/ieee754/flt-32/s_expm1f.c`, branch for
+    /// branch, with its decimal constants (errno and the inexact flag
+    /// aside).
+    #[allow(
+        clippy::excessive_precision,
+        reason = "the constants as fdlibm spells them"
+    )]
+    fn fdlibm_expm1f(mut x: f32) -> f32 {
+        const HUGE: f32 = 1.0e+30;
+        const TINY: f32 = 1.0e-30;
+        const O_THRESHOLD: f32 = 8.8721679688e+01;
+        const LN2_HI: f32 = 6.9313812256e-01;
+        const LN2_LO: f32 = 9.0580006145e-06;
+        const INVLN2: f32 = 1.4426950216e+00;
+        const Q1: f32 = -3.3333335072e-02;
+        const Q2: f32 = 1.5873016091e-03;
+        const Q3: f32 = -7.9365076090e-05;
+        const Q4: f32 = 4.0082177293e-06;
+        const Q5: f32 = -2.0109921195e-07;
+        let xsb = x.to_bits() & 0x8000_0000;
+        let hx = x.to_bits() & 0x7fff_ffff;
+        if hx >= 0x4195_b844 {
+            if hx >= 0x42b1_7218 {
+                if hx > 0x7f80_0000 {
+                    return x + x;
+                }
+                if hx == 0x7f80_0000 {
+                    return if xsb == 0 { x } else { -1.0 };
+                }
+                if x > O_THRESHOLD {
+                    return HUGE * HUGE;
+                }
+            }
+            if xsb != 0 {
+                return TINY - 1.0;
+            }
+        }
+        let (k, c);
+        if hx > 0x3eb1_7218 {
+            let (hi, lo);
+            if hx < 0x3f85_1592 {
+                if xsb == 0 {
+                    (hi, lo, k) = (x - LN2_HI, LN2_LO, 1);
+                } else {
+                    (hi, lo, k) = (x + LN2_HI, -LN2_LO, -1);
+                }
+            } else {
+                k = (INVLN2 * x + if xsb == 0 { 0.5 } else { -0.5 }) as i32;
+                let t = k as f32;
+                hi = x - t * LN2_HI;
+                lo = t * LN2_LO;
+            }
+            x = hi - lo;
+            c = (hi - x) - lo;
+        } else if hx < 0x3300_0000 {
+            let t = HUGE + x;
+            return x - (t - (HUGE + x));
+        } else {
+            (k, c) = (0, 0.0);
+        }
+        let hfx = 0.5 * x;
+        let hxs = x * hfx;
+        let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+        let t = 3.0 - r1 * hfx;
+        let mut e = hxs * ((r1 - t) / (6.0 - x * t));
+        if k == 0 {
+            return x - (x * e - hxs);
+        }
+        e = x * (e - c) - c;
+        e -= hxs;
+        if k == -1 {
+            return 0.5 * (x - e) - 0.5;
+        }
+        if k == 1 {
+            return if x < -0.25 {
+                -2.0 * (e - (x + 0.5))
+            } else {
+                1.0 + 2.0 * (x - e)
+            };
+        }
+        let add_k = |y: f32| f32::from_bits((y.to_bits() as i32 + (k << 23)) as u32);
+        if k <= -2 || k > 56 {
+            return add_k(1.0 - (e - x)) - 1.0;
+        }
+        if k < 23 {
+            let t = f32::from_bits((0x3f80_0000 - (0x0100_0000 >> k)) as u32);
+            add_k(t - (e - x))
+        } else {
+            let t = f32::from_bits(((0x7f - k) << 23) as u32);
+            add_k(x - (e + t) + 1.0)
+        }
+    }
+
+    /// Runs the slice kernel over `inputs` and returns every input whose
+    /// output differs from either oracle (NaN counts as equal to NaN),
+    /// with the three results. The fdlibm transcription is the oracle on
+    /// any platform; `f32::tanh` agrees where the libm is glibc 2.36, the
+    /// one the committed artifacts were recorded with.
+    fn tanh_mismatches(inputs: &[f32]) -> Vec<(u32, u32, u32, u32)> {
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut out = inputs.to_vec();
+        tanh(&mut out);
+        inputs
+            .iter()
+            .zip(&out)
+            .filter_map(|(&x, &y)| {
+                let (fdlibm, libm) = (fdlibm_tanhf(x), x.tanh());
+                (!same(y, fdlibm) || !same(y, libm))
+                    .then(|| (x.to_bits(), y.to_bits(), fdlibm.to_bits(), libm.to_bits()))
+            })
+            .collect()
+    }
+
+    fn assert_no_mismatches(bad: &[(u32, u32, u32, u32)]) {
+        assert!(
+            bad.is_empty(),
+            "{} mismatches (x, kernel, fdlibm, libm bits), first: {:#x?}",
+            bad.len(),
+            &bad[..bad.len().min(8)]
+        );
+    }
+
+    /// The first `|x|` bit pattern in `lo..hi` whose `expm1f` reduction
+    /// of `±2|x|` (the sign `tanhf` gives it) has `k >= target`, or
+    /// `k <= target` for a negative target: where `k` crosses over.
+    fn k_crossing(lo: u32, hi: u32, target: i32) -> u32 {
+        let crossed = |bits: u32| {
+            let ax = f32::from_bits(bits);
+            if target > 0 {
+                (INVLN2 * (2.0 * ax) + 0.5) as i32 >= target
+            } else {
+                (INVLN2 * (-2.0 * ax) - 0.5) as i32 <= target
+            }
+        };
+        let (mut lo, mut hi) = (lo, hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if crossed(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Special values, every branch threshold of `tanhf` and of the
+    /// `expm1f` it calls (as `|x|` bit patterns: the argument `±2|x|`
+    /// sits one exponent higher) with its neighbours, both signs, and a
+    /// strided sweep of about 2^20 bit patterns: the kernel matches the
+    /// fdlibm transcription and this platform's `f32::tanh` on each.
+    #[test]
+    fn tanh_matches_fdlibm_and_libm_at_every_branch() {
+        let mut thresholds = vec![
+            0x0000_0000, // ±0
+            0x0000_0001, // least subnormal
+            0x007f_ffff, // greatest subnormal
+            0x0080_0000, // least normal
+            0x2400_0000, // tanhf: 2**-55
+            0x3280_0000, // expm1f: |2x| < 2**-25
+            0x3e31_7218, // expm1f: |2x| <= ln2/2 (k = 0)
+            0x3f05_1592, // expm1f: |2x| < 1.5·ln2 (k = -1)
+            0x3f80_0000, // tanhf: |x| >= 1
+            0x41b0_0000, // tanhf: |x| >= 22
+            0x7f7f_ffff, // greatest finite
+            0x7f80_0000, // inf
+            0x7f80_0001, // signalling NaN
+            0x7fc0_0000, // quiet NaN
+            0x7fff_ffff, // NaN, every payload bit
+        ];
+        thresholds.extend([
+            k_crossing(0x3f05_1592, 0x3f80_0000, -2),
+            k_crossing(0x3f05_1592, 0x3f80_0000, -3),
+            k_crossing(0x3f80_0000, 0x41b0_0000, 23),
+            k_crossing(0x3f80_0000, 0x41b0_0000, 57),
+        ]);
+        let mut inputs = Vec::new();
+        for &t in &thresholds {
+            for bits in t.saturating_sub(16)..=t.saturating_add(16).min(0x7fff_ffff) {
+                inputs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+            }
+        }
+        inputs.extend((0..=u32::MAX).step_by(4093).map(f32::from_bits));
+        assert!(inputs.len() > 1 << 20);
+        let bad = tanh_mismatches(&inputs);
+        assert_no_mismatches(&bad);
+    }
+
+    /// All 2^32 bit patterns, in chunks through the slice kernel, one
+    /// chunk sequence per thread.
+    #[test]
+    #[ignore = "exhaustive: about a minute in release"]
+    fn tanh_matches_fdlibm_and_libm_on_every_f32() {
+        const CHUNK: u64 = 1 << 16;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let chunks = (1u64 << 32) / CHUNK;
+        let bad: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut bad = Vec::new();
+                        let mut inputs = Vec::with_capacity(CHUNK as usize);
+                        for chunk in (w..chunks).step_by(threads as usize) {
+                            inputs.clear();
+                            let start = chunk * CHUNK;
+                            inputs.extend((start..start + CHUNK).map(|b| f32::from_bits(b as u32)));
+                            bad.extend(tanh_mismatches(&inputs));
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_no_mismatches(&bad);
     }
 }

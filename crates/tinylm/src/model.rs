@@ -984,10 +984,9 @@ impl Merged<'_> {
         kernels::matmul_forward(&mut hid, &self.w1, &x, n);
         let b1 = &lm.params[lm.seg.b1.clone()];
         for row in hid.chunks_mut(h) {
-            for (o, &b) in row.iter_mut().zip(b1) {
-                *o = (*o + b).tanh();
-            }
+            kernels::add_assign(row, b1);
         }
+        kernels::tanh(&mut hid);
         let mut logits = vec![0.0f32; n * v];
         kernels::matmul_forward(&mut logits, &self.w2, &hid, n);
         let mut out = vec![0.0f32; n * v];

@@ -33,7 +33,8 @@
 //!
 //! The numeric inner loops live in the crate's `kernels` module:
 //! a packed-panel forward matmul and split-pass backward kernels, each
-//! bit-identical to the scalar loop it replaced.
+//! bit-identical to the scalar loop it replaced, and a branch-free
+//! `tanh` with glibc `tanhf`'s bits.
 //!
 //! # Example
 //!
@@ -476,10 +477,12 @@ impl Tape {
         )
     }
 
-    /// Elementwise `tanh`.
+    /// Elementwise `tanh`: glibc 2.36 `tanhf`'s bits on every input,
+    /// whatever the platform libm (the crate's branch-free kernel).
     pub fn tanh(&mut self, a: VarId) -> VarId {
         let mut val = self.alloc();
-        val.extend(self.vals[a.0].iter().map(|x| x.tanh()));
+        val.extend_from_slice(&self.vals[a.0]);
+        kernels::tanh(&mut val);
         self.push(val, Op::Tanh(a))
     }
 
