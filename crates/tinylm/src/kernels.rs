@@ -2,8 +2,9 @@
 //!
 //! Every inner loop the language model spends its time in lives here as
 //! a plain function over slices: the forward matmul, the backward
-//! rank-1 updates, the fused bias+log-softmax and `tanh`. Each is
-//! written so the compiler keeps the work in registers and vector lanes.
+//! matmul's register passes, the elementwise gradient updates, the fused
+//! bias+log-softmax and `tanh`. Each is written so the compiler keeps
+//! the work in registers and vector lanes.
 //!
 //! # One contract: bit-identical to the scalar loops
 //!
@@ -38,6 +39,23 @@
 //! the matrix, so a packed matrix is exactly `rows · cols` floats.
 //! Whoever owns a matrix that many calls read packs it once:
 //! `Merged` per model version, the tape once per matmul call.
+//!
+//! # The backward matmul keeps its destinations in registers
+//!
+//! [`matmul_backward`] makes one pass per destination, and each pass
+//! holds its destination elements in registers for as long as their own
+//! accumulation runs, then stores them once:
+//!
+//! - a narrow matrix's gradient (`cols <= 8`, the rank-r LoRA factors)
+//!   in blocks of 8 rows across the reverse position walk, with the
+//!   `g == 0.0` skip as a select so the 8 rows share one walk;
+//! - the input gradient one whole position row at a time across the
+//!   ascending row walk, for the narrow widths and the headline model's
+//!   64 and 68 (one instantiation per width, chosen by `cols`).
+//!
+//! Everything else stays an [`axpy`] sweep. Each element still receives
+//! the scalar loop's terms in the scalar loop's order, onto its prior
+//! value, so the passes are bit-identical to it.
 //!
 //! # `tanh`: glibc's bits, without its branches
 //!
@@ -94,6 +112,15 @@ const POSITIONS: usize = 4;
 pub(crate) fn axpy(out: &mut [f32], s: f32, a: &[f32]) {
     for (o, &v) in out.iter_mut().zip(a) {
         *o += s * v;
+    }
+}
+
+/// `out += a · c`: [`axpy`] with the product's operands in the order
+/// the tape's `Scale` backward has always multiplied them.
+#[inline]
+pub(crate) fn add_scaled(out: &mut [f32], a: &[f32], c: f32) {
+    for (o, &v) in out.iter_mut().zip(a) {
+        *o += v * c;
     }
 }
 
@@ -231,25 +258,30 @@ fn panel_forward<const W: usize>(
 /// Backward matmul: `gm[r] += Σ_p(rev) g[p,r] · x_p` and
 /// `gx_p += Σ_r g[p,r] · M_r`. Either destination may be `None` when no
 /// trainable leaf reads it (a constant matrix or input); the other is
-/// computed exactly as when both are requested.
+/// computed exactly as when both are requested. The buffers are
+/// disjoint: the tape rejects a matmul whose operands are one node.
 ///
-/// Bit-exactness: positions walk in **reverse** (the unbatched graph's
-/// reverse node-order walk reaches per-position matvecs
-/// last-position-first) and the `g == 0.0` skip of the scalar loop is
-/// preserved (it changes `-0.0`/NaN propagation, so it is part of the
-/// pinned sequence). The old loop interleaved the `gm` and `gx` updates
-/// per column; splitting them into two [`axpy`] passes touches each
-/// destination element in the same order as before — the interleave only
-/// ever alternated between *different* buffers — and turns both passes
-/// into vectorizable slice updates. The same independence is why
-/// dropping one destination leaves the other's bits unchanged.
+/// Bit-exactness: every destination element keeps the scalar loop's
+/// f32 sequence. `gm[r][c]` adds `g[p,r] · x[p][c]` over positions in
+/// **reverse** (the unbatched graph's reverse node-order walk reaches
+/// per-position matvecs last-position-first), `gx[p][c]` adds
+/// `g[p,r] · M[r][c]` over ascending rows, both onto the destination's
+/// prior value, and a `g == 0.0` term is skipped (the skip changes
+/// `-0.0`/NaN propagation, so it is part of the pinned sequence). The
+/// old loop interleaved the two updates per column; it only ever
+/// alternated between *different* buffers, so two separate passes touch
+/// each element in the same order, and dropping one destination leaves
+/// the other's bits unchanged. Within a pass, elements are independent,
+/// so a pass may hold them in registers (see the module docs):
+/// [`gm_narrow`] for a narrow `gm`, [`gx_rows`] for a `gx` whose width
+/// [`gx_rows_pass`] lists, and an [`axpy`] sweep for the rest.
 // The argument list is the matmul gradient problem statement (two
 // outputs, three inputs, three dims); a parameter struct would just
 // rename it.
 #[allow(clippy::too_many_arguments, reason = "the matmul gradient problem")]
 pub(crate) fn matmul_backward(
-    mut gm: Option<&mut [f32]>,
-    mut gx: Option<&mut [f32]>,
+    gm: Option<&mut [f32]>,
+    gx: Option<&mut [f32]>,
     g: &[f32],
     m: &[f32],
     x: &[f32],
@@ -260,23 +292,135 @@ pub(crate) fn matmul_backward(
     debug_assert_eq!(g.len(), n * rows);
     debug_assert!(gm.as_ref().is_none_or(|gm| gm.len() == rows * cols));
     debug_assert!(gx.as_ref().is_none_or(|gx| gx.len() == n * cols));
-    for p in (0..n).rev() {
-        let gp = &g[p * rows..(p + 1) * rows];
-        let xp = &x[p * cols..(p + 1) * cols];
-        let mut gxp = gx
-            .as_deref_mut()
-            .map(|gx| &mut gx[p * cols..(p + 1) * cols]);
-        for (r, &gr) in gp.iter().enumerate() {
-            if gr == 0.0 {
-                continue;
-            }
-            if let Some(gm) = gm.as_deref_mut() {
-                axpy(&mut gm[r * cols..(r + 1) * cols], gr, xp);
-            }
-            if let Some(gxp) = gxp.as_deref_mut() {
-                axpy(gxp, gr, &m[r * cols..(r + 1) * cols]);
+    // No term to add (and `chunks_exact` takes no zero width).
+    if g.is_empty() || cols == 0 {
+        return;
+    }
+    if let Some(gm) = gm {
+        match gm_narrow_pass(cols) {
+            Some(pass) => pass(gm, g, x, rows),
+            None => {
+                for (gp, xp) in g.chunks_exact(rows).zip(x.chunks_exact(cols)).rev() {
+                    for (gmr, &gr) in gm.chunks_exact_mut(cols).zip(gp) {
+                        if gr != 0.0 {
+                            axpy(gmr, gr, xp);
+                        }
+                    }
+                }
             }
         }
+    }
+    if let Some(gx) = gx {
+        match gx_rows_pass(cols) {
+            Some(pass) => pass(gx, g, m, rows),
+            None => {
+                for (gxp, gp) in gx.chunks_exact_mut(cols).zip(g.chunks_exact(rows)) {
+                    for (mr, &gr) in m.chunks_exact(cols).zip(gp) {
+                        if gr != 0.0 {
+                            axpy(gxp, gr, mr);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A register pass over one destination: `(dst, g, operand, rows)`.
+type Pass = fn(&mut [f32], &[f32], &[f32], usize);
+
+/// The register-resident `gm` pass for a narrow matrix, if `cols` is one.
+fn gm_narrow_pass(cols: usize) -> Option<Pass> {
+    Some(match cols {
+        1 => gm_narrow::<1>,
+        2 => gm_narrow::<2>,
+        3 => gm_narrow::<3>,
+        4 => gm_narrow::<4>,
+        5 => gm_narrow::<5>,
+        6 => gm_narrow::<6>,
+        7 => gm_narrow::<7>,
+        8 => gm_narrow::<8>,
+        _ => return None,
+    })
+}
+
+/// The whole-row `gx` pass for `cols`, if that width has one: the
+/// narrow widths and the headline model's hidden (64) and input (68)
+/// widths. Each width is its own instantiation because only a
+/// compile-time width lets the row live in registers.
+fn gx_rows_pass(cols: usize) -> Option<Pass> {
+    Some(match cols {
+        1 => gx_rows::<1>,
+        2 => gx_rows::<2>,
+        3 => gx_rows::<3>,
+        4 => gx_rows::<4>,
+        5 => gx_rows::<5>,
+        6 => gx_rows::<6>,
+        7 => gx_rows::<7>,
+        8 => gx_rows::<8>,
+        64 => gx_rows::<64>,
+        68 => gx_rows::<68>,
+        _ => return None,
+    })
+}
+
+/// `gm += Σ_p(rev) g[p,r] · x_p` for a `C`-column matrix: [`LANES`]
+/// rows at a time, then the last `rows % LANES` one by one.
+fn gm_narrow<const C: usize>(gm: &mut [f32], g: &[f32], x: &[f32], rows: usize) {
+    let xs = x.as_chunks::<C>().0;
+    let (blocks, tail) = gm.as_chunks_mut::<C>().0.as_chunks_mut::<LANES>();
+    for (b, block) in blocks.iter_mut().enumerate() {
+        gm_block(block, &g[b * LANES..], xs, rows);
+    }
+    let r0 = blocks.len() * LANES;
+    for (j, row) in tail.iter_mut().enumerate() {
+        gm_block(std::array::from_mut(row), &g[r0 + j..], xs, rows);
+    }
+}
+
+/// `R` rows of a narrow `gm`, held in registers across the reverse
+/// position walk: `R` independent chains hide the add latency. `g`
+/// starts at the block's first row of position 0.
+#[inline(always)]
+fn gm_block<const C: usize, const R: usize>(
+    dst: &mut [[f32; C]; R],
+    g: &[f32],
+    xs: &[[f32; C]],
+    rows: usize,
+) {
+    let mut acc = *dst;
+    for (p, xp) in xs.iter().enumerate().rev() {
+        for (row, &gr) in acc.iter_mut().zip(&g[p * rows..p * rows + R]) {
+            for (a, &v) in row.iter_mut().zip(xp) {
+                let sum = *a + gr * v;
+                // The `g == 0.0` skip as a select, so the block's rows
+                // share one branch-free walk.
+                *a = if gr == 0.0 { *a } else { sum };
+            }
+        }
+    }
+    *dst = acc;
+}
+
+/// `gx_p += Σ_r g[p,r] · M_r` for a `W`-column matrix, each position's
+/// `W`-wide row held in registers across the ascending row walk.
+fn gx_rows<const W: usize>(gx: &mut [f32], g: &[f32], m: &[f32], rows: usize) {
+    let ms = m.as_chunks::<W>().0;
+    for (dst, gp) in gx
+        .as_chunks_mut::<W>()
+        .0
+        .iter_mut()
+        .zip(g.chunks_exact(rows))
+    {
+        let mut acc = *dst;
+        for (mr, &gr) in ms.iter().zip(gp) {
+            if gr != 0.0 {
+                for (a, &v) in acc.iter_mut().zip(mr) {
+                    *a += gr * v;
+                }
+            }
+        }
+        *dst = acc;
     }
 }
 
@@ -557,18 +701,20 @@ mod tests {
     }
 
     /// The retained naive backward kernel: the pre-kernels interleaved
-    /// per-column loop, indexed exactly as `backward_into` indexed it.
+    /// per-column loop, indexed exactly as `backward_into` indexed it,
+    /// accumulating onto `gm` and `gx`.
     #[allow(clippy::needless_range_loop, reason = "mirrors the historical loop")]
+    #[allow(clippy::too_many_arguments, reason = "the matmul gradient problem")]
     fn naive_matmul_backward(
+        gm: &mut [f32],
+        gx: &mut [f32],
         g: &[f32],
         m: &[f32],
         x: &[f32],
         rows: usize,
         cols: usize,
         n: usize,
-    ) -> (Vec<f32>, Vec<f32>) {
-        let mut gm = vec![0.0f32; rows * cols];
-        let mut gx = vec![0.0f32; n * cols];
+    ) {
         for p in (0..n).rev() {
             for r in 0..rows {
                 let gr = g[p * rows + r];
@@ -581,7 +727,47 @@ mod tests {
                 }
             }
         }
-        (gm, gx)
+    }
+
+    /// Widths on both sides of every backward path: the narrow register
+    /// passes (1–8) and the axpy sweep just past them (9), the axpy
+    /// widths around the whole-row `gx` passes and those passes (64,
+    /// 68).
+    const BACKWARD_WIDTHS: [usize; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 66, 67, 68, 69];
+
+    /// A backward matmul problem of the given shape: the matrix, the
+    /// input, an upstream gradient whose every `zero_every`-th entry is
+    /// a zero (alternately `+0.0` and `-0.0`, the skip path), and
+    /// starting destinations that are non-zero (the kernel accumulates)
+    /// except for every fifth entry, a `-0.0` that only a skipped term
+    /// keeps.
+    struct BackwardCase {
+        m: Vec<f32>,
+        x: Vec<f32>,
+        g: Vec<f32>,
+        gm0: Vec<f32>,
+        gx0: Vec<f32>,
+    }
+
+    impl BackwardCase {
+        fn new(rows: usize, cols: usize, n: usize, zero_every: usize, f: f32) -> Self {
+            let mut g = wave(n * rows, f + 0.07);
+            for (i, gi) in g.iter_mut().step_by(zero_every).enumerate() {
+                *gi = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            let start = |len, f| {
+                let mut v = wave(len, f);
+                v.iter_mut().step_by(5).for_each(|v| *v = -0.0);
+                v
+            };
+            BackwardCase {
+                m: wave(rows * cols, f),
+                x: wave(n * cols, f + 0.41),
+                g,
+                gm0: start(rows * cols, f + 0.9),
+                gx0: start(n * cols, f + 1.1),
+            }
+        }
     }
 
     fn wave(len: usize, f: f32) -> Vec<f32> {
@@ -657,73 +843,64 @@ mod tests {
             prop_assert_eq!(bits(&packed), bits(&naive));
         }
 
-        /// Split-pass backward is bit-identical to the naive interleaved
-        /// loop, including the `g == 0.0` skip path.
+        /// The register and axpy backward passes are bit-identical to the
+        /// naive interleaved loop at every width of [`BACKWARD_WIDTHS`]:
+        /// rows past one 8-row block and ragged row tails, `+0.0` and
+        /// `-0.0` gradient entries (the skip path), and destinations
+        /// that start non-zero.
         #[test]
         fn split_backward_is_bit_identical(
-            rows in 1usize..13,
-            cols in 1usize..11,
-            n in 1usize..5,
+            rows in 1usize..=21,
+            n in 0usize..=9,
             zero_every in 1usize..5,
             seed in 0u32..50,
         ) {
             let f = 0.19 + seed as f32 * 0.023;
-            let m = wave(rows * cols, f);
-            let x = wave(n * cols, f + 0.41);
-            let mut g = wave(n * rows, f + 0.07);
-            for (i, gi) in g.iter_mut().enumerate() {
-                if i % zero_every == 0 {
-                    *gi = 0.0;
-                }
-            }
-            let (gm_naive, gx_naive) = naive_matmul_backward(&g, &m, &x, rows, cols, n);
-
-            let mut gm = vec![0.0f32; rows * cols];
-            let mut gx = vec![0.0f32; n * cols];
-            matmul_backward(Some(&mut gm), Some(&mut gx), &g, &m, &x, rows, cols, n);
-            for (a, b) in gm.iter().zip(&gm_naive) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in gx.iter().zip(&gx_naive) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            for cols in BACKWARD_WIDTHS {
+                let case = BackwardCase::new(rows, cols, n, zero_every, f);
+                let (mut gm_naive, mut gx_naive) = (case.gm0.clone(), case.gx0.clone());
+                naive_matmul_backward(
+                    &mut gm_naive, &mut gx_naive, &case.g, &case.m, &case.x, rows, cols, n,
+                );
+                let (mut gm, mut gx) = (case.gm0.clone(), case.gx0.clone());
+                matmul_backward(
+                    Some(&mut gm), Some(&mut gx), &case.g, &case.m, &case.x, rows, cols, n,
+                );
+                prop_assert_eq!(bits(&gm), bits(&gm_naive), "gm, {}x{}, n = {}", rows, cols, n);
+                prop_assert_eq!(bits(&gx), bits(&gx_naive), "gx, {}x{}, n = {}", rows, cols, n);
             }
         }
 
         /// Each backward kernel's two destinations are independent: with
         /// one of them `None`, the other comes out bit-identical to the
-        /// call that fills both, for ragged shapes.
+        /// call that fills both, at every backward width and for ragged
+        /// chunk-wise shapes.
         #[test]
         fn dropping_one_backward_output_keeps_the_other(
-            rows in 1usize..13,
-            cols in 1usize..11,
-            n in 0usize..5,
+            rows in 1usize..=21,
+            n in 0usize..=9,
+            chunk in 1usize..11,
             zero_every in 1usize..5,
             seed in 0u32..50,
         ) {
             let f = 0.23 + seed as f32 * 0.019;
-            let m = wave(rows * cols, f);
-            let x = wave(n * cols, f + 0.37);
-            let mut g = wave(n * rows, f + 0.05);
-            for (i, gi) in g.iter_mut().enumerate() {
-                if i % zero_every == 0 {
-                    *gi = 0.0;
-                }
+            for cols in BACKWARD_WIDTHS {
+                let BackwardCase { m, x, g, gm0, gx0 } =
+                    BackwardCase::new(rows, cols, n, zero_every, f);
+                let (mut gm, mut gx) = (gm0.clone(), gx0.clone());
+                matmul_backward(Some(&mut gm), Some(&mut gx), &g, &m, &x, rows, cols, n);
+                let mut gm_only = gm0.clone();
+                matmul_backward(Some(&mut gm_only), None, &g, &m, &x, rows, cols, n);
+                let mut gx_only = gx0.clone();
+                matmul_backward(None, Some(&mut gx_only), &g, &m, &x, rows, cols, n);
+                prop_assert_eq!(bits(&gm_only), bits(&gm));
+                prop_assert_eq!(bits(&gx_only), bits(&gx));
             }
-            // Destinations start non-zero: the kernels accumulate.
-            let (gm0, gx0) = (wave(rows * cols, f + 0.9), wave(n * cols, f + 1.1));
-            let (mut gm, mut gx) = (gm0.clone(), gx0.clone());
-            matmul_backward(Some(&mut gm), Some(&mut gx), &g, &m, &x, rows, cols, n);
-            let mut gm_only = gm0.clone();
-            matmul_backward(Some(&mut gm_only), None, &g, &m, &x, rows, cols, n);
-            let mut gx_only = gx0.clone();
-            matmul_backward(None, Some(&mut gx_only), &g, &m, &x, rows, cols, n);
-            prop_assert_eq!(bits(&gm_only), bits(&gm));
-            prop_assert_eq!(bits(&gx_only), bits(&gx));
 
-            // Chunk-wise kernels: `n` chunks of width `cols`.
-            let g = wave(n * cols, f + 0.61);
+            // Chunk-wise kernels: `n` chunks of width `chunk`.
+            let g = wave(n * chunk, f + 0.61);
             let y: Vec<f32> = g.iter().map(|v| v - 2.0).collect();
-            let (ga0, gb0) = (wave(n * cols, f + 1.7), wave(cols, f + 2.3));
+            let (ga0, gb0) = (wave(n * chunk, f + 1.7), wave(chunk, f + 2.3));
             type Kernel = fn(Option<&mut [f32]>, Option<&mut [f32]>, &[f32], &[f32], usize);
             let kernels: [Kernel; 2] = [
                 |ga, gb, g, _, n| broadcast_add_backward(ga, gb, g, n),

@@ -32,9 +32,14 @@
 //! gradient that is still computed keeps its bits.
 //!
 //! The numeric inner loops live in the crate's `kernels` module:
-//! a packed-panel forward matmul and split-pass backward kernels, each
-//! bit-identical to the scalar loop it replaced, and a branch-free
-//! `tanh` with glibc `tanhf`'s bits.
+//! a packed-panel forward matmul, backward matmul passes that keep their
+//! destination rows in registers, slice kernels for the elementwise
+//! `Add`/`Scale` gradients, each bit-identical to the scalar loop it
+//! replaced, and a branch-free `tanh` with glibc `tanhf`'s bits. Those
+//! kernels write disjoint buffers, so the two-operand ops that feed them
+//! ([`Tape::matvec`], [`Tape::matmul`], [`Tape::broadcast_add`],
+//! [`Tape::bias_log_softmax`], [`Tape::pack_inputs`]) panic when both
+//! operands are one node. [`Tape::add`] accepts `add(a, a)`.
 //!
 //! # Example
 //!
@@ -303,8 +308,10 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if dimensions do not match the operand lengths.
+    /// Panics if `m` and `x` are one node, or if dimensions do not match
+    /// the operand lengths.
     pub fn matvec(&mut self, m: VarId, rows: usize, cols: usize, x: VarId) -> VarId {
+        assert_ne!(m, x, "matvec operands alias one node");
         assert_eq!(self.vals[x.0].len(), cols, "vector size mismatch");
         let out = self.matmul_value(m, rows, cols, x, 1);
         self.push(out, Op::MatVec { m, rows, cols, x })
@@ -324,8 +331,11 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if dimensions do not match the operand lengths.
+    /// Panics if `m` and `x` are one node (the backward kernels write
+    /// disjoint gradient buffers), or if dimensions do not match the
+    /// operand lengths.
     pub fn matmul(&mut self, m: VarId, rows: usize, cols: usize, x: VarId, n: usize) -> VarId {
+        assert_ne!(m, x, "matmul operands alias one node");
         assert_eq!(self.vals[x.0].len(), n * cols, "packed operand mismatch");
         let out = self.matmul_value(m, rows, cols, x, n);
         self.push(
@@ -356,8 +366,10 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `a`'s length is not `n ·` `b`'s length.
+    /// Panics if `a` and `b` are one node, or if `a`'s length is not
+    /// `n ·` `b`'s length.
     pub fn broadcast_add(&mut self, a: VarId, b: VarId, n: usize) -> VarId {
+        assert_ne!(a, b, "broadcast_add operands alias one node");
         let len = self.vals[b.0].len();
         assert_eq!(self.vals[a.0].len(), n * len, "packed operand mismatch");
         let mut val = self.alloc();
@@ -379,8 +391,10 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `a`'s length is not `n ·` `b`'s length.
+    /// Panics if `a` and `b` are one node, or if `a`'s length is not
+    /// `n ·` `b`'s length.
     pub fn bias_log_softmax(&mut self, a: VarId, b: VarId, n: usize) -> VarId {
+        assert_ne!(a, b, "bias_log_softmax operands alias one node");
         let len = self.vals[b.0].len();
         assert_eq!(self.vals[a.0].len(), n * len, "packed operand mismatch");
         let mut val = self.alloc();
@@ -430,8 +444,9 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `indices` is not a multiple of `k`, an index is out of
-    /// table range, or `table`'s length is not a multiple of `dim`.
+    /// Panics if `shared` and `table` are one node, `indices` is not a
+    /// multiple of `k`, an index is out of table range, or `table`'s
+    /// length is not a multiple of `dim`.
     pub fn pack_inputs(
         &mut self,
         shared: VarId,
@@ -440,6 +455,7 @@ impl Tape {
         k: usize,
         indices: Vec<usize>,
     ) -> VarId {
+        assert_ne!(shared, table, "pack_inputs operands alias one node");
         assert!(
             k > 0 && indices.len().is_multiple_of(k),
             "indices must pack k per position"
@@ -582,51 +598,26 @@ impl Tape {
             let g = std::mem::take(&mut grads[i]);
             match &self.ops[i] {
                 Op::Leaf => {}
+                // One pass per operand. The old loop alternated the two
+                // per element; `add(a, a)` takes both passes, so each
+                // element still gets its two additions in that order.
                 Op::Add(a, b) => {
-                    let (na, nb) = (needs[a.0], needs[b.0]);
-                    dirty[a.0] |= na;
-                    dirty[b.0] |= nb;
-                    for (k, &gk) in g.iter().enumerate() {
-                        if na {
-                            grads[a.0][k] += gk;
-                        }
-                        if nb {
-                            grads[b.0][k] += gk;
+                    for x in [a, b] {
+                        if needs[x.0] {
+                            dirty[x.0] = true;
+                            kernels::add_assign(&mut grads[x.0], &g);
                         }
                     }
                 }
-                // (indexing by k is intentional throughout: gradient
-                // slices alias multiple nodes, so zip-style iteration
-                // would fight the borrow checker for no clarity gain)
                 Op::Scale(a, c) => {
                     dirty[a.0] = true;
-                    for (k, &gk) in g.iter().enumerate() {
-                        grads[a.0][k] += gk * c;
-                    }
+                    kernels::add_scaled(&mut grads[a.0], &g, *c);
                 }
                 Op::MatVec { m, rows, cols, x } => {
-                    let xv = &self.vals[x.0];
-                    let mv = &self.vals[m.0];
-                    if m.0 == x.0 {
-                        // Aliased operands share one gradient buffer:
-                        // keep the historical interleaved indexed walk.
-                        dirty[m.0] = true;
-                        let gb = &mut grads[m.0];
-                        for r in 0..*rows {
-                            let gr = g[r];
-                            if gr == 0.0 {
-                                continue;
-                            }
-                            for c in 0..*cols {
-                                gb[r * cols + c] += gr * xv[c];
-                                gb[c] += gr * mv[r * cols + c];
-                            }
-                        }
-                    } else {
-                        backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
-                            kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, 1);
-                        });
-                    }
+                    let (mv, xv) = (&self.vals[m.0], &self.vals[x.0]);
+                    backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
+                        kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, 1);
+                    });
                 }
                 // Positions are walked in reverse: the unbatched graph
                 // records one matvec per position, and the reverse
@@ -641,51 +632,18 @@ impl Tape {
                     x,
                     n,
                 } => {
-                    let xv = &self.vals[x.0];
-                    let mv = &self.vals[m.0];
-                    if m.0 == x.0 {
-                        // Aliased operands share one gradient buffer:
-                        // keep the historical interleaved indexed walk.
-                        dirty[m.0] = true;
-                        let gb = &mut grads[m.0];
-                        for p in (0..*n).rev() {
-                            for r in 0..*rows {
-                                let gr = g[p * rows + r];
-                                if gr == 0.0 {
-                                    continue;
-                                }
-                                for c in 0..*cols {
-                                    gb[r * cols + c] += gr * xv[p * cols + c];
-                                    gb[p * cols + c] += gr * mv[r * cols + c];
-                                }
-                            }
-                        }
-                    } else {
-                        backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
-                            kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, *n);
-                        });
-                    }
+                    let (mv, xv) = (&self.vals[m.0], &self.vals[x.0]);
+                    backward_pair(grads, dirty, needs, m.0, x.0, |gm, gx| {
+                        kernels::matmul_backward(gm, gx, &g, mv, xv, *rows, *cols, *n);
+                    });
                 }
                 // Reverse position order for the same reason as MatMul:
                 // the per-position `add` nodes would be walked
                 // last-position-first.
                 Op::BroadcastAdd { a, b, n } => {
-                    if a.0 == b.0 {
-                        dirty[a.0] = true;
-                        let len = g.len() / n;
-                        let gb = &mut grads[a.0];
-                        for p in (0..*n).rev() {
-                            for k in 0..len {
-                                let gk = g[p * len + k];
-                                gb[p * len + k] += gk;
-                                gb[k] += gk;
-                            }
-                        }
-                    } else {
-                        backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
-                            kernels::broadcast_add_backward(ga, gb, &g, *n);
-                        });
-                    }
+                    backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
+                        kernels::broadcast_add_backward(ga, gb, &g, *n);
+                    });
                 }
                 // Per chunk this is the exact composition of the
                 // LogSoftmax and Add backward rules: both `a` and the
@@ -694,24 +652,9 @@ impl Tape {
                 // reverse position order for the shared bias gradient.
                 Op::BiasLogSoftmax { a, b, n } => {
                     let y = &self.vals[i];
-                    if a.0 == b.0 {
-                        dirty[a.0] = true;
-                        let len = g.len() / n;
-                        let gb = &mut grads[a.0];
-                        for p in (0..*n).rev() {
-                            let gc = &g[p * len..(p + 1) * len];
-                            let gsum: f32 = gc.iter().sum();
-                            for j in 0..len {
-                                let d = gc[j] - gsum * y[p * len + j].exp();
-                                gb[p * len + j] += d;
-                                gb[j] += d;
-                            }
-                        }
-                    } else {
-                        backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
-                            kernels::bias_log_softmax_backward(ga, gb, &g, y, *n);
-                        });
-                    }
+                    backward_pair(grads, dirty, needs, a.0, b.0, |ga, gb| {
+                        kernels::bias_log_softmax_backward(ga, gb, &g, y, *n);
+                    });
                 }
                 Op::GatherSum { a, chunk, targets } => {
                     dirty[a.0] = true;
@@ -729,33 +672,10 @@ impl Tape {
                     k,
                     indices,
                 } => {
-                    if shared.0 == table.0 {
-                        dirty[shared.0] = true;
-                        let n = indices.len() / k;
-                        let shared_len = self.vals[shared.0].len();
-                        let stride = shared_len + k * dim;
-                        let gb = &mut grads[shared.0];
-                        for p in (0..n).rev() {
-                            for j in 0..shared_len {
-                                gb[j] += g[p * stride + j];
-                            }
-                        }
-                        for (p, pos) in indices.chunks(*k).enumerate() {
-                            for (slot, &idx) in pos.iter().enumerate() {
-                                let src = p * stride + shared_len + slot * dim;
-                                for j in 0..*dim {
-                                    gb[idx * dim + j] += g[src + j];
-                                }
-                            }
-                        }
-                    } else {
-                        let shared_len = self.vals[shared.0].len();
-                        backward_pair(grads, dirty, needs, shared.0, table.0, |gs, gt| {
-                            kernels::pack_inputs_backward(
-                                gs, gt, &g, shared_len, *dim, *k, indices,
-                            );
-                        });
-                    }
+                    let shared_len = self.vals[shared.0].len();
+                    backward_pair(grads, dirty, needs, shared.0, table.0, |gs, gt| {
+                        kernels::pack_inputs_backward(gs, gt, &g, shared_len, *dim, *k, indices);
+                    });
                 }
                 Op::Tanh(a) => {
                     dirty[a.0] = true;
@@ -783,9 +703,7 @@ impl Tape {
                         let len = self.vals[p.0].len();
                         if needs[p.0] {
                             dirty[p.0] = true;
-                            for k in 0..len {
-                                grads[p.0][k] += g[offset + k];
-                            }
+                            kernels::add_assign(&mut grads[p.0], &g[offset..offset + len]);
                         }
                         offset += len;
                     }
@@ -823,7 +741,7 @@ fn backward_pair(
     b: usize,
     kernel: impl FnOnce(Option<&mut [f32]>, Option<&mut [f32]>),
 ) {
-    debug_assert_ne!(a, b, "aliased operands take the interleaved path");
+    debug_assert_ne!(a, b, "the recording op rejects aliased operands");
     let mut ga = needs[a].then(|| std::mem::take(&mut grads[a]));
     let mut gb = needs[b].then(|| std::mem::take(&mut grads[b]));
     kernel(ga.as_deref_mut(), gb.as_deref_mut());
@@ -1227,6 +1145,89 @@ mod tests {
         }
         // From the second round on every buffer is recycled.
         assert!(arena.reuses() >= 5, "reuses = {}", arena.reuses());
+    }
+
+    /// The `Add` and `Scale` arms give the bits of the scalar loops they
+    /// replaced, replayed here from each arm's incoming gradient: an
+    /// aliased `add(t, t)`, an `add` whose operand already holds a
+    /// gradient, and a negative `scale`, which turns the zero gradients
+    /// (a zero column of the constant matrix) into `-0.0` products.
+    #[test]
+    fn add_and_scale_arms_match_the_scalar_loops() {
+        let c = -0.75f32;
+        let mut tape = Tape::new();
+        let a = tape.leaf(vec![0.3, -1.2, 0.0, 2.5, -0.4]);
+        let s = tape.scale(a, c);
+        let t = tape.add(s, a);
+        let u = tape.add(t, t);
+        // 3×5 with a zero second column.
+        let m = tape.constant_from(&[
+            0.5, 0.0, -1.5, 0.25, 1.0, //
+            -0.3, 0.0, 0.7, -2.0, 0.1, //
+            1.1, 0.0, 0.2, 0.6, -0.9,
+        ]);
+        let y = tape.matvec(m, 3, 5, u);
+        let root = sum_all(&mut tape, y);
+        let grads = tape.backward(root);
+
+        let gu = &grads[u.index()];
+        assert_eq!(gu[1].to_bits(), 0.0f32.to_bits());
+        let (mut gt, mut gs, mut ga) = (vec![0.0f32; 5], vec![0.0f32; 5], vec![0.0f32; 5]);
+        for k in 0..5 {
+            gt[k] += gu[k];
+            gt[k] += gu[k];
+        }
+        for k in 0..5 {
+            gs[k] += gt[k];
+            ga[k] += gt[k];
+        }
+        for k in 0..5 {
+            ga[k] += gs[k] * c;
+        }
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&grads[t.index()]), bits(&gt));
+        assert_eq!(bits(&grads[s.index()]), bits(&gs));
+        assert_eq!(bits(&grads[a.index()]), bits(&ga));
+    }
+
+    #[test]
+    #[should_panic(expected = "matvec operands alias one node")]
+    fn matvec_rejects_aliased_operands() {
+        let mut tape = Tape::new();
+        let m = tape.leaf(vec![1.0]);
+        tape.matvec(m, 1, 1, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul operands alias one node")]
+    fn matmul_rejects_aliased_operands() {
+        let mut tape = Tape::new();
+        let m = tape.leaf(vec![1.0, 2.0, 3.0, 4.0]);
+        tape.matmul(m, 2, 2, m, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast_add operands alias one node")]
+    fn broadcast_add_rejects_aliased_operands() {
+        let mut tape = Tape::new();
+        let a = tape.leaf(vec![1.0, 2.0]);
+        tape.broadcast_add(a, a, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias_log_softmax operands alias one node")]
+    fn bias_log_softmax_rejects_aliased_operands() {
+        let mut tape = Tape::new();
+        let a = tape.leaf(vec![1.0, 2.0]);
+        tape.bias_log_softmax(a, a, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack_inputs operands alias one node")]
+    fn pack_inputs_rejects_aliased_operands() {
+        let mut tape = Tape::new();
+        let t = tape.leaf(vec![1.0, 2.0]);
+        tape.pack_inputs(t, t, 2, 1, vec![0]);
     }
 
     /// Builds `sum(tanh(W · (C · x)))` with `C` and `x` recorded by
